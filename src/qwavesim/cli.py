@@ -25,16 +25,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import io
+from . import checks, io
 from .constraints import ReducedSystem
-from .discretize import MaterialModel, antisymmetry_defect, assemble_operator_pair, build_grid
 from .encoding import build_hamiltonian, encode
 from .errors import NumericalError, ScenarioError, ValidationError
-from .evolution import build_mult_hamiltonian, build_sync_hamiltonian, evolve
 from .initcircuit import (
-    PolarGridSpec,
     build_circuit,
     covariance_defect,
     direct_polar_state,
@@ -42,25 +37,10 @@ from .initcircuit import (
     sample_reference_ray,
     simulate_circuit,
 )
-from .measurement import (
-    EstimatorConfig,
-    SubspaceProjector,
-    estimate,
-    multi_state_observable,
-    two_state_observable,
-)
-from .reference import cfl_limit, leapfrog_evolve, spectral_forced_solution
+from .measurement import estimate
+from .reference import cfl_limit, leapfrog_evolve
 from .scenario import Scenario, load_scenario
-from .sources import (
-    PointSource,
-    assemble_multisource_state,
-    chi_pattern,
-    default_steepness,
-    gaussian_pulse,
-    greens_decompose,
-    make_windows,
-    presimulate_pulse,
-)
+from .sources import greens_decompose, presimulate_pulse
 
 _DEFAULT_OUT = "qwavesim-output"
 
@@ -108,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a property suite")
     p_verify.add_argument(
-        "suite", choices=sorted(_SUITES), help="which property suite to run"
+        "suite", choices=sorted(checks.SUITES), help="which property suite to run"
     )
     p_verify.set_defaults(handler=_run_verify)
     return parser
@@ -358,172 +338,11 @@ def _run_initcircuit(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
-
-
-def _suite_symmetry():
-    rows = []
-    for n in (8, 64, 256):
-        grid = build_grid([(0.0, 1.0)], [n])
-        pair = assemble_operator_pair(grid, MaterialModel.acoustic(grid, rho=1.3, c=0.7))
-        rows.append((f"acoustic 1D N={n} generator antisymmetry", antisymmetry_defect(pair.A), 0.0))
-        rows.append(
-            (f"acoustic 1D N={n} hermiticity", build_hamiltonian(pair).hermiticity_defect(), 1e-12)
-        )
-    grid = build_grid([(0.0, 1.0), (0.0, 2.0)], [12, 16])
-    pair = assemble_operator_pair(grid, MaterialModel.acoustic(grid, rho=2.0, c=1.1))
-    rows.append(("acoustic 2D 12x16 generator antisymmetry", antisymmetry_defect(pair.A), 0.0))
-    rows.append(("acoustic 2D 12x16 hermiticity", build_hamiltonian(pair).hermiticity_defect(), 1e-12))
-    grid = build_grid([(0.0, 1.0)], [64])
-    pair = assemble_operator_pair(grid, MaterialModel.maxwell1d(grid, eps=2.0, mu=0.5))
-    rows.append(("maxwell 1D N=64 generator antisymmetry", antisymmetry_defect(pair.A), 0.0))
-    rows.append(("maxwell 1D N=64 hermiticity", build_hamiltonian(pair).hermiticity_defect(), 1e-12))
-    return rows
-
-
-def _suite_conservation():
-    grid = build_grid([(0.0, 1.0)], [128])
-    pair = assemble_operator_pair(grid, MaterialModel.acoustic(grid, rho=1.0, c=1.0))
-    w0 = np.zeros(pair.n_total)
-    x = grid.scalar_coords[:, 0]
-    w0[: grid.n_scalar] = np.exp(-((x - 0.5) ** 2) / (2 * 0.05**2))
-    state = encode(w0, pair)
-    ham = build_hamiltonian(pair)
-    t_crossing = 1.0  # domain length over wave speed
-    evolved = evolve(state, ham, 5.0 * t_crossing)
-    norm_drift = abs(float(np.linalg.norm(evolved.amplitudes)) - 1.0)
-    energy_drift = abs(evolved.scale**2 - state.scale**2) / state.scale**2
-    return [
-        ("norm drift over 5 crossings", norm_drift, 1e-10),
-        ("energy drift over 5 crossings", energy_drift, 1e-10),
-    ]
-
-
-def _suite_estimator():
-    rng = np.random.default_rng(11)
-    n_phys, arity = 12, 2
-    states = [rng.normal(size=n_phys) for _ in range(arity)]
-    mask = np.zeros(n_phys, dtype=bool)
-    mask[rng.choice(n_phys, size=5, replace=False)] = True
-    projector = SubspaceProjector(mask=mask)
-
-    exact = estimate(states, projector)
-    stacked = np.sum(states, axis=0)
-    direct = float(np.linalg.norm(stacked[mask]) ** 2)
-    rows = [("exact estimate vs dense contraction", abs(exact.value - direct) / direct, 1e-12)]
-
-    two = two_state_observable(4)
-    rows.append(("two-state decomposition string count", abs(len(two.strings) - 4), 0.0))
-    coeffs = np.array([s.coeff for s in two.strings])
-    rows.append(
-        ("two-state coefficients", float(np.abs(coeffs - [0.5, -0.5, 0.5, -0.5]).max()), 0.0)
-    )
-    multi = multi_state_observable(arity, int(np.ceil(np.log2(n_phys))))
-    rows.append(("multi-state string count (2M)", abs(len(multi.strings) - 2 * arity), 0.0))
-
-    reps, lo_shots, hi_shots = 100, 10_000, 40_000
-    err = {lo_shots: [], hi_shots: []}
-    for shots in (lo_shots, hi_shots):
-        for rep in range(reps):
-            config = EstimatorConfig(mode="shots", shots=shots, seed=(101, shots, rep))
-            sampled = estimate(states, projector, config=config)
-            err[shots].append(sampled.value - exact.value)
-    ratio = float(
-        np.sqrt(np.mean(np.square(err[lo_shots])) / np.mean(np.square(err[hi_shots])))
-    )
-    rows.append(("shot RMS ratio for 4x shots, offset from 2", abs(ratio - 2.0), 0.6))
-    return rows
-
-
-def _suite_initcircuit():
-    rows = []
-    rng = np.random.default_rng(23)
-    for divisions in (2, 4, 8):
-        profile = rng.uniform(0.2, 1.0, size=divisions)
-        spec = PolarGridSpec.uniform(divisions, 1.0)
-        radii = np.asarray(spec.radii)
-
-        def field(x, radii=radii, profile=profile):
-            r = float(np.hypot(x[0], x[1]))
-            if r == 0.0:
-                return np.zeros(2)
-            mag = float(np.interp(r, radii, profile))
-            return mag * np.asarray(x) / r
-
-        ray = sample_reference_ray(field, spec)
-        prepared = simulate_circuit(build_circuit(spec), ray)
-        direct, _ = direct_polar_state(field, spec)
-        rows.append((f"A={divisions} preparation infidelity", 1.0 - fidelity(prepared, direct), 1e-10))
-        rows.append((f"A={divisions} ray evaluation budget", abs(ray.eval_count - divisions), 0.0))
-    return rows
-
-
-def _suite_sources():
-    rows = []
-    breakpoints = [0.0, 0.3, 0.7, 1.0]
-    t_grid = np.linspace(0.0, 1.0, 2001)
-    _, deviation = make_windows(t_grid, default_steepness(breakpoints), breakpoints)
-    rows.append(("window partition-of-unity deviation", deviation, 1e-3))
-
-    samples = np.sin(np.linspace(0.0, 6.0, 500)) * np.exp(
-        -((np.linspace(0.0, 6.0, 500) - 3.0) ** 2)
-    )
-    boxes, _ = make_windows(np.linspace(0.0, 6.0, 500), np.inf, [0.0, 2.0, 4.0, 6.0 + 1e-9])
-    claimed = sum(int(np.count_nonzero(w * samples)) for w in boxes)
-    rows.append(
-        ("box-limit nonzero-count equality", abs(claimed - int(np.count_nonzero(samples))), 0.0)
-    )
-
-    grid = build_grid([(0.0, 1.0)], [128])
-    pair = assemble_operator_pair(grid, MaterialModel.acoustic(grid, rho=1.0, c=1.0))
-    stf = gaussian_pulse(center=0.08, sigma=0.01)
-    source = PointSource(location=(64,), polarization=(1.0, 0.0), time_function=stf)
-    slices = greens_decompose(source, 1.0, 1.0, 0.45, pair, mode="discrete")
-    state, t_ends = assemble_multisource_state(slices, pair)
-    ham = build_hamiltonian(pair)
-    t_sync = max(t_ends)
-    t_final = 0.55
-    synced = evolve(
-        state,
-        build_sync_hamiltonian(
-            ham, t_ends, t_sync, block_dim=state.layout.block_dim, arity=state.layout.arity
-        ),
-        1.0,
-    )
-    settled = evolve(
-        synced,
-        build_mult_hamiltonian(ham, state.layout.arity, block_dim=state.layout.block_dim),
-        t_final - t_sync,
-    )
-    mask = np.zeros(pair.n_total, dtype=bool)
-    mask[64:128] = True
-    sliced_loss = estimate(settled, SubspaceProjector(mask=mask)).value
-    mono = spectral_forced_solution(pair, chi_pattern(source, grid), stf, stf.t_start, t_final)
-    direct_loss = float(np.linalg.norm((np.sqrt(pair.b_diagonal()) * mono)[mask]) ** 2)
-    rows.append(
-        (
-            "sliced pipeline vs monolithic loss",
-            abs(sliced_loss - direct_loss) / direct_loss,
-            1e-6,
-        )
-    )
-
-    pre = presimulate_pulse(source, pair)
-    rows.append(("pre-simulation support certified (nonzeros)", float(pre.nonzero_count == 0), 0.0))
-    return rows
-
-
-_SUITES = {
-    "symmetry": _suite_symmetry,
-    "conservation": _suite_conservation,
-    "estimator": _suite_estimator,
-    "initcircuit": _suite_initcircuit,
-    "sources": _suite_sources,
-}
+# verify
 
 
 def _run_verify(args) -> int:
-    rows = _SUITES[args.suite]()
+    rows = [row for check in checks.SUITES[args.suite] for row in check()]
     failed = 0
     print(f"suite {args.suite}: {len(rows)} checks")
     for name, value, tol in rows:

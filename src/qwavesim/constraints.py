@@ -11,19 +11,21 @@ same shape,
     B' dw_f/dt = A' w_f + s(t),
     B' = B_ff - B_fc R_c^{-1} R_f,
     A' = A_ff - A_fc R_c^{-1} R_f,
-    s(t) = A_fc R_c^{-1} b(t) - B_fc R_c^{-1} db/dt,
+    s(t) = A_fc R_c^{-1} b(t) - B_fc R_c^{-1} db/dt.
 
-and the elimination is only admissible when it preserves the structure that
-the rest of the toolchain relies on: B' must stay symmetric positive definite
-and A' antisymmetric. Neither is assumed; both are re-validated on the reduced
+The energy weight B of an operator pair is diagonal, which reduce_system
+requires, so its off-diagonal block B_fc is zero. Hence B' = B_ff stays
+diagonal, and the db/dt term of the induced source vanishes:
+s(t) = A_fc R_c^{-1} b(t). The elimination is only admissible when it
+preserves the structure the rest of the toolchain relies on: B' must stay
+positive and A' antisymmetric. Both are re-validated on the reduced
 operators, and a violation of the antisymmetry bound raises
 IncompatibleConstraintError. The common case R_f = 0 (pinned unknowns, e.g.
 Dirichlet walls) reduces to deleting rows and columns, which preserves both
 properties trivially.
 
-b(t) arrives as time samples; db/dt is formed by central differences on that
-sample grid (one-sided at the ends) and both are linearly interpolated when
-the induced source is evaluated between samples.
+b(t) arrives as time samples and is linearly interpolated when the induced
+source is evaluated between samples.
 """
 from __future__ import annotations
 
@@ -76,7 +78,7 @@ class ConstraintSet:
             if self.b_values.shape != (self.b_times.size, c.size):
                 raise ConstraintError("b_values must be (n_times, n_constrained)")
             if self.b_times.size < 2:
-                raise ConstraintError("need at least 2 time samples for db/dt")
+                raise ConstraintError("need at least 2 time samples to interpolate b(t)")
             if np.any(np.diff(self.b_times) <= 0):
                 raise ConstraintError("b sample times must be strictly increasing")
 
@@ -216,9 +218,12 @@ def reduce_system(pair: OperatorPair, constraints: ConstraintSet) -> ReducedSyst
 
     Returns the reduced system over the free unknowns, with the induced
     source sampler. Raises IncompatibleConstraintError when the reduced
-    generator loses antisymmetry beyond 1e-12, and ConstraintError for
-    singular R_c, index problems, or an indefinite reduced weight.
+    generator loses antisymmetry beyond 1e-12, and ConstraintError for a
+    non-diagonal energy weight, singular R_c, index problems, or a reduced
+    weight that is not positive.
     """
+    if not pair.B.is_diagonal():
+        raise ConstraintError("constraint elimination needs a diagonal energy weight")
     n = pair.n_total
     c_idx = constraints.constrained
     if c_idx.size == 0:
@@ -239,26 +244,17 @@ def reduce_system(pair: OperatorPair, constraints: ConstraintSet) -> ReducedSyst
         raise ConstraintError("r_f column count must match free unknowns")
 
     a_csr = pair.A.to_csr()
-    b_csr = pair.B.to_csr()
     a_ff = a_csr[f_idx][:, f_idx]
     a_fc = a_csr[f_idx][:, c_idx]
-    b_ff = b_csr[f_idx][:, f_idx]
-    b_fc = b_csr[f_idx][:, c_idx]
+    b_red = pair.B.to_csr()[f_idx][:, f_idx]
 
-    pure_deletion = constraints.r_f is None or constraints.r_f.nnz == 0
-    if pure_deletion:
+    if constraints.r_f is None or constraints.r_f.nnz == 0:
         a_red = a_ff
-        b_red = b_ff
     else:
         x = _solve_rc(constraints.r_c, constraints.r_f.to_dense())
         a_red = sp.csr_matrix(a_ff - sp.csr_matrix(a_fc @ x))
-        b_red = sp.csr_matrix(b_ff - sp.csr_matrix(b_fc @ x))
         a_red.eliminate_zeros()
-        b_red.eliminate_zeros()
 
-    sym_defect = abs(b_red - b_red.T)
-    if sym_defect.nnz and sym_defect.max() > REDUCED_SYMMETRY_TOL:
-        raise ConstraintError("reduced energy weight is not symmetric")
     anti_defect = abs(a_red + a_red.T)
     if anti_defect.nnz and anti_defect.max() > REDUCED_SYMMETRY_TOL:
         raise IncompatibleConstraintError(
@@ -266,17 +262,11 @@ def reduce_system(pair: OperatorPair, constraints: ConstraintSet) -> ReducedSyst
             f"(max defect {anti_defect.max():.3e}); the eliminated system is "
             "no longer energy conserving"
         )
-    # definiteness of the reduced weight, checked not assumed
-    b_dense_diag_ok = False
-    if b_red.nnz == np.count_nonzero(b_red.diagonal()):
-        diag = b_red.diagonal()
-        b_dense_diag_ok = bool(np.all(diag > 0.0))
-    if not b_dense_diag_ok:
-        eigmin = float(np.linalg.eigvalsh(b_red.toarray()).min())
-        if eigmin <= 0.0:
-            raise ConstraintError(
-                f"reduced energy weight is not positive definite (min eig {eigmin:.3e})"
-            )
+    diag = b_red.diagonal()
+    if np.any(diag <= 0.0):
+        raise ConstraintError(
+            f"reduced energy weight is not positive definite (min diagonal {diag.min():.3e})"
+        )
 
     n_free = f_idx.size
     if constraints.b_values is None:
@@ -288,17 +278,11 @@ def reduce_system(pair: OperatorPair, constraints: ConstraintSet) -> ReducedSyst
         inhomogeneous = False
     else:
         times = constraints.b_times
-        b_vals = constraints.b_values
-        db_vals = np.gradient(b_vals, times, axis=0)  # central differences
-        rc_b = _solve_rc(constraints.r_c, b_vals.T).T
-        rc_db = _solve_rc(constraints.r_c, db_vals.T).T
+        rc_b = _solve_rc(constraints.r_c, constraints.b_values.T).T
         a_fc_csr = sp.csr_matrix(a_fc)
-        b_fc_csr = sp.csr_matrix(b_fc)
 
         def source(t: float) -> np.ndarray:
-            bt = _interp_rows(times, rc_b, t)
-            dbt = _interp_rows(times, rc_db, t)
-            return a_fc_csr @ bt - b_fc_csr @ dbt
+            return a_fc_csr @ _interp_rows(times, rc_b, t)
 
         inhomogeneous = True
 

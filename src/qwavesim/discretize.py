@@ -130,9 +130,6 @@ class SparseOperator:
     def __matmul__(self, vec: np.ndarray) -> np.ndarray:
         return self.apply(vec)
 
-    def max_abs(self) -> float:
-        return float(np.abs(self.vals).max()) if self.vals.size else 0.0
-
     def max_row_nnz(self) -> int:
         """Largest number of nonzeros in any row (the sparsity parameter d)."""
         if not self.vals.size:

@@ -124,6 +124,27 @@ class QuantumRegisterState:
         return QuantumRegisterState(amplitudes=amps, scale=self.scale, layout=self.layout)
 
 
+def stack_substates(vectors, arity: int = 1) -> QuantumRegisterState:
+    """Stack equal-length vectors into one register, sub-state s in block s.
+
+    Each vector is zero-padded to a power-of-two block; the arity is at least
+    len(vectors), rounded up to a power of two, with zero pad blocks. The
+    stack is normalized and its norm kept as the scale (all zeros give the
+    null state). Callers validate the vectors.
+    """
+    n = len(vectors[0])
+    block = next_power_of_two(n)
+    m = next_power_of_two(max(len(vectors), arity))
+    stacked = np.zeros(m * block, dtype=np.complex128)
+    for s, v in enumerate(vectors):
+        stacked[s * block : s * block + n] = v
+    scale = float(np.linalg.norm(stacked))
+    layout = StateLayout(num_physical=n, block_dim=block, arity=m)
+    if scale == 0.0:
+        return QuantumRegisterState(amplitudes=stacked, scale=0.0, layout=layout)
+    return QuantumRegisterState(amplitudes=stacked / scale, scale=scale, layout=layout)
+
+
 @dataclass
 class Hamiltonian:
     """Hermitian generator with the metadata the cost model reports.
@@ -137,6 +158,17 @@ class Hamiltonian:
     maxnorm: float
     sparsity: int
     _eig: tuple | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_matrix(cls, matrix) -> "Hamiltonian":
+        """Wrap a sparse generator as CSR without stored zeros, with its metadata."""
+        matrix = sp.csr_matrix(matrix)
+        matrix.eliminate_zeros()
+        return cls(
+            matrix=matrix,
+            maxnorm=float(np.abs(matrix.data).max()) if matrix.nnz else 0.0,
+            sparsity=int(np.diff(matrix.indptr).max()) if matrix.nnz else 0,
+        )
 
     @property
     def dim(self) -> int:
@@ -187,12 +219,7 @@ def build_hamiltonian(system) -> Hamiltonian:
     inv_sqrt = 1.0 / np.sqrt(diag)
     scaled = sp.csr_matrix(a_op.to_csr(), dtype=np.complex128)
     scaled = sp.diags(inv_sqrt) @ scaled @ sp.diags(inv_sqrt)
-    h = sp.csr_matrix(1j * scaled)
-    ham = Hamiltonian(
-        matrix=h,
-        maxnorm=float(np.abs(h.data).max()) if h.nnz else 0.0,
-        sparsity=int(np.diff(h.indptr).max()) if h.nnz else 0,
-    )
+    ham = Hamiltonian.from_matrix(1j * scaled)
     defect = ham.hermiticity_defect()
     if defect > HERMITICITY_TOL:
         raise NumericalError(f"encoded generator is not Hermitian: defect {defect:.3e}")

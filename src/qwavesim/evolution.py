@@ -127,16 +127,6 @@ def _embedded(ham: Hamiltonian, block_dim: int) -> sp.csr_matrix:
     )
 
 
-def _wrap(matrix: sp.csr_matrix) -> Hamiltonian:
-    matrix = sp.csr_matrix(matrix)
-    matrix.eliminate_zeros()
-    return Hamiltonian(
-        matrix=matrix,
-        maxnorm=float(np.abs(matrix.data).max()) if matrix.nnz else 0.0,
-        sparsity=int(np.diff(matrix.indptr).max()) if matrix.nnz else 0,
-    )
-
-
 def build_sync_hamiltonian(
     ham: Hamiltonian,
     t_ends: Sequence[float],
@@ -172,7 +162,7 @@ def build_sync_hamiltonian(
         (t_sync - t_ends[s]) * h_pad if s < len(t_ends) else zero
         for s in range(arity)
     ]
-    return _wrap(sp.block_diag(blocks, format="csr"))
+    return Hamiltonian.from_matrix(sp.block_diag(blocks, format="csr"))
 
 
 def build_mult_hamiltonian(
@@ -187,4 +177,4 @@ def build_mult_hamiltonian(
             f"stacked dimension {arity * block_dim} exceeds the build cutoff {MAX_BUILD_DIM}"
         )
     h_pad = _embedded(ham, block_dim)
-    return _wrap(sp.kron(sp.identity(arity, format="csr"), h_pad, format="csr"))
+    return Hamiltonian.from_matrix(sp.kron(sp.identity(arity, format="csr"), h_pad, format="csr"))

@@ -4,12 +4,10 @@ Every writer formats floats with shortest round-trip repr and emits keys in
 sorted order, so a rerun with the same inputs produces byte-identical files.
 
 Formats (one line each, documented fully in the README):
-  operator triplets  row,col,value
   state              index,real,imag  (+ .json sidecar: scale and layout)
   trajectory         time,dof,value   (long form)
   energy             time,energy
-  source samples     time,value
-  constraint data    time,value per constrained unknown (b.csv)
+  source samples     time,value       (read only)
   measurement        JSON {value, stderr, shots, mode, strings}
   circuit            JSON {register, gates, min_rotation_angle}
 """
@@ -21,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .discretize import SparseOperator
 from .encoding import QuantumRegisterState, StateLayout
 from .errors import ScenarioError
 from .initcircuit import GateCircuit
@@ -44,32 +41,6 @@ def read_json(path):
         return json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"malformed JSON in {p}: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# operators
-
-
-def write_triplets(path, op: SparseOperator) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "value"])
-        for r, c, v in zip(op.rows, op.cols, op.vals):
-            writer.writerow([int(r), int(c), fmt(v)])
-
-
-def read_triplets(path, shape) -> SparseOperator:
-    rows, cols, vals = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["row", "col", "value"]:
-            raise ScenarioError(f"{path}: expected header row,col,value")
-        for line in reader:
-            rows.append(int(line[0]))
-            cols.append(int(line[1]))
-            vals.append(float(line[2]))
-    return SparseOperator.from_triplets(shape, rows, cols, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +115,6 @@ def write_energy_csv(path, times, energy) -> None:
             writer.writerow([fmt(t), fmt(e)])
 
 
-def write_source_csv(path, stf) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "value"])
-        for t, v in zip(stf.times, stf.values):
-            writer.writerow([fmt(t), fmt(v)])
-
-
 def read_source_csv(path) -> tuple[np.ndarray, np.ndarray]:
     times, values = [], []
     p = Path(path)
@@ -166,26 +129,6 @@ def read_source_csv(path) -> tuple[np.ndarray, np.ndarray]:
             times.append(float(line[0]))
             values.append(float(line[1]))
     return np.asarray(times), np.asarray(values)
-
-
-def read_constraint_data_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """b(t) samples: header time,dof0,dof1,...; returns (times, values)."""
-    p = Path(path)
-    if not p.exists():
-        raise ScenarioError(f"missing file: {p}")
-    times, rows = [], []
-    with open(p, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "time":
-            raise ScenarioError(f"{p}: expected header time,<one column per unknown>")
-        width = len(header) - 1
-        for line in reader:
-            if len(line) != width + 1:
-                raise ScenarioError(f"{p}: ragged row {line}")
-            times.append(float(line[0]))
-            rows.append([float(x) for x in line[1:]])
-    return np.asarray(times), np.asarray(rows)
 
 
 # ---------------------------------------------------------------------------

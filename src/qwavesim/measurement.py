@@ -36,7 +36,7 @@ from itertools import product
 
 import numpy as np
 
-from .encoding import QuantumRegisterState, StateLayout, next_power_of_two
+from .encoding import QuantumRegisterState, StateLayout, next_power_of_two, stack_substates
 from .errors import ComplexityWarning, MeasurementError
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -310,7 +310,7 @@ class EstimateResult:
 
 
 def _stack_states(states, arity: int | None):
-    """Normalize input into (unit stacked vector, scale, layout)."""
+    """Validate the input and return it as one stacked, unaugmented register state."""
     if isinstance(states, QuantumRegisterState):
         if states.layout.augmented:
             raise MeasurementError("pass the unaugmented stack; augmentation happens here")
@@ -323,18 +323,9 @@ def _stack_states(states, arity: int | None):
     n = vectors[0].size
     if any(v.shape != (n,) for v in vectors):
         raise MeasurementError("sub-state vectors must share one length")
-    m = next_power_of_two(max(len(vectors), arity or 1))
     if arity is not None and arity < len(vectors):
         raise MeasurementError("arity smaller than the number of sub-states")
-    block = next_power_of_two(n)
-    stacked = np.zeros(m * block, dtype=np.complex128)
-    for s, v in enumerate(vectors):
-        stacked[s * block : s * block + n] = v
-    scale = float(np.linalg.norm(stacked))
-    layout = StateLayout(num_physical=n, block_dim=block, arity=m)
-    if scale == 0.0:
-        return QuantumRegisterState(amplitudes=stacked, scale=0.0, layout=layout)
-    return QuantumRegisterState(amplitudes=stacked / scale, scale=scale, layout=layout)
+    return stack_substates(vectors, arity or 1)
 
 
 def _hadamard_rotate(psi: np.ndarray, x_mask: int, n_qubits: int) -> np.ndarray:

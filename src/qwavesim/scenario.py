@@ -33,7 +33,7 @@ from .discretize import (
 )
 from .errors import ScenarioError
 from .initcircuit import PolarGridSpec
-from .io import read_constraint_data_csv, read_json, read_source_csv
+from .io import read_json, read_source_csv
 from .measurement import EstimatorConfig, SubspaceProjector
 from .sources import (
     PointSource,

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import expit
 
-from .encoding import QuantumRegisterState, StateLayout, next_power_of_two
+from .encoding import QuantumRegisterState, stack_substates
 from .errors import CausalityError, SourceError, SupportError
 from .reference import cfl_limit, leapfrog_evolve, spectral_forced_solution
 
@@ -373,18 +373,8 @@ def assemble_multisource_state(
     for p in presims:
         if p.field.shape != (n,):
             raise SourceError("pre-computed field does not match the system size")
-    arity = next_power_of_two(len(presims))
-    block = next_power_of_two(n)
-    stacked = np.zeros(arity * block, dtype=np.complex128)
     sqrt_b = np.sqrt(diag)
-    for s, p in enumerate(presims):
-        stacked[s * block : s * block + n] = sqrt_b * p.field
-    scale = float(np.linalg.norm(stacked))
-    layout = StateLayout(num_physical=n, block_dim=block, arity=arity)
-    if scale == 0.0:
-        state = QuantumRegisterState(amplitudes=stacked, scale=0.0, layout=layout)
-    else:
-        state = QuantumRegisterState(amplitudes=stacked / scale, scale=scale, layout=layout)
+    state = stack_substates([sqrt_b * p.field for p in presims])
     return state, [p.t_end for p in presims]
 
 

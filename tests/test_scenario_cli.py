@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qwavesim as q
-from qwavesim import cli
+from qwavesim import checks, cli
 from qwavesim.constraints import ReducedSystem
 from qwavesim.errors import ScenarioError
 
@@ -521,3 +521,17 @@ def test_verify_suites_pass(suite, capsys):
     out = capsys.readouterr().out
     assert f"suite {suite}: all checks passed" in out
     assert "FAIL" not in out
+
+
+def test_verify_reports_a_missed_tolerance_with_exit_code_two(monkeypatch, capsys):
+    def drifted():
+        (name, value, tol), *rest = checks.conservation()
+        return [(name, tol + 1.0, tol), *rest]
+
+    monkeypatch.setitem(checks.SUITES, "conservation", (drifted,))
+    assert cli.main(["verify", "conservation"]) == 2
+    captured = capsys.readouterr()
+    assert "norm drift over 5 crossings" in captured.out
+    assert "FAIL" in captured.out
+    assert "all checks passed" not in captured.out
+    assert "numerical failure: suite conservation: 1 of 2 checks failed" in captured.err
