@@ -14,7 +14,6 @@ from .constraints import (
 from .discretize import (
     MaterialModel,
     OperatorPair,
-    SparseOperator,
     StaggeredGrid,
     antisymmetry_defect,
     assemble_operator_pair,

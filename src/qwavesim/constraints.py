@@ -13,8 +13,8 @@ same shape,
     A' = A_ff - A_fc R_c^{-1} R_f,
     s(t) = A_fc R_c^{-1} b(t) - B_fc R_c^{-1} db/dt.
 
-The energy weight B of an operator pair is diagonal, which reduce_system
-requires, so its off-diagonal block B_fc is zero. Hence B' = B_ff stays
+The energy weight B of an operator pair is stored as its diagonal, so its
+off-diagonal block B_fc is zero. Hence B' = B_ff is the free part of that
 diagonal, and the db/dt term of the induced source vanishes:
 s(t) = A_fc R_c^{-1} b(t). The elimination is only admissible when it
 preserves the structure the rest of the toolchain relies on: B' must stay
@@ -22,7 +22,8 @@ positive and A' antisymmetric. Both are re-validated on the reduced
 operators, and a violation of the antisymmetry bound raises
 IncompatibleConstraintError. The common case R_f = 0 (pinned unknowns, e.g.
 Dirichlet walls) reduces to deleting rows and columns, which preserves both
-properties trivially.
+properties trivially. R_f, R_c and the reduced A' are canonical CSR, like the
+generator they come from.
 
 b(t) arrives as time samples and is linearly interpolated when the induced
 source is evaluated between samples.
@@ -35,7 +36,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .discretize import OperatorPair, SparseOperator, StaggeredGrid
+from .discretize import OperatorPair, StaggeredGrid, antisymmetry_defect, canonical_csr
 from .errors import ConstraintError, IncompatibleConstraintError
 
 REDUCED_SYMMETRY_TOL = 1e-12
@@ -48,13 +49,14 @@ class ConstraintSet:
     constrained: strictly increasing unknown indices (the c-partition).
     r_f: coupling to the free unknowns, shape (n_c, n_free); None means 0.
     r_c: invertible square part, shape (n_c, n_c).
+    Both are stored as canonical CSR; non-finite entries are refused.
     b_times/b_values: samples of b(t), shape (n_t,) and (n_t, n_c); None means
     a homogeneous constraint b = 0.
     """
 
     constrained: np.ndarray
-    r_f: SparseOperator | None
-    r_c: SparseOperator
+    r_f: sp.csr_matrix | None
+    r_c: sp.csr_matrix
     b_times: np.ndarray | None = None
     b_values: np.ndarray | None = None
 
@@ -68,6 +70,9 @@ class ConstraintSet:
             raise ConstraintError("constrained index list must be 1-D")
         if np.any(np.diff(c) <= 0):
             raise ConstraintError("constrained indices must be strictly increasing")
+        object.__setattr__(self, "r_c", canonical_csr(self.r_c, ConstraintError))
+        if self.r_f is not None:
+            object.__setattr__(self, "r_f", canonical_csr(self.r_f, ConstraintError))
         if self.r_c.shape != (c.size, c.size):
             raise ConstraintError("r_c must be square over the constrained unknowns")
         if self.r_f is not None and self.r_f.shape[0] != c.size:
@@ -89,30 +94,16 @@ def boundary_scalar_indices(grid: StaggeredGrid, sides: list[str]) -> np.ndarray
     Sides are "left"/"right" (x extremes) and, in 2D, "bottom"/"top"
     (y extremes). Returned indices are sorted and unique.
     """
-    valid = {"left", "right"} | ({"bottom", "top"} if grid.dimension == 2 else set())
-    bad = set(sides) - valid
+    # nodes[..., i] in 1D and nodes[j, i] in 2D: x is the fastest index
+    nodes = np.arange(grid.n_scalar, dtype=np.int64).reshape(grid.shape[::-1])
+    walls = {"left": nodes[..., :1], "right": nodes[..., -1:]}
+    if grid.dimension == 2:
+        walls.update(bottom=nodes[0], top=nodes[-1])
+    bad = set(sides) - set(walls)
     if bad:
         raise ConstraintError(f"unknown boundary side(s) {sorted(bad)} for this grid")
-    picked = []
-    if grid.dimension == 1:
-        (nx,) = grid.shape
-        if "left" in sides:
-            picked.append(grid.scalar_index(0))
-        if "right" in sides:
-            picked.append(grid.scalar_index(nx - 1))
-    else:
-        nx, ny = grid.shape
-        for j in range(ny):
-            if "left" in sides:
-                picked.append(grid.scalar_index(0, j))
-            if "right" in sides:
-                picked.append(grid.scalar_index(nx - 1, j))
-        for i in range(nx):
-            if "bottom" in sides:
-                picked.append(grid.scalar_index(i, 0))
-            if "top" in sides:
-                picked.append(grid.scalar_index(i, ny - 1))
-    return np.unique(np.asarray(picked, dtype=np.int64))
+    picked = [walls[side].ravel() for side in sides]
+    return np.unique(np.concatenate(picked)) if picked else np.empty(0, dtype=np.int64)
 
 
 def dirichlet_constraints(
@@ -130,26 +121,26 @@ def dirichlet_constraints(
     if idx.size and (idx.min() < 0 or idx.max() >= grid.n_scalar):
         raise ConstraintError("Dirichlet indices must address scalar-block unknowns")
     n_c = idx.size
-    eye = SparseOperator.diagonal(np.ones(n_c))
     bt = None if b_times is None else np.asarray(b_times, dtype=np.float64)
     bv = None if b_values is None else np.asarray(b_values, dtype=np.float64)
     if bv is not None and bv.ndim == 1:
         bv = bv[:, None] * np.ones((1, n_c))
-    return ConstraintSet(constrained=idx, r_f=None, r_c=eye, b_times=bt, b_values=bv)
+    return ConstraintSet(constrained=idx, r_f=None, r_c=sp.identity(n_c), b_times=bt, b_values=bv)
 
 
 @dataclass(frozen=True)
 class ReducedSystem:
     """Constraint-eliminated pair plus the bookkeeping to go back and forth.
 
-    A and B are the reduced generator and energy weight over the free
-    unknowns; free_indices maps reduced positions to full-system unknowns;
+    A is the reduced generator (canonical CSR) and b_diag the read-only
+    diagonal of the reduced energy weight, both over the free unknowns;
+    free_indices maps reduced positions to full-system unknowns;
     source(t) samples the induced forcing (all zeros for homogeneous
     constraints). parent grid/material ride along for solver metadata.
     """
 
-    A: SparseOperator
-    B: SparseOperator
+    A: sp.csr_matrix
+    b_diag: np.ndarray
     free_indices: np.ndarray
     constrained_indices: np.ndarray
     source: Callable[[float], np.ndarray]
@@ -178,7 +169,7 @@ class ReducedSystem:
         return slice(self.scalar_slice.stop, self.n_total)
 
     def b_diagonal(self) -> np.ndarray:
-        return self.B.diagonal_values()
+        return self.b_diag
 
     def embed(self, w_free: np.ndarray) -> np.ndarray:
         """Scatter a free-unknown vector into a full-system vector (w_c = 0)."""
@@ -190,13 +181,12 @@ class ReducedSystem:
         return np.asarray(w_full)[self.free_indices]
 
 
-def _solve_rc(r_c: SparseOperator, rhs: np.ndarray) -> np.ndarray:
+def _solve_rc(r_c: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
     """R_c^{-1} rhs with a fast path for (scaled) permutation structure."""
     n = r_c.shape[0]
-    csr = r_c.to_csr()
-    row_counts = np.diff(csr.indptr)
+    row_counts = np.diff(r_c.indptr)
     if np.all(row_counts == 1):
-        coo = csr.tocoo()
+        coo = r_c.tocoo()
         perm = np.zeros(n, dtype=np.int64)
         scale = np.zeros(n)
         perm[coo.row] = coo.col
@@ -206,7 +196,7 @@ def _solve_rc(r_c: SparseOperator, rhs: np.ndarray) -> np.ndarray:
             x = np.empty(rhs.shape, dtype=np.float64)
             x[perm] = rhs / (scale[:, None] if rhs.ndim == 2 else scale)
             return x
-    dense = csr.toarray()
+    dense = r_c.toarray()
     try:
         return np.linalg.solve(dense, rhs)
     except np.linalg.LinAlgError as exc:
@@ -219,17 +209,14 @@ def reduce_system(pair: OperatorPair, constraints: ConstraintSet) -> ReducedSyst
     Returns the reduced system over the free unknowns, with the induced
     source sampler. Raises IncompatibleConstraintError when the reduced
     generator loses antisymmetry beyond 1e-12, and ConstraintError for a
-    non-diagonal energy weight, singular R_c, index problems, or a reduced
-    weight that is not positive.
+    singular R_c, index problems, or a reduced weight that is not positive.
     """
-    if not pair.B.is_diagonal():
-        raise ConstraintError("constraint elimination needs a diagonal energy weight")
     n = pair.n_total
     c_idx = constraints.constrained
     if c_idx.size == 0:
         zero = np.zeros(n)
         return ReducedSystem(
-            A=pair.A, B=pair.B, free_indices=np.arange(n, dtype=np.int64),
+            A=pair.A, b_diag=pair.b_diag, free_indices=np.arange(n, dtype=np.int64),
             constrained_indices=c_idx.copy(), source=lambda _t: zero,
             parent=pair, has_inhomogeneous_data=False,
         )
@@ -243,52 +230,44 @@ def reduce_system(pair: OperatorPair, constraints: ConstraintSet) -> ReducedSyst
     if constraints.r_f is not None and constraints.r_f.shape[1] != f_idx.size:
         raise ConstraintError("r_f column count must match free unknowns")
 
-    a_csr = pair.A.to_csr()
-    a_ff = a_csr[f_idx][:, f_idx]
-    a_fc = a_csr[f_idx][:, c_idx]
-    b_red = pair.B.to_csr()[f_idx][:, f_idx]
-
+    a_ff = pair.A[f_idx][:, f_idx]
+    a_fc = pair.A[f_idx][:, c_idx]
     if constraints.r_f is None or constraints.r_f.nnz == 0:
-        a_red = a_ff
+        a_red = canonical_csr(a_ff)
     else:
-        x = _solve_rc(constraints.r_c, constraints.r_f.to_dense())
-        a_red = sp.csr_matrix(a_ff - sp.csr_matrix(a_fc @ x))
-        a_red.eliminate_zeros()
+        x = _solve_rc(constraints.r_c, constraints.r_f.toarray())
+        a_red = canonical_csr(a_ff - sp.csr_matrix(a_fc @ x))
 
-    anti_defect = abs(a_red + a_red.T)
-    if anti_defect.nnz and anti_defect.max() > REDUCED_SYMMETRY_TOL:
+    defect = antisymmetry_defect(a_red)
+    if defect > REDUCED_SYMMETRY_TOL:
         raise IncompatibleConstraintError(
             "constraints break the antisymmetry of the reduced generator "
-            f"(max defect {anti_defect.max():.3e}); the eliminated system is "
+            f"(max defect {defect:.3e}); the eliminated system is "
             "no longer energy conserving"
         )
-    diag = b_red.diagonal()
+    diag = pair.b_diag[f_idx]
+    diag.setflags(write=False)
     if np.any(diag <= 0.0):
         raise ConstraintError(
             f"reduced energy weight is not positive definite (min diagonal {diag.min():.3e})"
         )
 
-    n_free = f_idx.size
-    if constraints.b_values is None:
-        zero = np.zeros(n_free)
+    inhomogeneous = constraints.b_values is not None
+    if inhomogeneous:
+        times = constraints.b_times
+        rc_b = _solve_rc(constraints.r_c, constraints.b_values.T).T
+
+        def source(t: float) -> np.ndarray:
+            return a_fc @ _interp_rows(times, rc_b, t)
+    else:
+        zero = np.zeros(f_idx.size)
 
         def source(_t: float) -> np.ndarray:
             return zero
 
-        inhomogeneous = False
-    else:
-        times = constraints.b_times
-        rc_b = _solve_rc(constraints.r_c, constraints.b_values.T).T
-        a_fc_csr = sp.csr_matrix(a_fc)
-
-        def source(t: float) -> np.ndarray:
-            return a_fc_csr @ _interp_rows(times, rc_b, t)
-
-        inhomogeneous = True
-
     return ReducedSystem(
-        A=SparseOperator.from_scipy(a_red),
-        B=SparseOperator.from_scipy(b_red),
+        A=a_red,
+        b_diag=diag,
         free_indices=f_idx,
         constrained_indices=c_idx.copy(),
         source=source,

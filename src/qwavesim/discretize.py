@@ -21,10 +21,15 @@ perpendicular flux, a rigid wall) is built into the operator shapes.
 
 Unknowns are ordered scalar block first, then the flux block per axis; within
 a block, indices are row-major with x fastest: k = i + j*n_x.
+
+There is one stored form per operator. A and the stencils are canonical
+float64 scipy CSR (sorted indices, no duplicates, no stored zeros), produced
+only by canonical_csr; B is diagonal by construction and stored as its
+positive diagonal vector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,124 +37,28 @@ import scipy.sparse as sp
 
 from .errors import GridError, MaterialError, NumericalError
 
-SYMMETRY_TOL = 1e-12
-
-
 # ---------------------------------------------------------------------------
-# sparse operator container
+# sparse operators
 
 
-@dataclass(frozen=True)
-class SparseOperator:
-    """Real sparse matrix stored as canonically ordered triplets.
+def canonical_csr(mat, error: type[Exception] = GridError) -> sp.csr_matrix:
+    """The one stored form of a sparse operator: canonical float64 CSR.
 
-    Triplets are sorted by (row, col) with no duplicates and no stored zeros,
-    so equal operators have identical triplet arrays and the text export is
-    reproducible byte for byte.
+    Canonical means sorted column indices within each row, no duplicate
+    entries and no stored zeros, so equal operators have identical
+    (indptr, indices, data) arrays. Non-finite entries raise ``error``.
     """
-
-    shape: tuple[int, int]
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    _csr_cache: list = field(default_factory=list, repr=False, compare=False)
-
-    @classmethod
-    def from_triplets(cls, shape, rows, cols, vals) -> "SparseOperator":
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if not (rows.shape == cols.shape == vals.shape and rows.ndim == 1):
-            raise GridError("triplet arrays must be 1-D and equally long")
-        if not np.all(np.isfinite(vals)):
-            raise GridError("triplet values must be finite")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= shape[0]:
-                raise GridError("triplet row index out of range")
-            if cols.min() < 0 or cols.max() >= shape[1]:
-                raise GridError("triplet column index out of range")
-        keep = vals != 0.0
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size > 1:
-            dup = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-            if np.any(dup):
-                raise GridError("duplicate triplet entries")
-        op = cls(shape=(int(shape[0]), int(shape[1])), rows=rows, cols=cols, vals=vals)
-        for a in (rows, cols, vals):
-            a.setflags(write=False)
-        return op
-
-    @classmethod
-    def from_scipy(cls, mat) -> "SparseOperator":
-        coo = sp.coo_matrix(mat)
-        coo.sum_duplicates()
-        return cls.from_triplets(coo.shape, coo.row, coo.col, coo.data)
-
-    @classmethod
-    def from_dense(cls, arr) -> "SparseOperator":
-        arr = np.asarray(arr, dtype=np.float64)
-        rows, cols = np.nonzero(arr)
-        return cls.from_triplets(arr.shape, rows, cols, arr[rows, cols])
-
-    @classmethod
-    def diagonal(cls, diag) -> "SparseOperator":
-        diag = np.asarray(diag, dtype=np.float64)
-        n = diag.size
-        idx = np.arange(n)
-        return cls.from_triplets((n, n), idx, idx, diag)
-
-    def to_csr(self) -> sp.csr_matrix:
-        if not self._csr_cache:
-            m = sp.csr_matrix(
-                (self.vals, (self.rows, self.cols)), shape=self.shape, dtype=np.float64
-            )
-            self._csr_cache.append(m)
-        return self._csr_cache[0]
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_csr().toarray()
-
-    def transpose(self) -> "SparseOperator":
-        return SparseOperator.from_triplets(
-            (self.shape[1], self.shape[0]), self.cols, self.rows, self.vals
-        )
-
-    @property
-    def T(self) -> "SparseOperator":
-        return self.transpose()
-
-    @property
-    def nnz(self) -> int:
-        return int(self.vals.size)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.to_csr() @ vec
-
-    def __matmul__(self, vec: np.ndarray) -> np.ndarray:
-        return self.apply(vec)
-
-    def max_row_nnz(self) -> int:
-        """Largest number of nonzeros in any row (the sparsity parameter d)."""
-        if not self.vals.size:
-            return 0
-        return int(np.bincount(self.rows, minlength=self.shape[0]).max())
-
-    def diagonal_values(self) -> np.ndarray:
-        """Dense main diagonal; only sensible for diagonal-dominant storage."""
-        d = np.zeros(min(self.shape), dtype=np.float64)
-        on = self.rows == self.cols
-        d[self.rows[on]] = self.vals[on]
-        return d
-
-    def is_diagonal(self) -> bool:
-        return bool(np.all(self.rows == self.cols))
+    out = sp.csr_matrix(mat, dtype=np.float64, copy=True)
+    if not np.all(np.isfinite(out.data)):
+        raise error("sparse operator entries must be finite")
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    return out
 
 
-def antisymmetry_defect(op: SparseOperator) -> float:
+def antisymmetry_defect(op: sp.csr_matrix) -> float:
     """max|A + A^T|, exactly zero for a structurally antisymmetric operator."""
-    s = op.to_csr() + op.to_csr().T
+    s = op + op.T
     return float(np.abs(s.data).max()) if s.nnz else 0.0
 
 
@@ -273,55 +182,41 @@ def build_grid(bounds: Sequence[Sequence[float]], shape: Sequence[int]) -> Stagg
 # difference operators
 
 
-def build_gradient_divergence(grid: StaggeredGrid) -> tuple[SparseOperator, SparseOperator]:
+def _along_axis(shape: tuple[int, ...], axis: int, op) -> sp.spmatrix:
+    """Lift a 1-D operator acting along ``axis`` to the x-fastest ordering.
+
+    The slowest axis is the outermost Kronecker factor, so in 2D an x
+    operator becomes kron(I_ny, op) and a y operator kron(op, I_nx).
+    """
+    out = op if axis == 0 else sp.identity(shape[0])
+    for ax in range(1, len(shape)):
+        out = sp.kron(op if ax == axis else sp.identity(shape[ax]), out)
+    return out
+
+
+def build_gradient_divergence(grid: StaggeredGrid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Staggered gradient (nodes -> midpoints) and divergence (midpoints -> nodes).
 
     Each gradient row couples the two nodes flanking one midpoint with
     weights -+1/dx, so every row has exactly two nonzeros. Divergence rows
     difference the flanking midpoints of one node per axis; midpoints outside
     the domain do not exist and are simply absent (vanishing perpendicular
-    flux at walls). Both stencils are assembled independently; they satisfy
-    Grad = -Div^T identically, which downstream assembly re-checks.
+    flux at walls). Both are Kronecker products of 1-D difference matrices
+    with identities, and both are built independently (the divergence is not
+    the negated transpose of the gradient); they satisfy Grad = -Div^T
+    identically, which downstream assembly re-checks.
 
     Returns:
-        (grad, div) with shapes (sum n_flux, n_scalar) and (n_scalar, sum n_flux).
+        (grad, div) as canonical CSR with shapes (sum n_flux, n_scalar) and
+        (n_scalar, sum n_flux).
     """
-    dim = grid.dimension
-    nsc = grid.n_scalar
-
-    g_rows, g_cols, g_vals = [], [], []
-    d_rows, d_cols, d_vals = [], [], []
-    flux_off = 0
-    for ax in range(dim):
-        dx = grid.spacing[ax]
-        fshape = grid.flux_shape(ax)
-        counts = grid.n_flux[ax]
-        # enumerate flux multi-indices in the same x-fastest order as mesh()
-        if dim == 1:
-            multis = [(i,) for i in range(fshape[0])]
-        else:
-            multis = [(i, j) for j in range(fshape[1]) for i in range(fshape[0])]
-        assert len(multis) == counts
-        for k, mi in enumerate(multis):
-            lo = list(mi)
-            hi = list(mi)
-            hi[ax] += 1
-            k_lo = grid.scalar_index(*lo)
-            k_hi = grid.scalar_index(*hi)
-            row = flux_off + k
-            g_rows += [row, row]
-            g_cols += [k_hi, k_lo]
-            g_vals += [1.0 / dx, -1.0 / dx]
-            # same couplings seen from the node side
-            d_rows += [k_hi, k_lo]
-            d_cols += [row, row]
-            d_vals += [-1.0 / dx, 1.0 / dx]
-        flux_off += counts
-
-    nfl = flux_off
-    grad = SparseOperator.from_triplets((nfl, nsc), g_rows, g_cols, g_vals)
-    div = SparseOperator.from_triplets((nsc, nfl), d_rows, d_cols, d_vals)
-    return grad, div
+    grads, divs = [], []
+    for ax, (n, dx) in enumerate(zip(grid.shape, grid.spacing)):
+        d_grad = sp.diags([-1.0 / dx, 1.0 / dx], [0, 1], shape=(n - 1, n))
+        d_div = sp.diags([1.0 / dx, -1.0 / dx], [0, -1], shape=(n, n - 1))
+        grads.append(_along_axis(grid.shape, ax, d_grad))
+        divs.append(_along_axis(grid.shape, ax, d_div))
+    return canonical_csr(sp.vstack(grads)), canonical_csr(sp.hstack(divs))
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +306,14 @@ class MaterialModel:
 class OperatorPair:
     """Assembled (B, A) pair kept together with its grid and material.
 
-    B is diagonal positive; A is exactly antisymmetric (checked on assembly).
-    Block layout matches the grid: scalar unknowns first, then flux per axis.
+    A is canonical CSR and exactly antisymmetric (checked on assembly). B is
+    diagonal and positive, so only its diagonal is stored: ``b_diag``, a
+    read-only vector. Block layout matches the grid: scalar unknowns first,
+    then flux per axis.
     """
 
-    A: SparseOperator
-    B: SparseOperator
+    A: sp.csr_matrix
+    b_diag: np.ndarray
     grid: StaggeredGrid
     material: MaterialModel
 
@@ -433,7 +330,7 @@ class OperatorPair:
         return slice(self.grid.n_scalar, self.n_total)
 
     def b_diagonal(self) -> np.ndarray:
-        return self.B.diagonal_values()
+        return self.b_diag
 
 
 def assemble_operator_pair(grid: StaggeredGrid, material: MaterialModel) -> OperatorPair:
@@ -452,14 +349,7 @@ def assemble_operator_pair(grid: StaggeredGrid, material: MaterialModel) -> Oper
         raise MaterialError("material arrays do not match the grid")
 
     sign = -1.0 if material.family == "acoustic" else 1.0
-    a = sp.bmat(
-        [
-            [None, sign * div.to_csr()],
-            [sign * grad.to_csr(), None],
-        ],
-        format="csr",
-    )
-    A = SparseOperator.from_scipy(a)
+    A = canonical_csr(sp.bmat([[None, sign * div], [sign * grad, None]]))
     defect = antisymmetry_defect(A)
     if defect != 0.0:
         raise NumericalError(f"assembled generator is not antisymmetric: {defect}")
@@ -467,5 +357,5 @@ def assemble_operator_pair(grid: StaggeredGrid, material: MaterialModel) -> Oper
     b_diag = np.concatenate([material.scalar_weight, material.flux_weight])
     if np.any(b_diag <= 0.0) or not np.all(np.isfinite(b_diag)):
         raise MaterialError("energy weight must be positive and finite")
-    B = SparseOperator.diagonal(b_diag)
-    return OperatorPair(A=A, B=B, grid=grid, material=material)
+    b_diag.setflags(write=False)
+    return OperatorPair(A=A, b_diag=b_diag, grid=grid, material=material)

@@ -1,7 +1,9 @@
 """Hermitian encoding of energy-conserving systems onto a qubit register.
 
 A real system B dw/dt = A w with B diagonal positive and A antisymmetric is
-mapped to Schrodinger form by the similarity y = B^{1/2} w:
+mapped to Schrodinger form by the similarity y = B^{1/2} w. Systems carry A
+as sparse CSR and B as its diagonal vector (``b_diagonal()``), so every
+function here takes that vector, never a matrix B:
 
     dy/dt = -i H y,    H = i B^{-1/2} A B^{-1/2}.
 
@@ -24,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .discretize import OperatorPair, SparseOperator
 from .errors import EncodingError, NumericalError
 
 HERMITICITY_TOL = 1e-12
@@ -190,15 +191,8 @@ class Hamiltonian:
 
 
 def _as_b_diagonal(b) -> np.ndarray:
-    """Accept an OperatorPair/ReducedSystem, SparseOperator, or plain diagonal."""
-    if hasattr(b, "b_diagonal"):
-        diag = b.b_diagonal()
-    elif isinstance(b, SparseOperator):
-        if not b.is_diagonal():
-            raise EncodingError("energy weight must be diagonal")
-        diag = b.diagonal_values()
-    else:
-        diag = np.asarray(b, dtype=np.float64)
+    """Accept an OperatorPair/ReducedSystem or a plain diagonal."""
+    diag = b.b_diagonal() if hasattr(b, "b_diagonal") else np.asarray(b, dtype=np.float64)
     if diag.ndim != 1 or np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
         raise EncodingError("energy weight diagonal must be positive and finite")
     return diag
@@ -207,17 +201,17 @@ def _as_b_diagonal(b) -> np.ndarray:
 def build_hamiltonian(system) -> Hamiltonian:
     """H = i B^{-1/2} A B^{-1/2} from an operator pair or reduced system.
 
-    Accepts anything exposing .A and .B sparse operators with B diagonal.
+    Accepts anything exposing a sparse generator .A and the diagonal of B
+    through .b_diagonal().
     Hermiticity is verified to 1e-12 in the max-entry norm; the input
     antisymmetry guarantees it, and this is the line of defense against an
     operator assembled some other way.
     """
-    a_op: SparseOperator = system.A
     diag = _as_b_diagonal(system)
-    if a_op.shape[0] != diag.size:
+    if system.A.shape[0] != diag.size:
         raise EncodingError("generator and energy weight dimensions differ")
     inv_sqrt = 1.0 / np.sqrt(diag)
-    scaled = sp.csr_matrix(a_op.to_csr(), dtype=np.complex128)
+    scaled = sp.csr_matrix(system.A, dtype=np.complex128)
     scaled = sp.diags(inv_sqrt) @ scaled @ sp.diags(inv_sqrt)
     ham = Hamiltonian.from_matrix(1j * scaled)
     defect = ham.hermiticity_defect()

@@ -16,8 +16,8 @@ Two numerical backends compute the matrix exponential action: a dense
 eigendecomposition (memoized on the Hamiltonian, exact to rounding, cost
 dim^3 once then dim^2 per application) and a sparse polynomial-action routine
 (cost roughly nnz * |H| * t per application). The automatic choice takes the
-dense path up to a configurable cutoff dimension and whenever a
-decomposition is already cached.
+dense path up to MAX_DENSE_DIM and whenever a decomposition is already
+cached.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from .encoding import Hamiltonian, QuantumRegisterState, next_power_of_two
 from .errors import EvolutionError, NumericalError
 
 MAX_BUILD_DIM = 1 << 22
+MAX_DENSE_DIM = 4096  # largest dimension the automatic choice diagonalizes
 SCHEDULE_TOL = 1e-12
 
 
@@ -44,12 +45,10 @@ class EvolutionConfig:
     verified against it.
     method: "auto", "dense" (eigendecomposition), or "krylov"
     (iterative polynomial action).
-    max_dense_dim: cutoff for the automatic dense choice.
     """
 
     tolerance: float = 1e-12
     method: str = "auto"
-    max_dense_dim: int = 4096
 
     def __post_init__(self):
         if self.method not in ("auto", "dense", "krylov"):
@@ -61,7 +60,7 @@ class EvolutionConfig:
 def _apply_exponential(ham: Hamiltonian, vec: np.ndarray, t: float, config: EvolutionConfig) -> np.ndarray:
     method = config.method
     if method == "auto":
-        if ham._eig is not None or ham.dim <= config.max_dense_dim:
+        if ham._eig is not None or ham.dim <= MAX_DENSE_DIM:
             method = "dense"
         else:
             method = "krylov"

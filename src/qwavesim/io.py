@@ -10,6 +10,10 @@ Formats (one line each, documented fully in the README):
   source samples     time,value       (read only)
   measurement        JSON {value, stderr, shots, mode, strings}
   circuit            JSON {register, gates, min_rotation_angle}
+
+The CSV readers refuse a row with the wrong number of cells or a cell that is
+not a finite number with ScenarioError, and read_state also refuses indices
+outside the layout or repeated.
 """
 from __future__ import annotations
 
@@ -67,9 +71,13 @@ def write_state(path, state: QuantumRegisterState) -> None:
 
 
 def read_state(path) -> QuantumRegisterState:
+    """Read a state written by write_state; malformed rows raise ScenarioError.
+
+    Every row must carry an integer index in [0, total_dim) that no other
+    row repeats; indices without a row hold zero amplitude.
+    """
     path = Path(path)
-    if not path.exists():
-        raise ScenarioError(f"missing file: {path}")
+    index, real, imag = _read_table(path, ["index", "real", "imag"])
     sidecar = read_json(str(path) + ".json")
     try:
         layout = StateLayout(
@@ -81,17 +89,55 @@ def read_state(path) -> QuantumRegisterState:
         scale = float(sidecar["scale"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: bad state sidecar: {exc}") from exc
-    amps = np.zeros(layout.total_dim, dtype=np.complex128)
+    total = layout.total_dim
+    bad = (index != np.floor(index)) | (index < 0) | (index >= total)
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        raise ScenarioError(
+            f"{path}: line {row + 2}: index {index[row]:g} is not an integer in [0, {total})"
+        )
+    index = index.astype(np.int64)
+    repeated = np.bincount(index, minlength=total) > 1
+    if np.any(repeated):
+        raise ScenarioError(f"{path}: index {int(np.argmax(repeated))} appears more than once")
+    amps = np.zeros(total, dtype=np.complex128)
+    amps.real[index] = real
+    amps.imag[index] = imag
+    return QuantumRegisterState(amplitudes=amps, scale=scale, layout=layout)
+
+
+def _read_table(path, header: list[str]) -> list[np.ndarray]:
+    """Columns of finite numbers from a CSV file with the given header.
+
+    A missing file, another header, a row with another number of cells, or a
+    cell that is not a finite number raises ScenarioError naming the line.
+    """
+    path = Path(path)
     if not path.exists():
         raise ScenarioError(f"missing file: {path}")
+    width = len(header)
+    cells = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["index", "real", "imag"]:
-            raise ScenarioError(f"{path}: expected header index,real,imag")
+        if next(reader, None) != header:
+            raise ScenarioError(f"{path}: expected header {','.join(header)}")
         for line in reader:
-            amps[int(line[0])] = float(line[1]) + 1j * float(line[2])
-    return QuantumRegisterState(amplitudes=amps, scale=scale, layout=layout)
+            if len(line) != width:
+                raise ScenarioError(
+                    f"{path}: line {reader.line_num}: expected {width} cells, got {len(line)}"
+                )
+            try:
+                cells.extend(map(float, line))
+            except ValueError:
+                raise ScenarioError(
+                    f"{path}: line {reader.line_num}: non-numeric cell in {','.join(line)!r}"
+                ) from None
+    table = np.asarray(cells, dtype=np.float64).reshape(-1, width)
+    finite = np.isfinite(table).all(axis=1)
+    if not np.all(finite):
+        row = int(np.argmin(finite))
+        raise ScenarioError(f"{path}: line {row + 2}: cells must be finite numbers")
+    return list(table.T)
 
 
 # ---------------------------------------------------------------------------
@@ -116,19 +162,8 @@ def write_energy_csv(path, times, energy) -> None:
 
 
 def read_source_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    times, values = [], []
-    p = Path(path)
-    if not p.exists():
-        raise ScenarioError(f"missing file: {p}")
-    with open(p, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["time", "value"]:
-            raise ScenarioError(f"{p}: expected header time,value")
-        for line in reader:
-            times.append(float(line[0]))
-            values.append(float(line[1]))
-    return np.asarray(times), np.asarray(values)
+    times, values = _read_table(path, ["time", "value"])
+    return times, values
 
 
 # ---------------------------------------------------------------------------

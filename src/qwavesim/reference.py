@@ -79,7 +79,7 @@ def cfl_limit(system) -> float:
 def _split_blocks(system):
     """Scalar/flux slices and the cross blocks of A; refuse non-staggered systems."""
     su, sv = system.scalar_slice, system.flux_slice
-    a = system.A.to_csr()
+    a = system.A
     a_uu = a[su, su]
     a_vv = a[sv, sv]
     for blk, name in ((a_uu, "scalar-scalar"), (a_vv, "flux-flux")):

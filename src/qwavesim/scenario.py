@@ -198,7 +198,7 @@ def _parse_grid(raw: dict) -> StaggeredGrid:
 
 def _coefficient(spec, grid: StaggeredGrid, base: Path, name: str):
     """A material coefficient: a constant, a piecewise table, or a file."""
-    if isinstance(spec, (int, float)):
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         return float(spec)
     if not isinstance(spec, dict):
         raise ScenarioError(f"material coefficient {name} must be a number or an object")

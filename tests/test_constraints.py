@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import qwavesim as q
 from qwavesim.errors import ConstraintError, IncompatibleConstraintError
@@ -30,8 +31,8 @@ def test_empty_constraint_set_is_identity_reduction():
     red = q.reduce_system(pair, q.dirichlet_constraints(pair.grid, []))
     assert red.n_total == pair.n_total
     np.testing.assert_array_equal(red.free_indices, np.arange(pair.n_total))
-    np.testing.assert_array_equal(red.A.to_dense(), pair.A.to_dense())
-    np.testing.assert_array_equal(red.B.to_dense(), pair.B.to_dense())
+    np.testing.assert_array_equal(red.A.toarray(), pair.A.toarray())
+    np.testing.assert_array_equal(np.diag(red.b_diagonal()), np.diag(pair.b_diagonal()))
     np.testing.assert_array_equal(red.source(0.3), np.zeros(pair.n_total))
     assert not red.has_inhomogeneous_data
 
@@ -42,10 +43,10 @@ def test_pinning_deletes_rows_and_columns():
     red = q.reduce_system(pair, cons)
     f = red.free_indices
     np.testing.assert_array_equal(f, np.setdiff1d(np.arange(pair.n_total), [0, 9]))
-    a_full = pair.A.to_dense()
-    b_full = pair.B.to_dense()
-    np.testing.assert_array_equal(red.A.to_dense(), a_full[np.ix_(f, f)])
-    np.testing.assert_array_equal(red.B.to_dense(), b_full[np.ix_(f, f)])
+    a_full = pair.A.toarray()
+    b_full = np.diag(pair.b_diagonal())
+    np.testing.assert_array_equal(red.A.toarray(), a_full[np.ix_(f, f)])
+    np.testing.assert_array_equal(np.diag(red.b_diagonal()), b_full[np.ix_(f, f)])
     np.testing.assert_array_equal(red.constrained_indices, [0, 9])
 
 
@@ -68,10 +69,10 @@ def test_reduced_evolution_matches_pinned_full_system(rng):
     red = q.reduce_system(pair, q.dirichlet_constraints(pair.grid, pinned))
     f = red.free_indices
 
-    m_full = np.linalg.solve(pair.B.to_dense(), pair.A.to_dense())
+    m_full = np.linalg.solve(np.diag(pair.b_diagonal()), pair.A.toarray())
     m_full[pinned, :] = 0.0
     m_full[:, pinned] = 0.0
-    m_red = np.linalg.solve(red.B.to_dense(), red.A.to_dense())
+    m_red = np.linalg.solve(np.diag(red.b_diagonal()), red.A.toarray())
 
     t = 0.37
     big = scipy.linalg.expm(t * m_full)
@@ -95,7 +96,7 @@ def test_constant_data_source_is_a_fc_times_data():
         pair, q.dirichlet_constraints(pair.grid, pinned, times, values)
     )
     assert red.has_inhomogeneous_data
-    a_fc = pair.A.to_dense()[np.ix_(red.free_indices, pinned)]
+    a_fc = pair.A.toarray()[np.ix_(red.free_indices, pinned)]
     expected = a_fc @ np.full(2, b_level)
     for t in (0.0, 0.25, 0.9):
         np.testing.assert_allclose(red.source(t), expected, atol=1e-14)
@@ -110,8 +111,8 @@ def test_time_varying_data_source_uses_central_differences():
         pair, q.dirichlet_constraints(pair.grid, pinned, times, values)
     )
     f = red.free_indices
-    a_fc = pair.A.to_dense()[np.ix_(f, pinned)]
-    b_fc = pair.B.to_dense()[np.ix_(f, pinned)]
+    a_fc = pair.A.toarray()[np.ix_(f, pinned)]
+    b_fc = np.diag(pair.b_diagonal())[np.ix_(f, pinned)]
     db = np.gradient(values, times)
     k = 7
     expected = a_fc @ values[[k]] - b_fc @ db[[k]]
@@ -139,7 +140,7 @@ def test_scaled_identity_r_c_divides_the_data():
     scaled = q.ConstraintSet(
         constrained=base.constrained,
         r_f=None,
-        r_c=q.SparseOperator.diagonal(np.full(2, 2.0)),
+        r_c=sp.csr_matrix(np.diag(np.full(2, 2.0))),
         b_times=times,
         b_values=values,
     )
@@ -154,11 +155,11 @@ def test_incompatible_coupling_is_rejected(rng):
     pair = build_acoustic_1d(n=8)
     pinned = np.array([0, 14])
     n_free = pair.n_total - 2
-    r_f = q.SparseOperator.from_dense(rng.normal(size=(2, n_free)))
+    r_f = sp.csr_matrix(rng.normal(size=(2, n_free)))
     cons = q.ConstraintSet(
         constrained=pinned,
         r_f=r_f,
-        r_c=q.SparseOperator.diagonal(np.ones(2)),
+        r_c=sp.csr_matrix(np.eye(2)),
     )
     with pytest.raises(IncompatibleConstraintError):
         q.reduce_system(pair, cons)
@@ -169,7 +170,7 @@ def test_singular_r_c_is_rejected():
     cons = q.ConstraintSet(
         constrained=np.array([0, 7]),
         r_f=None,
-        r_c=q.SparseOperator.from_dense(np.array([[1.0, 1.0], [1.0, 1.0]])),
+        r_c=sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])),
         b_times=np.array([0.0, 1.0]),
         b_values=np.ones((2, 2)),
     )
@@ -178,14 +179,14 @@ def test_singular_r_c_is_rejected():
 
 
 def test_constraint_set_validation():
-    eye2 = q.SparseOperator.diagonal(np.ones(2))
+    eye2 = sp.csr_matrix(np.eye(2))
     with pytest.raises(ConstraintError):
         q.ConstraintSet(constrained=np.array([3, 1]), r_f=None, r_c=eye2)
     with pytest.raises(ConstraintError):
         q.ConstraintSet(
             constrained=np.array([1, 3]),
             r_f=None,
-            r_c=q.SparseOperator.diagonal(np.ones(3)),
+            r_c=sp.csr_matrix(np.eye(3)),
         )
     with pytest.raises(ConstraintError):
         q.ConstraintSet(
@@ -205,6 +206,17 @@ def test_constraint_set_validation():
         )
     with pytest.raises(ConstraintError):
         q.dirichlet_constraints(q.build_grid([(0.0, 1.0)], [4]), [4])
+
+
+def test_constraint_set_refuses_non_finite_couplings():
+    # a NaN in the reduced generator would make its antisymmetry test pass silently
+    pair = build_acoustic_1d(n=8)
+    r_f = np.zeros((2, pair.n_total - 2))
+    r_f[1, 3] = np.nan
+    with pytest.raises(ConstraintError, match="finite"):
+        q.ConstraintSet(constrained=np.array([0, 14]), r_f=sp.csr_matrix(r_f), r_c=sp.csr_matrix(np.eye(2)))
+    with pytest.raises(ConstraintError, match="finite"):
+        q.ConstraintSet(constrained=np.array([0, 14]), r_f=None, r_c=sp.csr_matrix(np.diag([1.0, np.inf])))
 
 
 def test_pinning_2d_boundary_keeps_structure():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import qwavesim as q
 from qwavesim.errors import GridError, MaterialError
@@ -47,21 +48,21 @@ def test_degenerate_grid_refused():
 def test_gradient_of_constant_field_is_zero():
     grid = q.build_grid([(0.0, 2.0)], [3])
     grad, _ = q.build_gradient_divergence(grid)
-    np.testing.assert_array_equal(grad.apply(np.array([5.0, 5.0, 5.0])), [0.0, 0.0])
+    np.testing.assert_array_equal(grad @ np.array([5.0, 5.0, 5.0]), [0.0, 0.0])
 
 
 def test_gradient_stencil_by_hand():
     # (u_{i+1} - u_i) / dx with dx = 1
     grid = q.build_grid([(0.0, 2.0)], [3])
     grad, _ = q.build_gradient_divergence(grid)
-    np.testing.assert_array_equal(grad.apply(np.array([0.0, 1.0, 2.0])), [1.0, 1.0])
+    np.testing.assert_array_equal(grad @ np.array([0.0, 1.0, 2.0]), [1.0, 1.0])
 
 
 def test_gradient_exact_on_linear_functions_2d():
     grid = q.build_grid([(0.0, 1.0), (0.0, 1.0)], [5, 7])
     grad, _ = q.build_gradient_divergence(grid)
     u = 2.0 * grid.scalar_coords[:, 0] - 3.0 * grid.scalar_coords[:, 1] + 0.25
-    out = grad.apply(u)
+    out = grad @ u
     nx_mid = grid.n_flux[0]
     np.testing.assert_allclose(out[:nx_mid], 2.0, atol=1e-13)
     np.testing.assert_allclose(out[nx_mid:], -3.0, atol=1e-13)
@@ -73,14 +74,44 @@ def test_gradient_is_anti_transpose_of_divergence():
         q.build_grid([(0.0, 1.0), (0.0, 2.0)], [4, 5]),
     ):
         grad, div = q.build_gradient_divergence(grid)
-        diff = grad.to_dense() + div.to_dense().T
+        diff = grad.toarray() + div.toarray().T
         assert np.abs(diff).max() == 0.0
+
+
+def _loop_stencils(grid):
+    """Reference stencils from one loop over the flux unknowns."""
+    nfl = sum(grid.n_flux)
+    grad = np.zeros((nfl, grid.n_scalar))
+    row = 0
+    for ax in range(grid.dimension):
+        inv_dx = 1.0 / grid.spacing[ax]
+        fshape = grid.flux_shape(ax)
+        for k in range(grid.n_flux[ax]):
+            lo = [k % fshape[0], k // fshape[0]][: grid.dimension]
+            hi = list(lo)
+            hi[ax] += 1
+            grad[row, grid.scalar_index(*lo)] = -inv_dx
+            grad[row, grid.scalar_index(*hi)] = inv_dx
+            row += 1
+    return grad, -grad.T
+
+
+def test_kronecker_stencils_match_the_loop_reference():
+    for grid in (
+        q.build_grid([(0.0, 1.0)], [9]),
+        q.build_grid([(0.0, 1.0), (0.0, 2.0)], [4, 5]),
+        q.build_grid([(-1.0, 2.0), (0.0, 0.3)], [7, 3]),
+    ):
+        grad, div = q.build_gradient_divergence(grid)
+        ref_grad, ref_div = _loop_stencils(grid)
+        np.testing.assert_array_equal(grad.toarray(), ref_grad)
+        np.testing.assert_array_equal(div.toarray(), ref_div)
 
 
 def test_gradient_rows_have_two_entries_of_plus_minus_inverse_spacing():
     grid = q.build_grid([(0.0, 1.0)], [6])
     grad, _ = q.build_gradient_divergence(grid)
-    dense = grad.to_dense()
+    dense = grad.toarray()
     inv_dx = 1.0 / grid.spacing[0]
     for row in dense:
         nonzero = row[row != 0.0]
@@ -108,13 +139,29 @@ def test_assembled_generator_is_exactly_antisymmetric():
 def test_generator_row_sparsity_bound():
     # at most 2 D + 1 nonzeros per row
     for pair, dim in ((build_acoustic_1d(n=16), 1), (build_acoustic_2d(), 2)):
-        assert pair.A.max_row_nnz() <= 2 * dim + 1
+        assert np.diff(pair.A.indptr).max() <= 2 * dim + 1
+
+
+def test_generators_are_canonical_csr_and_weights_read_only_vectors():
+    pair_2d = build_acoustic_2d(nx=7, ny=5, rho=1.3, c=0.8)
+    walls = q.boundary_scalar_indices(pair_2d.grid, ["left", "top"])
+    reduced = q.reduce_system(pair_2d, q.dirichlet_constraints(pair_2d.grid, walls))
+    for system in (build_acoustic_1d(n=9), pair_2d, build_maxwell(n=12), reduced):
+        a = system.A
+        assert isinstance(a, sp.csr_matrix) and a.dtype == np.float64
+        # rebuild from the raw arrays so the canonical flag is recomputed
+        fresh = sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+        assert fresh.has_canonical_format
+        assert np.all(a.data != 0.0)
+        b = system.b_diagonal()
+        assert b.dtype == np.float64 and b.shape == (system.n_total,)
+        assert not b.flags.writeable
 
 
 def test_maxwell_generator_has_purely_imaginary_modes():
     pair = build_maxwell(n=24, eps=1.0, mu=1.0)
     b_inv = 1.0 / pair.b_diagonal()
-    modes = np.linalg.eigvals(b_inv[:, None] * pair.A.to_dense())
+    modes = np.linalg.eigvals(b_inv[:, None] * pair.A.toarray())
     assert np.abs(modes.real).max() < 1e-12
 
 
@@ -132,21 +179,6 @@ def test_heterogeneous_material_sampled_pointwise():
     pair = q.assemble_operator_pair(grid, material)
     flux_x = grid.flux_coords[0][:, 0]
     np.testing.assert_allclose(pair.b_diagonal()[pair.flux_slice], 1.0 + flux_x)
-
-
-def test_sparse_operator_round_trips_through_triplets(rng):
-    dense = np.zeros((5, 4))
-    dense[rng.integers(0, 5, size=6), rng.integers(0, 4, size=6)] = rng.normal(size=6)
-    op = q.SparseOperator.from_dense(dense)
-    np.testing.assert_array_equal(op.to_dense(), dense)
-    rows, cols, vals = op.rows, op.cols, op.vals
-    again = q.SparseOperator.from_triplets(op.shape, rows, cols, vals)
-    np.testing.assert_array_equal(again.to_dense(), dense)
-
-
-def test_sparse_operator_rejects_duplicate_triplets():
-    with pytest.raises(GridError):
-        q.SparseOperator.from_triplets((2, 2), [0, 0], [1, 1], [1.0, 2.0])
 
 
 def test_maxwell_rejects_2d_grid():

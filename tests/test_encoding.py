@@ -2,6 +2,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import qwavesim as q
 from qwavesim.encoding import next_power_of_two
@@ -13,8 +14,7 @@ from conftest import build_acoustic_1d, build_maxwell
 def _toy_system(a_dense, b_diag):
     diag = np.asarray(b_diag, dtype=float)
     return types.SimpleNamespace(
-        A=q.SparseOperator.from_dense(a_dense),
-        B=q.SparseOperator.diagonal(diag),
+        A=sp.csr_matrix(np.asarray(a_dense, dtype=float)),
         b_diagonal=lambda: diag,
     )
 

@@ -378,6 +378,76 @@ def test_measure_checks_the_state_dimension(tmp_path, capsys):
     assert "255" in err and "63" in err
 
 
+def _measure_with_state(tmp_path, rows):
+    """Run measure on a 63-unknown scenario with a hand-written state.csv."""
+    scenario = _write(
+        tmp_path,
+        _base(measurements=[{"name": "m", "subspace": {"kind": "dof_range", "start": 0, "stop": 4}}]),
+    )
+    state = tmp_path / "state.csv"
+    state.write_text("index,real,imag\n" + "".join(row + "\n" for row in rows))
+    layout = {"num_physical": 63, "block_dim": 64, "arity": 1, "augmented": False}
+    (tmp_path / "state.csv.json").write_text(json.dumps({"scale": 1.0, "layout": layout}))
+    return cli.main(
+        ["measure", "--scenario", str(scenario), "--state", str(state),
+         "--out", str(tmp_path / "out")]
+    )
+
+
+def test_measure_reads_a_hand_written_state(tmp_path, capsys):
+    assert _measure_with_state(tmp_path, ["0,0.6,0.0", "40,0.0,-0.8"]) == 0
+    meas = json.loads((tmp_path / "out" / "measurement_m.json").read_text())
+    assert meas["value"] == pytest.approx(0.36, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["64,1.0,0.0"], "not an integer in [0, 64)"),
+        (["-1,1.0,0.0"], "not an integer in [0, 64)"),
+        (["0.5,1.0,0.0"], "not an integer in [0, 64)"),
+        (["0,1.0"], "expected 3 cells, got 2"),
+        (["0,abc,0.0"], "non-numeric cell"),
+        (["0,nan,0.0"], "finite numbers"),
+        (["0,0.6,0.0", "0,0.8,0.0"], "index 0 appears more than once"),
+    ],
+)
+def test_measure_refuses_a_malformed_state(tmp_path, capsys, rows, message):
+    assert _measure_with_state(tmp_path, rows) == 1
+    err = capsys.readouterr().err
+    assert "qwavesim: validation error:" in err
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0.0,0.0\n0.1\n", "expected 2 cells, got 1"),
+        ("0.0,0.0\n0.1,one\n", "non-numeric cell"),
+        ("0.0,0.0\ninf,1.0\n", "finite numbers"),
+    ],
+)
+def test_malformed_source_samples_are_refused(tmp_path, body, message):
+    (tmp_path / "drive.csv").write_text("time,value\n" + body)
+    source = {
+        "location": [10],
+        "polarization": [1.0, 0.0],
+        "time_function": {"kind": "file", "path": "drive.csv"},
+    }
+    with pytest.raises(ScenarioError, match=message):
+        q.load_scenario(_write(tmp_path, _base(sources=[source])))
+
+
+@pytest.mark.parametrize("name", ["rho", "c"])
+def test_boolean_material_coefficient_is_refused(tmp_path, capsys, name):
+    material = {"family": "acoustic", "rho": 1.0, "c": 1.0, name: True}
+    scenario = _write(tmp_path, _base(material=material))
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"material coefficient {name} must be a number or an object" in err
+
+
 def test_presim_writes_slices_and_an_index(tmp_path, capsys):
     out = tmp_path / "pre"
     rc = cli.main(
