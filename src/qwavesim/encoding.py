@@ -101,6 +101,8 @@ class QuantumRegisterState:
                 raise EncodingError("null state must have zero amplitudes")
         else:
             norm = float(np.linalg.norm(amps))
+            if not np.isfinite(norm):  # a NaN norm would pass the unit-norm test
+                raise EncodingError("amplitudes must be finite")
             if abs(norm - 1.0) > 1e-12:
                 raise EncodingError(f"amplitudes must be unit norm, got {norm!r}")
         object.__setattr__(self, "amplitudes", amps)
@@ -152,7 +154,10 @@ class Hamiltonian:
 
     matrix is sparse complex (purely imaginary entries for real systems);
     maxnorm is max|H_jk| and sparsity the largest row population. A dense
-    eigendecomposition is memoized on first use by the evolution module.
+    eigendecomposition is memoized on first use by the evolution module. The
+    stacked schedule generators of that module keep a single-block
+    Hamiltonian and act through it, so one decomposition of the block H
+    serves every block of every generator built from it.
     """
 
     matrix: sp.csr_matrix

@@ -12,12 +12,21 @@ generators built from the single-system H:
 Blocks are zero-padded to power-of-two dimensions so the stacked register is
 qubit shaped; pad coordinates carry exact zero rows and columns and are inert.
 
-Two numerical backends compute the matrix exponential action: a dense
-eigendecomposition (memoized on the Hamiltonian, exact to rounding, cost
-dim^3 once then dim^2 per application) and a sparse polynomial-action routine
-(cost roughly nnz * |H| * t per application). The automatic choice takes the
-dense path up to MAX_DENSE_DIM and whenever a decomposition is already
-cached.
+Both stacked generators carry the single-block H and one time per block
+(t_sync - t_end[s], or 0 for a pad block, and 1 for every block of the
+simultaneous generator) instead of the stacked matrix. evolve applies
+e^{-iH tau_s t} to the first H.dim coordinates of each block s with
+tau_s != 0 and leaves pad coordinates and zero-time blocks untouched. The
+stacked matrix is built only when its ``matrix``, ``maxnorm`` or ``sparsity``
+is read, and MAX_BUILD_DIM bounds that export alone.
+
+Two numerical backends compute the matrix exponential action on one block
+(or one unstacked state): a dense eigendecomposition of the block H
+(memoized on that Hamiltonian, so every block and every generator built from
+it shares one decomposition; exact to rounding, cost dim^3 once then dim^2
+per application) and a sparse polynomial-action routine (cost roughly
+nnz * |H| * t per application). The automatic choice takes the dense path up
+to MAX_DENSE_DIM and whenever a decomposition is already cached.
 """
 from __future__ import annotations
 
@@ -31,7 +40,7 @@ from scipy.sparse.linalg import expm_multiply
 from .encoding import Hamiltonian, QuantumRegisterState, next_power_of_two
 from .errors import EvolutionError, NumericalError
 
-MAX_BUILD_DIM = 1 << 22
+MAX_BUILD_DIM = 1 << 22  # largest stacked matrix built for export
 MAX_DENSE_DIM = 4096  # largest dimension the automatic choice diagonalizes
 SCHEDULE_TOL = 1e-12
 
@@ -78,12 +87,13 @@ def evolve(
 ) -> QuantumRegisterState:
     """Apply e^{-iHt} to a register state, preserving scale and layout.
 
-    The generator must either span the whole register (stacked evolution with
-    a schedule generator) or the physical block of a single sub-state, in
-    which case pad coordinates are untouched. Augmented (measurement layout)
-    states are not evolvable here. The result is renormalized to exact unit
-    norm; a norm drift beyond 10x the configured tolerance raises instead of
-    being papered over.
+    The generator must be a schedule generator whose blocks match the
+    register's, a generator spanning the whole register, or one spanning the
+    physical block of a single sub-state. A schedule generator acts block by
+    block through its single-block H; pad coordinates are untouched.
+    Augmented (measurement layout) states are not evolvable here. The result
+    is renormalized to exact unit norm; a norm drift beyond 10x the
+    configured tolerance raises instead of being papered over.
     """
     config = config or EvolutionConfig()
     if state.is_null:
@@ -93,19 +103,32 @@ def evolve(
     defect = ham.hermiticity_defect()
     if defect > 1e-10:
         raise EvolutionError(f"generator is not Hermitian (defect {defect:.3e})")
-    total = state.layout.total_dim
+    layout = state.layout
+    total = layout.total_dim
     if t == 0.0:
         return state
 
-    if ham.dim == total:
+    if isinstance(ham, StackedHamiltonian):
+        if (ham.block_dim, len(ham.times)) != (layout.block_dim, layout.arity):
+            raise EvolutionError(
+                f"stacked generator of {len(ham.times)} blocks of dim {ham.block_dim} "
+                f"does not match the register's {layout.arity} blocks of dim {layout.block_dim}"
+            )
+        out = state.amplitudes.copy()
+        n = ham.block.dim
+        for s, tau in enumerate(ham.times):
+            if tau:
+                lo = s * ham.block_dim
+                out[lo : lo + n] = _apply_exponential(ham.block, out[lo : lo + n], tau * t, config)
+    elif ham.dim == total:
         out = _apply_exponential(ham, state.amplitudes, t, config)
-    elif state.layout.arity == 1 and ham.dim == state.layout.num_physical:
+    elif layout.arity == 1 and ham.dim == layout.num_physical:
         out = state.amplitudes.copy()
         out[: ham.dim] = _apply_exponential(ham, state.amplitudes[: ham.dim], t, config)
     else:
         raise EvolutionError(
             f"generator dim {ham.dim} matches neither the register ({total}) "
-            f"nor a single physical block ({state.layout.num_physical})"
+            f"nor a single physical block ({layout.num_physical})"
         )
 
     norm = float(np.linalg.norm(out))
@@ -114,10 +137,71 @@ def evolve(
     return state.with_amplitudes(out / norm)
 
 
+class StackedHamiltonian(Hamiltonian):
+    """Block-diagonal generator whose block s is times[s] * H, padded to block_dim.
+
+    It holds the single-block H and the per-block times, not the stacked
+    matrix; evolve acts on each block through H. The stacked ``matrix``,
+    ``maxnorm`` and ``sparsity`` are built on first access, and only there
+    does MAX_BUILD_DIM apply.
+    """
+
+    def __init__(self, block: Hamiltonian, times: Sequence[float], block_dim: int):
+        if block_dim < block.dim:
+            raise EvolutionError("block dimension smaller than the generator")
+        self.block = block
+        self.times = tuple(float(t) for t in times)
+        self.block_dim = block_dim
+        self._eig = None
+        self._stacked = None
+
+    def __repr__(self) -> str:
+        return (
+            f"StackedHamiltonian(block_dim={self.block_dim}, times={self.times}, "
+            f"block={self.block!r})"
+        )
+
+    @property
+    def dim(self) -> int:
+        return self.block_dim * len(self.times)
+
+    def _export(self) -> Hamiltonian:
+        if self._stacked is None:
+            if self.dim > MAX_BUILD_DIM:
+                raise EvolutionError(
+                    f"stacked dimension {self.dim} exceeds the build cutoff {MAX_BUILD_DIM}"
+                )
+            h_pad = _embedded(self.block, self.block_dim)
+            blocks = [t * h_pad for t in self.times]
+            self._stacked = Hamiltonian.from_matrix(sp.block_diag(blocks, format="csr"))
+        return self._stacked
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        return self._export().matrix
+
+    @property
+    def maxnorm(self) -> float:
+        return self._export().maxnorm
+
+    @property
+    def sparsity(self) -> int:
+        return self._export().sparsity
+
+    def hermiticity_defect(self) -> float:
+        """The stacked defect, computed once per distinct nonzero block time."""
+        return max(
+            (
+                Hamiltonian.from_matrix(t * self.block.matrix).hermiticity_defect()
+                for t in set(self.times)
+                if t
+            ),
+            default=0.0,
+        )
+
+
 def _embedded(ham: Hamiltonian, block_dim: int) -> sp.csr_matrix:
     """H padded with zero rows/cols up to block_dim."""
-    if block_dim < ham.dim:
-        raise EvolutionError("block dimension smaller than the generator")
     if block_dim == ham.dim:
         return ham.matrix
     coo = ham.matrix.tocoo()
@@ -147,21 +231,11 @@ def build_sync_hamiltonian(
         raise EvolutionError(
             f"synchronization time {t_sync} precedes a sub-state end time {max(t_ends)}"
         )
-    block_dim = block_dim or next_power_of_two(ham.dim)
     arity = arity or next_power_of_two(len(t_ends))
     if arity < len(t_ends) or arity != next_power_of_two(arity):
         raise EvolutionError("arity must be a power of two covering all sub-states")
-    if arity * block_dim > MAX_BUILD_DIM:
-        raise EvolutionError(
-            f"stacked dimension {arity * block_dim} exceeds the build cutoff {MAX_BUILD_DIM}"
-        )
-    h_pad = _embedded(ham, block_dim)
-    zero = sp.csr_matrix((block_dim, block_dim), dtype=np.complex128)
-    blocks = [
-        (t_sync - t_ends[s]) * h_pad if s < len(t_ends) else zero
-        for s in range(arity)
-    ]
-    return Hamiltonian.from_matrix(sp.block_diag(blocks, format="csr"))
+    times = [t_sync - t_end for t_end in t_ends] + [0.0] * (arity - len(t_ends))
+    return StackedHamiltonian(ham, times, block_dim or next_power_of_two(ham.dim))
 
 
 def build_mult_hamiltonian(
@@ -170,10 +244,4 @@ def build_mult_hamiltonian(
     """Identity-on-substates tensor H: every block advances under the same H."""
     if arity < 1 or arity != next_power_of_two(arity):
         raise EvolutionError("arity must be a power of two (pad the stack first)")
-    block_dim = block_dim or next_power_of_two(ham.dim)
-    if arity * block_dim > MAX_BUILD_DIM:
-        raise EvolutionError(
-            f"stacked dimension {arity * block_dim} exceeds the build cutoff {MAX_BUILD_DIM}"
-        )
-    h_pad = _embedded(ham, block_dim)
-    return Hamiltonian.from_matrix(sp.kron(sp.identity(arity, format="csr"), h_pad, format="csr"))
+    return StackedHamiltonian(ham, [1.0] * arity, block_dim or next_power_of_two(ham.dim))

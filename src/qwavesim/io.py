@@ -8,12 +8,13 @@ Formats (one line each, documented fully in the README):
   trajectory         time,dof,value   (long form)
   energy             time,energy
   source samples     time,value       (read only)
+  initial field      dof,value        (read only)
   measurement        JSON {value, stderr, shots, mode, strings}
   circuit            JSON {register, gates, min_rotation_angle}
 
 The CSV readers refuse a row with the wrong number of cells or a cell that is
-not a finite number with ScenarioError, and read_state also refuses indices
-outside the layout or repeated.
+not a finite number with ScenarioError, and read_state and read_initial_csv
+also refuse indices outside the vector, fractional or repeated.
 """
 from __future__ import annotations
 
@@ -90,16 +91,7 @@ def read_state(path) -> QuantumRegisterState:
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: bad state sidecar: {exc}") from exc
     total = layout.total_dim
-    bad = (index != np.floor(index)) | (index < 0) | (index >= total)
-    if np.any(bad):
-        row = int(np.argmax(bad))
-        raise ScenarioError(
-            f"{path}: line {row + 2}: index {index[row]:g} is not an integer in [0, {total})"
-        )
-    index = index.astype(np.int64)
-    repeated = np.bincount(index, minlength=total) > 1
-    if np.any(repeated):
-        raise ScenarioError(f"{path}: index {int(np.argmax(repeated))} appears more than once")
+    index = _index_column(path, index, total, "index")
     amps = np.zeros(total, dtype=np.complex128)
     amps.real[index] = real
     amps.imag[index] = imag
@@ -138,6 +130,41 @@ def _read_table(path, header: list[str]) -> list[np.ndarray]:
         row = int(np.argmin(finite))
         raise ScenarioError(f"{path}: line {row + 2}: cells must be finite numbers")
     return list(table.T)
+
+
+def _index_column(path, column: np.ndarray, total: int, name: str) -> np.ndarray:
+    """A table column as int64 indices, each an integer in [0, total) on one row only.
+
+    A violation raises ScenarioError naming the line (for a repeat, the line
+    of the second occurrence).
+    """
+    bad = (column != np.floor(column)) | (column < 0) | (column >= total)
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        why = "out of range" if not 0 <= column[row] < total else "fractional"
+        raise ScenarioError(
+            f"{path}: line {row + 2}: {name} {column[row]:g} is not an integer "
+            f"in [0, {total}) ({why})"
+        )
+    index = column.astype(np.int64)
+    if np.any(np.bincount(index, minlength=total) > 1):
+        first = np.zeros(index.size, dtype=bool)
+        first[np.unique(index, return_index=True)[1]] = True
+        row = int(np.argmin(first))
+        raise ScenarioError(f"{path}: line {row + 2}: {name} {index[row]} appears more than once")
+    return index
+
+
+def read_initial_csv(path, size: int) -> np.ndarray:
+    """A field vector of the given size from ``dof,value`` rows.
+
+    Every row must carry an integer dof in [0, size) that no other row
+    repeats; dofs without a row hold zero.
+    """
+    dof, value = _read_table(path, ["dof", "value"])
+    w = np.zeros(size)
+    w[_index_column(path, dof, size, "dof")] = value
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .encoding import build_hamiltonian
+from .encoding import Hamiltonian, build_hamiltonian
 from .errors import EvolutionError, ValidationError
 
 CFL_SAFETY = 0.9
@@ -195,6 +195,7 @@ def spectral_forced_solution(
     t1: float,
     w0: np.ndarray | None = None,
     smoothness: float | None = None,
+    ham: Hamiltonian | None = None,
 ) -> np.ndarray:
     """Rounding-level solution of B dw/dt = A w + chi f(t) at t1.
 
@@ -202,12 +203,17 @@ def spectral_forced_solution(
     integral per eigenmode with composite Gauss-Legendre panels; the panel
     width resolves both the fastest eigenfrequency and the forcing smoothness
     scale (taken from ``smoothness`` or an f.dt_hint attribute when present).
+    ``ham`` is build_hamiltonian(system) when the caller already holds it, so
+    repeated solves share its memoized decomposition; omitted, it is built.
     """
     if t1 < t0:
         raise ValidationError("t1 precedes t0")
-    ham = build_hamiltonian(system)
-    lam, vecs = ham.eigendecomposition()
     diag = system.b_diagonal()
+    if ham is None:
+        ham = build_hamiltonian(system)
+    elif ham.dim != diag.size:
+        raise ValidationError("generator does not match the system size")
+    lam, vecs = ham.eigendecomposition()
     chi = np.asarray(chi, dtype=np.float64)
     if chi.shape != diag.shape:
         raise ValidationError("forcing pattern does not match the system size")

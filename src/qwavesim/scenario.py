@@ -33,7 +33,7 @@ from .discretize import (
 )
 from .errors import ScenarioError
 from .initcircuit import PolarGridSpec
-from .io import read_json, read_source_csv
+from .io import read_initial_csv, read_json, read_source_csv
 from .measurement import EstimatorConfig, SubspaceProjector
 from .sources import (
     PointSource,
@@ -341,17 +341,7 @@ def _parse_initial(raw: dict, grid, pair, system, base: Path) -> np.ndarray:
         w[: grid.n_scalar] = amplitude * np.exp(-r2 / (2.0 * sigma**2))
         return _restrict(w, system)
     if kind == "file":
-        p = base / _require(spec, "path", "initial")
-        if not p.exists():
-            raise ScenarioError(f"missing file: {p}")
-        data = np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[1] != 2:
-            raise ScenarioError(f"{p}: expected two columns dof,value")
-        w = np.zeros(pair.n_total)
-        dofs = data[:, 0].astype(np.int64)
-        if dofs.size and (dofs.min() < 0 or dofs.max() >= pair.n_total):
-            raise ScenarioError(f"{p}: dof index out of range")
-        w[dofs] = data[:, 1]
+        w = read_initial_csv(base / _require(spec, "path", "initial"), pair.n_total)
         return _restrict(w, system)
     raise ScenarioError(f"initial: unknown kind {kind!r}")
 

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import expit
 
-from .encoding import QuantumRegisterState, stack_substates
+from .encoding import QuantumRegisterState, build_hamiltonian, stack_substates
 from .errors import CausalityError, SourceError, SupportError
 from .reference import cfl_limit, leapfrog_evolve, spectral_forced_solution
 
@@ -545,6 +545,7 @@ def greens_decompose(
     if free is not None:
         chi = chi[free]
     coords = _source_coords(system)
+    ham = build_hamiltonian(system) if mode == "discrete" else None  # one decomposition for all slices
 
     slices = []
     for j in range(len(breakpoints) - 1):
@@ -555,7 +556,7 @@ def greens_decompose(
         if mode == "dalembert":
             w = _dalembert_field(g, source, grid, c_hom, rho_hom, center, free)
         else:
-            w = spectral_forced_solution(system, chi, g, g.t_start, g.t_end)
+            w = spectral_forced_solution(system, chi, g, g.t_start, g.t_end, ham=ham)
         w = _enforce_support(w, coords, center, radius)
         slices.append(PreSimResult.from_field(w, g.t_end, center, radius))
     return slices

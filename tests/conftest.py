@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import qwavesim as q
+
+# Property tests draw the same examples on every run and keep no example file.
+settings.register_profile(
+    "qwavesim", derandomize=True, database=None, deadline=None, max_examples=30
+)
+settings.load_profile("qwavesim")
 
 
 @pytest.fixture

@@ -19,6 +19,13 @@ def _toy_system(a_dense, b_diag):
     )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_amplitudes_are_refused(bad):
+    layout = q.StateLayout(num_physical=2, block_dim=2)
+    with pytest.raises(EncodingError, match="finite"):
+        q.QuantumRegisterState(amplitudes=np.array([bad, 0.0]), scale=1.0, layout=layout)
+
+
 def test_unit_rotation_maps_to_pauli_y_form():
     sys2 = _toy_system([[0.0, 1.0], [-1.0, 0.0]], [1.0, 1.0])
     h = q.build_hamiltonian(sys2).matrix.toarray()

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qwavesim as q
 from qwavesim.errors import EvolutionError
@@ -155,6 +158,86 @@ def test_mult_generator_advances_all_blocks_identically(rng):
         got = out.block(s)[: pair.n_total] * out.scale
         want = advanced.amplitudes[: pair.n_total] * single.scale
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# stacked generators act per block: equivalence with their materialized matrix
+
+_TIMES = st.sampled_from([0.0, 0.25, 0.7]) | st.floats(0.0, 1.5)
+
+
+def _random_register(seed, num_physical, arity):
+    """A unit-norm register with every coordinate, pads included, nonzero."""
+    rng = np.random.default_rng(seed)
+    layout = q.StateLayout(
+        num_physical=num_physical,
+        block_dim=q.next_power_of_two(num_physical),
+        arity=arity,
+    )
+    amps = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+    return q.QuantumRegisterState(
+        amplitudes=amps / np.linalg.norm(amps), scale=2.0, layout=layout
+    )
+
+
+def _assert_matches_materialized(state, gen, t, method):
+    out = q.evolve(state, gen, t, q.EvolutionConfig(method=method))
+    want = scipy.linalg.expm(-1j * t * gen.matrix.toarray()) @ state.amplitudes
+    assert np.abs(out.amplitudes - want).max() <= 1e-10
+    assert out.scale == state.scale
+
+
+@pytest.mark.parametrize("method", ["dense", "krylov"])
+@given(
+    n=st.integers(2, 9),
+    t_ends=st.lists(_TIMES, min_size=1, max_size=8),
+    lag=st.sampled_from([0.0, 0.3]),
+    t=st.sampled_from([1.0, 0.4, -0.6]),
+    seed=st.integers(0, 2**16),
+)
+def test_sync_matches_the_exponential_of_its_matrix(method, n, t_ends, lag, t, seed):
+    pair = build_acoustic_1d(n=n, rho=1.3, c=0.8)  # 2n - 1 unknowns, padded block
+    ham = q.build_hamiltonian(pair)
+    sync = q.build_sync_hamiltonian(ham, t_ends, t_sync=max(t_ends) + lag)
+    state = _random_register(seed, ham.dim, q.next_power_of_two(len(t_ends)))
+    _assert_matches_materialized(state, sync, t, method)
+
+
+@pytest.mark.parametrize("method", ["dense", "krylov"])
+@given(
+    n=st.integers(2, 9),
+    arity=st.sampled_from([1, 2, 4, 8]),
+    t=_TIMES,
+    seed=st.integers(0, 2**16),
+)
+def test_mult_matches_the_exponential_of_its_matrix(method, n, arity, t, seed):
+    pair = build_acoustic_1d(n=n, rho=0.7, c=1.4)
+    ham = q.build_hamiltonian(pair)
+    mult = q.build_mult_hamiltonian(ham, arity)
+    state = _random_register(seed, ham.dim, arity)
+    _assert_matches_materialized(state, mult, t, method)
+
+
+def test_stacked_generator_with_another_block_dim_is_refused():
+    pair = build_acoustic_1d(n=4)  # 7 unknowns in blocks of 8
+    ham = q.build_hamiltonian(pair)
+    state = _random_register(3, ham.dim, 4)  # 4 blocks of 8
+    # same total dimension, other block structure
+    mult = q.build_mult_hamiltonian(ham, arity=2, block_dim=16)
+    sync = q.build_sync_hamiltonian(ham, [0.1, 0.2], t_sync=0.5, block_dim=16)
+    assert mult.dim == sync.dim == state.layout.total_dim
+    for gen in (mult, sync):
+        with pytest.raises(EvolutionError):
+            q.evolve(state, gen, 1.0)
+
+
+def test_stacked_generator_refuses_a_block_smaller_than_h():
+    pair = build_acoustic_1d(n=4)
+    ham = q.build_hamiltonian(pair)
+    with pytest.raises(EvolutionError):
+        q.build_mult_hamiltonian(ham, arity=2, block_dim=4)
+    with pytest.raises(EvolutionError):
+        q.build_sync_hamiltonian(ham, [0.1], t_sync=0.5, block_dim=4)
 
 
 def test_sync_refuses_backward_evolution():

@@ -150,3 +150,17 @@ def test_spectral_free_evolution_matches_the_unitary_route():
     ham = q.build_hamiltonian(system)
     exact = q.decode(q.evolve(q.encode(w0, system), ham, 0.3), system)
     np.testing.assert_allclose(out, exact, atol=1e-12)
+
+
+def test_spectral_solution_reuses_a_given_hamiltonian():
+    system = build_acoustic_1d(n=64)
+    chi = np.zeros(system.n_total)
+    chi[32] = 1.0
+    f = q.gaussian_pulse(0.1, 0.03)
+    ham = q.build_hamiltonian(system)
+    given = q.spectral_forced_solution(system, chi, f, 0.0, 0.4, ham=ham)
+    built = q.spectral_forced_solution(system, chi, f, 0.0, 0.4)
+    np.testing.assert_array_equal(given, built)
+    other = q.build_hamiltonian(build_acoustic_1d(n=32))
+    with pytest.raises(ValidationError):
+        q.spectral_forced_solution(system, chi, f, 0.0, 0.4, ham=other)

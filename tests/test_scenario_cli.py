@@ -439,6 +439,29 @@ def test_malformed_source_samples_are_refused(tmp_path, body, message):
         q.load_scenario(_write(tmp_path, _base(sources=[source])))
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("dof,value\n3.7,1.0\n", "line 2: dof 3.7 is not an integer in [0, 63)"),
+        ("dof,value\n3,1.0\n63,2.0\n", "line 3: dof 63 is not an integer in [0, 63)"),
+        ("dof,value\n-1,1.0\n", "line 2: dof -1 is not an integer in [0, 63)"),
+        ("dof,value\n3,1.0\n5,0.5\n3,2.0\n", "line 4: dof 3 appears more than once"),
+        ("anything\n3,1.0\n", "expected header dof,value"),
+        ("dof,value\n3,1.0,2.0\n", "line 2: expected 2 cells, got 3"),
+        ("dof,value\n3,nan\n", "line 2: cells must be finite numbers"),
+    ],
+)
+def test_simulate_refuses_a_malformed_initial_file(tmp_path, capsys, body, message):
+    (tmp_path / "w0.csv").write_text(body)
+    doc = _fast_doc(initial={"kind": "file", "path": "w0.csv"})
+    scenario = _write(tmp_path, doc)
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "qwavesim: validation error:" in err
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", ["rho", "c"])
 def test_boolean_material_coefficient_is_refused(tmp_path, capsys, name):
     material = {"family": "acoustic", "rho": 1.0, "c": 1.0, name: True}

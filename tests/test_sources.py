@@ -321,6 +321,52 @@ def test_greens_slices_cover_the_source():
     assert sum(np.linalg.norm(s.field) for s in slices) > 0.0
 
 
+def _count_eigh(monkeypatch):
+    """Record the dimension of every np.linalg.eigh call."""
+    dims = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        dims.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return dims
+
+
+def _sliced_pulse():
+    pair = build_acoustic_1d(n=128)
+    src = q.PointSource(
+        location=(64,), polarization=(1.0, 0.0), time_function=q.gaussian_pulse(0.08, 0.01)
+    )
+    return pair, src
+
+
+def test_discrete_decomposition_decomposes_once(monkeypatch):
+    pair, src = _sliced_pulse()
+    dims = _count_eigh(monkeypatch)
+    slices = q.greens_decompose(src, 1.0, 1.0, 0.45, pair, mode="discrete")
+    assert len(slices) >= 2
+    assert dims == [pair.n_total]
+
+
+def test_sync_then_mult_decompose_only_the_block_hamiltonian(monkeypatch):
+    pair, src = _sliced_pulse()
+    slices = q.greens_decompose(src, 1.0, 1.0, 0.45, pair, mode="discrete")
+    state, t_ends = q.assemble_multisource_state(slices, pair)
+    ham = q.build_hamiltonian(pair)
+    layout = state.layout
+    dims = _count_eigh(monkeypatch)
+    sync = q.build_sync_hamiltonian(
+        ham, t_ends, max(t_ends), block_dim=layout.block_dim, arity=layout.arity
+    )
+    synced = q.evolve(state, sync, 1.0)
+    mult = q.build_mult_hamiltonian(ham, layout.arity, block_dim=layout.block_dim)
+    q.evolve(synced, mult, 0.2)
+    assert layout.arity >= 2
+    assert dims == [ham.dim]
+
+
 def test_single_window_slice_matches_the_unsliced_solution():
     # A pulse short enough for one window: the window is 1 on the support
     # up to e^{-z margin} tails, so the slice must reproduce the plain
