@@ -223,12 +223,60 @@ def build_gradient_divergence(grid: StaggeredGrid) -> tuple[sp.csr_matrix, sp.cs
 # materials
 
 
+class _TableCoefficient:
+    """A coefficient that _sample evaluates on the whole coordinate table at once."""
+
+    def __call__(self, x: np.ndarray) -> float:
+        """The value at one coordinate vector."""
+        return float(self._table(np.asarray(x, dtype=np.float64)[None, :])[0])
+
+
+@dataclass(frozen=True)
+class PiecewiseCoefficient(_TableCoefficient):
+    """A background value overridden inside axis-aligned boxes.
+
+    Each region is (box, value) with box of shape (dimension, 2) holding
+    inclusive [lo, hi] bounds per axis; where boxes overlap, the first
+    listed region wins.
+    """
+
+    background: float
+    regions: tuple[tuple[np.ndarray, float], ...]
+
+    def _table(self, coords: np.ndarray) -> np.ndarray:
+        out = np.full(coords.shape[0], self.background)
+        for box, value in reversed(self.regions):  # earlier regions overwrite later ones
+            out[np.all((coords >= box[:, 0]) & (coords <= box[:, 1]), axis=1)] = value
+        return out
+
+
+@dataclass(frozen=True)
+class TabulatedCoefficient(_TableCoefficient):
+    """Linear interpolation of (x, value) samples along the first axis.
+
+    Clamped to the end values outside the samples, as np.interp does.
+    """
+
+    x: np.ndarray
+    values: np.ndarray
+
+    def _table(self, coords: np.ndarray) -> np.ndarray:
+        return np.interp(coords[:, 0], self.x, self.values)
+
+
 def _sample(
     spec, coords: np.ndarray, name: str
 ) -> np.ndarray:
-    """Pointwise material sampling at unknown coordinates (no cell averaging)."""
+    """Pointwise material sampling at unknown coordinates (no cell averaging).
+
+    A scalar is broadcast. A PiecewiseCoefficient or TabulatedCoefficient is
+    evaluated on the whole coordinate table at once. Any other callable is
+    called once per point with that point's coordinate vector.
+    """
     n = coords.shape[0]
-    if callable(spec):
+    if isinstance(spec, _TableCoefficient):
+        out = spec._table(coords)
+    elif callable(spec):
         out = np.asarray([spec(x) for x in coords], dtype=np.float64)
     elif np.isscalar(spec):
         out = np.full(n, float(spec))
@@ -265,7 +313,10 @@ class MaterialModel:
 
         rho and c are scalars or callables of the coordinate vector; rho is
         sampled at both node and midpoint unknowns, so a single per-block
-        array cannot describe it and array input is rejected.
+        array cannot describe it and array input is rejected. Scalars,
+        PiecewiseCoefficient and TabulatedCoefficient (the scenario file's
+        constant, piecewise and file kinds) are sampled on the whole
+        coordinate table at once; any other callable is called per point.
         """
         for name, spec in (("rho", rho), ("c", c)):
             if not (np.isscalar(spec) or callable(spec)):

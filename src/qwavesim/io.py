@@ -1,7 +1,11 @@
 """External file formats: CSV tables and JSON records.
 
-Every writer formats floats with shortest round-trip repr and emits keys in
-sorted order, so a rerun with the same inputs produces byte-identical files.
+Every writer formats floats as ``repr(float(x))``, the shortest string that
+reads back to the same float64, and emits JSON keys in sorted order, so a
+rerun with the same inputs produces byte-identical files. CSV rows end in
+CRLF (``\r\n``), the terminator of Python's csv module; no cell is ever
+quoted. The CSV writers format a block of rows into one string and write it
+in one call.
 
 Formats (one line each, documented fully in the README):
   state              index,real,imag  (+ .json sidecar: scale and layout)
@@ -30,8 +34,14 @@ from .initcircuit import GateCircuit
 from .measurement import EstimateResult
 
 
-def fmt(x: float) -> str:
-    return repr(float(x))
+# rows formatted per write: bounds the memory of one joined string, so the
+# writers' peak memory does not grow with the snapshot or state size
+_ROWS_PER_WRITE = 2048
+
+
+def _floats(values) -> list[float]:
+    """Python floats, so that ``!r`` gives the float repr, not ``np.float64(...)``."""
+    return np.asarray(values, dtype=np.float64).tolist()
 
 
 def write_json(path, obj) -> None:
@@ -54,11 +64,13 @@ def read_json(path):
 
 def write_state(path, state: QuantumRegisterState) -> None:
     path = Path(path)
+    amps = state.amplitudes
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "real", "imag"])
-        for i, amp in enumerate(state.amplitudes):
-            writer.writerow([i, fmt(amp.real), fmt(amp.imag)])
+        fh.write("index,real,imag\r\n")
+        for start in range(0, amps.size, _ROWS_PER_WRITE):
+            block = amps[start : start + _ROWS_PER_WRITE]
+            rows = zip(range(start, start + block.size), _floats(block.real), _floats(block.imag))
+            fh.write("".join([f"{i},{re!r},{im!r}\r\n" for i, re, im in rows]))
     sidecar = {
         "scale": state.scale,
         "layout": {
@@ -172,20 +184,21 @@ def read_initial_csv(path, size: int) -> np.ndarray:
 
 
 def write_field_csv(path, times, fields) -> None:
+    """Long-form ``time,dof,value`` rows, one snapshot after another."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "dof", "value"])
+        fh.write("time,dof,value\r\n")
         for t, row in zip(times, fields):
-            for k, v in enumerate(row):
-                writer.writerow([fmt(t), k, fmt(v)])
+            t = repr(float(t))
+            row = np.asarray(row, dtype=np.float64)
+            for start in range(0, row.size, _ROWS_PER_WRITE):
+                rows = enumerate(_floats(row[start : start + _ROWS_PER_WRITE]), start)
+                fh.write("".join([f"{t},{k},{v!r}\r\n" for k, v in rows]))
 
 
 def write_energy_csv(path, times, energy) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "energy"])
-        for t, e in zip(times, energy):
-            writer.writerow([fmt(t), fmt(e)])
+        fh.write("time,energy\r\n")
+        fh.write("".join([f"{t!r},{e!r}\r\n" for t, e in zip(_floats(times), _floats(energy))]))
 
 
 def read_source_csv(path) -> tuple[np.ndarray, np.ndarray]:

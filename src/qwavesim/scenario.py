@@ -27,7 +27,9 @@ from .constraints import (
 from .discretize import (
     MaterialModel,
     OperatorPair,
+    PiecewiseCoefficient,
     StaggeredGrid,
+    TabulatedCoefficient,
     assemble_operator_pair,
     build_grid,
 )
@@ -197,7 +199,12 @@ def _parse_grid(raw: dict) -> StaggeredGrid:
 
 
 def _coefficient(spec, grid: StaggeredGrid, base: Path, name: str):
-    """A material coefficient: a constant, a piecewise table, or a file."""
+    """A material coefficient: a constant, a piecewise table, or a file.
+
+    Piecewise and file coefficients become PiecewiseCoefficient and
+    TabulatedCoefficient, which MaterialModel samples on the whole
+    coordinate table at once.
+    """
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         return float(spec)
     if not isinstance(spec, dict):
@@ -214,14 +221,7 @@ def _coefficient(spec, grid: StaggeredGrid, base: Path, name: str):
                     f"material.{name} region bounds must be {grid.dimension} [lo, hi] pairs"
                 )
             boxes.append((box, float(_require(region, "value", f"material.{name} region"))))
-
-        def fn(x: np.ndarray) -> float:
-            for box, value in boxes:
-                if np.all(x >= box[:, 0]) and np.all(x <= box[:, 1]):
-                    return value
-            return background
-
-        return fn
+        return PiecewiseCoefficient(background=background, regions=tuple(boxes))
     if kind == "file":
         if grid.dimension != 1:
             raise ScenarioError(f"material.{name}: tabulated coefficients are 1D only")
@@ -229,11 +229,7 @@ def _coefficient(spec, grid: StaggeredGrid, base: Path, name: str):
         times, values = read_source_csv(p)  # same two-column layout, x instead of t
         if times.size < 2:
             raise ScenarioError(f"{p}: a tabulated coefficient needs at least 2 samples")
-
-        def fn(x: np.ndarray) -> float:
-            return float(np.interp(float(x[0]), times, values))
-
-        return fn
+        return TabulatedCoefficient(x=times, values=values)
     raise ScenarioError(f"material.{name}: unknown kind {kind!r}")
 
 
@@ -264,7 +260,8 @@ def _parse_boundaries(raw: dict, grid: StaggeredGrid, pair: OperatorPair, base: 
     if extra:
         raise ScenarioError(f"boundaries: unknown side(s) {sorted(extra)}")
 
-    pinned: dict[int, tuple | None] = {}  # node -> (times, values) or None
+    pinned: dict[int, bool] = {}  # node -> pinned by a driven side
+    driven = []  # (nodes, times, values) per driven side
     for side in sides:
         entry = spec.get(side, "natural")
         if entry in ("natural", "neumann"):
@@ -287,32 +284,31 @@ def _parse_boundaries(raw: dict, grid: StaggeredGrid, pair: OperatorPair, base: 
                 times = np.asarray(_require(data, "times", f"boundaries.{side}.data"), dtype=np.float64)
                 values = np.asarray(_require(data, "values", f"boundaries.{side}.data"), dtype=np.float64)
             series = (times, values)
-        for node in boundary_scalar_indices(grid, [side]):
-            node = int(node)
-            if node in pinned and (pinned[node] is not None or series is not None):
+        nodes = boundary_scalar_indices(grid, [side])
+        for node in nodes.tolist():
+            if node in pinned and (pinned[node] or series is not None):
                 raise ScenarioError(
                     f"boundaries: node {node} is pinned by two sides whose values "
                     "disagree; a corner shared with a driven side has no single value"
                 )
-            if node not in pinned:
-                pinned[node] = series
+            pinned.setdefault(node, series is not None)
+        if series is not None:
+            driven.append((nodes, *series))
 
     if not pinned:
         return pair
 
     indices = np.asarray(sorted(pinned), dtype=np.int64)
-    driven = [series for series in pinned.values() if series is not None]
     if not driven:
         constraints = dirichlet_constraints(grid, indices)
     else:
-        t_grid = np.unique(np.concatenate([t for t, _ in driven]))
+        t_grid = np.unique(np.concatenate([t for _, t, _ in driven]))
         if t_grid.size < 2:
             raise ScenarioError("boundaries: boundary data needs at least 2 samples")
         b_values = np.zeros((t_grid.size, indices.size))
-        for col, node in enumerate(indices):
-            series = pinned[int(node)]
-            if series is not None:
-                b_values[:, col] = np.interp(t_grid, series[0], series[1])
+        # a driven side shares no node with another side, so its columns are its own
+        for nodes, times, values in driven:
+            b_values[:, np.searchsorted(indices, nodes)] = np.interp(t_grid, times, values)[:, None]
         constraints = dirichlet_constraints(grid, indices, b_times=t_grid, b_values=b_values)
     return reduce_system(pair, constraints)
 

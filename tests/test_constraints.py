@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import qwavesim as q
+from qwavesim.constraints import _interp_rows
 from qwavesim.errors import ConstraintError, IncompatibleConstraintError
 
 from conftest import build_acoustic_1d, build_acoustic_2d
@@ -128,6 +132,39 @@ def test_scalar_data_broadcasts_to_every_pinned_node():
     cons = q.dirichlet_constraints(pair.grid, [0, 5, 11], times, values)
     assert cons.b_values.shape == (3, 3)
     np.testing.assert_array_equal(cons.b_values[1], [1.0, 1.0, 1.0])
+
+
+@given(
+    start=st.floats(-10.0, 10.0),
+    steps=st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=7),
+    n_c=st.integers(1, 5),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    outside=st.floats(1e-9, 1e3),
+    data=st.data(),
+)
+def test_interp_rows_is_bit_equal_to_per_column_interp(start, steps, n_c, fractions, outside, data):
+    times = start + np.cumsum([0.0, *steps])
+    values = data.draw(
+        arrays(np.float64, (times.size, n_c), elements=st.floats(allow_nan=False))
+    )
+    # before the first sample, after the last, on every sample, and between samples
+    between = [a + f * (b - a) for a, b, f in zip(times[:-1], times[1:], fractions)]
+    probes = [times[0] - outside, times[-1] + outside, *times, *between]
+    for t in probes:
+        expected = np.array([np.interp(t, times, values[:, c]) for c in range(n_c)])
+        got = _interp_rows(times, values, t)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), t
+
+
+def test_interp_rows_follows_interp_on_infinite_samples():
+    # inf - inf is NaN; np.interp then blends from the right sample, or keeps an equal pair
+    inf = np.inf
+    times = np.array([0.0, 1.0, 3.0])
+    values = np.array([[inf, inf, 1.0, -inf], [inf, 2.0, inf, 0.0], [-inf, 5.0, 2.0, 1e308]])
+    for t in (0.25, 0.5, 1.5, 2.999, -1e308):
+        expected = np.array([np.interp(t, times, values[:, c]) for c in range(4)])
+        got = _interp_rows(times, values, t)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), t
 
 
 def test_scaled_identity_r_c_divides_the_data():

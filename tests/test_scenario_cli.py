@@ -89,6 +89,39 @@ def test_driven_corner_conflict_is_refused(tmp_path):
         q.load_scenario(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize(
+    "shape, right",
+    [([6, 5], {"kind": "dirichlet", "data": {"times": [0.25, 1.5], "values": [2.0, -1.0]}}),
+     ([6, 5], "dirichlet"),
+     ([9], {"kind": "dirichlet", "data": {"times": [0.0, 0.6, 0.9], "values": [1.0, 3.0, 0.5]}})],
+)
+def test_driven_walls_interpolate_each_series_onto_the_union_of_times(tmp_path, shape, right):
+    left = {"kind": "dirichlet", "data": {"times": [0.0, 0.5, 1.0], "values": [0.0, 1.0, 0.0]}}
+    bounds = [[0.0, 1.0]] * len(shape)
+    doc = {
+        "grid": {"bounds": bounds, "shape": shape},
+        "material": {"family": "acoustic", "rho": 1.0, "c": 1.0},
+        "boundaries": {"left": left, "right": right},
+    }
+    sc = q.load_scenario(_write(tmp_path, doc))
+    # reference: one np.interp per pinned node
+    series = {side: entry["data"] for side, entry in (("left", left), ("right", right))
+              if isinstance(entry, dict)}
+    owner = {int(k): side for side in ("left", "right")
+             for k in q.boundary_scalar_indices(sc.grid, [side])}
+    indices = np.array(sorted(owner))
+    t_grid = np.unique(np.concatenate([d["times"] for d in series.values()]))
+    b_values = np.zeros((t_grid.size, indices.size))
+    for col, node in enumerate(indices):
+        if owner[node] in series:
+            data = series[owner[node]]
+            b_values[:, col] = np.interp(t_grid, data["times"], data["values"])
+    cons = q.dirichlet_constraints(sc.grid, indices, b_times=t_grid, b_values=b_values)
+    expected = q.reduce_system(sc.pair, cons)
+    for t in (-0.1, 0.0, 0.3, 0.5, 0.77, 1.2, 1.5, 2.0):
+        assert sc.system.source(t).tobytes() == expected.source(t).tobytes()
+
+
 def test_homogeneous_corners_may_be_shared(tmp_path):
     doc = {
         "grid": {"bounds": [[0.0, 1.0], [0.0, 1.0]], "shape": [6, 6]},
@@ -281,6 +314,74 @@ def test_material_piecewise_and_tabulated_coefficients(tmp_path):
                 "bad.json",
             )
         )
+
+
+def _per_point(spec, base):
+    """The per-point callable form of a scenario coefficient, the reference for table sampling."""
+    if not isinstance(spec, dict):
+        return float(spec)
+    if spec["kind"] == "piecewise":
+        boxes = [(np.asarray(r["bounds"], dtype=np.float64), float(r["value"])) for r in spec["regions"]]
+
+        def fn(x):
+            for box, value in boxes:
+                if np.all(x >= box[:, 0]) and np.all(x <= box[:, 1]):
+                    return value
+            return float(spec["background"])
+
+        return fn
+    times, values = q.io.read_source_csv(base / spec["path"])
+    return lambda x: float(np.interp(float(x[0]), times, values))
+
+
+# box faces at multiples of 1/64 put nodes and midpoints of these grids exactly
+# on a face
+_OVERLAPPING = {
+    "kind": "piecewise",
+    "background": 1.0,
+    "regions": [
+        {"bounds": [[0.25, 0.5], [0.0, 0.375]], "value": 3.0},
+        {"bounds": [[0.375, 0.75], [0.25, 1.0]], "value": 5.0},
+        {"bounds": [[0.015625, 0.25], [0.125, 0.140625]], "value": 0.5},
+    ],
+}
+
+
+def _one_d(spec):
+    return {**spec, "regions": [{**r, "bounds": r["bounds"][:1]} for r in spec["regions"]]}
+
+
+@pytest.mark.parametrize(
+    "grid, material",
+    [
+        ({"bounds": [[0.0, 1.0]], "shape": [33]},
+         {"family": "acoustic", "rho": _one_d(_OVERLAPPING), "c": {"kind": "file", "path": "c.csv"}}),
+        ({"bounds": [[0.0, 1.0]], "shape": [17]},
+         {"family": "acoustic", "rho": {"kind": "file", "path": "c.csv"}, "c": _one_d(_OVERLAPPING)}),
+        ({"bounds": [[0.0, 1.0]], "shape": [33]},
+         {"family": "maxwell1d", "eps": {"kind": "file", "path": "c.csv"}, "mu": _one_d(_OVERLAPPING)}),
+        ({"bounds": [[0.0, 1.0], [0.0, 1.0]], "shape": [33, 17]},
+         {"family": "acoustic", "rho": _OVERLAPPING, "c": 1.5}),
+        ({"bounds": [[0.0, 1.0], [0.0, 1.0]], "shape": [17, 33]},
+         {"family": "acoustic", "rho": 2.0, "c": _OVERLAPPING}),
+    ],
+)
+def test_table_sampled_coefficients_are_bit_equal_to_per_point_sampling(tmp_path, grid, material):
+    (tmp_path / "c.csv").write_text("time,value\n0.1,1.0\n0.3,2.5\n0.4,0.7\n0.9,1.9\n")
+    sc = q.load_scenario(_write(tmp_path, _base(grid=grid, material=material)))
+    specs = {name: spec for name, spec in material.items() if name != "family"}
+    per_point = {name: _per_point(spec, tmp_path) for name, spec in specs.items()}
+    build = q.MaterialModel.acoustic if material["family"] == "acoustic" else q.MaterialModel.maxwell1d
+    expected = build(sc.grid, **per_point)
+    assert sc.material.scalar_weight.tobytes() == expected.scalar_weight.tobytes()
+    assert sc.material.flux_weight.tobytes() == expected.flux_weight.tobytes()
+    assert sc.material.max_speed == expected.max_speed
+    # the coefficient objects stay callable on one point
+    points = np.concatenate([sc.grid.scalar_coords, *sc.grid.flux_coords])
+    for name, spec in specs.items():
+        coefficient = q.scenario._coefficient(spec, sc.grid, tmp_path, name)
+        if callable(coefficient):
+            assert [coefficient(x) for x in points] == [per_point[name](x) for x in points]
 
 
 def test_initcircuit_section(tmp_path):
