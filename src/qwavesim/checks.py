@@ -183,9 +183,9 @@ def sliced_pipeline():
     grid, pair = _acoustic([(0.0, 1.0)], [128], 1.0, 1.0)
     stf = gaussian_pulse(center=0.08, sigma=0.01)
     source = PointSource(location=(64,), polarization=(1.0, 0.0), time_function=stf)
-    slices = greens_decompose(source, 1.0, 1.0, 0.45, pair, mode="discrete")
+    ham = build_hamiltonian(pair)  # one decomposition for the slices, evolution and oracle
+    slices = greens_decompose(source, 1.0, 1.0, 0.45, pair, mode="discrete", ham=ham)
     state, t_ends = assemble_multisource_state(slices, pair)
-    ham = build_hamiltonian(pair)
     t_sync, t_final = max(t_ends), 0.55
     block_dim, arity = state.layout.block_dim, state.layout.arity
     sync = build_sync_hamiltonian(ham, t_ends, t_sync, block_dim=block_dim, arity=arity)
@@ -198,7 +198,9 @@ def sliced_pipeline():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ComplexityWarning)
         sliced = estimate(settled, SubspaceProjector(mask=mask)).value
-    mono = spectral_forced_solution(pair, chi_pattern(source, grid), stf, stf.t_start, t_final)
+    mono = spectral_forced_solution(
+        pair, chi_pattern(source, grid), stf, stf.t_start, t_final, ham=ham
+    )
     direct = float(np.linalg.norm((np.sqrt(pair.b_diagonal()) * mono)[mask]) ** 2)
     pre = presimulate_pulse(source, pair)
     return [

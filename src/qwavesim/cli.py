@@ -256,6 +256,9 @@ def _run_presim(args) -> int:
     if not scenario.sources:
         raise ScenarioError(f"{scenario.path}: no sources to pre-simulate")
     system = scenario.system
+    # one H for every decomposed source; only the discrete mode decomposes it, once
+    decomposed = any(spec.decompose is not None for spec in scenario.sources)
+    ham = build_hamiltonian(system) if decomposed else None
 
     entries = []
     fields = []
@@ -270,6 +273,7 @@ def _run_presim(args) -> int:
                 system,
                 mode=dec.get("mode"),
                 steepness=dec.get("steepness"),
+                ham=ham,
             )
         else:
             slices = [presimulate_pulse(spec.source, system, dt=scenario.dt)]

@@ -256,9 +256,15 @@ def reduce_system(pair: OperatorPair, constraints: ConstraintSet) -> ReducedSyst
     if inhomogeneous:
         times = constraints.b_times
         rc_b = _solve_rc(constraints.r_c, constraints.b_values.T).T
+        # only the free unknowns next to a pinned one feel the wall; the
+        # product over those rows keeps each row's sum, so it is bit-equal
+        coupled = np.flatnonzero(np.diff(a_fc.indptr))
+        a_coupled = a_fc[coupled]
 
         def source(t: float) -> np.ndarray:
-            return a_fc @ _interp_rows(times, rc_b, t)
+            out = np.zeros(f_idx.size)
+            out[coupled] = a_coupled @ _interp_rows(times, rc_b, t)
+            return out
     else:
         zero = np.zeros(f_idx.size)
 

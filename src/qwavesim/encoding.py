@@ -14,6 +14,19 @@ plus kinetic, and it is stored separately as a scale factor so the register
 amplitudes can stay unit norm. Amplitudes are padded with exact zeros up to
 the next power of two; the pad coordinates never couple to anything.
 
+On the staggered grid A couples scalars only to fluxes, so H is chiral:
+
+    H = [[0, iC], [-iC^T, 0]],    C real, n_scalar x n_flux.
+
+With C = U S V^T, the eigenpairs of H are +-s_k with eigenvectors
+[u_k; -+i v_k]/sqrt(2), and the surplus singular vectors of the larger side
+give the zero modes [u; 0] or [0; v] (the Jordan-Wielandt correspondence).
+build_hamiltonian records the scalar/flux split when both diagonal blocks of
+the scaled generator store no entries, and the dense eigendecomposition then
+comes from the real SVD of C. Without a split (a generator wrapped by
+Hamiltonian.from_matrix, or a reduced system whose constraints couple
+scalars to scalars) it falls back to the complex eigh of H.
+
 A register state may stack several sub-states (block dimension times arity)
 and may carry one auxiliary qubit in front (the measurement layout); the
 layout bookkeeping lives here so every module talks about the same ordering:
@@ -153,8 +166,11 @@ class Hamiltonian:
     """Hermitian generator with the metadata the cost model reports.
 
     matrix is sparse complex (purely imaginary entries for real systems);
-    maxnorm is max|H_jk| and sparsity the largest row population. A dense
-    eigendecomposition is memoized on first use by the evolution module. The
+    maxnorm is max|H_jk| and sparsity the largest row population. split is
+    the number of leading scalar coordinates when H is chiral (both
+    diagonal blocks empty), else None. A dense eigendecomposition is
+    memoized on first use by the evolution module: from the real SVD of the
+    scalar x flux block when there is a split, from eigh of H otherwise. The
     stacked schedule generators of that module keep a single-block
     Hamiltonian and act through it, so one decomposition of the block H
     serves every block of every generator built from it.
@@ -163,6 +179,7 @@ class Hamiltonian:
     matrix: sp.csr_matrix
     maxnorm: float
     sparsity: int
+    split: int | None = None
     _eig: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
@@ -189,10 +206,32 @@ class Hamiltonian:
         return float(np.abs(d.data).max()) if d.nnz else 0.0
 
     def eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:
+        """(evals, evecs) with H = evecs diag(evals) evecs^H, in no particular order."""
         if self._eig is None:
-            evals, evecs = np.linalg.eigh(self.matrix.toarray())
-            self._eig = (evals, evecs)
+            if self.split is None:
+                self._eig = np.linalg.eigh(self.matrix.toarray())
+            else:
+                self._eig = _chiral_eig(self.matrix[: self.split, self.split :].toarray().imag)
         return self._eig
+
+
+def _chiral_eig(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of [[0, iC], [-iC^T, 0]] from the full SVD of the real C."""
+    m, p = c.shape
+    u, s, vt = np.linalg.svd(c)
+    k = s.size
+    r = np.sqrt(0.5)
+    evecs = np.zeros((m + p, m + p), dtype=np.complex128)
+    # columns: +s_k with [u_k; -i v_k]/sqrt2, -s_k with [u_k; i v_k]/sqrt2,
+    # then the zero modes [u; 0] and [0; v] of the larger side
+    evecs.real[:m, :k] = r * u[:, :k]
+    evecs.real[:m, k : 2 * k] = evecs.real[:m, :k]
+    evecs.imag[m:, k : 2 * k] = r * vt[:k].T
+    evecs.imag[m:, :k] = -evecs.imag[m:, k : 2 * k]
+    evecs.real[:m, 2 * k : k + m] = u[:, k:]
+    evecs.real[m:, k + m :] = vt[k:].T
+    evals = np.concatenate([s, -s, np.zeros(m + p - 2 * k)])
+    return evals, evecs
 
 
 def _as_b_diagonal(b) -> np.ndarray:
@@ -210,7 +249,10 @@ def build_hamiltonian(system) -> Hamiltonian:
     through .b_diagonal().
     Hermiticity is verified to 1e-12 in the max-entry norm; the input
     antisymmetry guarantees it, and this is the line of defense against an
-    operator assembled some other way.
+    operator assembled some other way. The scalar/flux split of a system
+    with a ``scalar_slice`` is recorded on the result when the matrix itself
+    shows both diagonal blocks empty, which selects the chiral SVD path of
+    eigendecomposition.
     """
     diag = _as_b_diagonal(system)
     if system.A.shape[0] != diag.size:
@@ -222,7 +264,16 @@ def build_hamiltonian(system) -> Hamiltonian:
     defect = ham.hermiticity_defect()
     if defect > HERMITICITY_TOL:
         raise NumericalError(f"encoded generator is not Hermitian: defect {defect:.3e}")
+    split = system.scalar_slice.stop if hasattr(system, "scalar_slice") else None
+    if split is not None and 0 < split < ham.dim and _is_chiral(ham.matrix, split):
+        ham.split = split
     return ham
+
+
+def _is_chiral(matrix: sp.csr_matrix, split: int) -> bool:
+    """Whether every stored entry couples a row below split to a column at or above it."""
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    return bool(np.all((rows < split) != (matrix.indices < split)))
 
 
 def encode(w: np.ndarray, b) -> QuantumRegisterState:

@@ -25,8 +25,12 @@ Two numerical backends compute the matrix exponential action on one block
 (memoized on that Hamiltonian, so every block and every generator built from
 it shares one decomposition; exact to rounding, cost dim^3 once then dim^2
 per application) and a sparse polynomial-action routine (cost roughly
-nnz * |H| * t per application). The automatic choice takes the dense path up
-to MAX_DENSE_DIM and whenever a decomposition is already cached.
+nnz * |H| * t per application). For the chiral H of a staggered-grid system
+the decomposition comes from the real SVD of its scalar x flux block, and
+from the complex eigh of H for any other generator (see the encoding
+module); the dense backend uses either pair the same way. The automatic
+choice takes the dense path up to MAX_DENSE_DIM and whenever a
+decomposition is already cached.
 """
 from __future__ import annotations
 
@@ -152,6 +156,7 @@ class StackedHamiltonian(Hamiltonian):
         self.block = block
         self.times = tuple(float(t) for t in times)
         self.block_dim = block_dim
+        self.split = None
         self._eig = None
         self._stacked = None
 

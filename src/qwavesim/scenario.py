@@ -283,6 +283,10 @@ def _parse_boundaries(raw: dict, grid: StaggeredGrid, pair: OperatorPair, base: 
             else:
                 times = np.asarray(_require(data, "times", f"boundaries.{side}.data"), dtype=np.float64)
                 values = np.asarray(_require(data, "values", f"boundaries.{side}.data"), dtype=np.float64)
+                if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+                    raise ScenarioError(
+                        f"boundaries.{side}.data: times and values must be finite numbers"
+                    )
             series = (times, values)
         nodes = boundary_scalar_indices(grid, [side])
         for node in nodes.tolist():

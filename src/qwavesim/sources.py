@@ -38,7 +38,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import expit
 
-from .encoding import QuantumRegisterState, build_hamiltonian, stack_substates
+from .encoding import Hamiltonian, QuantumRegisterState, build_hamiltonian, stack_substates
 from .errors import CausalityError, SourceError, SupportError
 from .reference import cfl_limit, leapfrog_evolve, spectral_forced_solution
 
@@ -479,6 +479,7 @@ def greens_decompose(
     system,
     mode: str | None = None,
     steepness: float | None = None,
+    ham: Hamiltonian | None = None,
 ) -> list[PreSimResult]:
     """Slice a long source into windowed pulses with known compact responses.
 
@@ -489,6 +490,12 @@ def greens_decompose(
     evaluates the exact grid response by eigenbasis quadrature. The default
     is dalembert on 1D scalar sources and discrete otherwise.
 
+    ``ham`` is build_hamiltonian(system) when the caller already holds it,
+    as in spectral_forced_solution: the discrete mode then shares its
+    memoized decomposition (the chiral SVD of the encoding module) instead
+    of building and decomposing its own. Omitted, it is built once for all
+    slices; the closed-form mode does not use it.
+
     Returns one PreSimResult per window, each stamped with its slice end
     time, ready for assemble_multisource_state.
     """
@@ -498,6 +505,10 @@ def greens_decompose(
         raise SourceError("the windowed decomposition covers the acoustic family")
     if r_s <= 0 or c_hom <= 0 or rho_hom <= 0:
         raise SourceError("ball radius and homogeneous coefficients must be positive")
+    if ham is not None and ham.dim != system.n_total:
+        raise SourceError(
+            f"generator dim {ham.dim} does not match the system's {system.n_total} unknowns"
+        )
     scalar_only = all(c == 0.0 for c in source.polarization[1:])
     if mode is None:
         mode = "dalembert" if (grid.dimension == 1 and scalar_only) else "discrete"
@@ -545,7 +556,8 @@ def greens_decompose(
     if free is not None:
         chi = chi[free]
     coords = _source_coords(system)
-    ham = build_hamiltonian(system) if mode == "discrete" else None  # one decomposition for all slices
+    if mode == "discrete" and ham is None:
+        ham = build_hamiltonian(system)  # one decomposition for all slices
 
     slices = []
     for j in range(len(breakpoints) - 1):

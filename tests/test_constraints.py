@@ -167,6 +167,29 @@ def test_interp_rows_follows_interp_on_infinite_samples():
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), t
 
 
+def test_induced_source_is_bit_equal_to_the_full_product(rng):
+    # A driven 2D box: the left wall follows random data, the right wall is
+    # pinned to zero. Only free unknowns next to a wall see the data, and the
+    # source skips the other rows of A_fc without changing a bit.
+    pair = build_acoustic_2d(nx=24, ny=20, rho=lambda x: 1.0 + 0.5 * (x[0] > 0.4))
+    left = q.boundary_scalar_indices(pair.grid, ["left"])
+    pinned = q.boundary_scalar_indices(pair.grid, ["left", "right"])
+    times = np.sort(rng.uniform(0.0, 1.0, 9))
+    values = np.zeros((times.size, pinned.size))
+    values[:, np.searchsorted(pinned, left)] = rng.normal(size=(times.size, left.size))
+    values[3, 0] = np.inf
+    red = q.reduce_system(pair, q.dirichlet_constraints(pair.grid, pinned, times, values))
+    a_fc = pair.A[red.free_indices][:, pinned]
+    assert np.count_nonzero(np.diff(a_fc.indptr)) < red.n_total // 10
+    probes = np.concatenate([[-1.0, 2.0], times, rng.uniform(0.0, 1.0, 20)])
+    with np.errstate(invalid="ignore"):
+        for t in probes:
+            full = a_fc @ _interp_rows(times, values, t)
+            got = red.source(t)
+            assert got.dtype == full.dtype and got.shape == full.shape
+            np.testing.assert_array_equal(got.view(np.uint64), full.view(np.uint64))
+
+
 def test_scaled_identity_r_c_divides_the_data():
     # r_c = 2 I means w_c = b/2; check the induced source halves accordingly.
     pair = build_acoustic_1d(n=10)

@@ -2,9 +2,13 @@ import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qwavesim as q
+from qwavesim.discretize import PiecewiseCoefficient
 from qwavesim.encoding import next_power_of_two
 from qwavesim.errors import EncodingError, NumericalError
 
@@ -174,3 +178,116 @@ def test_next_power_of_two():
         32,
         64,
     ]
+
+
+# ---------------------------------------------------------------------------
+# chiral decomposition: H = [[0, iC], [-iC^T, 0]] through the SVD of C
+
+
+@st.composite
+def _coefficients(draw, dimension):
+    """A constant or a one-box piecewise coefficient in [0.5, 3]."""
+    level = st.floats(0.5, 3.0)
+    if draw(st.booleans()):
+        return draw(level)
+    box = np.sort(np.array([draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+                            for _ in range(dimension)]), axis=1)
+    return PiecewiseCoefficient(background=draw(level), regions=((box, draw(level)),))
+
+
+@st.composite
+def _chiral_systems(draw, kind, dimension):
+    """A random pair of one family and dimension, with or without Dirichlet walls."""
+    shape = [draw(st.integers(2, 20 if dimension == 1 else 7)) for _ in range(dimension)]
+    grid = q.build_grid([(0.0, 1.0)] * dimension, shape)
+    if kind == "acoustic":
+        material = q.MaterialModel.acoustic(
+            grid, rho=draw(_coefficients(dimension)), c=draw(_coefficients(dimension))
+        )
+    else:
+        material = q.MaterialModel.maxwell1d(
+            grid, eps=draw(_coefficients(1)), mu=draw(_coefficients(1))
+        )
+    pair = q.assemble_operator_pair(grid, material)
+    walls = ["left", "right"] + (["bottom", "top"] if dimension == 2 else [])
+    sides = draw(st.lists(st.sampled_from(walls), unique=True, max_size=len(walls)))
+    if not sides:
+        return pair
+    pinned = q.boundary_scalar_indices(grid, sides)
+    if pinned.size == grid.n_scalar:
+        return pair
+    return q.reduce_system(pair, q.dirichlet_constraints(grid, pinned))
+
+
+def _assert_decomposes(ham):
+    h = ham.matrix.toarray()
+    evals, evecs = ham.eigendecomposition()
+    assert evals.shape == (ham.dim,) and evecs.shape == (ham.dim, ham.dim)
+    residual = np.abs(h @ evecs - evecs * evals).max()
+    assert residual <= 1e-12 * np.abs(h).max()
+    assert np.abs(evecs.conj().T @ evecs - np.eye(ham.dim)).max() <= 1e-12
+
+
+def _evolved(ham, psi, t):
+    layout = q.StateLayout(num_physical=ham.dim, block_dim=next_power_of_two(ham.dim))
+    amps = np.zeros(layout.block_dim, dtype=np.complex128)
+    amps[: ham.dim] = psi
+    out = q.evolve(q.QuantumRegisterState(amplitudes=amps, scale=1.0, layout=layout), ham, t)
+    return out.amplitudes[: ham.dim]
+
+
+def _random_state(dim, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("kind, dimension", [("acoustic", 1), ("acoustic", 2), ("maxwell", 1)])
+@given(data=st.data(), t=st.floats(-1.5, 1.5), seed=st.integers(0, 2**16))
+def test_chiral_decomposition_is_an_orthonormal_eigenbasis(kind, dimension, data, t, seed):
+    system = data.draw(_chiral_systems(kind, dimension))
+    ham = q.build_hamiltonian(system)
+    assert ham.split == system.scalar_slice.stop
+    _assert_decomposes(ham)
+    psi = _random_state(ham.dim, seed)
+    exact = scipy.linalg.expm(-1j * t * ham.matrix.toarray()) @ psi
+    assert np.abs(_evolved(ham, psi, t) - exact).max() <= 1e-12
+
+
+def test_chiral_decomposition_calls_no_eigh(monkeypatch):
+    pair = build_acoustic_1d(n=9, rho=lambda x: 1.0 + x[0])
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eigh called on a chiral generator")
+
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    _assert_decomposes(q.build_hamiltonian(pair))
+
+
+def test_wrapped_matrix_takes_the_eigh_path_with_the_same_results(rng):
+    pair = build_maxwell(n=11, eps=lambda x: 1.0 + x[0])
+    chiral = q.build_hamiltonian(pair)
+    wrapped = q.Hamiltonian.from_matrix(chiral.matrix)
+    assert chiral.split == 11 and wrapped.split is None
+    _assert_decomposes(wrapped)
+    np.testing.assert_allclose(
+        np.sort(wrapped.eigendecomposition()[0]), np.sort(chiral.eigendecomposition()[0]),
+        rtol=0.0, atol=1e-12 * chiral.maxnorm,
+    )
+    psi = _random_state(chiral.dim, 5)
+    np.testing.assert_allclose(_evolved(wrapped, psi, 0.7), _evolved(chiral, psi, 0.7), atol=1e-12)
+
+
+def test_a_stored_scalar_scalar_entry_takes_the_eigh_path():
+    pair = build_acoustic_1d(n=10, c=lambda x: 1.0 + x[0])
+    a = pair.A.tolil()
+    a[2, 5], a[5, 2] = 0.75, -0.75  # antisymmetric, but inside the scalar block
+    system = types.SimpleNamespace(
+        A=sp.csr_matrix(a), b_diagonal=pair.b_diagonal, scalar_slice=pair.scalar_slice
+    )
+    ham = q.build_hamiltonian(system)
+    assert ham.split is None
+    _assert_decomposes(ham)
+    psi = _random_state(ham.dim, 11)
+    exact = scipy.linalg.expm(-0.9j * ham.matrix.toarray()) @ psi
+    assert np.abs(_evolved(ham, psi, 0.9) - exact).max() <= 1e-12

@@ -572,6 +572,26 @@ def test_boolean_material_coefficient_is_refused(tmp_path, capsys, name):
     assert f"material coefficient {name} must be a number or an object" in err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"times": [0.0, 0.1, 1.0], "values": [0.0, float("inf"), 0.0]},
+        {"times": [0.0, 0.1, 1.0], "values": [0.0, float("nan"), 0.0]},
+        {"times": [0.0, float("inf")], "values": [0.0, 0.0]},
+        {"times": [float("nan"), 1.0], "values": [0.0, 0.0]},
+    ],
+)
+def test_simulate_refuses_non_finite_inline_wall_data(tmp_path, capsys, data):
+    # json.dumps writes Infinity and NaN, which json.loads reads back
+    doc = _fast_doc(boundaries={"left": {"kind": "dirichlet", "data": data}})
+    scenario = _write(tmp_path, doc)
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "qwavesim: validation error:" in err
+    assert "boundaries.left.data: times and values must be finite numbers" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_presim_writes_slices_and_an_index(tmp_path, capsys):
     out = tmp_path / "pre"
     rc = cli.main(

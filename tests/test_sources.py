@@ -1,10 +1,16 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import qwavesim as q
+from qwavesim import checks, cli
 from qwavesim.errors import CausalityError, SourceError
 
 from conftest import build_acoustic_1d, build_maxwell
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _scalar_source(n, center, sigma, node=None, amplitude=1.0):
@@ -321,16 +327,25 @@ def test_greens_slices_cover_the_source():
     assert sum(np.linalg.norm(s.field) for s in slices) > 0.0
 
 
-def _count_eigh(monkeypatch):
-    """Record the dimension of every np.linalg.eigh call."""
-    dims = []
-    eigh = np.linalg.eigh
+def _count_decompositions(monkeypatch):
+    """Record the H dimension of every dense decomposition.
 
-    def counted(a, *args, **kwargs):
+    A chiral H is decomposed through the SVD of its off-diagonal block C,
+    which stands for an H of dim rows + cols; any other H through eigh.
+    """
+    dims = []
+    eigh, svd = np.linalg.eigh, np.linalg.svd
+
+    def counted_eigh(a, *args, **kwargs):
         dims.append(a.shape[0])
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    def counted_svd(a, *args, **kwargs):
+        dims.append(sum(a.shape))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     return dims
 
 
@@ -344,7 +359,7 @@ def _sliced_pulse():
 
 def test_discrete_decomposition_decomposes_once(monkeypatch):
     pair, src = _sliced_pulse()
-    dims = _count_eigh(monkeypatch)
+    dims = _count_decompositions(monkeypatch)
     slices = q.greens_decompose(src, 1.0, 1.0, 0.45, pair, mode="discrete")
     assert len(slices) >= 2
     assert dims == [pair.n_total]
@@ -356,7 +371,7 @@ def test_sync_then_mult_decompose_only_the_block_hamiltonian(monkeypatch):
     state, t_ends = q.assemble_multisource_state(slices, pair)
     ham = q.build_hamiltonian(pair)
     layout = state.layout
-    dims = _count_eigh(monkeypatch)
+    dims = _count_decompositions(monkeypatch)
     sync = q.build_sync_hamiltonian(
         ham, t_ends, max(t_ends), block_dim=layout.block_dim, arity=layout.arity
     )
@@ -365,6 +380,48 @@ def test_sync_then_mult_decompose_only_the_block_hamiltonian(monkeypatch):
     q.evolve(synced, mult, 0.2)
     assert layout.arity >= 2
     assert dims == [ham.dim]
+
+
+def test_sliced_pipeline_check_decomposes_once(monkeypatch):
+    dims = _count_decompositions(monkeypatch)
+    rows = checks.sliced_pipeline()
+    assert all(value <= tol for _, value, tol in rows)
+    assert dims == [build_acoustic_1d(n=128).n_total]
+
+
+def test_discrete_decomposition_shares_a_given_hamiltonian(monkeypatch):
+    pair, src = _sliced_pulse()
+    own = q.greens_decompose(src, 1.0, 1.0, 0.45, pair, mode="discrete")
+    ham = q.build_hamiltonian(pair)
+    ham.eigendecomposition()
+    dims = _count_decompositions(monkeypatch)
+    shared = q.greens_decompose(src, 1.0, 1.0, 0.45, pair, mode="discrete", ham=ham)
+    assert dims == []
+    assert len(shared) == len(own)
+    for a, b in zip(shared, own):
+        np.testing.assert_array_equal(a.field, b.field)
+        assert a.t_end == b.t_end
+
+
+def test_presim_decomposes_once_for_all_discrete_sources(tmp_path, monkeypatch, capsys):
+    doc = json.loads((SCENARIOS / "acoustic_demo.json").read_text())
+    second = dict(doc["sources"][0], location=[60])
+    doc["sources"].append(second)
+    scenario = tmp_path / "two_sources.json"
+    scenario.write_text(json.dumps(doc))
+    dims = _count_decompositions(monkeypatch)
+    out = tmp_path / "out"
+    assert cli.main(["presim", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert dims == [build_acoustic_1d(n=128).n_total]
+    index = json.loads((out / "presim.json").read_text())
+    assert len(index["sources"]) == 2
+
+
+def test_discrete_decomposition_refuses_a_mismatched_hamiltonian():
+    pair, src = _sliced_pulse()
+    ham = q.build_hamiltonian(build_acoustic_1d(n=64))
+    with pytest.raises(SourceError, match="does not match"):
+        q.greens_decompose(src, 1.0, 1.0, 0.45, pair, mode="discrete", ham=ham)
 
 
 def test_single_window_slice_matches_the_unsliced_solution():
