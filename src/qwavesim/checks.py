@@ -9,13 +9,10 @@ so each input and tolerance lives in exactly one place.
 """
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .discretize import MaterialModel, antisymmetry_defect, assemble_operator_pair, build_grid
-from .encoding import build_hamiltonian, encode
-from .errors import ComplexityWarning
+from .encoding import build_hamiltonian, encode, stack_substates
 from .evolution import build_mult_hamiltonian, build_sync_hamiltonian, evolve
 from .initcircuit import (
     PolarGridSpec,
@@ -28,8 +25,10 @@ from .initcircuit import (
 from .measurement import (
     EstimatorConfig,
     SubspaceProjector,
+    augment_state,
     estimate,
     multi_state_observable,
+    pauli_expectation,
     two_state_observable,
 )
 from .reference import spectral_forced_solution
@@ -101,40 +100,46 @@ def conservation():
 
 
 def exact_estimates():
-    """Exact estimates against dense contraction, and the string decompositions."""
+    """Exact estimates against dense contraction and the augmented register.
+
+    Also pins the string counts and coefficients of both decompositions.
+    """
     rng = np.random.default_rng(4)
-    worst = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ComplexityWarning)
-        for rep in range(100):
-            arity = int(rng.choice([1, 2, 4]))
-            n = int(rng.integers(5, 17))
-            states = [rng.normal(size=n) for _ in range(arity)]
-            if rep % 4 == 0:
-                d = 1
-            elif rep % 4 == 1:
-                d = n - 1
-            else:
-                d = int(rng.integers(1, n))
-            stacked = np.sum(states, axis=0)
-            total = float(np.linalg.norm(stacked) ** 2)
-            # The observable route reads the loss off O(1) expectation
-            # differences, so a loss below ~1% of the total energy has
-            # fewer than 12 significant digits left in double precision.
-            # Redraw the rare degenerate masks.
-            while True:
-                mask = np.zeros(n, dtype=bool)
-                mask[rng.choice(n, size=d, replace=False)] = True
-                dense = float(np.linalg.norm(stacked[mask]) ** 2)
-                if dense >= 1e-2 * total:
-                    break
-            result = estimate(states, SubspaceProjector(mask=mask))
-            worst = max(worst, abs(result.value - dense) / dense)
+    worst = worst_string = 0.0
+    for rep in range(100):
+        arity = int(rng.choice([1, 2, 4]))
+        n = int(rng.integers(5, 17))
+        states = [rng.normal(size=n) for _ in range(arity)]
+        if rep % 4 == 0:
+            d = 1
+        elif rep % 4 == 1:
+            d = n - 1
+        else:
+            d = int(rng.integers(1, n))
+        stacked = np.sum(states, axis=0)
+        total = float(np.linalg.norm(stacked) ** 2)
+        # The observable route reads the loss off O(1) expectation
+        # differences, so a loss below ~1% of the total energy has
+        # fewer than 12 significant digits left in double precision.
+        # Redraw the rare degenerate masks.
+        while True:
+            mask = np.zeros(n, dtype=bool)
+            mask[rng.choice(n, size=d, replace=False)] = True
+            dense = float(np.linalg.norm(stacked[mask]) ** 2)
+            if dense >= 1e-2 * total:
+                break
+        projector = SubspaceProjector(mask=mask)
+        result = estimate(states, projector)
+        worst = max(worst, abs(result.value - dense) / dense)
+        augmented = augment_state(stack_substates(states), projector).amplitudes
+        for string, e in zip(result.observable.strings, result.string_expectations):
+            worst_string = max(worst_string, abs(e - pauli_expectation(augmented, string)))
     two = two_state_observable(3)
     coeffs = np.array([s.coeff for s in two.strings])
     multi_miss = max(abs(len(multi_state_observable(m, 4).strings) - 2 * m) for m in (1, 2, 4))
     return [
         ("worst exact estimate vs dense contraction", worst, 1e-12),
+        ("worst string expectation vs augmented register", worst_string, 1e-12),
         ("two-state decomposition string count", abs(len(two.strings) - 4), 0.0),
         ("two-state coefficients", float(np.abs(coeffs - [0.5, -0.5, 0.5, -0.5]).max()), 0.0),
         ("multi-state string count (2M)", multi_miss, 0.0),
@@ -149,15 +154,13 @@ def shot_scaling():
     mask[rng.choice(12, size=5, replace=False)] = True
     projector = SubspaceProjector(mask=mask)
     rms = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ComplexityWarning)
-        exact = estimate(states, projector).value
-        for shots in (10_000, 40_000):
-            errors = []
-            for rep in range(100):
-                config = EstimatorConfig(mode="shots", shots=shots, seed=(101, shots, rep))
-                errors.append(estimate(states, projector, config=config).value - exact)
-            rms[shots] = np.sqrt(np.mean(np.square(errors)))
+    exact = estimate(states, projector).value
+    for shots in (10_000, 40_000):
+        errors = []
+        for rep in range(100):
+            config = EstimatorConfig(mode="shots", shots=shots, seed=(101, shots, rep))
+            errors.append(estimate(states, projector, config=config).value - exact)
+        rms[shots] = np.sqrt(np.mean(np.square(errors)))
     ratio = float(rms[10_000] / rms[40_000])
     return [("shot RMS ratio for 4x shots, offset from 2", abs(ratio - 2.0), 0.6)]
 
@@ -195,9 +198,7 @@ def sliced_pipeline():
     )
     mask = np.zeros(pair.n_total, dtype=bool)
     mask[64:128] = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ComplexityWarning)
-        sliced = estimate(settled, SubspaceProjector(mask=mask)).value
+    sliced = estimate(settled, SubspaceProjector(mask=mask)).value
     mono = spectral_forced_solution(
         pair, chi_pattern(source, grid), stf, stf.t_start, t_final, ham=ham
     )

@@ -79,7 +79,7 @@ def _apply_exponential(ham: Hamiltonian, vec: np.ndarray, t: float, config: Evol
             method = "krylov"
     if method == "dense":
         evals, evecs = ham.eigendecomposition()
-        return evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ vec))
+        return evecs @ (np.exp(-1j * evals * t) * (vec.conj() @ evecs).conj())
     return expm_multiply(sp.csc_matrix(-1j * t * ham.matrix), vec)
 
 

@@ -13,12 +13,22 @@ mirrors what a quantum device would do:
      for the two-state difference loss ||P(a - b)||^2, and 2M strings with
      coefficients all +1/2 for the M-state summation loss (the substate
      factor is the all-ones matrix, written as the sum of all I/X words),
-  3. each string is estimated exactly (deterministic contraction) or from
-     counts: X positions are rotated by Hadamards, bitstrings are drawn
-     multinomially, and the eigenvalue of a draw is the parity over the
-     string's support. Every string consumes its own independent child
-     stream of the seed, in string order, so results are reproducible and
-     string-wise independent.
+  3. each string is estimated exactly or from counts. Both loss
+     decompositions are I or Z on aux, an I/X word on the substate qubits and
+     identity on the data qubits, so the exact expectation needs no
+     augmented register: with G_h the M x M Gram matrix of the sub-state
+     blocks restricted to the subspace (h = 0) or its complement (h = 1), a
+     string with substate masks (zs, xs) has expectation
+     Re sum_h s_h sum_i (-1)^popcount(i & zs) G_h[i, i ^ xs], where s_1 = -1
+     under aux Z and every other s_h = +1; an X on aux gives exactly 0
+     because the two halves have disjoint supports. augment_state and
+     pauli_expectation keep the explicit register route as a reference. In
+     shot mode a device would rotate the X positions by Hadamards, draw
+     bitstrings and keep the parity over the string's support; that parity
+     count is binomial with success probability (1 + <string>)/2, so one
+     binomial draw per string samples exactly the same distribution. Every
+     string consumes its own independent child stream of the seed, in
+     string order, so results are reproducible and string-wise independent.
 
 Note the sign convention relating the two decompositions: the difference loss
 expects the register loaded with (a, b), while the summation loss at M = 2
@@ -38,8 +48,6 @@ import numpy as np
 
 from .encoding import QuantumRegisterState, StateLayout, next_power_of_two, stack_substates
 from .errors import ComplexityWarning, MeasurementError
-
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -284,7 +292,7 @@ def augment_state(
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Estimator mode: deterministic contraction or multinomial shot counts."""
+    """Estimator mode: exact string expectations or seeded binomial parity counts."""
 
     mode: str = "exact"
     shots: int = 10_000
@@ -328,19 +336,37 @@ def _stack_states(states, arity: int | None):
     return stack_substates(vectors, arity or 1)
 
 
-def _hadamard_rotate(psi: np.ndarray, x_mask: int, n_qubits: int) -> np.ndarray:
-    """Apply H on every X position so the word becomes diagonal."""
-    out = psi
-    for q in range(n_qubits):
-        if not (x_mask >> q) & 1:
+def _string_expectations(
+    stack: QuantumRegisterState, projector: SubspaceProjector, strings
+) -> list[float]:
+    """Exact <string> over the augmented register, from two M x M block Gram matrices.
+
+    G[0] and G[1] are the Gram matrices of the sub-state blocks restricted to
+    the subspace and to its complement, the contents of the aux=0 and aux=1
+    halves of augment_state(stack, projector).
+    """
+    layout = stack.layout
+    if projector.n != layout.num_physical:
+        raise MeasurementError(
+            f"projector covers {projector.n} unknowns, state has {layout.num_physical}"
+        )
+    n_data, n_sub = layout.n_data_qubits, layout.n_substate_qubits
+    blocks = stack.amplitudes.reshape(layout.arity, layout.block_dim)
+    inside = projector.padded_mask(layout.block_dim)
+    gram = np.stack([b.conj() @ b.T for b in (blocks[:, inside], blocks[:, ~inside])])
+    sub = np.arange(layout.arity)
+    out = []
+    for string in strings:
+        z_mask, x_mask = string.masks()
+        if (x_mask >> (n_data + n_sub)) & 1:
+            out.append(0.0)  # aux X couples the two halves, whose supports are disjoint
             continue
-        shaped = out.reshape(-1, 2, 1 << q)
-        a = shaped[:, 0, :]
-        b = shaped[:, 1, :]
-        rotated = np.empty_like(shaped)
-        rotated[:, 0, :] = (a + b) * _SQRT_HALF
-        rotated[:, 1, :] = (a - b) * _SQRT_HALF
-        out = rotated.reshape(psi.shape)
+        zs = (z_mask >> n_data) & (layout.arity - 1)
+        xs = (x_mask >> n_data) & (layout.arity - 1)
+        signs = 1.0 - 2.0 * (np.bitwise_count(sub & zs) & 1)
+        halves = gram[:, sub, sub ^ xs] @ signs
+        aux_sign = -1.0 if (z_mask >> (n_data + n_sub)) & 1 else 1.0
+        out.append(float(np.real(halves[0] + aux_sign * halves[1])))
     return out
 
 
@@ -357,16 +383,20 @@ def estimate(
         states: a stacked QuantumRegisterState, or a sequence of equal-length
             vectors that will be stacked (padded to power-of-two arity).
         projector: subspace mask over the physical unknowns.
-        config: exact contraction by default; shot mode requires a seed.
+        config: exact expectations by default; shot mode requires a seed.
         observable: defaults to the summation loss for the stack's arity;
-            pass the two-state difference observable for ||P(a-b)||^2.
+            pass the two-state difference observable for ||P(a-b)||^2. Its
+            strings must be the identity on the data qubits.
         arity: optional expected arity, validated against the input.
 
     Returns:
-        EstimateResult whose value is scale^2 * sum_j c_j <string_j>; in shot
-        mode stderr combines per-string sample variances, each string drawn
-        from its own child stream of the seed (string order), so runs with
-        one seed are reproducible.
+        EstimateResult whose value is scale^2 * sum_j c_j <string_j>. The
+        exact expectations come from the block Gram matrices, without
+        building the augmented register. In shot mode each string's +-1
+        parity count is one binomial draw of config.shots with success
+        probability (1 + <string_j>)/2, from the string's own child stream of
+        the seed (string order), so runs with one seed are reproducible;
+        stderr combines the per-string sample variances.
     """
     config = config or EstimatorConfig()
     stack = _stack_states(states, arity)
@@ -375,6 +405,9 @@ def estimate(
         observable = multi_state_observable(layout.arity, layout.n_data_qubits)
     if observable.arity != layout.arity or observable.n_data_qubits != layout.n_data_qubits:
         raise MeasurementError("observable register does not match the state layout")
+    data_bits = (1 << layout.n_data_qubits) - 1
+    if any((z | x) & data_bits for z, x in (s.masks() for s in observable.strings)):
+        raise MeasurementError("observable strings must be the identity on the data qubits")
 
     if stack.is_null:
         return EstimateResult(
@@ -386,55 +419,34 @@ def estimate(
             string_expectations=tuple(0.0 for _ in observable.strings),
         )
 
-    psi = augment_state(stack, projector)
-    amps = psi.amplitudes
-    scale_sq = psi.scale**2
-
-    if config.mode == "exact":
-        expectations = [pauli_expectation(amps, s) for s in observable.strings]
-        value = scale_sq * float(
-            np.sum([s.coeff * e for s, e in zip(observable.strings, expectations)])
+    expectations = _string_expectations(stack, projector, observable.strings)
+    scale_sq = stack.scale**2
+    stderr, shots = 0.0, None
+    if config.mode == "shots":
+        if config.seed is None:
+            raise MeasurementError("shot mode without a seed is not reproducible; refusing")
+        shots = config.shots
+        streams = np.random.SeedSequence(config.seed).spawn(len(observable.strings))
+        sampled, variances = [], []
+        for e, stream in zip(expectations, streams):
+            rng = np.random.default_rng(stream)
+            n_plus = int(rng.binomial(shots, np.clip((1.0 + e) / 2.0, 0.0, 1.0)))
+            mean = (2 * n_plus - shots) / shots
+            sample_var = max(0.0, shots * (1.0 - mean**2) / (shots - 1))
+            sampled.append(mean)
+            variances.append(sample_var / shots)
+        expectations = sampled
+        stderr = scale_sq * float(
+            np.sqrt(np.sum([s.coeff**2 * v for s, v in zip(observable.strings, variances)]))
         )
-        return EstimateResult(
-            value=value,
-            stderr=0.0,
-            shots=None,
-            mode="exact",
-            observable=observable,
-            string_expectations=tuple(expectations),
-        )
-
-    if config.seed is None:
-        raise MeasurementError("shot mode without a seed is not reproducible; refusing")
-    n_qubits = psi.layout.n_qubits
-    streams = np.random.SeedSequence(config.seed).spawn(len(observable.strings))
-    expectations = []
-    variances = []
-    shots = config.shots
-    idx = np.arange(amps.size)
-    for string, stream in zip(observable.strings, streams):
-        rng = np.random.default_rng(stream)
-        z_mask, x_mask = string.masks()
-        rotated = _hadamard_rotate(amps, x_mask, n_qubits)
-        probs = np.abs(rotated) ** 2
-        probs = probs / probs.sum()
-        counts = rng.multinomial(shots, probs)
-        eigs = 1.0 - 2.0 * (np.bitwise_count(idx & (z_mask | x_mask)) & 1)
-        mean = float(np.dot(counts, eigs) / shots)
-        sample_var = max(0.0, shots * (1.0 - mean**2) / (shots - 1))
-        expectations.append(mean)
-        variances.append(sample_var / shots)
     value = scale_sq * float(
         np.sum([s.coeff * e for s, e in zip(observable.strings, expectations)])
-    )
-    stderr = scale_sq * float(
-        np.sqrt(np.sum([s.coeff**2 * v for s, v in zip(observable.strings, variances)]))
     )
     return EstimateResult(
         value=value,
         stderr=stderr,
         shots=shots,
-        mode="shots",
+        mode=config.mode,
         observable=observable,
         string_expectations=tuple(expectations),
     )

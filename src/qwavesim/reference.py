@@ -218,11 +218,11 @@ def spectral_forced_solution(
     if chi.shape != diag.shape:
         raise ValidationError("forcing pattern does not match the system size")
     sqrt_b = np.sqrt(diag)
-    g = vecs.conj().T @ (chi / sqrt_b)
+    g = ((chi / sqrt_b) @ vecs).conj()
 
     y_hat = np.zeros(lam.size, dtype=np.complex128)
     if w0 is not None:
-        y_hat = np.exp(-1j * lam * (t1 - t0)) * (vecs.conj().T @ (sqrt_b * np.asarray(w0)))
+        y_hat = np.exp(-1j * lam * (t1 - t0)) * ((sqrt_b * np.asarray(w0)).conj() @ vecs).conj()
 
     if t1 > t0:
         lam_max = float(np.abs(lam).max()) if lam.size else 0.0

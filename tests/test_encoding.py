@@ -110,7 +110,7 @@ def test_decode_refuses_genuinely_complex_states():
 def test_spectrum_is_symmetric_about_zero():
     for pair in (build_acoustic_1d(n=12, rho=1.3, c=0.8), build_maxwell(n=12)):
         evals, _ = q.build_hamiltonian(pair).eigendecomposition()
-        np.testing.assert_allclose(np.sort(evals), -np.sort(-evals)[::-1], atol=1e-10)
+        np.testing.assert_allclose(np.sort(evals), -np.sort(evals)[::-1], atol=1e-10)
 
 
 def test_homogeneous_metadata_values():

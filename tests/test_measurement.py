@@ -1,7 +1,13 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qwavesim as q
+from qwavesim.encoding import stack_substates
 from qwavesim.errors import ComplexityWarning, MeasurementError
 
 from conftest import build_acoustic_1d
@@ -236,6 +242,112 @@ def test_large_subspace_warns_about_permutation_cost(rng):
     proj = q.SubspaceProjector.from_indices(n, np.arange(0, n, 2))
     with pytest.warns(ComplexityWarning):
         q.augment_state(state, proj)
+
+
+def test_estimate_on_a_large_subspace_emits_no_complexity_warning(rng):
+    n = 200
+    v = rng.normal(size=n)
+    state = q.encode(v, np.ones(n))
+    proj = q.SubspaceProjector.from_indices(n, np.arange(0, n, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexityWarning)
+        exact = q.estimate(state, proj)
+        q.estimate(state, proj, q.EstimatorConfig(mode="shots", shots=100, seed=1))
+    inside = np.sum(np.abs(state.amplitudes[:n:2]) ** 2)
+    assert exact.value == pytest.approx(state.scale**2 * inside)
+
+
+def _all_words(arity: int, n_data: int) -> q.ObservableDecomposition:
+    """Every {I, X, Z} word on aux and the substate qubits, identity on data."""
+    n_sub = int(np.log2(arity))
+    strings = tuple(
+        q.PauliString("".join(word) + "I" * n_data, 1.0)
+        for word in itertools.product("IXZ", repeat=1 + n_sub)
+    )
+    return q.ObservableDecomposition(strings=strings, arity=arity, n_data_qubits=n_data)
+
+
+@given(
+    arity=st.sampled_from([1, 2, 4, 8]),
+    n=st.integers(1, 12),
+    mask_kind=st.sampled_from(["empty", "full", "random"]),
+    seed=st.integers(0, 2**16),
+)
+def test_block_gram_expectations_match_the_augmented_register(arity, n, mask_kind, seed):
+    rng = np.random.default_rng(seed)
+    vectors = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(arity)]
+    mask = {"empty": np.zeros(n, dtype=bool), "full": np.ones(n, dtype=bool)}.get(
+        mask_kind, rng.random(n) < 0.5
+    )
+    proj = q.SubspaceProjector(mask=mask)
+    stack = stack_substates(vectors, arity)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ComplexityWarning)
+        augmented = q.augment_state(stack, proj).amplitudes
+    n_data = stack.layout.n_data_qubits
+    observables = [q.multi_state_observable(arity, n_data), _all_words(arity, n_data)]
+    if arity == 2:
+        observables.append(q.two_state_observable(n_data))
+    for observable in observables:
+        result = q.estimate(stack, proj, observable=observable)
+        oracle = [q.pauli_expectation(augmented, s) for s in observable.strings]
+        np.testing.assert_allclose(result.string_expectations, oracle, rtol=0, atol=1e-12)
+        expected = stack.scale**2 * sum(s.coeff * e for s, e in zip(observable.strings, oracle))
+        assert result.value == pytest.approx(expected, rel=0, abs=1e-12 * stack.scale**2)
+
+
+def _multinomial_reference(psi: np.ndarray, string: q.PauliString, shots: int, rng) -> float:
+    """Parity mean of a multinomial bitstring draw after Hadamards on the X positions."""
+    z_mask, x_mask = string.masks()
+    rotated = psi.copy()
+    for qubit in range(string.n_qubits):
+        if (x_mask >> qubit) & 1:
+            shaped = rotated.reshape(-1, 2, 1 << qubit)
+            a, b = shaped[:, 0, :].copy(), shaped[:, 1, :].copy()
+            shaped[:, 0, :] = (a + b) / np.sqrt(2.0)
+            shaped[:, 1, :] = (a - b) / np.sqrt(2.0)
+    probs = np.abs(rotated) ** 2
+    counts = rng.multinomial(shots, probs / probs.sum())
+    idx = np.arange(psi.size)
+    eigs = 1.0 - 2.0 * (np.bitwise_count(idx & (z_mask | x_mask)) & 1)
+    return float(np.dot(counts, eigs) / shots)
+
+
+def test_binomial_shots_match_the_multinomial_bitstring_reference(rng):
+    n, shots, reps = 3, 40, 2000
+    vectors = [rng.normal(size=n) for _ in range(2)]
+    proj = q.SubspaceProjector.from_indices(n, [0, 2])
+    stack = stack_substates(vectors, 2)
+    observable = q.two_state_observable(stack.layout.n_data_qubits)
+    augmented = q.augment_state(stack, proj).amplitudes
+    fast = np.array([
+        q.estimate(
+            stack, proj, q.EstimatorConfig(mode="shots", shots=shots, seed=(5, k)), observable
+        ).string_expectations
+        for k in range(reps)
+    ])
+    ref_rng = np.random.default_rng(6)
+    reference = np.array([
+        [_multinomial_reference(augmented, s, shots, ref_rng) for s in observable.strings]
+        for _ in range(reps)
+    ])
+    coeffs = np.array([s.coeff for s in observable.strings])
+    for a, b in ((fast, reference), (fast @ coeffs, reference @ coeffs)):
+        mean_a, mean_b = a.mean(axis=0), b.mean(axis=0)
+        var_a, var_b = a.var(axis=0, ddof=1), b.var(axis=0, ddof=1)
+        assert np.all(np.abs(mean_a - mean_b) <= 5.0 * np.sqrt((var_a + var_b) / reps))
+        var_se = np.sqrt(2.0 * (var_a**2 + var_b**2) / (reps - 1))
+        assert np.all(np.abs(var_a - var_b) <= 5.0 * var_se)
+
+
+@pytest.mark.parametrize("letter", ["Z", "X"])
+def test_estimate_refuses_a_string_on_the_data_qubits(rng, letter):
+    vectors = [rng.normal(size=4) for _ in range(2)]
+    observable = q.ObservableDecomposition(
+        strings=(q.PauliString("II" + letter + "I", 1.0),), arity=2, n_data_qubits=2
+    )
+    with pytest.raises(MeasurementError, match="data qubits"):
+        q.estimate(vectors, q.SubspaceProjector.full(4), observable=observable)
 
 
 def test_stacked_state_arity_is_validated(rng):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import qwavesim as q
 from qwavesim.errors import ValidationError
@@ -150,6 +151,27 @@ def test_spectral_free_evolution_matches_the_unitary_route():
     ham = q.build_hamiltonian(system)
     exact = q.decode(q.evolve(q.encode(w0, system), ham, 0.3), system)
     np.testing.assert_allclose(out, exact, atol=1e-12)
+
+
+@pytest.mark.parametrize("route", ["chiral", "eigh"])
+def test_spectral_solution_matches_expm_with_flux_data_and_drive(route):
+    # Data and drive on scalar and flux unknowns alike, so both the real and
+    # the imaginary halves of the chiral eigenvectors enter the projections.
+    system = build_acoustic_1d(n=24, rho=lambda x: 1.0 + 0.4 * np.sin(5.0 * x[0]))
+    rng = np.random.default_rng(3)
+    w0, chi = rng.normal(size=(2, system.n_total))
+    ham = q.build_hamiltonian(system)
+    if route == "eigh":
+        ham = q.Hamiltonian.from_matrix(ham.matrix)
+    out = q.spectral_forced_solution(
+        system, chi, lambda t: np.ones_like(t), 0.0, 0.3, w0=w0, ham=ham
+    )
+    b = system.b_diagonal()
+    lifted = np.zeros((system.n_total + 1, system.n_total + 1))
+    lifted[:-1, :-1] = system.A.toarray() / b[:, None]
+    lifted[:-1, -1] = chi / b
+    exact = scipy.linalg.expm(0.3 * lifted) @ np.append(w0, 1.0)
+    np.testing.assert_allclose(out, exact[:-1], rtol=0, atol=1e-11 * np.abs(exact).max())
 
 
 def test_spectral_solution_reuses_a_given_hamiltonian():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -725,6 +728,20 @@ def test_usage_problems_exit_with_code_one():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nonsense"])
     assert exc.value.code == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(q.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "qwavesim", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage: qwavesim" in done.stdout
 
 
 @pytest.mark.parametrize(
