@@ -26,7 +26,6 @@ import sys
 from pathlib import Path
 
 from . import checks, io
-from .constraints import ReducedSystem
 from .encoding import build_hamiltonian, encode
 from .errors import NumericalError, ScenarioError, ValidationError
 from .initcircuit import (
@@ -155,9 +154,6 @@ def _run_simulate(args) -> int:
 def _manifest(scenario: Scenario, ham, dt: float, traj) -> dict:
     system = scenario.system
     n_sys = scenario.n_unknowns
-    pinned = (
-        int(system.constrained_indices.size) if isinstance(system, ReducedSystem) else 0
-    )
     t_span = float(traj.times[-1]) - scenario.t_start
     steps = int(round(t_span / dt))
     maxnorm = ham.maxnorm
@@ -173,7 +169,7 @@ def _manifest(scenario: Scenario, ham, dt: float, traj) -> dict:
         "unknowns": {
             "assembled": scenario.pair.n_total,
             "simulated": n_sys,
-            "pinned": pinned,
+            "pinned": scenario.pair.n_total - n_sys,
         },
         "hamiltonian": {
             "maxnorm": maxnorm,
@@ -266,14 +262,8 @@ def _run_presim(args) -> int:
         if spec.decompose is not None:
             dec = spec.decompose
             slices = greens_decompose(
-                spec.source,
-                float(dec["c"]),
-                float(dec["rho"]),
-                float(dec["radius"]),
-                system,
-                mode=dec.get("mode"),
-                steepness=dec.get("steepness"),
-                ham=ham,
+                spec.source, dec["c"], dec["rho"], dec["radius"], system,
+                mode=dec["mode"], steepness=dec["steepness"], ham=ham,
             )
         else:
             slices = [presimulate_pulse(spec.source, system, dt=scenario.dt)]

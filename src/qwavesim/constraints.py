@@ -41,6 +41,9 @@ from .errors import ConstraintError, IncompatibleConstraintError
 
 REDUCED_SYMMETRY_TOL = 1e-12
 
+# (low, high) wall names per axis: the only place wall names are defined
+WALLS = (("left", "right"), ("bottom", "top"))
+
 
 @dataclass(frozen=True)
 class ConstraintSet:
@@ -91,14 +94,18 @@ class ConstraintSet:
 def boundary_scalar_indices(grid: StaggeredGrid, sides: list[str]) -> np.ndarray:
     """Scalar-block unknown indices on named walls of the box.
 
-    Sides are "left"/"right" (x extremes) and, in 2D, "bottom"/"top"
-    (y extremes). Returned indices are sorted and unique.
+    WALLS[ax] names the (low, high) walls of axis ax: "left"/"right" at the
+    x bounds and, in 2D, "bottom"/"top" at the y bounds. A wall holds the
+    nodes whose coordinate on its axis equals that bound. Returned indices
+    are sorted and unique.
     """
-    # nodes[..., i] in 1D and nodes[j, i] in 2D: x is the fastest index
+    # x is the fastest index, so axis ax is array axis D - 1 - ax
     nodes = np.arange(grid.n_scalar, dtype=np.int64).reshape(grid.shape[::-1])
-    walls = {"left": nodes[..., :1], "right": nodes[..., -1:]}
-    if grid.dimension == 2:
-        walls.update(bottom=nodes[0], top=nodes[-1])
+    walls = {
+        name: nodes.take(end, axis=grid.dimension - 1 - ax)
+        for ax, names in enumerate(WALLS[: grid.dimension])
+        for name, end in zip(names, (0, -1))
+    }
     bad = set(sides) - set(walls)
     if bad:
         raise ConstraintError(f"unknown boundary side(s) {sorted(bad)} for this grid")

@@ -20,7 +20,8 @@ only between interior node pairs, so the natural boundary condition (vanishing
 perpendicular flux, a rigid wall) is built into the operator shapes.
 
 Unknowns are ordered scalar block first, then the flux block per axis; within
-a block, indices are row-major with x fastest: k = i + j*n_x.
+a block, axis 0 (x) runs fastest: k = i_0 + n_0*(i_1 + n_1*(i_2 + ...)) for
+per-axis counts n_a, which is C order on the reversed shape.
 
 There is one stored form per operator. A and the stencils are canonical
 float64 scipy CSR (sorted indices, no duplicates, no stored zeros), produced
@@ -93,31 +94,21 @@ class StaggeredGrid:
     @property
     def block_offsets(self) -> tuple[int, ...]:
         """Start offset of each block in the stacked unknown vector."""
-        offs = [0, self.n_scalar]
-        for n in self.n_flux[:-1]:
-            offs.append(offs[-1] + n)
-        return tuple(offs)
+        return tuple(np.cumsum([0, self.n_scalar, *self.n_flux[:-1]]).tolist())
 
     def scalar_index(self, *ij: int) -> int:
         """Node multi-index -> scalar unknown index (x fastest)."""
         if len(ij) != self.dimension:
             raise GridError("multi-index arity does not match grid dimension")
-        k = 0
-        for ax in reversed(range(self.dimension)):
-            i = ij[ax]
-            if not 0 <= i < self.shape[ax]:
-                raise GridError("node index out of range")
-            k = k * self.shape[ax] + i
-        return k
+        if not all(0 <= i < n for i, n in zip(ij, self.shape)):
+            raise GridError("node index out of range")
+        return int(np.ravel_multi_index(ij[::-1], self.shape[::-1]))
 
     def scalar_multi_index(self, k: int) -> tuple[int, ...]:
+        """Scalar unknown index -> node multi-index, the inverse of scalar_index."""
         if not 0 <= k < self.n_scalar:
             raise GridError("scalar index out of range")
-        out = []
-        for ax in range(self.dimension):
-            out.append(k % self.shape[ax])
-            k //= self.shape[ax]
-        return tuple(out)
+        return tuple(int(i) for i in np.unravel_index(k, self.shape[::-1])[::-1])
 
     def flux_shape(self, axis: int) -> tuple[int, ...]:
         return tuple(
@@ -129,7 +120,7 @@ def build_grid(bounds: Sequence[Sequence[float]], shape: Sequence[int]) -> Stagg
     """Build a staggered grid over a 1D interval or 2D box.
 
     Args:
-        bounds: per-axis (low, high) with high > low.
+        bounds: per-axis finite (low, high) with high > low.
         shape: per-axis node counts, each >= 2.
 
     Returns:
@@ -143,6 +134,8 @@ def build_grid(bounds: Sequence[Sequence[float]], shape: Sequence[int]) -> Stagg
     for (lo, hi), n in zip(bounds, shape):
         if n < 2:
             raise GridError("need at least 2 nodes per axis")
+        if not np.isfinite(hi - lo):  # also refuses an infinite or NaN bound
+            raise GridError("grid bounds must be finite numbers")
         if not hi > lo:
             raise GridError("axis upper bound must exceed lower bound")
     spacing = tuple((hi - lo) / (n - 1) for (lo, hi), n in zip(bounds, shape))
@@ -151,17 +144,12 @@ def build_grid(bounds: Sequence[Sequence[float]], shape: Sequence[int]) -> Stagg
     mids = [ax[:-1] + dx / 2 for ax, dx in zip(axes, spacing)]
 
     def mesh(per_axis: list[np.ndarray]) -> np.ndarray:
-        if dim == 1:
-            return per_axis[0][:, None].copy()
-        X, Y = np.meshgrid(per_axis[0], per_axis[1], indexing="xy")
-        # row-major with x fastest: flatten rows of constant y
-        return np.column_stack([X.ravel(order="C"), Y.ravel(order="C")])
+        # the slowest axis first, so the C-order ravel runs x fastest
+        slow_first = np.meshgrid(*per_axis[::-1], indexing="ij")
+        return np.column_stack([m.ravel() for m in slow_first[::-1]])
 
     scalar_coords = mesh(axes)
-    flux_coords = []
-    for ax in range(dim):
-        per_axis = [mids[a] if a == ax else axes[a] for a in range(dim)]
-        flux_coords.append(mesh(per_axis))
+    flux_coords = [mesh([mids[a] if a == ax else axes[a] for a in range(dim)]) for ax in range(dim)]
 
     n_flux = tuple(fc.shape[0] for fc in flux_coords)
     for arr in (scalar_coords, *flux_coords):
@@ -382,6 +370,10 @@ class OperatorPair:
 
     def b_diagonal(self) -> np.ndarray:
         return self.b_diag
+
+    def restrict(self, w_full: np.ndarray) -> np.ndarray:
+        """The identity: every unknown is simulated (ReducedSystem.restrict drops pinned ones)."""
+        return np.asarray(w_full)
 
 
 def assemble_operator_pair(grid: StaggeredGrid, material: MaterialModel) -> OperatorPair:

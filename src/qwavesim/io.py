@@ -17,8 +17,9 @@ Formats (one line each, documented fully in the README):
   circuit            JSON {register, gates, min_rotation_angle}
 
 The CSV readers refuse a row with the wrong number of cells or a cell that is
-not a finite number with ScenarioError, and read_state and read_initial_csv
-also refuse indices outside the vector, fractional or repeated.
+not a finite number with ScenarioError, read_state and read_initial_csv
+also refuse indices outside the vector, fractional or repeated, and
+read_source_csv refuses times that do not strictly increase.
 """
 from __future__ import annotations
 
@@ -202,7 +203,12 @@ def write_energy_csv(path, times, energy) -> None:
 
 
 def read_source_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """An interpolation table of ``time,value`` rows; the times must strictly increase."""
     times, values = _read_table(path, ["time", "value"])
+    back = np.diff(times) <= 0
+    if np.any(back):
+        line = int(np.argmax(back)) + 3  # the header is line 1, so row r + 1 is line r + 3
+        raise ScenarioError(f"{path}: line {line}: time must exceed the previous row's")
     return times, values
 
 

@@ -18,12 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constraints import (
-    ReducedSystem,
-    boundary_scalar_indices,
-    dirichlet_constraints,
-    reduce_system,
-)
+from .constraints import WALLS, boundary_scalar_indices, dirichlet_constraints, reduce_system
 from .discretize import (
     MaterialModel,
     OperatorPair,
@@ -51,8 +46,7 @@ _TOP_LEVEL_KEYS = {
     "grid", "material", "boundaries", "initial", "sources", "evolution",
     "measurements", "estimator", "initcircuit", "output_dir",
 }
-_SIDES_1D = ("left", "right")
-_SIDES_2D = ("left", "right", "bottom", "top")
+_FMAX = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -60,8 +54,9 @@ class SourceSpec:
     """One point source plus its optional slicing request.
 
     chi is the injection pattern already restricted to the simulated
-    unknowns; decompose, when present, holds the homogeneous-ball
-    parameters for greens_decompose (radius, c, rho, mode, steepness).
+    unknowns; decompose, when present, holds the validated homogeneous-ball
+    parameters for greens_decompose: radius, c, rho, mode and steepness
+    (mode and steepness None when not given).
     """
 
     source: PointSource
@@ -92,9 +87,9 @@ class Scenario:
     """A fully validated run description.
 
     system is the operator pair to simulate: the assembled full pair, or
-    the constraint-reduced system when any wall is pinned. initial, every
-    source chi, and every measurement mask are indexed over that system's
-    unknowns.
+    the constraint-reduced system when any wall is pinned. Either one's
+    restrict maps a full vector onto its unknowns, over which initial,
+    every source chi, and every measurement mask are indexed.
     """
 
     path: str
@@ -188,6 +183,22 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _integer(value, where: str) -> int:
+    """An integer field: 3 and 3.0 pass; 3.7, true and "3" are refused, not truncated."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _positive(value, where: str) -> float:
+    """A finite positive float; booleans, strings and integers past float range are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= _FMAX:
+        raise ScenarioError(f"{where} must be a finite positive number, got {value!r}")
+    return float(value)
+
+
 def _parse_grid(raw: dict) -> StaggeredGrid:
     spec = _require(raw, "grid", "scenario")
     bounds = _require(spec, "bounds", "grid")
@@ -195,7 +206,7 @@ def _parse_grid(raw: dict) -> StaggeredGrid:
     extra = set(spec) - {"bounds", "shape"}
     if extra:
         raise ScenarioError(f"grid has unknown keys {sorted(extra)}")
-    return build_grid([tuple(b) for b in bounds], [int(n) for n in shape])
+    return build_grid([tuple(b) for b in bounds], [_integer(n, "grid.shape") for n in shape])
 
 
 def _coefficient(spec, grid: StaggeredGrid, base: Path, name: str):
@@ -255,7 +266,7 @@ def _parse_boundaries(raw: dict, grid: StaggeredGrid, pair: OperatorPair, base: 
     series on one node have no single value, so that is refused.
     """
     spec = raw.get("boundaries", {})
-    sides = _SIDES_1D if grid.dimension == 1 else _SIDES_2D
+    sides = [side for names in WALLS[: grid.dimension] for side in names]
     extra = set(spec) - set(sides)
     if extra:
         raise ScenarioError(f"boundaries: unknown side(s) {sorted(extra)}")
@@ -283,9 +294,11 @@ def _parse_boundaries(raw: dict, grid: StaggeredGrid, pair: OperatorPair, base: 
             else:
                 times = np.asarray(_require(data, "times", f"boundaries.{side}.data"), dtype=np.float64)
                 values = np.asarray(_require(data, "values", f"boundaries.{side}.data"), dtype=np.float64)
-                if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+                if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))
+                        and times.shape == values.shape and np.all(np.diff(times) > 0)):
                     raise ScenarioError(
-                        f"boundaries.{side}.data: times and values must be finite numbers"
+                        f"boundaries.{side}.data: times and values must be finite numbers, "
+                        "one value per strictly increasing time"
                     )
             series = (times, values)
         nodes = boundary_scalar_indices(grid, [side])
@@ -317,12 +330,6 @@ def _parse_boundaries(raw: dict, grid: StaggeredGrid, pair: OperatorPair, base: 
     return reduce_system(pair, constraints)
 
 
-def _restrict(vector: np.ndarray, system) -> np.ndarray:
-    if isinstance(system, ReducedSystem):
-        return system.restrict(vector)
-    return vector
-
-
 def _parse_initial(raw: dict, grid, pair, system, base: Path) -> np.ndarray:
     spec = raw.get("initial", {"kind": "zero"})
     kind = _require(spec, "kind", "initial")
@@ -339,10 +346,10 @@ def _parse_initial(raw: dict, grid, pair, system, base: Path) -> np.ndarray:
         w = np.zeros(pair.n_total)
         r2 = np.sum((grid.scalar_coords - center[None, :]) ** 2, axis=1)
         w[: grid.n_scalar] = amplitude * np.exp(-r2 / (2.0 * sigma**2))
-        return _restrict(w, system)
+        return system.restrict(w)
     if kind == "file":
         w = read_initial_csv(base / _require(spec, "path", "initial"), pair.n_total)
-        return _restrict(w, system)
+        return system.restrict(w)
     raise ScenarioError(f"initial: unknown kind {kind!r}")
 
 
@@ -377,21 +384,30 @@ def _parse_sources(raw: dict, grid, system, base: Path) -> tuple[SourceSpec, ...
     out = []
     for k, spec in enumerate(raw.get("sources", [])):
         where = f"sources[{k}]"
-        location = tuple(int(i) for i in _require(spec, "location", where))
+        location = tuple(_integer(i, f"{where}.location") for i in _require(spec, "location", where))
         polarization = tuple(float(v) for v in _require(spec, "polarization", where))
         f = _parse_time_function(_require(spec, "time_function", where), base)
         source = PointSource(location=location, polarization=polarization, time_function=f)
-        chi = chi_pattern(source, grid)
-        chi = _restrict(chi, system)
+        chi = system.restrict(chi_pattern(source, grid))
         decompose = spec.get("decompose")
         if decompose is not None:
-            for key in ("radius", "c", "rho"):
-                _require(decompose, key, f"{where}.decompose")
-            bad = set(decompose) - {"radius", "c", "rho", "mode", "steepness"}
-            if bad:
-                raise ScenarioError(f"{where}.decompose has unknown keys {sorted(bad)}")
+            decompose = _parse_decompose(decompose, f"{where}.decompose")
         out.append(SourceSpec(source=source, chi=chi, decompose=decompose))
     return tuple(out)
+
+
+def _parse_decompose(spec: dict, where: str) -> dict:
+    """The greens_decompose parameters, refused here rather than midway through presim."""
+    parsed = {k: _positive(_require(spec, k, where), f"{where}.{k}") for k in ("radius", "c", "rho")}
+    bad = set(spec) - {*parsed, "mode", "steepness"}
+    if bad:
+        raise ScenarioError(f"{where} has unknown keys {sorted(bad)}")
+    steepness = spec.get("steepness")
+    parsed["steepness"] = None if steepness is None else _positive(steepness, f"{where}.steepness")
+    parsed["mode"] = mode = spec.get("mode")
+    if mode not in (None, "dalembert", "discrete"):
+        raise ScenarioError(f"{where}.mode must be 'dalembert' or 'discrete', got {mode!r}")
+    return parsed
 
 
 def _parse_evolution(raw: dict):
@@ -407,7 +423,7 @@ def _parse_evolution(raw: dict):
         dt = float(dt)
         if dt <= 0:
             raise ScenarioError("evolution: dt must be positive")
-    record_every = int(spec.get("record_every", 1))
+    record_every = _integer(spec.get("record_every", 1), "evolution.record_every")
     if record_every < 1:
         raise ScenarioError("evolution: record_every must be >= 1")
     return t_start, t_final, dt, record_every
@@ -429,8 +445,8 @@ def _parse_measurements(raw: dict, grid, system) -> tuple[MeasurementRequest, ..
         kind = _require(sub, "kind", f"{where}.subspace")
         mask = np.zeros(n_sys, dtype=bool)
         if kind == "dof_range":
-            start = int(_require(sub, "start", f"{where}.subspace"))
-            stop = int(_require(sub, "stop", f"{where}.subspace"))
+            start = _integer(_require(sub, "start", f"{where}.subspace"), f"{where}.subspace.start")
+            stop = _integer(_require(sub, "stop", f"{where}.subspace"), f"{where}.subspace.stop")
             if not (0 <= start < stop <= n_sys):
                 raise ScenarioError(
                     f"{where}.subspace: need 0 <= start < stop <= {n_sys}"
@@ -449,10 +465,11 @@ def _parse_measurements(raw: dict, grid, system) -> tuple[MeasurementRequest, ..
             )
             full = np.zeros(grid.n_scalar + sum(grid.n_flux), dtype=bool)
             full[: grid.n_scalar] = inside
-            mask = _restrict(full, system)
+            mask = system.restrict(full)
             desc = f"scalar nodes in {box.tolist()}"
         elif kind == "indices":
-            idx = np.asarray(_require(sub, "indices", f"{where}.subspace"), dtype=np.int64)
+            listed = _require(sub, "indices", f"{where}.subspace")
+            idx = np.asarray([_integer(i, f"{where}.subspace.indices") for i in listed], dtype=np.int64)
             if idx.size and (idx.min() < 0 or idx.max() >= n_sys):
                 raise ScenarioError(f"{where}.subspace: index out of range (n={n_sys})")
             mask[idx] = True
@@ -469,14 +486,17 @@ def _parse_estimator(raw: dict, seed_override, shots_override) -> EstimatorConfi
     if bad:
         raise ScenarioError(f"estimator has unknown keys {sorted(bad)}")
     mode = spec.get("mode", "exact")
-    shots = int(spec.get("shots", 10000))
+    shots = _integer(spec.get("shots", 10000), "estimator.shots")
     seed = spec.get("seed")
     if shots_override is not None:
         mode, shots = "shots", int(shots_override)
     if seed_override is not None:
-        seed = int(seed_override)
+        seed = seed_override
     if mode not in ("exact", "shots"):
         raise ScenarioError(f"estimator: unknown mode {mode!r}")
+    integral = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if seed is not None and not (integral and seed >= 0):
+        raise ScenarioError("estimator: seed must be a non-negative integer")
     if mode == "shots" and seed is None:
         raise ScenarioError(
             "estimator: shot mode needs a seed (scenario key or --seed) to stay reproducible"
@@ -491,9 +511,12 @@ def _parse_initcircuit(raw: dict, base: Path) -> InitCircuitSpec | None:
     bad = set(spec) - {"radial_divisions", "extent", "center", "profile"}
     if bad:
         raise ScenarioError(f"initcircuit has unknown keys {sorted(bad)}")
-    divisions = int(_require(spec, "radial_divisions", "initcircuit"))
+    divisions = _require(spec, "radial_divisions", "initcircuit")
+    divisions = _integer(divisions, "initcircuit.radial_divisions")
     extent = float(_require(spec, "extent", "initcircuit"))
     center = tuple(float(v) for v in spec.get("center", (0.0, 0.0)))
+    if len(center) != 2 or not np.all(np.isfinite(center)):
+        raise ScenarioError(f"initcircuit.center must be two finite numbers, got {list(center)}")
     polar = PolarGridSpec.uniform(divisions, extent, center=center)
 
     profile = _require(spec, "profile", "initcircuit")

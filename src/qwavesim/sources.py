@@ -46,9 +46,6 @@ TAIL_CUT = 25.0
 SUPPORT_RTOL = 1e-8
 ENDPOINT_RTOL = 1e-6
 
-_COMPONENTS_1D = ("scalar", "flux_x")
-_COMPONENTS_2D = ("scalar", "flux_x", "flux_y")
-
 
 # ---------------------------------------------------------------------------
 # time functions
@@ -211,10 +208,6 @@ class PointSource:
             raise SourceError("polarization must have a nonzero component")
 
 
-def component_names(dimension: int) -> tuple[str, ...]:
-    return _COMPONENTS_1D if dimension == 1 else _COMPONENTS_2D
-
-
 def chi_pattern(source: PointSource, grid) -> np.ndarray:
     """Time-independent injection vector over the full unknown stack."""
     dim = grid.dimension
@@ -230,27 +223,17 @@ def chi_pattern(source: PointSource, grid) -> np.ndarray:
             raise SourceError("source location outside the grid")
     chi = np.zeros(grid.n_total)
     chi[grid.scalar_index(*loc)] = source.polarization[0]
-    offsets = grid.block_offsets
-    for ax in range(dim):
-        coeff = source.polarization[1 + ax]
-        if coeff == 0.0:
-            continue
+    for ax, (offset, coeff) in enumerate(zip(grid.block_offsets[1:], source.polarization[1:])):
         fshape = grid.flux_shape(ax)
-        mi = list(loc)
-        mi[ax] = min(mi[ax], fshape[ax] - 1)
-        k = 0
-        for a in reversed(range(dim)):
-            k = k * fshape[a] + mi[a]
-        chi[offsets[1 + ax] + k] = coeff
+        midpoint = np.minimum(loc, np.subtract(fshape, 1))  # clamped at the high wall
+        chi[offset + np.ravel_multi_index(midpoint[::-1], fshape[::-1])] = coeff
     return chi
 
 
 def _source_coords(system) -> np.ndarray:
-    """Coordinates of every unknown the system carries (reduced systems restrict)."""
+    """Coordinates of every unknown the system carries."""
     grid = system.grid
-    full = np.concatenate([grid.scalar_coords, *grid.flux_coords], axis=0)
-    free = getattr(system, "free_indices", None)
-    return full if free is None else full[free]
+    return system.restrict(np.concatenate([grid.scalar_coords, *grid.flux_coords], axis=0))
 
 
 def _support_margin_cells(cone_cells: float) -> int:
@@ -335,10 +318,7 @@ def presimulate_pulse(
                 f"{tuple(center)} leaves the domain along axis {ax}; "
                 "shorten the pulse or move the source inward"
             )
-    chi = chi_pattern(source, grid)
-    free = getattr(system, "free_indices", None)
-    if free is not None:
-        chi = chi[free]
+    chi = system.restrict(chi_pattern(source, grid))
 
     def forcing(t: float) -> np.ndarray:
         return chi * f(t)
@@ -505,6 +485,8 @@ def greens_decompose(
         raise SourceError("the windowed decomposition covers the acoustic family")
     if r_s <= 0 or c_hom <= 0 or rho_hom <= 0:
         raise SourceError("ball radius and homogeneous coefficients must be positive")
+    if steepness is not None and not 0 < steepness < np.inf:
+        raise SourceError(f"steepness must be finite and positive, got {steepness!r}")
     if ham is not None and ham.dim != system.n_total:
         raise SourceError(
             f"generator dim {ham.dim} does not match the system's {system.n_total} unknowns"
@@ -551,10 +533,7 @@ def greens_decompose(
     n_windows = max(1, int(np.ceil((last - first) / width - 1e-9)))
     breakpoints = [first + j * width for j in range(n_windows)] + [last]
 
-    chi = chi_pattern(source, grid)
-    free = getattr(system, "free_indices", None)
-    if free is not None:
-        chi = chi[free]
+    chi = system.restrict(chi_pattern(source, grid))
     coords = _source_coords(system)
     if mode == "discrete" and ham is None:
         ham = build_hamiltonian(system)  # one decomposition for all slices
@@ -566,7 +545,7 @@ def greens_decompose(
         slice_cone = c_hom * g.duration
         radius = min(r_s, slice_cone + _support_margin_cells(slice_cone / dx_max) * dx_max)
         if mode == "dalembert":
-            w = _dalembert_field(g, source, grid, c_hom, rho_hom, center, free)
+            w = system.restrict(_dalembert_field(g, source, grid, c_hom, rho_hom, center))
         else:
             w = spectral_forced_solution(system, chi, g, g.t_start, g.t_end, ham=ham)
         w = _enforce_support(w, coords, center, radius)
@@ -592,7 +571,7 @@ def _check_homogeneous_ball(system, center, r_s, c_hom, rho_hom):
 
 
 def _dalembert_field(
-    g: SourceTimeFunction, source, grid, c: float, rho: float, center, free
+    g: SourceTimeFunction, source, grid, c: float, rho: float, center
 ) -> np.ndarray:
     """Closed-form 1D traveling-wave response of a scalar point pulse.
 
@@ -609,5 +588,4 @@ def _dalembert_field(
     u = 0.5 * rho * c * dx * amp * np.asarray(g(t_eval - np.abs(x_u - x_s) / c))
     v_mag = np.asarray(g(t_eval - np.abs(x_v - x_s) / c))
     v = 0.5 * dx * amp * np.sign(x_v - x_s) * v_mag
-    w = np.concatenate([u, v])
-    return w if free is None else w[free]
+    return np.concatenate([u, v])

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qwavesim as q
+from qwavesim.constraints import WALLS
 from qwavesim.errors import GridError, MaterialError
 
 from conftest import build_acoustic_1d, build_acoustic_2d, build_maxwell
@@ -43,6 +46,65 @@ def test_degenerate_grid_refused():
         q.build_grid([(0.0, 0.0)], [4])
     with pytest.raises(GridError):
         q.build_grid([(0.0, 1.0)], [1])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_grid_bounds_refused(bad):
+    with pytest.raises(GridError, match="grid bounds must be finite"):
+        q.build_grid([(0.0, bad)], [4])
+    with pytest.raises(GridError, match="grid bounds must be finite"):
+        q.build_grid([(0.0, 1.0), (bad, 1.0)], [4, 4])
+
+
+@st.composite
+def _grids(draw):
+    """A 1D or 2D grid with random bounds and node counts."""
+    dimension = draw(st.integers(1, 2))
+    bounds = []
+    for _ in range(dimension):
+        lo = draw(st.floats(-100.0, 100.0))
+        bounds.append((lo, lo + draw(st.floats(1e-3, 100.0))))
+    return q.build_grid(bounds, [draw(st.integers(2, 9)) for _ in range(dimension)])
+
+
+_PULSE = q.gaussian_pulse(center=0.1, sigma=0.01)
+
+
+@given(grid=_grids(), data=st.data())
+def test_index_maps_walls_and_source_midpoints_on_random_grids(grid, data):
+    lo = np.array([b[0] for b in grid.bounds])
+    dx = np.array(grid.spacing)
+    # scalar_index and scalar_multi_index are inverse bijections, and node ij sits at lo + ij*dx
+    for k in range(grid.n_scalar):
+        ij = grid.scalar_multi_index(k)
+        assert all(0 <= i < n for i, n in zip(ij, grid.shape))
+        assert grid.scalar_index(*ij) == k
+        np.testing.assert_array_equal(grid.scalar_coords[k], lo + np.array(ij) * dx)
+
+    # a wall holds exactly the nodes whose coordinate on its axis is that axis's bound
+    for ax, names in enumerate(WALLS[: grid.dimension]):
+        for name, bound in zip(names, grid.bounds[ax]):
+            on_wall = np.abs(grid.scalar_coords[:, ax] - bound) < dx[ax] / 4
+            np.testing.assert_array_equal(
+                q.boundary_scalar_indices(grid, [name]), np.flatnonzero(on_wall)
+            )
+
+    # each flux family is driven at the midpoint just above the source node,
+    # or just below it on the high wall, with that family's coefficient
+    loc = tuple(data.draw(st.integers(0, n - 1)) for n in grid.shape)
+    polarization = tuple(float(c) for c in range(1, grid.dimension + 2))
+    source = q.PointSource(location=loc, polarization=polarization, time_function=_PULSE)
+    chi = q.chi_pattern(source, grid)
+    node = grid.scalar_coords[grid.scalar_index(*loc)]
+    np.testing.assert_array_equal(np.flatnonzero(chi[: grid.n_scalar]), [grid.scalar_index(*loc)])
+    offsets = (*grid.block_offsets, grid.n_total)
+    for ax in range(grid.dimension):
+        block = chi[offsets[1 + ax] : offsets[2 + ax]]
+        (k,) = np.flatnonzero(block)
+        assert block[k] == polarization[1 + ax]
+        expected = node.copy()
+        expected[ax] += dx[ax] / 2 if loc[ax] < grid.shape[ax] - 1 else -dx[ax] / 2
+        np.testing.assert_allclose(grid.flux_coords[ax][k], expected, rtol=0, atol=1e-6 * dx[ax])
 
 
 def test_gradient_of_constant_field_is_zero():

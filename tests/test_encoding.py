@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qwavesim as q
+from qwavesim.constraints import WALLS
 from qwavesim.discretize import PiecewiseCoefficient
 from qwavesim.encoding import next_power_of_two
 from qwavesim.errors import EncodingError, NumericalError
@@ -209,7 +210,7 @@ def _chiral_systems(draw, kind, dimension):
             grid, eps=draw(_coefficients(1)), mu=draw(_coefficients(1))
         )
     pair = q.assemble_operator_pair(grid, material)
-    walls = ["left", "right"] + (["bottom", "top"] if dimension == 2 else [])
+    walls = [side for names in WALLS[:dimension] for side in names]
     sides = draw(st.lists(st.sampled_from(walls), unique=True, max_size=len(walls)))
     if not sides:
         return pair

@@ -595,6 +595,136 @@ def test_simulate_refuses_non_finite_inline_wall_data(tmp_path, capsys, data):
     assert not (tmp_path / "out").exists()
 
 
+_SOURCE = {
+    "location": [16],
+    "polarization": [1.0, 0.0],
+    "time_function": {"kind": "gaussian", "center": 0.1, "sigma": 0.02},
+}
+_RING = {
+    "radial_divisions": 4,
+    "extent": 1.0,
+    "profile": {"kind": "gaussian_ring", "radius": 0.5, "width": 0.2},
+}
+_BACKWARDS = "time,value\n0.0,1.0\n0.5,2.0\n0.4,1.5\n"  # line 4 goes back in time
+
+
+def _decompose(**bad):
+    decompose = dict({"radius": 0.45, "c": 1.0, "rho": 1.0}, **bad)
+    return {"sources": [dict(_SOURCE, decompose=decompose)]}
+
+
+def _wall(data):
+    return {"boundaries": {"left": {"kind": "dirichlet", "data": data}}}
+
+
+def _measure(subspace):
+    return {"measurements": [{"name": "m", "subspace": subspace}]}
+
+
+def _case(case_id, overrides, message, command="simulate", files=(), args=()):
+    return pytest.param(command, overrides, dict(files), list(args), message, id=case_id)
+
+
+_SEED = "estimator: seed must be a non-negative integer"
+_MALFORMED = [
+    _case("steepness-zero", _decompose(steepness=0), "sources[0].decompose.steepness", "presim"),
+    _case("steepness-text", _decompose(steepness="abc"), "sources[0].decompose.steepness",
+          "presim"),
+    _case("steepness-negative", _decompose(steepness=-5), "sources[0].decompose.steepness",
+          "presim"),
+    _case("c-text", _decompose(c="fast"), "sources[0].decompose.c", "presim"),
+    _case("radius-null", _decompose(radius=None), "sources[0].decompose.radius", "presim"),
+    _case("radius-infinite", _decompose(radius=float("inf")), "sources[0].decompose.radius",
+          "presim"),
+    _case("radius-past-float-range", _decompose(radius=10**400), "sources[0].decompose.radius",
+          "presim"),
+    _case("rho-negative", _decompose(rho=-1.0), "sources[0].decompose.rho", "presim"),
+    _case("mode-closed-form", _decompose(mode="closed_form"), "sources[0].decompose.mode",
+          "presim"),
+    _case("seed-negative", {"estimator": {"mode": "shots", "seed": -1}}, _SEED),
+    _case("seed-text", {"estimator": {"mode": "shots", "seed": "s"}}, _SEED),
+    _case("seed-fraction", {"estimator": {"mode": "shots", "seed": 1.5}}, _SEED),
+    _case("seed-true", {"estimator": {"mode": "shots", "seed": True}}, _SEED),
+    _case("seed-override-negative", {}, _SEED, args=["--shots", "100", "--seed", "-1"]),
+    _case("wall-times-decreasing", _wall({"times": [1.0, 0.0], "values": [0.0, 0.0]}),
+          "boundaries.left.data"),
+    _case("wall-lengths-differ", _wall({"times": [0.0, 1.0], "values": [0.0, 0.0, 0.0]}),
+          "boundaries.left.data"),
+    _case("wall-csv-decreasing", _wall({"path": "wall.csv"}), "wall.csv: line 4",
+          files={"wall.csv": _BACKWARDS}),
+    _case("material-file-decreasing",
+          {"material": {"family": "acoustic", "rho": {"kind": "file", "path": "rho.csv"},
+                        "c": 1.0}},
+          "rho.csv: line 4", files={"rho.csv": _BACKWARDS}),
+    _case("drive-file-decreasing",
+          {"sources": [dict(_SOURCE, time_function={"kind": "file", "path": "drive.csv"})]},
+          "drive.csv: line 4", files={"drive.csv": _BACKWARDS}),
+    _case("profile-file-decreasing",
+          {"initcircuit": dict(_RING, profile={"kind": "file", "path": "profile.csv"})},
+          "profile.csv: line 4", "initcircuit", files={"profile.csv": _BACKWARDS}),
+    _case("location-fraction", {"sources": [dict(_SOURCE, location=[16.7])]},
+          "sources[0].location"),
+    _case("shape-fraction", {"grid": {"bounds": [[0.0, 1.0]], "shape": [3.7]}}, "grid.shape"),
+    _case("bounds-infinite", {"grid": {"bounds": [[0.0, float("inf")]], "shape": [32]}},
+          "grid bounds must be finite"),
+    _case("indices-fraction", _measure({"kind": "indices", "indices": [1.5]}),
+          "measurements[0].subspace.indices"),
+    _case("start-fraction", _measure({"kind": "dof_range", "start": 1.5, "stop": 4}),
+          "measurements[0].subspace.start"),
+    _case("stop-fraction", _measure({"kind": "dof_range", "start": 1, "stop": 4.5}),
+          "measurements[0].subspace.stop"),
+    _case("shots-fraction", {"estimator": {"mode": "shots", "shots": 1.5, "seed": 1}},
+          "estimator.shots"),
+    _case("record-every-fraction", {"evolution": {"t_final": 0.1, "record_every": 2.5}},
+          "evolution.record_every"),
+    _case("radial-divisions-fraction", {"initcircuit": dict(_RING, radial_divisions=4.5)},
+          "initcircuit.radial_divisions", "initcircuit"),
+    _case("center-one-number", {"initcircuit": dict(_RING, center=[0])}, "initcircuit.center",
+          "initcircuit"),
+    _case("center-infinite", {"initcircuit": dict(_RING, center=[float("inf"), 0.0])},
+          "initcircuit.center", "initcircuit"),
+]
+
+
+@pytest.mark.parametrize("command, overrides, files, args, message", _MALFORMED)
+def test_malformed_field_exits_one_naming_the_key(
+    tmp_path, capsys, command, overrides, files, args, message
+):
+    for name, body in files.items():
+        (tmp_path / name).write_text(body)
+    scenario = _write(tmp_path, _fast_doc(**overrides))
+    out = tmp_path / "out"
+    assert cli.main([command, "--scenario", str(scenario), "--out", str(out), *args]) == 1
+    err = capsys.readouterr().err
+    assert "qwavesim: validation error:" in err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_integral_floats_are_valid_integer_fields(tmp_path):
+    def doc(number):
+        return _base(
+            grid={"bounds": [[0.0, 1.0]], "shape": [number(32)]},
+            sources=[dict(_SOURCE, location=[number(16)])],
+            evolution={"t_final": 0.1, "record_every": number(2)},
+            measurements=[
+                {"name": "a", "subspace": {"kind": "indices", "indices": [number(10)]}},
+                {"name": "b", "subspace": {"kind": "dof_range", "start": number(1),
+                                           "stop": number(4)}},
+            ],
+            estimator={"mode": "shots", "shots": number(100), "seed": 3},
+        )
+
+    as_int = q.load_scenario(_write(tmp_path, doc(int), "int.json"))
+    as_float = q.load_scenario(_write(tmp_path, doc(float), "float.json"))
+    assert as_float.grid.shape == as_int.grid.shape == (32,)
+    assert as_float.sources[0].source.location == (16,)
+    assert as_float.record_every == 2 and as_float.estimator.shots == 100
+    for a, b in zip(as_int.measurements, as_float.measurements):
+        np.testing.assert_array_equal(a.projector.mask, b.projector.mask)
+
+
 def test_presim_writes_slices_and_an_index(tmp_path, capsys):
     out = tmp_path / "pre"
     rc = cli.main(

@@ -499,6 +499,15 @@ def test_greens_refuses_ball_too_small_for_any_window():
         q.greens_decompose(src, 1.0, 1.0, 0.05, pair, mode="discrete")
 
 
+@pytest.mark.parametrize("steepness", [0.0, -5.0, np.inf, np.nan])
+@pytest.mark.parametrize("mode", ["dalembert", "discrete"])
+def test_greens_refuses_a_steepness_that_is_not_finite_and_positive(mode, steepness):
+    pair = build_acoustic_1d(n=64)
+    src = _scalar_source(64, center=0.1, sigma=0.01, node=32)
+    with pytest.raises(SourceError, match="steepness must be finite and positive"):
+        q.greens_decompose(src, 1.0, 1.0, 0.45, pair, mode=mode, steepness=steepness)
+
+
 def test_greens_mode_restrictions():
     pair = build_acoustic_1d(n=64)
     f = q.gaussian_pulse(0.1, 0.01)
