@@ -58,6 +58,7 @@ from .initcircuit import (
     Gate,
     GateCircuit,
     PolarGridSpec,
+    RadialField,
     ReferenceRay,
     build_circuit,
     covariance_defect,

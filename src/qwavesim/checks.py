@@ -16,6 +16,7 @@ from .encoding import build_hamiltonian, encode, stack_substates
 from .evolution import build_mult_hamiltonian, build_sync_hamiltonian, evolve
 from .initcircuit import (
     PolarGridSpec,
+    RadialField,
     build_circuit,
     direct_polar_state,
     fidelity,
@@ -220,13 +221,7 @@ def preparation_circuit():
         worst, budget_miss = 0.0, 0
         for _ in range(10):
             profile = rng.uniform(0.2, 1.0, size=divisions)
-
-            def field(x, profile=profile):
-                r = float(np.hypot(x[0], x[1]))
-                if r == 0.0:
-                    return np.zeros(2)
-                return float(np.interp(r, radii, profile)) * np.asarray(x) / r
-
+            field = RadialField((0.0, 0.0), lambda r, profile=profile: np.interp(r, radii, profile))
             ray = sample_reference_ray(field, spec)
             budget_miss = max(budget_miss, abs(ray.eval_count - divisions))
             prepared = simulate_circuit(build_circuit(spec), ray)

@@ -25,6 +25,15 @@ concern and does not enter the polar loader.
 Fields that are not covariant cannot be prepared this way; the module
 measures a covariance defect instead of guessing, and the fidelity between
 the circuit output and the direct construction is the acceptance metric.
+
+A field is any callable from one point, shape (2,), to its two components.
+The ray, the direct construction and the covariance defect each sample the
+field on a point table (PolarGridSpec.points, shape (A, Theta, 2)). A field
+with a table method, such as RadialField, is evaluated on the whole table in
+one call, with the same bits as point by point; any other callable is called
+once per point and must return two components. The reported evaluation
+counts (A for the ray, A Theta for the direct state) count grid points
+either way.
 """
 from __future__ import annotations
 
@@ -55,15 +64,15 @@ class PolarGridSpec:
         if len(self.radii) != a:
             raise InitCircuitError("need one radius per radial division")
         r = np.asarray(self.radii, dtype=np.float64)
-        if np.any(r <= 0) or np.any(np.diff(r) <= 0):
-            raise InitCircuitError("radii must be positive and strictly increasing")
+        if not (np.all(np.isfinite(r)) and np.all(r > 0) and np.all(np.diff(r) > 0)):
+            raise InitCircuitError("radii must be finite, positive and strictly increasing")
 
     @classmethod
     def uniform(
         cls, radial_divisions: int, extent: float, center: tuple[float, float] = (0.0, 0.0)
     ) -> "PolarGridSpec":
-        if extent <= 0:
-            raise InitCircuitError("radial extent must be positive")
+        if not extent > 0:
+            raise InitCircuitError(f"radial extent must be positive, got {extent!r}")
         radii = tuple(
             extent * (a + 1) / radial_divisions for a in range(radial_divisions)
         )
@@ -90,10 +99,64 @@ class PolarGridSpec:
             [self.center[0] + r * np.cos(th), self.center[1] + r * np.sin(th)]
         )
 
+    def angles(self) -> np.ndarray:
+        """Every angle(k), as one array."""
+        return np.pi * np.arange(self.angular_divisions) / self.angular_divisions
+
+    def points(self) -> np.ndarray:
+        """The (A, Theta, 2) table of grid points; points()[a, k] equals point(a, k) bit for bit."""
+        th = self.angles()
+        r = np.asarray(self.radii)[:, None]
+        return np.stack(
+            [self.center[0] + r * np.cos(th), self.center[1] + r * np.sin(th)], axis=-1
+        )
+
+
+@dataclass(frozen=True)
+class RadialField:
+    """Planar field pointing away from center with magnitude profile(r), zero at the center.
+
+    profile maps an array of radii to magnitudes element by element. table
+    evaluates a whole (..., 2) point table at once; calling the field on one
+    point is a table of one.
+    """
+
+    center: tuple[float, float]
+    profile: Callable[[np.ndarray], np.ndarray]
+
+    def table(self, points: np.ndarray) -> np.ndarray:
+        w = np.asarray(points, dtype=np.float64) - np.asarray(self.center, dtype=np.float64)
+        # vecdot, like np.linalg.norm on one point, keeps per-point bits; hypot does not
+        r = np.vecdot(w, w)[..., None]
+        np.sqrt(r, out=r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w *= self.profile(r)
+            w /= r
+        w[r[..., 0] == 0.0] = 0.0
+        return w
+
+    def __call__(self, x) -> np.ndarray:
+        return self.table(np.asarray(x, dtype=np.float64)[None])[0]
+
+
+def _sample(field: Callable[[np.ndarray], Sequence[float]], points: np.ndarray) -> np.ndarray:
+    """Field values on a (..., 2) point table, through field.table when the field has one."""
+    table = getattr(field, "table", None)
+    if table is not None:
+        return table(points)
+    flat = points.reshape(-1, 2)
+    values = np.empty_like(flat)
+    for i, x in enumerate(flat):
+        w = np.asarray(field(x), dtype=np.float64)
+        if w.shape != (2,):
+            raise InitCircuitError(f"field must return 2 components, got shape {w.shape}")
+        values[i] = w
+    return values.reshape(points.shape)
+
 
 @dataclass(frozen=True)
 class ReferenceRay:
-    """Field samples along theta = 0: values[c, a], their norm, and the call count."""
+    """Field samples along theta = 0: values[c, a], their norm, and the evaluation count."""
 
     values: np.ndarray
     norm: float
@@ -112,22 +175,12 @@ def sample_reference_ray(
     radial_divisions evaluations; a zero ray cannot be normalized and is
     refused.
     """
-    a_n = spec.radial_divisions
-    values = np.zeros((spec.components, a_n))
-    count = 0
-    for a in range(a_n):
-        w = np.asarray(field(spec.point(a, 0)), dtype=np.float64)
-        count += 1
-        if w.shape != (spec.components,):
-            raise InitCircuitError(
-                f"field must return {spec.components} components, got shape {w.shape}"
-            )
-        values[:, a] = w
+    values = np.ascontiguousarray(_sample(field, spec.points()[:, 0]).T)
     norm = float(np.linalg.norm(values))
     if norm == 0.0:
         raise InitCircuitError("reference ray is identically zero; nothing to prepare")
     values.setflags(write=False)
-    return ReferenceRay(values=values, norm=norm, eval_count=count)
+    return ReferenceRay(values=values, norm=norm, eval_count=spec.radial_divisions)
 
 
 @dataclass(frozen=True)
@@ -188,8 +241,9 @@ def build_circuit(spec: PolarGridSpec) -> GateCircuit:
     )
 
 
-def _place_value(circuit: GateCircuit, qubit_id: int) -> int:
-    return 1 << (circuit.n_qubits - 1 - qubit_id)
+def _qubit_slice(n_qubits: int, fixed: dict[int, int]) -> tuple:
+    """Index into the (2,) * n_qubits view of a statevector with the given qubits fixed."""
+    return tuple(fixed.get(q, slice(None)) for q in range(n_qubits))
 
 
 def simulate_circuit(circuit: GateCircuit, ray: ReferenceRay) -> QuantumRegisterState:
@@ -198,10 +252,11 @@ def simulate_circuit(circuit: GateCircuit, ray: ReferenceRay) -> QuantumRegister
     The scale is the full-grid norm N' sqrt(Theta), so scale times the
     amplitudes reproduces the field samples for covariant inputs.
     """
+    n = circuit.n_qubits
     theta = 1 << circuit.n_angular_qubits
-    dim = 1 << circuit.n_qubits
+    dim = 1 << n
     psi = np.zeros(dim, dtype=np.complex128)
-    idx = np.arange(dim)
+    bits = psi.reshape((2,) * n)  # axis q is qubit q, most significant first
 
     for gate in circuit.gates:
         if gate.kind == "prep":
@@ -209,24 +264,20 @@ def simulate_circuit(circuit: GateCircuit, ray: ReferenceRay) -> QuantumRegister
             if loaded.size * theta != dim:
                 raise InitCircuitError("reference ray does not match the circuit register")
             psi[:] = 0.0
-            psi[idx % theta == 0] = loaded  # angular register in |0>
+            psi.reshape(-1, theta)[:, 0] = loaded  # angular register in |0>
         elif gate.kind == "h":
-            p = _place_value(circuit, gate.qubits[0])
-            lo = idx[(idx // p) % 2 == 0]
-            hi = lo + p
-            a, b = psi[lo].copy(), psi[hi].copy()
-            psi[lo] = (a + b) / np.sqrt(2.0)
-            psi[hi] = (a - b) / np.sqrt(2.0)
+            q = gate.qubits[0]
+            lo, hi = bits[_qubit_slice(n, {q: 0})], bits[_qubit_slice(n, {q: 1})]
+            a, b = lo.copy(), hi.copy()
+            lo[...] = (a + b) / np.sqrt(2.0)
+            hi[...] = (a - b) / np.sqrt(2.0)
         else:  # crot
-            pc = _place_value(circuit, gate.qubits[0])
-            pt = _place_value(circuit, gate.qubits[1])
-            on = ((idx // pc) % 2 == 1) & ((idx // pt) % 2 == 0)
-            i0 = idx[on]
-            i1 = i0 + pt
-            a, b = psi[i0].copy(), psi[i1].copy()
+            control, target = gate.qubits
+            i0, i1 = (bits[_qubit_slice(n, {control: 1, target: t})] for t in (0, 1))
+            a, b = i0.copy(), i1.copy()
             cos_t, sin_t = np.cos(gate.angle), np.sin(gate.angle)
-            psi[i0] = cos_t * a - sin_t * b
-            psi[i1] = sin_t * a + cos_t * b
+            i0[...] = cos_t * a - sin_t * b
+            i1[...] = sin_t * a + cos_t * b
 
     layout = StateLayout(num_physical=dim, block_dim=dim)
     return QuantumRegisterState(
@@ -242,14 +293,7 @@ def direct_polar_state(
     The oracle the circuit is judged against; returns the state and the
     evaluation count (radial times angular divisions).
     """
-    a_n, t_n = spec.radial_divisions, spec.angular_divisions
-    values = np.zeros((spec.components, a_n, t_n))
-    count = 0
-    for a in range(a_n):
-        for k in range(t_n):
-            w = np.asarray(field(spec.point(a, k)), dtype=np.float64)
-            count += 1
-            values[:, a, k] = w
+    values = np.ascontiguousarray(np.moveaxis(_sample(field, spec.points()), -1, 0))
     norm = float(np.linalg.norm(values))
     if norm == 0.0:
         raise InitCircuitError("field is identically zero on the polar grid")
@@ -257,7 +301,7 @@ def direct_polar_state(
     layout = StateLayout(num_physical=dim, block_dim=next_power_of_two(dim))
     amps = np.zeros(layout.block_dim, dtype=np.complex128)
     amps[:dim] = values.ravel() / norm
-    return QuantumRegisterState(amplitudes=amps, scale=norm, layout=layout), count
+    return QuantumRegisterState(amplitudes=amps, scale=norm, layout=layout), spec.n_points
 
 
 def fidelity(a: QuantumRegisterState, b: QuantumRegisterState) -> float:
@@ -277,18 +321,12 @@ def covariance_defect(
     caller should fall back to direct construction.
     """
     ray = sample_reference_ray(field, spec)
-    worst = 0.0
     peak = float(np.abs(ray.values).max())
-    for a in range(spec.radial_divisions):
-        w0 = ray.values[:, a]
-        for k in range(spec.angular_divisions):
-            th = spec.angle(k)
-            rot = np.array(
-                [
-                    [np.cos(th), -np.sin(th)],
-                    [np.sin(th), np.cos(th)],
-                ]
-            )
-            w = np.asarray(field(spec.point(a, k)), dtype=np.float64)
-            worst = max(worst, float(np.linalg.norm(w - rot @ w0)))
+    th = spec.angles()
+    cos, sin = np.cos(th), np.sin(th)
+    rot = np.stack([np.stack([cos, -sin], axis=-1), np.stack([sin, cos], axis=-1)], axis=-2)
+    diff = _sample(field, spec.points())
+    # (Theta, 2, 2) rotations times the (A, 2) ray: the rotated ray at every (a, k)
+    diff -= (rot[None] @ ray.values.T[:, None, :, None])[..., 0]
+    worst = float(np.sqrt(np.vecdot(diff, diff).max()))
     return worst / peak if peak else 0.0

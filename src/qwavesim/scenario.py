@@ -13,6 +13,7 @@ scenario path for context.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
@@ -29,7 +30,7 @@ from .discretize import (
     build_grid,
 )
 from .errors import ScenarioError
-from .initcircuit import PolarGridSpec
+from .initcircuit import PolarGridSpec, RadialField
 from .io import read_initial_csv, read_json, read_source_csv
 from .measurement import EstimatorConfig, SubspaceProjector
 from .sources import (
@@ -190,6 +191,14 @@ def _integer(value, where: str) -> int:
     ):
         raise ScenarioError(f"{where}: expected an integer, got {value!r}")
     return int(value)
+
+
+def _finite(value, where: str) -> float:
+    """A finite float; booleans, strings, NaN, infinities and out-of-range integers are refused."""
+    finite = isinstance(value, (int, float)) and -_FMAX <= value <= _FMAX
+    if isinstance(value, bool) or not finite:
+        raise ScenarioError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _positive(value, where: str) -> float:
@@ -414,13 +423,13 @@ def _parse_evolution(raw: dict):
     spec = raw.get("evolution")
     if spec is None:
         return 0.0, None, None, 1
-    t_start = float(spec.get("t_start", 0.0))
-    t_final = float(_require(spec, "t_final", "evolution"))
+    t_start = _finite(spec.get("t_start", 0.0), "evolution.t_start")
+    t_final = _finite(_require(spec, "t_final", "evolution"), "evolution.t_final")
     if not t_final > t_start:
         raise ScenarioError("evolution: t_final must exceed t_start")
     dt = spec.get("dt")
     if dt is not None:
-        dt = float(dt)
+        dt = _finite(dt, "evolution.dt")
         if dt <= 0:
             raise ScenarioError("evolution: dt must be positive")
     record_every = _integer(spec.get("record_every", 1), "evolution.record_every")
@@ -513,7 +522,7 @@ def _parse_initcircuit(raw: dict, base: Path) -> InitCircuitSpec | None:
         raise ScenarioError(f"initcircuit has unknown keys {sorted(bad)}")
     divisions = _require(spec, "radial_divisions", "initcircuit")
     divisions = _integer(divisions, "initcircuit.radial_divisions")
-    extent = float(_require(spec, "extent", "initcircuit"))
+    extent = _finite(_require(spec, "extent", "initcircuit"), "initcircuit.extent")
     center = tuple(float(v) for v in spec.get("center", (0.0, 0.0)))
     if len(center) != 2 or not np.all(np.isfinite(center)):
         raise ScenarioError(f"initcircuit.center must be two finite numbers, got {list(center)}")
@@ -522,34 +531,28 @@ def _parse_initcircuit(raw: dict, base: Path) -> InitCircuitSpec | None:
     profile = _require(spec, "profile", "initcircuit")
     kind = _require(profile, "kind", "initcircuit.profile")
     if kind == "gaussian_ring":
-        r0 = float(_require(profile, "radius", "initcircuit.profile"))
-        width = float(_require(profile, "width", "initcircuit.profile"))
-        amplitude = float(profile.get("amplitude", 1.0))
-        if width <= 0:
-            raise ScenarioError("initcircuit.profile: width must be positive")
+        where = "initcircuit.profile"
+        r0 = _finite(_require(profile, "radius", where), f"{where}.radius")
+        width = _positive(_require(profile, "width", where), f"{where}.width")
+        amplitude = _finite(profile.get("amplitude", 1.0), f"{where}.amplitude")
 
-        def magnitude(r: float) -> float:
-            return amplitude * float(np.exp(-((r - r0) ** 2) / (2.0 * width**2)))
+        def magnitude(r: np.ndarray) -> np.ndarray:
+            # float ** 2 calls the C library's pow, which is not always x * x: with
+            # glibc, numpy's square moves about 1 square in 1,200 by an ulp
+            offsets = (r - r0).flat  # numpy float64 scalars, a float subclass
+            square = np.fromiter(map(float.__pow__, offsets, repeat(2.0)), np.float64, r.size)
+            return amplitude * np.exp(-square.reshape(r.shape) / (2.0 * width**2))
 
         desc = f"gaussian_ring(radius={r0}, width={width})"
     elif kind == "file":
         p = base / _require(profile, "path", "initcircuit.profile")
         radii, values = read_source_csv(p)
 
-        def magnitude(r: float) -> float:
-            return float(np.interp(r, radii, values))
+        def magnitude(r: np.ndarray) -> np.ndarray:
+            return np.interp(r, radii, values)
 
         desc = f"file({p.name})"
     else:
         raise ScenarioError(f"initcircuit.profile: unknown kind {kind!r}")
 
-    c = np.asarray(center)
-
-    def field(x: np.ndarray) -> np.ndarray:
-        d = np.asarray(x, dtype=np.float64) - c
-        r = float(np.linalg.norm(d))
-        if r == 0.0:
-            return np.zeros(2)
-        return magnitude(r) * d / r
-
-    return InitCircuitSpec(spec=polar, field=field, profile=desc)
+    return InitCircuitSpec(spec=polar, field=RadialField(center, magnitude), profile=desc)

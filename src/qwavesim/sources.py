@@ -204,6 +204,10 @@ class PointSource:
     time_function: SourceTimeFunction
 
     def __post_init__(self):
+        if not isinstance(self.location, tuple) or not all(
+            isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in self.location
+        ):
+            raise SourceError(f"location must be a tuple of integers, got {self.location!r}")
         if not any(c != 0.0 for c in self.polarization):
             raise SourceError("polarization must have a nonzero component")
 
@@ -211,7 +215,7 @@ class PointSource:
 def chi_pattern(source: PointSource, grid) -> np.ndarray:
     """Time-independent injection vector over the full unknown stack."""
     dim = grid.dimension
-    loc = tuple(int(i) for i in source.location)
+    loc = source.location
     if len(loc) != dim:
         raise SourceError("source location arity does not match the grid")
     if len(source.polarization) != 1 + dim:

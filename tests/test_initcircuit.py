@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qwavesim as q
 from qwavesim.errors import InitCircuitError
@@ -33,6 +35,10 @@ def test_spec_validation():
         q.PolarGridSpec.uniform(3, extent=1.0)
     with pytest.raises(InitCircuitError):
         q.PolarGridSpec.uniform(4, extent=-1.0)
+    with pytest.raises(InitCircuitError):
+        q.PolarGridSpec.uniform(4, extent=float("nan"))
+    with pytest.raises(InitCircuitError):
+        q.PolarGridSpec.uniform(4, extent=float("inf"))
     with pytest.raises(InitCircuitError):
         q.PolarGridSpec(
             components=2, radial_divisions=2, center=(0.0, 0.0), radii=(0.5, 0.25)
@@ -187,3 +193,157 @@ def test_fidelity_requires_matching_registers():
     b = q.simulate_circuit(q.build_circuit(spec4), q.sample_reference_ray(field, spec4))
     with pytest.raises(InitCircuitError):
         q.fidelity(a, b)
+
+
+# ---------------------------------------------------------------------------
+# whole-table evaluation
+
+
+def _per_point_profile_field(center, magnitude):
+    """The scenario field as it was evaluated before tables: one point at a time."""
+    c = np.asarray(center)
+
+    def field(x):
+        d = np.asarray(x, dtype=np.float64) - c
+        r = float(np.linalg.norm(d))
+        if r == 0.0:
+            return np.zeros(2)
+        return magnitude(r) * d / r
+
+    return field
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+_coord = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@given(
+    divisions=st.sampled_from([2, 8, 32]),
+    extent=st.floats(0.05, 3.0),
+    center=st.tuples(_coord, _coord),
+    extra=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)), max_size=8),
+    ring=st.tuples(st.floats(-1.0, 2.0), st.floats(0.01, 2.0), st.floats(-3.0, 3.0)),
+    table=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6, unique=True),
+    samples=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+    kind=st.sampled_from(["gaussian_ring", "file"]),
+)
+def test_radial_field_table_is_bit_equal_to_per_point_evaluation(
+    tmp_path_factory, divisions, extent, center, extra, ring, table, samples, kind
+):
+    base = tmp_path_factory.mktemp("profile")
+    if kind == "gaussian_ring":
+        r0, width, amplitude = ring
+        profile = {"kind": kind, "radius": r0, "width": width, "amplitude": amplitude}
+
+        def magnitude(r):
+            return amplitude * float(np.exp(-((r - r0) ** 2) / (2.0 * width**2)))
+    else:
+        radii, values = np.sort(table), np.asarray(samples[: len(table)])
+        rows = "".join(f"{x!r},{v!r}\n" for x, v in zip(radii.tolist(), values.tolist()))
+        (base / "profile.csv").write_text("time,value\n" + rows)
+        profile = {"kind": kind, "path": "profile.csv"}
+
+        def magnitude(r):
+            return float(np.interp(r, radii, values))
+
+    raw = {"initcircuit": {"radial_divisions": divisions, "extent": extent,
+                           "center": list(center), "profile": profile}}
+    parsed = q.scenario._parse_initcircuit(raw, base)
+    assert isinstance(parsed.field, q.RadialField)
+    reference = _per_point_profile_field(center, magnitude)
+    # grid points (radii past the tabulated range included), the center, and stray points
+    points = np.concatenate(
+        [parsed.spec.points().reshape(-1, 2), [center], np.asarray(extra).reshape(-1, 2)]
+    )
+    expected = np.array([reference(x) for x in points])
+    np.testing.assert_array_equal(_bits(parsed.field.table(points)), _bits(expected))
+    np.testing.assert_array_equal(_bits([parsed.field(x) for x in points]), _bits(expected))
+    assert not np.any(parsed.field(np.asarray(center)))
+
+
+@given(
+    divisions=st.sampled_from([2, 4, 8, 32, 64]),
+    extent=st.floats(1e-3, 1e3),
+    center=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+)
+def test_point_table_is_bit_equal_to_point(divisions, extent, center):
+    spec = q.PolarGridSpec.uniform(divisions, extent, center=center)
+    table = spec.points()
+    assert table.shape == (divisions, divisions, 2)
+    expected = [[spec.point(a, k) for k in range(divisions)] for a in range(divisions)]
+    np.testing.assert_array_equal(_bits(table), _bits(expected))
+    np.testing.assert_array_equal(
+        _bits(spec.angles()), _bits([spec.angle(k) for k in range(divisions)])
+    )
+
+
+class _TableOnly(q.RadialField):
+    def __call__(self, x):
+        raise AssertionError("evaluated one point at a time")
+
+
+def test_oracles_make_no_per_point_call_on_a_table_field():
+    spec = q.PolarGridSpec.uniform(8, extent=1.0, center=(0.1, -0.2))
+    field = _TableOnly(center=(0.1, -0.2), profile=lambda r: np.exp(-3.0 * r))
+    ray = q.sample_reference_ray(field, spec)
+    direct, count = q.direct_polar_state(field, spec)
+    defect = q.covariance_defect(field, spec)
+    assert (ray.eval_count, count) == (8, 64)
+
+    # the per-point adapter, fed the same values, gives the same bits
+    plain = q.RadialField(center=(0.1, -0.2), profile=lambda r: np.exp(-3.0 * r))
+    per_point = lambda x: plain(x)  # noqa: E731  (hides .table)
+    assert ray.values.tobytes() == q.sample_reference_ray(per_point, spec).values.tobytes()
+    direct_pp, count_pp = q.direct_polar_state(per_point, spec)
+    assert direct.amplitudes.tobytes() == direct_pp.amplitudes.tobytes()
+    assert count_pp == count
+    assert defect == q.covariance_defect(per_point, spec)
+    assert defect < 1e-12
+
+
+@pytest.mark.parametrize("value", [1.0, (1.0, 2.0, 3.0), ((1.0, 0.0),)])
+@pytest.mark.parametrize(
+    "oracle", [q.sample_reference_ray, q.direct_polar_state, q.covariance_defect]
+)
+def test_fields_must_return_two_components(oracle, value):
+    spec = q.PolarGridSpec.uniform(4, extent=1.0)
+    with pytest.raises(InitCircuitError, match="2 components"):
+        oracle(lambda x: value, spec)
+
+
+def test_covariance_defect_matches_the_pointwise_definition(rng):
+    spec = q.PolarGridSpec.uniform(4, extent=1.0)
+    matrix = rng.normal(size=(2, 2))
+
+    def field(x):
+        return matrix @ x + 0.3
+
+    ray = q.sample_reference_ray(field, spec)
+    worst = 0.0
+    for a in range(4):
+        for k in range(4):
+            th = spec.angle(k)
+            rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+            residual = field(spec.point(a, k)) - rot @ ray.values[:, a]
+            worst = max(worst, float(np.linalg.norm(residual)))
+    assert q.covariance_defect(field, spec) == worst / np.abs(ray.values).max()
+
+
+def test_gaussian_ring_table_squares_as_the_per_point_profile_did(rng, tmp_path):
+    # x ** 2 on a Python float calls the C library's pow, which rounds a few
+    # arguments in a thousand differently from x * x; the table must follow it
+    r0, width, amplitude = 0.5, 0.1, 1.5
+    raw = {"initcircuit": {"radial_divisions": 2, "extent": 1.0, "profile": {
+        "kind": "gaussian_ring", "radius": r0, "width": width, "amplitude": amplitude}}}
+    field = q.scenario._parse_initcircuit(raw, tmp_path).field
+
+    def magnitude(r):
+        return amplitude * float(np.exp(-((r - r0) ** 2) / (2.0 * width**2)))
+
+    reference = _per_point_profile_field((0.0, 0.0), magnitude)
+    points = rng.uniform(-1.0, 1.0, size=(20000, 2))
+    expected = np.array([reference(x) for x in points])
+    np.testing.assert_array_equal(_bits(field.table(points)), _bits(expected))

@@ -608,6 +608,10 @@ _RING = {
 _BACKWARDS = "time,value\n0.0,1.0\n0.5,2.0\n0.4,1.5\n"  # line 4 goes back in time
 
 
+def _ring(**bad):
+    return {"initcircuit": dict(_RING, profile=dict(_RING["profile"], **bad))}
+
+
 def _decompose(**bad):
     decompose = dict({"radius": 0.45, "c": 1.0, "rho": 1.0}, **bad)
     return {"sources": [dict(_SOURCE, decompose=decompose)]}
@@ -683,6 +687,22 @@ _MALFORMED = [
           "initcircuit"),
     _case("center-infinite", {"initcircuit": dict(_RING, center=[float("inf"), 0.0])},
           "initcircuit.center", "initcircuit"),
+    _case("extent-nan", {"initcircuit": dict(_RING, extent=float("nan"))},
+          "initcircuit.extent", "initcircuit"),
+    _case("extent-infinite", {"initcircuit": dict(_RING, extent=float("inf"))},
+          "initcircuit.extent", "initcircuit"),
+    _case("ring-radius-infinite", _ring(radius=float("inf")), "initcircuit.profile.radius",
+          "initcircuit"),
+    _case("ring-width-nan", _ring(width=float("nan")), "initcircuit.profile.width",
+          "initcircuit"),
+    _case("ring-width-zero", _ring(width=0.0), "initcircuit.profile.width", "initcircuit"),
+    _case("ring-amplitude-nan", _ring(amplitude=float("nan")), "initcircuit.profile.amplitude",
+          "initcircuit"),
+    _case("t-final-infinite", {"evolution": {"t_final": float("inf")}}, "evolution.t_final"),
+    _case("t-start-nan", {"evolution": {"t_start": float("nan"), "t_final": 0.1}},
+          "evolution.t_start"),
+    _case("dt-nan", {"evolution": {"t_final": 0.1, "dt": float("nan")}}, "evolution.dt"),
+    _case("dt-text", {"evolution": {"t_final": 0.1, "dt": "0.01"}}, "evolution.dt"),
 ]
 
 

@@ -140,6 +140,23 @@ def test_chi_pattern_validation():
         )
 
 
+@pytest.mark.parametrize("location", [(32.7,), [32], (True,), ("3",), 3])
+def test_point_source_location_must_be_a_tuple_of_integers(location):
+    # a fractional node used to be truncated by chi_pattern and refused by presim
+    with pytest.raises(SourceError, match="location must be a tuple of integers"):
+        q.PointSource(
+            location=location, polarization=(1.0, 0.0), time_function=q.gaussian_pulse(0.5, 0.05)
+        )
+
+
+def test_numpy_integer_locations_are_accepted():
+    pair = build_acoustic_1d(n=8)
+    f = q.gaussian_pulse(0.5, 0.05)
+    src = q.PointSource(location=(np.int64(3),), polarization=(1.0, 0.0), time_function=f)
+    plain = q.PointSource(location=(3,), polarization=(1.0, 0.0), time_function=f)
+    np.testing.assert_array_equal(q.chi_pattern(src, pair.grid), q.chi_pattern(plain, pair.grid))
+
+
 # ---------------------------------------------------------------------------
 # pulse pre-computation
 
