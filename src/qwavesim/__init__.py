@@ -49,7 +49,6 @@ from .errors import (
     ValidationError,
 )
 from .evolution import (
-    EvolutionConfig,
     build_mult_hamiltonian,
     build_sync_hamiltonian,
     evolve,

@@ -169,11 +169,13 @@ class Hamiltonian:
     maxnorm is max|H_jk| and sparsity the largest row population. split is
     the number of leading scalar coordinates when H is chiral (both
     diagonal blocks empty), else None. A dense eigendecomposition is
-    memoized on first use by the evolution module: from the real SVD of the
-    scalar x flux block when there is a split, from eigh of H otherwise. The
-    stacked schedule generators of that module keep a single-block
-    Hamiltonian and act through it, so one decomposition of the block H
-    serves every block of every generator built from it.
+    memoized on first use (``_eig``): from the real SVD of the scalar x flux
+    block when there is a split, from eigh of H otherwise. evolve takes the
+    dense backend whenever that memo is set or dim <= MAX_DENSE_DIM, and the
+    sparse polynomial action otherwise; there is no option to override it.
+    The stacked schedule generators of the evolution module keep a
+    single-block Hamiltonian and act through it, so one decomposition of the
+    block H serves every block of every generator built from it.
     """
 
     matrix: sp.csr_matrix

@@ -12,25 +12,22 @@ generators built from the single-system H:
 Blocks are zero-padded to power-of-two dimensions so the stacked register is
 qubit shaped; pad coordinates carry exact zero rows and columns and are inert.
 
-Both stacked generators carry the single-block H and one time per block
-(t_sync - t_end[s], or 0 for a pad block, and 1 for every block of the
-simultaneous generator) instead of the stacked matrix. evolve applies
-e^{-iH tau_s t} to the first H.dim coordinates of each block s with
-tau_s != 0 and leaves pad coordinates and zero-time blocks untouched. The
-stacked matrix is built only when its ``matrix``, ``maxnorm`` or ``sparsity``
-is read, and MAX_BUILD_DIM bounds that export alone.
+Both stacked generators are a StackedHamiltonian: the single-block H and one
+time per block (t_sync - t_end[s], or 0 for a pad block, and 1 for every
+block of the simultaneous generator), not the stacked matrix. A plain
+Hamiltonian spanning the register, or the physical block of a single
+sub-state, is one block with time 1. evolve applies e^{-iH tau_s t} to the
+first H.dim coordinates of each block s with tau_s != 0 and leaves pad
+coordinates and zero-time blocks untouched.
 
-Two numerical backends compute the matrix exponential action on one block
-(or one unstacked state): a dense eigendecomposition of the block H
-(memoized on that Hamiltonian, so every block and every generator built from
-it shares one decomposition; exact to rounding, cost dim^3 once then dim^2
-per application) and a sparse polynomial-action routine (cost roughly
-nnz * |H| * t per application). For the chiral H of a staggered-grid system
-the decomposition comes from the real SVD of its scalar x flux block, and
-from the complex eigh of H for any other generator (see the encoding
-module); the dense backend uses either pair the same way. The automatic
-choice takes the dense path up to MAX_DENSE_DIM and whenever a
-decomposition is already cached.
+The exponential action on one block has one backend, chosen from what the
+block H shows: a dense eigendecomposition when one is already cached on H
+or H.dim <= MAX_DENSE_DIM, and a sparse polynomial action (Al-Mohy and
+Higham 2011; cost roughly nnz * |H| * t per application) above that. The
+decomposition is memoized on H, so every block and every generator built
+from it shares one; for the chiral H of a staggered-grid system it comes
+from the real SVD of the scalar x flux block, and from the complex eigh of
+H otherwise (see the encoding module). There is no backend option.
 """
 from __future__ import annotations
 
@@ -44,62 +41,41 @@ from scipy.sparse.linalg import expm_multiply
 from .encoding import Hamiltonian, QuantumRegisterState, next_power_of_two
 from .errors import EvolutionError, NumericalError
 
-MAX_BUILD_DIM = 1 << 22  # largest stacked matrix built for export
-MAX_DENSE_DIM = 4096  # largest dimension the automatic choice diagonalizes
+MAX_BUILD_DIM = 1 << 22  # largest stacked matrix built by StackedHamiltonian.matrix
+MAX_DENSE_DIM = 4096  # largest dimension diagonalized without a cached decomposition
+NORM_DRIFT_TOL = 1e-11  # 10x the 1e-12 accuracy both backends reach
 SCHEDULE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class EvolutionConfig:
-    """Backend selection and accuracy target for exponential action.
-
-    tolerance: l2 error target versus the exact exponential; both backends
-    normally land orders of magnitude below it and the result norm is
-    verified against it.
-    method: "auto", "dense" (eigendecomposition), or "krylov"
-    (iterative polynomial action).
-    """
-
-    tolerance: float = 1e-12
-    method: str = "auto"
-
-    def __post_init__(self):
-        if self.method not in ("auto", "dense", "krylov"):
-            raise EvolutionError(f"unknown evolution method {self.method!r}")
-        if not 0 < self.tolerance < 1e-2:
-            raise EvolutionError("tolerance must be in (0, 1e-2)")
+def _dense_action(ham: Hamiltonian, vec: np.ndarray, t: float) -> np.ndarray:
+    evals, evecs = ham.eigendecomposition()
+    return evecs @ (np.exp(-1j * evals * t) * (vec.conj() @ evecs).conj())
 
 
-def _apply_exponential(ham: Hamiltonian, vec: np.ndarray, t: float, config: EvolutionConfig) -> np.ndarray:
-    method = config.method
-    if method == "auto":
-        if ham._eig is not None or ham.dim <= MAX_DENSE_DIM:
-            method = "dense"
-        else:
-            method = "krylov"
-    if method == "dense":
-        evals, evecs = ham.eigendecomposition()
-        return evecs @ (np.exp(-1j * evals * t) * (vec.conj() @ evecs).conj())
+def _krylov_action(ham: Hamiltonian, vec: np.ndarray, t: float) -> np.ndarray:
     return expm_multiply(sp.csc_matrix(-1j * t * ham.matrix), vec)
 
 
+def _backend(ham: Hamiltonian):
+    """The exponential action for ham: dense if decomposed or small, else Krylov."""
+    if ham._eig is not None or ham.dim <= MAX_DENSE_DIM:
+        return _dense_action
+    return _krylov_action
+
+
 def evolve(
-    state: QuantumRegisterState,
-    ham: Hamiltonian,
-    t: float,
-    config: EvolutionConfig | None = None,
+    state: QuantumRegisterState, ham: Hamiltonian | StackedHamiltonian, t: float
 ) -> QuantumRegisterState:
     """Apply e^{-iHt} to a register state, preserving scale and layout.
 
     The generator must be a schedule generator whose blocks match the
     register's, a generator spanning the whole register, or one spanning the
-    physical block of a single sub-state. A schedule generator acts block by
-    block through its single-block H; pad coordinates are untouched.
-    Augmented (measurement layout) states are not evolvable here. The result
-    is renormalized to exact unit norm; a norm drift beyond 10x the
-    configured tolerance raises instead of being papered over.
+    physical block of a single sub-state. Each acts block by block through
+    its single-block H; pad coordinates are untouched. Augmented
+    (measurement layout) states are not evolvable here. The result is
+    renormalized to exact unit norm; a norm drift beyond NORM_DRIFT_TOL
+    raises instead of being papered over.
     """
-    config = config or EvolutionConfig()
     if state.is_null:
         return state
     if state.layout.augmented:
@@ -118,80 +94,71 @@ def evolve(
                 f"stacked generator of {len(ham.times)} blocks of dim {ham.block_dim} "
                 f"does not match the register's {layout.arity} blocks of dim {layout.block_dim}"
             )
-        out = state.amplitudes.copy()
-        n = ham.block.dim
-        for s, tau in enumerate(ham.times):
-            if tau:
-                lo = s * ham.block_dim
-                out[lo : lo + n] = _apply_exponential(ham.block, out[lo : lo + n], tau * t, config)
-    elif ham.dim == total:
-        out = _apply_exponential(ham, state.amplitudes, t, config)
-    elif layout.arity == 1 and ham.dim == layout.num_physical:
-        out = state.amplitudes.copy()
-        out[: ham.dim] = _apply_exponential(ham, state.amplitudes[: ham.dim], t, config)
+        block, times, stride = ham.block, ham.times, ham.block_dim
+    elif ham.dim == total or (layout.arity == 1 and ham.dim == layout.num_physical):
+        block, times, stride = ham, (1.0,), total
     else:
         raise EvolutionError(
             f"generator dim {ham.dim} matches neither the register ({total}) "
             f"nor a single physical block ({layout.num_physical})"
         )
 
+    action = _backend(block)
+    out = state.amplitudes.copy()
+    n = block.dim
+    for s, tau in enumerate(times):
+        if tau:
+            lo = s * stride
+            out[lo : lo + n] = action(block, out[lo : lo + n], tau * t)
+
     norm = float(np.linalg.norm(out))
-    if abs(norm - 1.0) > 10.0 * config.tolerance:
+    if abs(norm - 1.0) > NORM_DRIFT_TOL:
         raise NumericalError(f"evolution lost unitarity: norm {norm!r}")
     return state.with_amplitudes(out / norm)
 
 
-class StackedHamiltonian(Hamiltonian):
-    """Block-diagonal generator whose block s is times[s] * H, padded to block_dim.
+@dataclass(frozen=True)
+class StackedHamiltonian:
+    """Block-diagonal generator whose block s is times[s] * block, padded to block_dim.
 
     It holds the single-block H and the per-block times, not the stacked
-    matrix; evolve acts on each block through H. The stacked ``matrix``,
-    ``maxnorm`` and ``sparsity`` are built on first access, and only there
-    does MAX_BUILD_DIM apply.
+    matrix; evolve acts on each block through H. maxnorm and sparsity are
+    read off H. ``matrix`` builds the stacked matrix on each read, and only
+    there does MAX_BUILD_DIM apply.
     """
 
-    def __init__(self, block: Hamiltonian, times: Sequence[float], block_dim: int):
-        if block_dim < block.dim:
-            raise EvolutionError("block dimension smaller than the generator")
-        self.block = block
-        self.times = tuple(float(t) for t in times)
-        self.block_dim = block_dim
-        self.split = None
-        self._eig = None
-        self._stacked = None
+    block: Hamiltonian
+    times: tuple[float, ...]
+    block_dim: int
 
-    def __repr__(self) -> str:
-        return (
-            f"StackedHamiltonian(block_dim={self.block_dim}, times={self.times}, "
-            f"block={self.block!r})"
-        )
+    def __post_init__(self):
+        if self.block_dim < self.block.dim:
+            raise EvolutionError("block dimension smaller than the generator")
+        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
 
     @property
     def dim(self) -> int:
         return self.block_dim * len(self.times)
 
-    def _export(self) -> Hamiltonian:
-        if self._stacked is None:
-            if self.dim > MAX_BUILD_DIM:
-                raise EvolutionError(
-                    f"stacked dimension {self.dim} exceeds the build cutoff {MAX_BUILD_DIM}"
-                )
-            h_pad = _embedded(self.block, self.block_dim)
-            blocks = [t * h_pad for t in self.times]
-            self._stacked = Hamiltonian.from_matrix(sp.block_diag(blocks, format="csr"))
-        return self._stacked
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        return self._export().matrix
-
     @property
     def maxnorm(self) -> float:
-        return self._export().maxnorm
+        return max(map(abs, self.times), default=0.0) * self.block.maxnorm
 
     @property
     def sparsity(self) -> int:
-        return self._export().sparsity
+        return self.block.sparsity if any(self.times) else 0
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        if self.dim > MAX_BUILD_DIM:
+            raise EvolutionError(
+                f"stacked dimension {self.dim} exceeds the build cutoff {MAX_BUILD_DIM}"
+            )
+        padded = self.block.matrix.copy()
+        padded.resize((self.block_dim, self.block_dim))
+        stacked = sp.block_diag([t * padded for t in self.times], format="csr")
+        stacked.eliminate_zeros()
+        return stacked
 
     def hermiticity_defect(self) -> float:
         """The stacked defect, computed once per distinct nonzero block time."""
@@ -205,23 +172,13 @@ class StackedHamiltonian(Hamiltonian):
         )
 
 
-def _embedded(ham: Hamiltonian, block_dim: int) -> sp.csr_matrix:
-    """H padded with zero rows/cols up to block_dim."""
-    if block_dim == ham.dim:
-        return ham.matrix
-    coo = ham.matrix.tocoo()
-    return sp.csr_matrix(
-        (coo.data, (coo.row, coo.col)), shape=(block_dim, block_dim), dtype=np.complex128
-    )
-
-
 def build_sync_hamiltonian(
     ham: Hamiltonian,
     t_ends: Sequence[float],
     t_sync: float,
     block_dim: int | None = None,
     arity: int | None = None,
-) -> Hamiltonian:
+) -> StackedHamiltonian:
     """Block-diagonal generator advancing sub-state s by (t_sync - t_end[s]).
 
     Applying the result for unit time synchronizes the stack: each block is
@@ -245,7 +202,7 @@ def build_sync_hamiltonian(
 
 def build_mult_hamiltonian(
     ham: Hamiltonian, arity: int, block_dim: int | None = None
-) -> Hamiltonian:
+) -> StackedHamiltonian:
     """Identity-on-substates tensor H: every block advances under the same H."""
     if arity < 1 or arity != next_power_of_two(arity):
         raise EvolutionError("arity must be a power of two (pad the stack first)")

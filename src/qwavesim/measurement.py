@@ -157,7 +157,6 @@ class ObservableDecomposition:
     strings: tuple[PauliString, ...]
     arity: int
     n_data_qubits: int
-    subspace: SubspaceProjector | None = None
 
     @property
     def n_qubits(self) -> int:

@@ -208,6 +208,23 @@ def _positive(value, where: str) -> float:
     return float(value)
 
 
+def _gaussian_spread(width: float, where: str) -> float:
+    """2 * width**2 of a Gaussian, refused unless it is finite and positive."""
+    try:
+        spread = 2.0 * width**2
+    except OverflowError:  # float ** raises where numpy would give inf
+        spread = np.inf
+    if not 0.0 < spread < np.inf:
+        raise ScenarioError(f"{where}: 2 * {width!r}**2 is not a finite positive number")
+    return spread
+
+
+def _finite_array(value, where: str) -> np.ndarray:
+    """A float array of the shape of a (nested) list, each entry read through _finite."""
+    table = np.asarray(value, dtype=object)
+    return np.array([_finite(v, where) for v in table.flat]).reshape(table.shape)
+
+
 def _parse_grid(raw: dict) -> StaggeredGrid:
     spec = _require(raw, "grid", "scenario")
     bounds = _require(spec, "bounds", "grid")
@@ -231,16 +248,19 @@ def _coefficient(spec, grid: StaggeredGrid, base: Path, name: str):
         raise ScenarioError(f"material coefficient {name} must be a number or an object")
     kind = _require(spec, "kind", f"material.{name}")
     if kind == "piecewise":
-        background = float(_require(spec, "background", f"material.{name}"))
-        regions = _require(spec, "regions", f"material.{name}")
+        where = f"material.{name}"
+        background = _finite(_require(spec, "background", where), f"{where}.background")
+        regions = _require(spec, "regions", where)
         boxes = []
         for region in regions:
-            box = np.asarray(_require(region, "bounds", f"material.{name} region"), dtype=np.float64)
+            bounds = _require(region, "bounds", f"{where} region")
+            box = _finite_array(bounds, f"{where} region bounds")
             if box.shape != (grid.dimension, 2):
                 raise ScenarioError(
-                    f"material.{name} region bounds must be {grid.dimension} [lo, hi] pairs"
+                    f"{where} region bounds must be {grid.dimension} [lo, hi] pairs"
                 )
-            boxes.append((box, float(_require(region, "value", f"material.{name} region"))))
+            value = _finite(_require(region, "value", f"{where} region"), f"{where} region value")
+            boxes.append((box, value))
         return PiecewiseCoefficient(background=background, regions=tuple(boxes))
     if kind == "file":
         if grid.dimension != 1:
@@ -345,16 +365,15 @@ def _parse_initial(raw: dict, grid, pair, system, base: Path) -> np.ndarray:
     if kind == "zero":
         return np.zeros(system.A.shape[0])
     if kind == "scalar_gaussian":
-        center = np.asarray(_require(spec, "center", "initial"), dtype=np.float64)
+        center = _finite_array(_require(spec, "center", "initial"), "initial.center")
         if center.shape != (grid.dimension,):
             raise ScenarioError("initial.center must match the grid dimension")
-        sigma = float(_require(spec, "sigma", "initial"))
-        if sigma <= 0:
-            raise ScenarioError("initial.sigma must be positive")
-        amplitude = float(spec.get("amplitude", 1.0))
+        sigma = _positive(_require(spec, "sigma", "initial"), "initial.sigma")
+        spread = _gaussian_spread(sigma, "initial.sigma")
+        amplitude = _finite(spec.get("amplitude", 1.0), "initial.amplitude")
         w = np.zeros(pair.n_total)
         r2 = np.sum((grid.scalar_coords - center[None, :]) ** 2, axis=1)
-        w[: grid.n_scalar] = amplitude * np.exp(-r2 / (2.0 * sigma**2))
+        w[: grid.n_scalar] = amplitude * np.exp(-r2 / spread)
         return system.restrict(w)
     if kind == "file":
         w = read_initial_csv(base / _require(spec, "path", "initial"), pair.n_total)
@@ -362,31 +381,33 @@ def _parse_initial(raw: dict, grid, pair, system, base: Path) -> np.ndarray:
     raise ScenarioError(f"initial: unknown kind {kind!r}")
 
 
-def _parse_time_function(spec: dict, base: Path) -> SourceTimeFunction:
-    kind = _require(spec, "kind", "time_function")
+def _parse_time_function(spec: dict, base: Path, where: str) -> SourceTimeFunction:
+    def finite(key):
+        return _finite(_require(spec, key, where), f"{where}.{key}")
+
+    def positive(key):
+        return _positive(_require(spec, key, where), f"{where}.{key}")
+
+    kind = _require(spec, "kind", where)
+    amplitude = _finite(spec.get("amplitude", 1.0), f"{where}.amplitude")
     if kind == "gaussian":
-        return gaussian_pulse(
-            center=float(_require(spec, "center", "time_function")),
-            sigma=float(_require(spec, "sigma", "time_function")),
-            amplitude=float(spec.get("amplitude", 1.0)),
-        )
+        return gaussian_pulse(center=finite("center"), sigma=positive("sigma"), amplitude=amplitude)
     if kind == "ricker":
+        delay = spec.get("delay")
         return ricker_wavelet(
-            peak_frequency=float(_require(spec, "peak_frequency", "time_function")),
-            delay=spec.get("delay"),
-            amplitude=float(spec.get("amplitude", 1.0)),
+            peak_frequency=positive("peak_frequency"),
+            delay=None if delay is None else finite("delay"),
+            amplitude=amplitude,
         )
     if kind == "windowed_sine":
         return windowed_sine(
-            frequency=float(_require(spec, "frequency", "time_function")),
-            t_start=float(_require(spec, "t_start", "time_function")),
-            duration=float(_require(spec, "duration", "time_function")),
-            amplitude=float(spec.get("amplitude", 1.0)),
+            frequency=positive("frequency"), t_start=finite("t_start"),
+            duration=positive("duration"), amplitude=amplitude,
         )
     if kind == "file":
-        times, values = read_source_csv(base / _require(spec, "path", "time_function"))
+        times, values = read_source_csv(base / _require(spec, "path", where))
         return time_function_from_samples(times, values)
-    raise ScenarioError(f"time_function: unknown kind {kind!r}")
+    raise ScenarioError(f"{where}: unknown kind {kind!r}")
 
 
 def _parse_sources(raw: dict, grid, system, base: Path) -> tuple[SourceSpec, ...]:
@@ -394,8 +415,12 @@ def _parse_sources(raw: dict, grid, system, base: Path) -> tuple[SourceSpec, ...
     for k, spec in enumerate(raw.get("sources", [])):
         where = f"sources[{k}]"
         location = tuple(_integer(i, f"{where}.location") for i in _require(spec, "location", where))
-        polarization = tuple(float(v) for v in _require(spec, "polarization", where))
-        f = _parse_time_function(_require(spec, "time_function", where), base)
+        polarization = tuple(
+            _finite(v, f"{where}.polarization") for v in _require(spec, "polarization", where)
+        )
+        f = _parse_time_function(
+            _require(spec, "time_function", where), base, f"{where}.time_function"
+        )
         source = PointSource(location=location, polarization=polarization, time_function=f)
         chi = system.restrict(chi_pattern(source, grid))
         decompose = spec.get("decompose")
@@ -463,7 +488,8 @@ def _parse_measurements(raw: dict, grid, system) -> tuple[MeasurementRequest, ..
             mask[start:stop] = True
             desc = f"unknowns [{start}, {stop})"
         elif kind == "scalar_region":
-            box = np.asarray(_require(sub, "bounds", f"{where}.subspace"), dtype=np.float64)
+            bounds = _require(sub, "bounds", f"{where}.subspace")
+            box = _finite_array(bounds, f"{where}.subspace.bounds")
             if box.shape != (grid.dimension, 2):
                 raise ScenarioError(
                     f"{where}.subspace: bounds must be {grid.dimension} [lo, hi] pairs"
@@ -523,8 +549,8 @@ def _parse_initcircuit(raw: dict, base: Path) -> InitCircuitSpec | None:
     divisions = _require(spec, "radial_divisions", "initcircuit")
     divisions = _integer(divisions, "initcircuit.radial_divisions")
     extent = _finite(_require(spec, "extent", "initcircuit"), "initcircuit.extent")
-    center = tuple(float(v) for v in spec.get("center", (0.0, 0.0)))
-    if len(center) != 2 or not np.all(np.isfinite(center)):
+    center = tuple(_finite(v, "initcircuit.center") for v in spec.get("center", (0.0, 0.0)))
+    if len(center) != 2:
         raise ScenarioError(f"initcircuit.center must be two finite numbers, got {list(center)}")
     polar = PolarGridSpec.uniform(divisions, extent, center=center)
 
@@ -534,6 +560,7 @@ def _parse_initcircuit(raw: dict, base: Path) -> InitCircuitSpec | None:
         where = "initcircuit.profile"
         r0 = _finite(_require(profile, "radius", where), f"{where}.radius")
         width = _positive(_require(profile, "width", where), f"{where}.width")
+        spread = _gaussian_spread(width, f"{where}.width")
         amplitude = _finite(profile.get("amplitude", 1.0), f"{where}.amplitude")
 
         def magnitude(r: np.ndarray) -> np.ndarray:
@@ -541,7 +568,7 @@ def _parse_initcircuit(raw: dict, base: Path) -> InitCircuitSpec | None:
             # glibc, numpy's square moves about 1 square in 1,200 by an ulp
             offsets = (r - r0).flat  # numpy float64 scalars, a float subclass
             square = np.fromiter(map(float.__pow__, offsets, repeat(2.0)), np.float64, r.size)
-            return amplitude * np.exp(-square.reshape(r.shape) / (2.0 * width**2))
+            return amplitude * np.exp(-square.reshape(r.shape) / spread)
 
         desc = f"gaussian_ring(radius={r0}, width={width})"
     elif kind == "file":

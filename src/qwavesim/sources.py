@@ -396,6 +396,11 @@ def default_steepness(breakpoints) -> float:
     return 16.0 / float(widths.min())
 
 
+def _window(t, z: float, lo: float, hi: float):
+    """The double-sigmoid window expit(z (t - lo)) - expit(z (t - hi))."""
+    return expit(z * (t - lo)) - expit(z * (t - hi))
+
+
 def make_windows(
     t_grid: np.ndarray, steepness: float, breakpoints
 ) -> tuple[list[np.ndarray], float]:
@@ -414,8 +419,7 @@ def make_windows(
         if np.isinf(spec.steepness):
             w = ((t >= bp[j]) & (t < bp[j + 1])).astype(np.float64)
         else:
-            z = spec.steepness
-            w = expit(z * (t - bp[j])) - expit(z * (t - bp[j + 1]))
+            w = _window(t, spec.steepness, bp[j], bp[j + 1])
         windows.append(w)
     total = np.sum(windows, axis=0)
     delta = 0.5 * float(spec.widths.min())
@@ -444,8 +448,7 @@ def _windowed_slice(
     floor = 10.0 * np.exp(-TAIL_CUT) * float(np.abs(f.values).max())
 
     def fn(t):
-        w = expit(z * (t - tau_lo)) - expit(z * (t - tau_hi))
-        raw = w * np.asarray(f(t), dtype=np.float64)
+        raw = _window(t, z, tau_lo, tau_hi) * np.asarray(f(t), dtype=np.float64)
         return np.where(np.abs(raw) <= floor, 0.0, raw)
 
     times = np.linspace(lo, hi, 257)

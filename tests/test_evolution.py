@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qwavesim as q
+from qwavesim import evolution
 from qwavesim.errors import EvolutionError
 
 from conftest import build_acoustic_1d
@@ -33,6 +36,15 @@ def _stack(blocks, block_dim, scale=1.0):
     return q.QuantumRegisterState(
         amplitudes=amps / nrm, scale=scale * nrm, layout=layout
     )
+
+
+_ACTIONS = {"dense": evolution._dense_action, "krylov": evolution._krylov_action}
+
+
+def _evolve_with(method, state, ham, t):
+    """evolve with the backend rule replaced by one fixed exponential action."""
+    with mock.patch.object(evolution, "_backend", lambda block: _ACTIONS[method]):
+        return q.evolve(state, ham, t)
 
 
 def test_zero_time_is_identity():
@@ -76,9 +88,25 @@ def test_dense_and_krylov_backends_agree(rng):
     pair = build_acoustic_1d(n=16)
     ham = q.build_hamiltonian(pair)
     state = q.encode(rng.normal(size=pair.n_total), pair)
-    dense = q.evolve(state, ham, 1.1, q.EvolutionConfig(method="dense"))
-    krylov = q.evolve(state, ham, 1.1, q.EvolutionConfig(method="krylov"))
+    dense = _evolve_with("dense", state, ham, 1.1)
+    krylov = _evolve_with("krylov", state, ham, 1.1)
     np.testing.assert_allclose(dense.amplitudes, krylov.amplitudes, atol=1e-10)
+
+
+def test_backend_is_dense_when_small_or_decomposed_and_krylov_above(monkeypatch):
+    pair = build_acoustic_1d(n=16)  # dim 31
+    ham = q.build_hamiltonian(pair)
+    state = q.encode(np.ones(pair.n_total), pair)
+    monkeypatch.setattr(evolution, "MAX_DENSE_DIM", 30)
+    assert evolution._backend(ham) is evolution._krylov_action
+    q.evolve(state, ham, 0.5)
+    assert ham._eig is None  # the Krylov action never decomposes
+    monkeypatch.setattr(evolution, "MAX_DENSE_DIM", 31)
+    assert evolution._backend(ham) is evolution._dense_action
+    q.evolve(state, ham, 0.5)
+    assert ham._eig is not None
+    monkeypatch.setattr(evolution, "MAX_DENSE_DIM", 30)
+    assert evolution._backend(ham) is evolution._dense_action  # cached decomposition
 
 
 def test_single_block_generator_leaves_padding_alone(rng):
@@ -181,7 +209,7 @@ def _random_register(seed, num_physical, arity):
 
 
 def _assert_matches_materialized(state, gen, t, method):
-    out = q.evolve(state, gen, t, q.EvolutionConfig(method=method))
+    out = _evolve_with(method, state, gen, t)
     want = scipy.linalg.expm(-1j * t * gen.matrix.toarray()) @ state.amplitudes
     assert np.abs(out.amplitudes - want).max() <= 1e-10
     assert out.scale == state.scale
@@ -216,6 +244,23 @@ def test_mult_matches_the_exponential_of_its_matrix(method, n, arity, t, seed):
     mult = q.build_mult_hamiltonian(ham, arity)
     state = _random_register(seed, ham.dim, arity)
     _assert_matches_materialized(state, mult, t, method)
+
+
+@given(
+    n=st.integers(2, 9),
+    t_ends=st.lists(_TIMES, min_size=1, max_size=8),
+    lag=st.sampled_from([0.0, 0.3]),
+    arity=st.sampled_from([1, 2, 4]),
+)
+def test_derived_metadata_matches_the_materialized_matrix(n, t_ends, lag, arity):
+    pair = build_acoustic_1d(n=n, rho=1.3, c=0.8)
+    ham = q.build_hamiltonian(pair)
+    sync = q.build_sync_hamiltonian(ham, t_ends, t_sync=max(t_ends) + lag)
+    mult = q.build_mult_hamiltonian(ham, arity)
+    for gen in (sync, mult):
+        assert not isinstance(gen, q.Hamiltonian)
+        built = q.Hamiltonian.from_matrix(gen.matrix)
+        assert (gen.maxnorm, gen.sparsity) == (built.maxnorm, built.sparsity)
 
 
 def test_stacked_generator_with_another_block_dim_is_refused():
@@ -269,9 +314,3 @@ def test_augmented_states_cannot_be_evolved():
     with pytest.raises(EvolutionError):
         q.evolve(state, ham, 0.1)
 
-
-def test_config_validation():
-    with pytest.raises(EvolutionError):
-        q.EvolutionConfig(method="magic")
-    with pytest.raises(EvolutionError):
-        q.EvolutionConfig(tolerance=0.5)

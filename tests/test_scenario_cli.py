@@ -625,6 +625,14 @@ def _measure(subspace):
     return {"measurements": [{"name": "m", "subspace": subspace}]}
 
 
+def _pulse(**bad):
+    return {"sources": [dict(_SOURCE, time_function=dict(_SOURCE["time_function"], **bad))]}
+
+
+def _initial(**bad):
+    return {"initial": dict(_fast_doc()["initial"], **bad)}
+
+
 def _case(case_id, overrides, message, command="simulate", files=(), args=()):
     return pytest.param(command, overrides, dict(files), list(args), message, id=case_id)
 
@@ -687,6 +695,8 @@ _MALFORMED = [
           "initcircuit"),
     _case("center-infinite", {"initcircuit": dict(_RING, center=[float("inf"), 0.0])},
           "initcircuit.center", "initcircuit"),
+    _case("center-true", {"initcircuit": dict(_RING, center=[True, 0.0])}, "initcircuit.center",
+          "initcircuit"),
     _case("extent-nan", {"initcircuit": dict(_RING, extent=float("nan"))},
           "initcircuit.extent", "initcircuit"),
     _case("extent-infinite", {"initcircuit": dict(_RING, extent=float("inf"))},
@@ -703,6 +713,44 @@ _MALFORMED = [
           "evolution.t_start"),
     _case("dt-nan", {"evolution": {"t_final": 0.1, "dt": float("nan")}}, "evolution.dt"),
     _case("dt-text", {"evolution": {"t_final": 0.1, "dt": "0.01"}}, "evolution.dt"),
+    _case("initial-sigma-true", _initial(sigma=True), "initial.sigma"),
+    _case("initial-sigma-nan", _initial(sigma=float("nan")), "initial.sigma"),
+    _case("initial-sigma-overflowing", _initial(sigma=1e200), "initial.sigma"),
+    _case("initial-sigma-underflowing", _initial(sigma=1e-200), "initial.sigma"),
+    _case("initial-amplitude-infinite", _initial(amplitude=float("inf")), "initial.amplitude"),
+    _case("initial-center-nan", _initial(center=[float("nan")]), "initial.center"),
+    _case("pulse-sigma-true", _pulse(sigma=True), "sources[0].time_function.sigma"),
+    _case("pulse-sigma-infinite", _pulse(sigma=float("inf")), "sources[0].time_function.sigma"),
+    _case("pulse-center-nan", _pulse(center=float("nan")), "sources[0].time_function.center"),
+    _case("pulse-amplitude-nan", _pulse(amplitude=float("nan")),
+          "sources[0].time_function.amplitude"),
+    _case("ricker-delay-text",
+          _pulse(kind="ricker", peak_frequency=20.0, delay="x"),
+          "sources[0].time_function.delay"),
+    _case("ricker-frequency-nan", _pulse(kind="ricker", peak_frequency=float("nan")),
+          "sources[0].time_function.peak_frequency"),
+    _case("sine-duration-infinite",
+          _pulse(kind="windowed_sine", frequency=10.0, t_start=0.0, duration=float("inf")),
+          "sources[0].time_function.duration"),
+    _case("polarization-infinite", {"sources": [dict(_SOURCE, polarization=[float("inf"), 0.0])]},
+          "sources[0].polarization"),
+    _case("polarization-nan", {"sources": [dict(_SOURCE, polarization=[float("nan"), 0.0])]},
+          "sources[0].polarization"),
+    _case("background-nan",
+          {"material": {"family": "acoustic", "c": 1.0,
+                        "rho": {"kind": "piecewise", "background": float("nan"), "regions": []}}},
+          "material.rho.background"),
+    _case("region-value-infinite",
+          {"material": {"family": "acoustic", "c": 1.0,
+                        "rho": {"kind": "piecewise", "background": 1.0,
+                                "regions": [{"bounds": [[0.2, 0.4]], "value": float("inf")}]}}},
+          "material.rho region value"),
+    _case("scalar-region-nan", _measure({"kind": "scalar_region", "bounds": [[float("nan"), 1.0]]}),
+          "measurements[0].subspace.bounds"),
+    _case("ring-width-overflowing", _ring(width=1e200), "initcircuit.profile.width",
+          "initcircuit"),
+    _case("ring-width-underflowing", _ring(width=1e-200), "initcircuit.profile.width",
+          "initcircuit"),
 ]
 
 
