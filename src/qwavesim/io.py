@@ -16,15 +16,23 @@ Formats (one line each, documented fully in the README):
   measurement        JSON {value, stderr, shots, mode, strings}
   circuit            JSON {register, gates, min_rotation_angle}
 
-The CSV readers refuse a row with the wrong number of cells or a cell that is
-not a finite number with ScenarioError, read_state and read_initial_csv
-also refuse indices outside the vector, fractional or repeated, and
-read_source_csv refuses times that do not strictly increase.
+The CSV readers parse a table in bulk, in one np.loadtxt call over the open
+file, whose values are bit-equal to float() of each cell. A table that call
+refuses or reads differently (a blank line, a quoted cell, a spelling such
+as 1_0) is read again row by row through csv.reader, which accepts it as
+before or names its first bad line. They refuse a row with the wrong number
+of cells or a cell that is not a finite number with ScenarioError,
+read_state and read_initial_csv also refuse indices outside the vector,
+fractional or repeated, and read_source_csv refuses times that do not
+strictly increase.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import operator
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,16 +124,59 @@ def _read_table(path, header: list[str]) -> list[np.ndarray]:
 
     A missing file, another header, a row with another number of cells, or a
     cell that is not a finite number raises ScenarioError naming the line.
+    The table is parsed in one np.loadtxt call; a file that call refuses or
+    reads differently from csv.reader goes through the row loop instead,
+    which accepts it as before or names its first bad line.
     """
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"missing file: {path}")
     width = len(header)
+    with open(path, newline="") as fh:
+        if next(csv.reader(fh), None) != header:
+            raise ScenarioError(f"{path}: expected header {','.join(header)}")
+        table = _bulk_rows(fh, width)
+    if table is None:
+        table = _csv_rows(path, width)
+    finite = np.isfinite(table).all(axis=1)
+    if not np.all(finite):
+        row = int(np.argmin(finite))
+        raise ScenarioError(f"{path}: line {row + 2}: cells must be finite numbers")
+    return list(table.T)
+
+
+def _bulk_rows(fh, width: int) -> np.ndarray | None:
+    """The rest of an open CSV file as a (rows, width) table, or None for the row loop.
+
+    loadtxt takes the file's lines as the file object splits them, which are
+    the lines csv.reader sees (CRLF, LF or a lone CR end one), and converts
+    each cell with CPython's own string-to-double, so its values are
+    bit-equal to float(). It refuses quoted cells, comment marks and
+    spellings like 1_0 that float() accepts, and it skips blank lines where
+    the row loop names them; the table is kept only if it has one row of
+    ``width`` cells for every line.
+    """
+    lines = itertools.count()
+    counted = map(operator.itemgetter(0), zip(fh, lines))
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(counted, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    return table if table.shape == (next(lines), width) else None
+
+
+def _csv_rows(path: Path, width: int) -> np.ndarray:
+    """The table after the header through csv.reader, one row at a time.
+
+    A row with another number of cells or a cell float() refuses raises
+    ScenarioError naming its line.
+    """
     cells = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise ScenarioError(f"{path}: expected header {','.join(header)}")
+        next(reader)
         for line in reader:
             if len(line) != width:
                 raise ScenarioError(
@@ -137,12 +188,7 @@ def _read_table(path, header: list[str]) -> list[np.ndarray]:
                 raise ScenarioError(
                     f"{path}: line {reader.line_num}: non-numeric cell in {','.join(line)!r}"
                 ) from None
-    table = np.asarray(cells, dtype=np.float64).reshape(-1, width)
-    finite = np.isfinite(table).all(axis=1)
-    if not np.all(finite):
-        row = int(np.argmin(finite))
-        raise ScenarioError(f"{path}: line {row + 2}: cells must be finite numbers")
-    return list(table.T)
+    return np.asarray(cells, dtype=np.float64).reshape(-1, width)
 
 
 def _index_column(path, column: np.ndarray, total: int, name: str) -> np.ndarray:

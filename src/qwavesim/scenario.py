@@ -13,6 +13,7 @@ scenario path for context.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import Callable
@@ -29,7 +30,7 @@ from .discretize import (
     assemble_operator_pair,
     build_grid,
 )
-from .errors import ScenarioError
+from .errors import ScenarioError, SourceError
 from .initcircuit import PolarGridSpec, RadialField
 from .io import read_initial_csv, read_json, read_source_csv
 from .measurement import EstimatorConfig, SubspaceProjector
@@ -208,12 +209,17 @@ def _positive(value, where: str) -> float:
     return float(value)
 
 
+def _square(x: float) -> float:
+    """x**2, or inf where it overflows (float ** raises where numpy would give inf)."""
+    try:
+        return x**2
+    except OverflowError:
+        return np.inf
+
+
 def _gaussian_spread(width: float, where: str) -> float:
     """2 * width**2 of a Gaussian, refused unless it is finite and positive."""
-    try:
-        spread = 2.0 * width**2
-    except OverflowError:  # float ** raises where numpy would give inf
-        spread = np.inf
+    spread = 2.0 * _square(width)
     if not 0.0 < spread < np.inf:
         raise ScenarioError(f"{where}: 2 * {width!r}**2 is not a finite positive number")
     return spread
@@ -382,6 +388,7 @@ def _parse_initial(raw: dict, grid, pair, system, base: Path) -> np.ndarray:
 
 
 def _parse_time_function(spec: dict, base: Path, where: str) -> SourceTimeFunction:
+    """A pulse or a sample table; a pulse float64 cannot sample is refused naming its keys."""
     def finite(key):
         return _finite(_require(spec, key, where), f"{where}.{key}")
 
@@ -391,23 +398,37 @@ def _parse_time_function(spec: dict, base: Path, where: str) -> SourceTimeFuncti
     kind = _require(spec, "kind", where)
     amplitude = _finite(spec.get("amplitude", 1.0), f"{where}.amplitude")
     if kind == "gaussian":
-        return gaussian_pulse(center=finite("center"), sigma=positive("sigma"), amplitude=amplitude)
-    if kind == "ricker":
+        center, sigma = finite("center"), positive("sigma")
+        _gaussian_spread(sigma, f"{where}.sigma")
+        keys, make = ("center", "sigma"), partial(gaussian_pulse, center=center, sigma=sigma)
+    elif kind == "ricker":
+        peak = positive("peak_frequency")
+        if _square(np.pi * peak) == np.inf:
+            raise ScenarioError(f"{where}.peak_frequency: (pi * {peak!r})**2 is not finite")
         delay = spec.get("delay")
-        return ricker_wavelet(
-            peak_frequency=positive("peak_frequency"),
-            delay=None if delay is None else finite("delay"),
-            amplitude=amplitude,
+        keys = ("peak_frequency", "delay")
+        make = partial(
+            ricker_wavelet, peak_frequency=peak, delay=None if delay is None else finite("delay")
         )
-    if kind == "windowed_sine":
-        return windowed_sine(
-            frequency=positive("frequency"), t_start=finite("t_start"),
-            duration=positive("duration"), amplitude=amplitude,
+    elif kind == "windowed_sine":
+        frequency = positive("frequency")
+        if 2.0 * np.pi * frequency == np.inf:
+            raise ScenarioError(f"{where}.frequency: 2 * pi * {frequency!r} is not finite")
+        keys = ("frequency", "t_start", "duration")
+        make = partial(
+            windowed_sine, frequency=frequency, t_start=finite("t_start"),
+            duration=positive("duration"),
         )
-    if kind == "file":
+    elif kind == "file":
         times, values = read_source_csv(base / _require(spec, "path", where))
         return time_function_from_samples(times, values)
-    raise ScenarioError(f"{where}: unknown kind {kind!r}")
+    else:
+        raise ScenarioError(f"{where}: unknown kind {kind!r}")
+    try:
+        return make(amplitude=amplitude)
+    except SourceError as exc:
+        named = ", ".join(f"{where}.{key}" for key in keys)
+        raise ScenarioError(f"{named}: the pulse cannot be sampled in float64: {exc}") from None
 
 
 def _parse_sources(raw: dict, grid, system, base: Path) -> tuple[SourceSpec, ...]:

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import expit
 
 from .encoding import Hamiltonian, QuantumRegisterState, build_hamiltonian, stack_substates
@@ -74,8 +73,10 @@ class SourceTimeFunction:
         v = np.asarray(self.values, dtype=np.float64)
         if t.ndim != 1 or t.shape != v.shape or t.size < 2:
             raise SourceError("time function needs matching 1-D samples (>= 2)")
-        if np.any(np.diff(t) <= 0):
-            raise SourceError("sample times must be strictly increasing")
+        if not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0):
+            raise SourceError("sample times must be finite and strictly increasing")
+        if not np.all(np.isfinite(v)):
+            raise SourceError("sample values must be finite")
         if not self.t_end > self.t_start:
             raise SourceError("support must have positive length")
         peak = float(np.abs(v).max())
@@ -103,6 +104,9 @@ class SourceTimeFunction:
 
     def _spline(self):
         if not hasattr(self, "_spline_cache"):
+            # imported here: scipy.interpolate adds about 0.1 s to every command's start-up
+            from scipy.interpolate import CubicSpline
+
             object.__setattr__(self, "_spline_cache", CubicSpline(self.times, self.values))
         return self._spline_cache
 

@@ -1,12 +1,17 @@
-"""Byte layout of the CSV writers, against a csv.writer reference."""
+"""Byte layout of the CSV writers, against a csv.writer reference, and the
+bulk CSV reader, against the csv.reader row loop it falls back to."""
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qwavesim import io
 from qwavesim.encoding import QuantumRegisterState, StateLayout
+from qwavesim.errors import ScenarioError
 
 # signed zeros, the smallest subnormal, exponent and fixed forms, and non-finite values
 SPECIAL = [-0.0, 0.0, 5e-324, 1e-5, 0.1, 1e16, 123456789.0, -2.5, float("inf"), float("nan")]
@@ -75,3 +80,111 @@ def test_state_bytes_match_the_csv_writer_reference(tmp_path, monkeypatch, block
     assert (tmp_path / "state.csv.json").read_text() == json.dumps(sidecar, indent=2) + "\n"
     back = io.read_state(tmp_path / "state.csv")
     assert np.array_equal(back.amplitudes.view(np.uint64), state.amplitudes.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# the bulk reader against the row loop
+
+HEADER = ["index", "real", "imag"]
+
+# spellings float() and loadtxt both read, to the same bits
+ODD = ["1.", ".5", "+3", "-0", "-0.0", "1E-7", "5e-324", "4.9e-324", "2.2250738585072011e-308",
+       "123456789012345678901234567890", "0.100000000000000005551115123125782702",
+       "1e999", "-1e-999", "nan", "-inf", "Infinity", " 1.5", "2.5 ", "\t3", "\xa04"]
+# cells the row loop refuses or reads where loadtxt does not
+JUNK = ["1_0", '"1.5"', '""', "", " ", "#", "2#", "3 # x", "abc", "0x10", "1e", "--1", "\u0661",
+        "1 2"]
+TERMINATORS = ["\r\n", "\n", "\r"]
+
+
+CELLS = st.one_of(
+    st.floats().map(repr), st.integers(-(10**20), 10**20).map(str), st.sampled_from(ODD)
+)
+ROWS = st.lists(CELLS, min_size=3, max_size=3).map(",".join)
+
+
+@st.composite
+def _junk_row(draw):
+    cells = draw(st.lists(CELLS, min_size=3, max_size=3))
+    cells[draw(st.integers(0, 2))] = draw(st.sampled_from(JUNK))
+    return ",".join(cells)
+
+
+DEFECTS = st.one_of(
+    _junk_row(),
+    st.lists(CELLS, min_size=0, max_size=5).map(",".join),  # the wrong width, or blank
+    st.sampled_from(["", " ", "\t", "#", "# 0,1,2", '"0","1","2"', '"0\n",1,2', "0,1,2,"]),
+)
+
+
+@st.composite
+def _tables(draw):
+    """Header and rows as file text: clean rows, with at most one defect among them."""
+    lines = draw(st.lists(ROWS, max_size=8))
+    defect = draw(st.none() | DEFECTS)
+    if defect is not None:
+        lines.insert(draw(st.integers(0, len(lines))), defect)
+    ends = draw(st.lists(st.sampled_from(TERMINATORS), min_size=len(lines) + 1,
+                         max_size=len(lines) + 1))
+    text = ",".join(HEADER) + ends[0] + "".join(l + e for l, e in zip(lines, ends[1:]))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _outcome(path):
+    try:
+        return io._read_table(path, HEADER)
+    except ScenarioError as exc:
+        return str(exc)
+
+
+@given(text=_tables())
+def test_bulk_parse_matches_the_row_loop(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    path.write_bytes(text.encode())
+    bulk = _outcome(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "_bulk_rows", lambda fh, width: None)
+        loop = _outcome(path)
+    if isinstance(loop, str):
+        assert bulk == loop
+    else:
+        assert len(bulk) == len(loop) == 3
+        for a, b in zip(bulk, loop):
+            assert a.dtype == b.dtype == np.float64
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("end", TERMINATORS)
+@pytest.mark.parametrize("final", [True, False])
+def test_clean_tables_take_the_bulk_parse(tmp_path, monkeypatch, end, final):
+    rows = ["0,0.1,-0.0", "1,5e-324,1E-7", "2,.5,+3"]
+    text = end.join(["index,real,imag", *rows]) + (end if final else "")
+    (tmp_path / "t.csv").write_bytes(text.encode())
+
+    def row_loop(path, width):
+        raise AssertionError("a clean table fell back to the row loop")
+
+    monkeypatch.setattr(io, "_csv_rows", row_loop)
+    index, real, imag = io._read_table(tmp_path / "t.csv", HEADER)
+    assert index.tolist() == [0.0, 1.0, 2.0]
+    assert real.tolist() == [0.1, 5e-324, 0.5]
+    assert imag.view(np.uint64).tolist() == np.array([-0.0, 1e-7, 3.0]).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["0,1,2\n\n", "0,1,2\n \n", "# 0,1,2\n", "0,1,2#\n", '"0",1,2\n', "1_0,1,2\n", "0,1\n"],
+)
+def test_tables_loadtxt_reads_differently_go_to_the_row_loop(tmp_path, body):
+    (tmp_path / "t.csv").write_text("index,real,imag\n" + body)
+    with open(tmp_path / "t.csv", newline="") as fh:
+        fh.readline()
+        assert io._bulk_rows(fh, 3) is None
+
+
+def test_header_only_table_is_empty_and_quiet(tmp_path):
+    (tmp_path / "t.csv").write_text("index,real,imag\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        columns = io._read_table(tmp_path / "t.csv", HEADER)
+    assert [c.shape for c in columns] == [(0,), (0,), (0,)]

@@ -1,0 +1,72 @@
+"""What the package declares and what it loads: dependencies and start-up imports."""
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+TESTS = ROOT / "tests"
+TEST_ONLY = {"hypothesis", "pytest"}
+
+
+def _third_party_imports(files, local=()) -> dict[str, str]:
+    """Top-level imported module -> first file importing it, stdlib and local modules left out."""
+    found = {}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top not in local:
+                    found.setdefault(top, path.name)
+    return found
+
+
+def _requirement_names(requirements) -> set[str]:
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_") for r in requirements}
+
+
+def _project() -> dict:
+    tomllib = pytest.importorskip("tomllib")
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+
+def test_package_imports_are_declared_dependencies():
+    project = _project()
+    declared = _requirement_names(project["dependencies"])
+    imported = _third_party_imports(sorted((SRC / "qwavesim").glob("*.py")), local={"qwavesim"})
+    undeclared = {name: where for name, where in imported.items() if name not in declared}
+    assert not undeclared, f"imported but not in [project] dependencies: {undeclared}"
+    assert not declared & TEST_ONLY, "test tools belong in the test extra"
+
+
+def test_test_imports_are_declared_in_the_test_extra():
+    project = _project()
+    declared = _requirement_names(project["dependencies"])
+    test_extra = _requirement_names(project["optional-dependencies"]["test"])
+    assert test_extra == TEST_ONLY
+    local = {"qwavesim", *(p.stem for p in TESTS.glob("*.py"))}
+    imported = _third_party_imports(sorted(TESTS.glob("*.py")), local=local)
+    undeclared = {n: where for n, where in imported.items() if n not in declared | test_extra}
+    assert not undeclared, f"imported by the tests but declared nowhere: {undeclared}"
+
+
+def test_cli_import_does_not_load_scipy_interpolate():
+    # the spline import is deferred to the first spline evaluation
+    path = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, qwavesim.cli; print('scipy.interpolate' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -566,6 +566,64 @@ def test_simulate_refuses_a_malformed_initial_file(tmp_path, capsys, body, messa
     assert not (tmp_path / "out").exists()
 
 
+# The whole stderr of each malformed table, byte for byte: the bulk parse in
+# io._read_table must leave every line-numbered message as it was.
+_PINNED_TABLE_ERRORS = [
+    ("w0.csv", "dof,value\n3.7,1.0\n", "line 2: dof 3.7 is not an integer in [0, 63) (fractional)"),
+    ("w0.csv", "dof,value\n3,1.0\n63,2.0\n",
+     "line 3: dof 63 is not an integer in [0, 63) (out of range)"),
+    ("w0.csv", "dof,value\n-1,1.0\n", "line 2: dof -1 is not an integer in [0, 63) (out of range)"),
+    ("w0.csv", "dof,value\n3,1.0\n5,0.5\n3,2.0\n", "line 4: dof 3 appears more than once"),
+    ("w0.csv", "anything\n3,1.0\n", "expected header dof,value"),
+    ("w0.csv", "dof,value\n3,1.0,2.0\n", "line 2: expected 2 cells, got 3"),
+    ("w0.csv", "dof,value\n3,nan\n", "line 2: cells must be finite numbers"),
+    ("w0.csv", "dof,value\n3,1.0\n\n5,2.0\n", "line 3: expected 2 cells, got 0"),
+    ("w0.csv", "dof,value\r\n3,1.0\r\n\r\n", "line 3: expected 2 cells, got 0"),
+    ("w0.csv", "dof,value\n3,1.0\n  \n", "line 3: expected 2 cells, got 1"),
+    ("w0.csv", "dof,value\n# note\n3,1.0\n", "line 2: expected 2 cells, got 1"),
+    ("w0.csv", "dof,value\n3,1.0\n5,two\n", "line 3: non-numeric cell in '5,two'"),
+    ("w0.csv", "dof,value\r3,1.0\r5,-inf\r", "line 3: cells must be finite numbers"),
+    ("w0.csv", 'dof,value\n"3\n",1.0\n4,x\n', "line 4: non-numeric cell in '4,x'"),
+    ("drive.csv", "time,value\n0.0,0.0\n0.1\n", "line 3: expected 2 cells, got 1"),
+    ("drive.csv", "time,value\n0.0,0.0\n0.1,1_0e\n", "line 3: non-numeric cell in '0.1,1_0e'"),
+    ("drive.csv", "time,value\n0.0,0.0\n0.5,2.0\n0.4,1.5\n",
+     "line 4: time must exceed the previous row's"),
+]
+
+
+@pytest.mark.parametrize("name, body, message", _PINNED_TABLE_ERRORS)
+def test_malformed_table_messages_are_pinned(tmp_path, capsys, name, body, message):
+    (tmp_path / name).write_bytes(body.encode())
+    if name == "drive.csv":
+        time_function = {"kind": "file", "path": name}
+        doc = _fast_doc(sources=[dict(_SOURCE, time_function=time_function)])
+    else:
+        doc = _fast_doc(initial={"kind": "file", "path": name})
+    scenario = _write(tmp_path, doc)
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"qwavesim: validation error: {tmp_path / name}: {message}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["0,1.0"], "line 2: expected 3 cells, got 2"),
+        (["0,0.6,0.0", "", "1,0.8,0.0"], "line 3: expected 3 cells, got 0"),
+        (["0,abc,0.0"], "line 2: non-numeric cell in '0,abc,0.0'"),
+        (["0,0.6,0.0", "1,nan,0.0"], "line 3: cells must be finite numbers"),
+        (["0.5,1.0,0.0"], "line 2: index 0.5 is not an integer in [0, 64) (fractional)"),
+        (["0,0.6,0.0", "0,0.8,0.0"], "line 3: index 0 appears more than once"),
+    ],
+)
+def test_malformed_state_messages_are_pinned(tmp_path, capsys, rows, message):
+    assert _measure_with_state(tmp_path, rows) == 1
+    assert capsys.readouterr().err == (
+        f"qwavesim: validation error: {tmp_path / 'state.csv'}: {message}\n"
+    )
+
+
 @pytest.mark.parametrize("name", ["rho", "c"])
 def test_boolean_material_coefficient_is_refused(tmp_path, capsys, name):
     material = {"family": "acoustic", "rho": 1.0, "c": 1.0, name: True}
@@ -724,6 +782,18 @@ _MALFORMED = [
     _case("pulse-center-nan", _pulse(center=float("nan")), "sources[0].time_function.center"),
     _case("pulse-amplitude-nan", _pulse(amplitude=float("nan")),
           "sources[0].time_function.amplitude"),
+    _case("pulse-sigma-underflowing", _pulse(sigma=1e-200), "sources[0].time_function.sigma"),
+    _case("pulse-sigma-overflowing", _pulse(sigma=1e200), "sources[0].time_function.sigma"),
+    _case("pulse-times-collapsed", _pulse(center=1e10, sigma=1e-10),
+          "sources[0].time_function.center, sources[0].time_function.sigma"),
+    _case("ricker-frequency-overflowing", _pulse(kind="ricker", peak_frequency=1e300),
+          "sources[0].time_function.peak_frequency"),
+    _case("sine-frequency-overflowing",
+          _pulse(kind="windowed_sine", frequency=1e308, t_start=0.0, duration=0.1),
+          "sources[0].time_function.frequency"),
+    _case("sine-duration-subnormal",
+          _pulse(kind="windowed_sine", frequency=10.0, t_start=0.0, duration=1e-320),
+          "sources[0].time_function.duration"),
     _case("ricker-delay-text",
           _pulse(kind="ricker", peak_frequency=20.0, delay="x"),
           "sources[0].time_function.delay"),

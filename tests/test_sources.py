@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qwavesim as q
 from qwavesim import checks, cli
@@ -307,6 +309,38 @@ def test_box_limit_tiles_samples_exactly():
         assert set(np.unique(w)) <= {0.0, 1.0}
     recon = np.sum([w * v for w in windows], axis=0)
     np.testing.assert_array_equal(recon, v)
+    assert deviation == 0.0
+
+
+@st.composite
+def _breakpoints(draw):
+    start = draw(st.floats(-10.0, 10.0))
+    widths = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=6))
+    return (start + np.concatenate([[0.0], np.cumsum(widths)])).tolist()
+
+
+@given(breakpoints=_breakpoints(), factor=st.floats(1.0, 100.0))
+def test_partition_of_unity_on_random_windows(breakpoints, factor):
+    bp = np.asarray(breakpoints)
+    delta = 0.5 * np.diff(bp).min()
+    # a grid over the span and past it, the interior edges, and every window's middle
+    t = np.concatenate([
+        np.linspace(bp[0] - 1.0, bp[-1] + 1.0, 2001),
+        [bp[0] + delta, bp[-1] - delta],
+        0.5 * (bp[:-1] + bp[1:]),
+    ])
+    windows, deviation = q.make_windows(t, q.default_steepness(breakpoints) * factor, breakpoints)
+    assert len(windows) == bp.size - 1
+    assert deviation < 1e-3
+
+
+@given(breakpoints=_breakpoints(), samples=st.lists(st.floats(-20.0, 90.0), max_size=50))
+def test_box_windows_put_each_sample_in_one_window(breakpoints, samples):
+    t = np.array(samples + breakpoints)
+    windows, deviation = q.make_windows(t, np.inf, breakpoints)
+    assert set(np.unique(windows)) <= {0.0, 1.0}
+    inside = (t >= breakpoints[0]) & (t < breakpoints[-1])
+    np.testing.assert_array_equal(np.sum(windows, axis=0), inside.astype(np.float64))
     assert deviation == 0.0
 
 
