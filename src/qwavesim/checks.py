@@ -187,9 +187,9 @@ def sliced_pipeline():
     grid, pair = _acoustic([(0.0, 1.0)], [128], 1.0, 1.0)
     stf = gaussian_pulse(center=0.08, sigma=0.01)
     source = PointSource(location=(64,), polarization=(1.0, 0.0), time_function=stf)
-    ham = build_hamiltonian(pair)  # one decomposition for the slices, evolution and oracle
-    slices = greens_decompose(source, 1.0, 1.0, 0.45, pair, mode="discrete", ham=ham)
+    slices = greens_decompose(source, 1.0, 1.0, 0.45, pair, mode="discrete")
     state, t_ends = assemble_multisource_state(slices, pair)
+    ham = build_hamiltonian(pair)  # the memoized H the slices were solved with
     t_sync, t_final = max(t_ends), 0.55
     block_dim, arity = state.layout.block_dim, state.layout.arity
     sync = build_sync_hamiltonian(ham, t_ends, t_sync, block_dim=block_dim, arity=arity)
@@ -200,9 +200,7 @@ def sliced_pipeline():
     mask = np.zeros(pair.n_total, dtype=bool)
     mask[64:128] = True
     sliced = estimate(settled, SubspaceProjector(mask=mask)).value
-    mono = spectral_forced_solution(
-        pair, chi_pattern(source, grid), stf, stf.t_start, t_final, ham=ham
-    )
+    mono = spectral_forced_solution(pair, chi_pattern(source, grid), stf, stf.t_start, t_final)
     direct = float(np.linalg.norm((np.sqrt(pair.b_diagonal()) * mono)[mask]) ** 2)
     pre = presimulate_pulse(source, pair)
     return [

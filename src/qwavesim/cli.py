@@ -252,9 +252,6 @@ def _run_presim(args) -> int:
     if not scenario.sources:
         raise ScenarioError(f"{scenario.path}: no sources to pre-simulate")
     system = scenario.system
-    # one H for every decomposed source; only the discrete mode decomposes it, once
-    decomposed = any(spec.decompose is not None for spec in scenario.sources)
-    ham = build_hamiltonian(system) if decomposed else None
 
     entries = []
     fields = []
@@ -263,7 +260,7 @@ def _run_presim(args) -> int:
             dec = spec.decompose
             slices = greens_decompose(
                 spec.source, dec["c"], dec["rho"], dec["radius"], system,
-                mode=dec["mode"], steepness=dec["steepness"], ham=ham,
+                mode=dec["mode"], steepness=dec["steepness"],
             )
         else:
             slices = [presimulate_pulse(spec.source, system, dt=scenario.dt)]

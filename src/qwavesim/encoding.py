@@ -43,6 +43,7 @@ from .errors import EncodingError, NumericalError
 
 HERMITICITY_TOL = 1e-12
 DECODE_IMAG_TOL = 1e-9
+_MEMO_KEY = "_hamiltonian"  # where build_hamiltonian keeps a system's H
 
 
 def next_power_of_two(n: int) -> int:
@@ -176,6 +177,10 @@ class Hamiltonian:
     The stacked schedule generators of the evolution module keep a
     single-block Hamiltonian and act through it, so one decomposition of the
     block H serves every block of every generator built from it.
+    build_hamiltonian memoizes its result on the (frozen, never mutated in
+    place) system object it was given, so every caller that asks for the H
+    of one system (the forced solve, the windowed slices, the sync and mult
+    generators) shares this instance and its one decomposition.
     """
 
     matrix: sp.csr_matrix
@@ -255,7 +260,23 @@ def build_hamiltonian(system) -> Hamiltonian:
     with a ``scalar_slice`` is recorded on the result when the matrix itself
     shows both diagonal blocks empty, which selects the chiral SVD path of
     eigendecomposition.
+
+    A frozen dataclass system (OperatorPair, ReducedSystem) keeps the result
+    in its instance ``__dict__``, outside its fields, so eq and repr are
+    unchanged: a later call with the same object returns the same
+    Hamiltonian, and with it the same memoized decomposition. Two equal
+    systems are two objects and build two Hamiltonians. The memo assumes the
+    frozen system is never mutated in place (no write into A or b_diag);
+    any other object, such as a mutable namespace, is built afresh per call.
     """
+    params = getattr(type(system), "__dataclass_params__", None)
+    memo = vars(system) if params is not None and params.frozen else {}
+    if _MEMO_KEY not in memo:
+        memo[_MEMO_KEY] = _build_hamiltonian(system)
+    return memo[_MEMO_KEY]
+
+
+def _build_hamiltonian(system) -> Hamiltonian:
     diag = _as_b_diagonal(system)
     if system.A.shape[0] != diag.size:
         raise EncodingError("generator and energy weight dimensions differ")

@@ -20,11 +20,11 @@ The CSV readers parse a table in bulk, in one np.loadtxt call over the open
 file, whose values are bit-equal to float() of each cell. A table that call
 refuses or reads differently (a blank line, a quoted cell, a spelling such
 as 1_0) is read again row by row through csv.reader, which accepts it as
-before or names its first bad line. They refuse a row with the wrong number
-of cells or a cell that is not a finite number with ScenarioError,
-read_state and read_initial_csv also refuse indices outside the vector,
-fractional or repeated, and read_source_csv refuses times that do not
-strictly increase.
+before or names its first bad line. They refuse a byte that is not UTF-8,
+a row with the wrong number of cells or a cell that is not a finite number
+with ScenarioError; read_state and read_initial_csv also refuse indices
+outside the vector, fractional or repeated, and read_source_csv refuses
+times that do not strictly increase.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ import csv
 import itertools
 import json
 import operator
+import re
 import warnings
 from pathlib import Path
 
@@ -62,9 +63,27 @@ def read_json(path):
     if not p.exists():
         raise ScenarioError(f"missing file: {p}")
     try:
-        return json.loads(p.read_text())
+        return json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise _utf8_error(p) from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"malformed JSON in {p}: {exc}") from exc
+
+
+def _utf8_error(path: Path) -> ScenarioError:
+    """The ScenarioError naming the line of the first byte of path that is not UTF-8.
+
+    A decoder reads the file in chunks, so the offset of its error is found
+    again in the raw bytes; lines end as csv.reader ends them (CRLF, LF or a
+    lone CR).
+    """
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(re.split(rb"\r\n|\r|\n", raw[: exc.start]))
+        return ScenarioError(f"{path}: line {line}: not valid UTF-8")
+    return ScenarioError(f"{path}: not valid UTF-8")  # the file changed since it was read
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +141,9 @@ def read_state(path) -> QuantumRegisterState:
 def _read_table(path, header: list[str]) -> list[np.ndarray]:
     """Columns of finite numbers from a CSV file with the given header.
 
-    A missing file, another header, a row with another number of cells, or a
-    cell that is not a finite number raises ScenarioError naming the line.
+    A missing file, a byte that is not UTF-8, another header, a row with
+    another number of cells, or a cell that is not a finite number raises
+    ScenarioError naming the line.
     The table is parsed in one np.loadtxt call; a file that call refuses or
     reads differently from csv.reader goes through the row loop instead,
     which accepts it as before or names its first bad line.
@@ -132,12 +152,15 @@ def _read_table(path, header: list[str]) -> list[np.ndarray]:
     if not path.exists():
         raise ScenarioError(f"missing file: {path}")
     width = len(header)
-    with open(path, newline="") as fh:
-        if next(csv.reader(fh), None) != header:
-            raise ScenarioError(f"{path}: expected header {','.join(header)}")
-        table = _bulk_rows(fh, width)
-    if table is None:
-        table = _csv_rows(path, width)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            if next(csv.reader(fh), None) != header:
+                raise ScenarioError(f"{path}: expected header {','.join(header)}")
+            table = _bulk_rows(fh, width)
+        if table is None:  # also where a byte that is not UTF-8 ends the bulk parse
+            table = _csv_rows(path, width)
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
     finite = np.isfinite(table).all(axis=1)
     if not np.all(finite):
         row = int(np.argmin(finite))
@@ -174,7 +197,7 @@ def _csv_rows(path: Path, width: int) -> np.ndarray:
     ScenarioError naming its line.
     """
     cells = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
         for line in reader:

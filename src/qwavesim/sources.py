@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .encoding import Hamiltonian, QuantumRegisterState, build_hamiltonian, stack_substates
+from .encoding import Hamiltonian, QuantumRegisterState, stack_substates
 from .errors import CausalityError, SourceError, SupportError
 from .reference import cfl_limit, leapfrog_evolve, spectral_forced_solution
 
@@ -481,11 +481,11 @@ def greens_decompose(
     evaluates the exact grid response by eigenbasis quadrature. The default
     is dalembert on 1D scalar sources and discrete otherwise.
 
-    ``ham`` is build_hamiltonian(system) when the caller already holds it,
-    as in spectral_forced_solution: the discrete mode then shares its
-    memoized decomposition (the chiral SVD of the encoding module) instead
-    of building and decomposing its own. Omitted, it is built once for all
-    slices; the closed-form mode does not use it.
+    The discrete mode solves every slice with the H of ``system``: ``ham``
+    when given (it must match the system size), else the one that
+    build_hamiltonian memoizes on the system object. Either way one
+    decomposition serves every slice and any later sync or mult generator
+    built from the same system; the closed-form mode does not use it.
 
     Returns one PreSimResult per window, each stamped with its slice end
     time, ready for assemble_multisource_state.
@@ -546,8 +546,6 @@ def greens_decompose(
 
     chi = system.restrict(chi_pattern(source, grid))
     coords = _source_coords(system)
-    if mode == "discrete" and ham is None:
-        ham = build_hamiltonian(system)  # one decomposition for all slices
 
     slices = []
     for j in range(len(breakpoints) - 1):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 import qwavesim as q
+from qwavesim.constraints import WALLS
+from qwavesim.discretize import PiecewiseCoefficient
 
 # Property tests draw the same examples on every run and keep no example file.
 settings.register_profile(
@@ -42,3 +45,38 @@ def acoustic_1d():
 @pytest.fixture
 def acoustic_2d():
     return build_acoustic_2d()
+
+
+@st.composite
+def coefficients(draw, dimension):
+    """A constant or a one-box piecewise coefficient in [0.5, 3]."""
+    level = st.floats(0.5, 3.0)
+    if draw(st.booleans()):
+        return draw(level)
+    box = np.sort(np.array([draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+                            for _ in range(dimension)]), axis=1)
+    return PiecewiseCoefficient(background=draw(level), regions=((box, draw(level)),))
+
+
+@st.composite
+def chiral_systems(draw, kind, dimension):
+    """A random pair of one family and dimension, with or without Dirichlet walls."""
+    shape = [draw(st.integers(2, 20 if dimension == 1 else 7)) for _ in range(dimension)]
+    grid = q.build_grid([(0.0, 1.0)] * dimension, shape)
+    if kind == "acoustic":
+        material = q.MaterialModel.acoustic(
+            grid, rho=draw(coefficients(dimension)), c=draw(coefficients(dimension))
+        )
+    else:
+        material = q.MaterialModel.maxwell1d(
+            grid, eps=draw(coefficients(1)), mu=draw(coefficients(1))
+        )
+    pair = q.assemble_operator_pair(grid, material)
+    walls = [side for names in WALLS[:dimension] for side in names]
+    sides = draw(st.lists(st.sampled_from(walls), unique=True, max_size=len(walls)))
+    if not sides:
+        return pair
+    pinned = q.boundary_scalar_indices(grid, sides)
+    if pinned.size == grid.n_scalar:
+        return pair
+    return q.reduce_system(pair, q.dirichlet_constraints(grid, pinned))

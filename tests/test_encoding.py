@@ -8,12 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qwavesim as q
-from qwavesim.constraints import WALLS
-from qwavesim.discretize import PiecewiseCoefficient
 from qwavesim.encoding import next_power_of_two
 from qwavesim.errors import EncodingError, NumericalError
 
-from conftest import build_acoustic_1d, build_maxwell
+from conftest import build_acoustic_1d, build_maxwell, chiral_systems
 
 
 def _toy_system(a_dense, b_diag):
@@ -185,41 +183,6 @@ def test_next_power_of_two():
 # chiral decomposition: H = [[0, iC], [-iC^T, 0]] through the SVD of C
 
 
-@st.composite
-def _coefficients(draw, dimension):
-    """A constant or a one-box piecewise coefficient in [0.5, 3]."""
-    level = st.floats(0.5, 3.0)
-    if draw(st.booleans()):
-        return draw(level)
-    box = np.sort(np.array([draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
-                            for _ in range(dimension)]), axis=1)
-    return PiecewiseCoefficient(background=draw(level), regions=((box, draw(level)),))
-
-
-@st.composite
-def _chiral_systems(draw, kind, dimension):
-    """A random pair of one family and dimension, with or without Dirichlet walls."""
-    shape = [draw(st.integers(2, 20 if dimension == 1 else 7)) for _ in range(dimension)]
-    grid = q.build_grid([(0.0, 1.0)] * dimension, shape)
-    if kind == "acoustic":
-        material = q.MaterialModel.acoustic(
-            grid, rho=draw(_coefficients(dimension)), c=draw(_coefficients(dimension))
-        )
-    else:
-        material = q.MaterialModel.maxwell1d(
-            grid, eps=draw(_coefficients(1)), mu=draw(_coefficients(1))
-        )
-    pair = q.assemble_operator_pair(grid, material)
-    walls = [side for names in WALLS[:dimension] for side in names]
-    sides = draw(st.lists(st.sampled_from(walls), unique=True, max_size=len(walls)))
-    if not sides:
-        return pair
-    pinned = q.boundary_scalar_indices(grid, sides)
-    if pinned.size == grid.n_scalar:
-        return pair
-    return q.reduce_system(pair, q.dirichlet_constraints(grid, pinned))
-
-
 def _assert_decomposes(ham):
     h = ham.matrix.toarray()
     evals, evecs = ham.eigendecomposition()
@@ -246,7 +209,7 @@ def _random_state(dim, seed):
 @pytest.mark.parametrize("kind, dimension", [("acoustic", 1), ("acoustic", 2), ("maxwell", 1)])
 @given(data=st.data(), t=st.floats(-1.5, 1.5), seed=st.integers(0, 2**16))
 def test_chiral_decomposition_is_an_orthonormal_eigenbasis(kind, dimension, data, t, seed):
-    system = data.draw(_chiral_systems(kind, dimension))
+    system = data.draw(chiral_systems(kind, dimension))
     ham = q.build_hamiltonian(system)
     assert ham.split == system.scalar_slice.stop
     _assert_decomposes(ham)

@@ -11,7 +11,7 @@ import qwavesim as q
 from qwavesim import evolution
 from qwavesim.errors import EvolutionError
 
-from conftest import build_acoustic_1d
+from conftest import build_acoustic_1d, chiral_systems
 
 
 def _two_level():
@@ -82,6 +82,22 @@ def test_group_property(rng):
     one = q.evolve(q.evolve(state, ham, 0.3), ham, 0.5)
     two = q.evolve(state, ham, 0.8)
     np.testing.assert_allclose(one.amplitudes, two.amplitudes, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind, dimension", [("acoustic", 1), ("acoustic", 2), ("maxwell", 1)])
+@given(
+    data=st.data(),
+    a=st.floats(-2.0, 2.0),
+    b=st.floats(-2.0, 2.0),
+    seed=st.integers(0, 2**16),
+)
+def test_group_property_on_random_systems(kind, dimension, data, a, b, seed):
+    system = data.draw(chiral_systems(kind, dimension))
+    ham = q.build_hamiltonian(system)
+    state = q.encode(np.random.default_rng(seed).normal(size=system.n_total), system)
+    one = q.evolve(q.evolve(state, ham, a), ham, b)
+    two = q.evolve(state, ham, a + b)
+    np.testing.assert_allclose(one.amplitudes, two.amplitudes, rtol=0, atol=1e-10)
 
 
 def test_dense_and_krylov_backends_agree(rng):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qwavesim as q
 from qwavesim.errors import ValidationError
 
-from conftest import build_acoustic_1d, build_acoustic_2d
+from conftest import build_acoustic_1d, build_acoustic_2d, chiral_systems
 
 
 def _pressure_bump(system, center=0.5, sigma=0.05):
@@ -172,6 +174,40 @@ def test_spectral_solution_matches_expm_with_flux_data_and_drive(route):
     lifted[:-1, -1] = chi / b
     exact = scipy.linalg.expm(0.3 * lifted) @ np.append(w0, 1.0)
     np.testing.assert_allclose(out, exact[:-1], rtol=0, atol=1e-11 * np.abs(exact).max())
+
+
+@pytest.mark.parametrize("kind, dimension", [("acoustic", 1), ("acoustic", 2), ("maxwell", 1)])
+@given(
+    data=st.data(),
+    t0=st.floats(-1.0, 1.0),
+    span=st.floats(1e-3, 1.0),
+    omega=st.floats(0.0, 20.0),
+    phase=st.floats(0.0, 2.0 * np.pi),
+    smoothness=st.sampled_from([None, 0.01]),
+    seed=st.integers(0, 2**16),
+)
+def test_table_quadrature_matches_expm_of_the_lifted_system(
+    kind, dimension, data, t0, span, omega, phase, smoothness, seed
+):
+    # f = cos(omega t + phase) is the first coordinate of a rotation, so the
+    # forced system lifts to a homogeneous one two coordinates larger; a
+    # smoothness of 0.01 spreads the quadrature over several panel chunks
+    system = data.draw(chiral_systems(kind, dimension))
+    n = system.n_total
+    rng = np.random.default_rng(seed)
+    w0, chi = rng.normal(size=(2, n))
+    out = q.spectral_forced_solution(
+        system, chi, lambda t: np.cos(omega * t + phase), t0, t0 + span,
+        w0=w0, smoothness=smoothness,
+    )
+    b = system.b_diagonal()
+    lifted = np.zeros((n + 2, n + 2))
+    lifted[:n, :n] = system.A.toarray() / b[:, None]
+    lifted[:n, n] = chi / b
+    lifted[n, n + 1], lifted[n + 1, n] = -omega, omega
+    start = np.append(w0, [np.cos(omega * t0 + phase), np.sin(omega * t0 + phase)])
+    exact = scipy.linalg.expm(span * lifted) @ start
+    np.testing.assert_allclose(out, exact[:n], rtol=0, atol=1e-11 * np.abs(exact).max())
 
 
 def test_spectral_solution_reuses_a_given_hamiltonian():

@@ -489,7 +489,8 @@ def _measure_with_state(tmp_path, rows):
         _base(measurements=[{"name": "m", "subspace": {"kind": "dof_range", "start": 0, "stop": 4}}]),
     )
     state = tmp_path / "state.csv"
-    state.write_text("index,real,imag\n" + "".join(row + "\n" for row in rows))
+    text = "index,real,imag\n" + "".join(row + "\n" for row in rows)
+    state.write_bytes(text.encode("utf-8", "surrogateescape"))  # "\udcff" writes byte 0xff
     layout = {"num_physical": 63, "block_dim": 64, "arity": 1, "augmented": False}
     (tmp_path / "state.csv.json").write_text(json.dumps({"scale": 1.0, "layout": layout}))
     return cli.main(
@@ -567,7 +568,8 @@ def test_simulate_refuses_a_malformed_initial_file(tmp_path, capsys, body, messa
 
 
 # The whole stderr of each malformed table, byte for byte: the bulk parse in
-# io._read_table must leave every line-numbered message as it was.
+# io._read_table must leave every line-numbered message as it was. A body is
+# written as UTF-8 with "\udcff" standing for the lone byte 0xff.
 _PINNED_TABLE_ERRORS = [
     ("w0.csv", "dof,value\n3.7,1.0\n", "line 2: dof 3.7 is not an integer in [0, 63) (fractional)"),
     ("w0.csv", "dof,value\n3,1.0\n63,2.0\n",
@@ -584,6 +586,9 @@ _PINNED_TABLE_ERRORS = [
     ("w0.csv", "dof,value\n3,1.0\n5,two\n", "line 3: non-numeric cell in '5,two'"),
     ("w0.csv", "dof,value\r3,1.0\r5,-inf\r", "line 3: cells must be finite numbers"),
     ("w0.csv", 'dof,value\n"3\n",1.0\n4,x\n', "line 4: non-numeric cell in '4,x'"),
+    ("w0.csv", "dof,value\n3,1.0\n5,\udcff\n", "line 3: not valid UTF-8"),
+    ("w0.csv", "dof,val\udcffue\n3,1.0\n", "line 1: not valid UTF-8"),
+    ("w0.csv", "dof,value\r\n3,1.0\r\r5,2.0\udcff\r\n", "line 4: not valid UTF-8"),
     ("drive.csv", "time,value\n0.0,0.0\n0.1\n", "line 3: expected 2 cells, got 1"),
     ("drive.csv", "time,value\n0.0,0.0\n0.1,1_0e\n", "line 3: non-numeric cell in '0.1,1_0e'"),
     ("drive.csv", "time,value\n0.0,0.0\n0.5,2.0\n0.4,1.5\n",
@@ -593,7 +598,7 @@ _PINNED_TABLE_ERRORS = [
 
 @pytest.mark.parametrize("name, body, message", _PINNED_TABLE_ERRORS)
 def test_malformed_table_messages_are_pinned(tmp_path, capsys, name, body, message):
-    (tmp_path / name).write_bytes(body.encode())
+    (tmp_path / name).write_bytes(body.encode("utf-8", "surrogateescape"))
     if name == "drive.csv":
         time_function = {"kind": "file", "path": name}
         doc = _fast_doc(sources=[dict(_SOURCE, time_function=time_function)])
@@ -615,12 +620,23 @@ def test_malformed_table_messages_are_pinned(tmp_path, capsys, name, body, messa
         (["0,0.6,0.0", "1,nan,0.0"], "line 3: cells must be finite numbers"),
         (["0.5,1.0,0.0"], "line 2: index 0.5 is not an integer in [0, 64) (fractional)"),
         (["0,0.6,0.0", "0,0.8,0.0"], "line 3: index 0 appears more than once"),
+        (["0,0.6,0.0", "1,0.8,0.0\udcff"], "line 3: not valid UTF-8"),
     ],
 )
 def test_malformed_state_messages_are_pinned(tmp_path, capsys, rows, message):
     assert _measure_with_state(tmp_path, rows) == 1
     assert capsys.readouterr().err == (
         f"qwavesim: validation error: {tmp_path / 'state.csv'}: {message}\n"
+    )
+
+
+def test_scenario_json_that_is_not_utf8_exits_one_naming_the_line(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes(json.dumps(_fast_doc(), indent=1).encode() + b"\n\xff\n")
+    lines = scenario.read_bytes().count(b"\n")
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"qwavesim: validation error: {scenario}: line {lines}: not valid UTF-8\n"
     )
 
 

@@ -417,12 +417,14 @@ def test_discrete_decomposition_decomposes_once(monkeypatch):
 
 
 def test_sync_then_mult_decompose_only_the_block_hamiltonian(monkeypatch):
+    # the whole slice -> sync -> mult pipeline decomposes the block H once:
+    # the slices and both generators share the H memoized on the pair
     pair, src = _sliced_pulse()
+    dims = _count_decompositions(monkeypatch)
     slices = q.greens_decompose(src, 1.0, 1.0, 0.45, pair, mode="discrete")
     state, t_ends = q.assemble_multisource_state(slices, pair)
     ham = q.build_hamiltonian(pair)
     layout = state.layout
-    dims = _count_decompositions(monkeypatch)
     sync = q.build_sync_hamiltonian(
         ham, t_ends, max(t_ends), block_dim=layout.block_dim, arity=layout.arity
     )
@@ -430,7 +432,42 @@ def test_sync_then_mult_decompose_only_the_block_hamiltonian(monkeypatch):
     mult = q.build_mult_hamiltonian(ham, layout.arity, block_dim=layout.block_dim)
     q.evolve(synced, mult, 0.2)
     assert layout.arity >= 2
-    assert dims == [ham.dim]
+    assert dims == [pair.n_total]
+
+
+def test_build_hamiltonian_is_memoized_on_the_system_object():
+    pair, _ = _sliced_pulse()
+    before = repr(pair)
+    ham = q.build_hamiltonian(pair)
+    assert q.build_hamiltonian(pair) is ham
+    assert repr(pair) == before  # kept outside the dataclass fields
+
+
+def test_equal_pairs_decompose_separately(monkeypatch):
+    # the memo is per object, never keyed by content: two pairs assembled
+    # from equal inputs each build and decompose their own H
+    (first, src), (second, _) = _sliced_pulse(), _sliced_pulse()
+    dims = _count_decompositions(monkeypatch)
+    a = q.greens_decompose(src, 1.0, 1.0, 0.45, first, mode="discrete")
+    b = q.greens_decompose(src, 1.0, 1.0, 0.45, second, mode="discrete")
+    assert q.build_hamiltonian(first) is not q.build_hamiltonian(second)
+    assert dims == [first.n_total, second.n_total]
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x.field, y.field)
+
+
+def test_reduced_system_keeps_its_own_hamiltonian():
+    pair, _ = _sliced_pulse()
+    constraints = q.dirichlet_constraints(
+        pair.grid, q.boundary_scalar_indices(pair.grid, ["left"])
+    )
+    reduced = q.reduce_system(pair, constraints)
+    parent = q.build_hamiltonian(pair)
+    own = q.build_hamiltonian(reduced)
+    assert own is not parent
+    assert own.dim == reduced.n_total < parent.dim
+    assert q.build_hamiltonian(reduced) is own
+    assert q.build_hamiltonian(pair) is parent
 
 
 def test_sliced_pipeline_check_decomposes_once(monkeypatch):
