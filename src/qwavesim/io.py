@@ -285,8 +285,8 @@ def read_source_csv(path) -> tuple[np.ndarray, np.ndarray]:
 # measurement and circuits
 
 
-def measurement_dict(result: EstimateResult) -> dict:
-    return {
+def write_measurement_json(path, result: EstimateResult, extra: dict | None = None) -> None:
+    payload = {
         "value": result.value,
         "stderr": result.stderr,
         "shots": result.shots,
@@ -300,17 +300,13 @@ def measurement_dict(result: EstimateResult) -> dict:
             for s, e in zip(result.observable.strings, result.string_expectations)
         ],
     }
-
-
-def write_measurement_json(path, result: EstimateResult, extra: dict | None = None) -> None:
-    payload = measurement_dict(result)
     if extra:
         payload.update(extra)
     write_json(path, payload)
 
 
-def circuit_dict(circuit: GateCircuit) -> dict:
-    return {
+def write_circuit_json(path, circuit: GateCircuit) -> None:
+    payload = {
         "register": {
             "component_qubits": circuit.n_component_qubits,
             "radial_qubits": circuit.n_radial_qubits,
@@ -327,10 +323,4 @@ def circuit_dict(circuit: GateCircuit) -> dict:
             for g in circuit.gates
         ],
     }
-
-
-def write_circuit_json(path, circuit: GateCircuit, extra: dict | None = None) -> None:
-    payload = circuit_dict(circuit)
-    if extra:
-        payload.update(extra)
     write_json(path, payload)

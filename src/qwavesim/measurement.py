@@ -316,13 +316,11 @@ class EstimateResult:
     string_expectations: tuple[float, ...]
 
 
-def _stack_states(states, arity: int | None):
+def _stack_states(states):
     """Validate the input and return it as one stacked, unaugmented register state."""
     if isinstance(states, QuantumRegisterState):
         if states.layout.augmented:
             raise MeasurementError("pass the unaugmented stack; augmentation happens here")
-        if arity is not None and arity != states.layout.arity:
-            raise MeasurementError("requested arity does not match the stacked state")
         return states
     vectors = [np.asarray(v, dtype=np.complex128) for v in states]
     if not vectors:
@@ -330,9 +328,7 @@ def _stack_states(states, arity: int | None):
     n = vectors[0].size
     if any(v.shape != (n,) for v in vectors):
         raise MeasurementError("sub-state vectors must share one length")
-    if arity is not None and arity < len(vectors):
-        raise MeasurementError("arity smaller than the number of sub-states")
-    return stack_substates(vectors, arity or 1)
+    return stack_substates(vectors)
 
 
 def _string_expectations(
@@ -374,19 +370,18 @@ def estimate(
     projector: SubspaceProjector,
     config: EstimatorConfig | None = None,
     observable: ObservableDecomposition | None = None,
-    arity: int | None = None,
 ) -> EstimateResult:
     """Estimate a subspace loss of one or more (sub-)states.
 
     Args:
         states: a stacked QuantumRegisterState, or a sequence of equal-length
-            vectors that will be stacked (padded to power-of-two arity).
+            vectors that will be stacked (padded to power-of-two arity);
+            stack_substates(vectors, arity) pads to a larger arity.
         projector: subspace mask over the physical unknowns.
         config: exact expectations by default; shot mode requires a seed.
         observable: defaults to the summation loss for the stack's arity;
             pass the two-state difference observable for ||P(a-b)||^2. Its
             strings must be the identity on the data qubits.
-        arity: optional expected arity, validated against the input.
 
     Returns:
         EstimateResult whose value is scale^2 * sum_j c_j <string_j>. The
@@ -398,7 +393,7 @@ def estimate(
         stderr combines the per-string sample variances.
     """
     config = config or EstimatorConfig()
-    stack = _stack_states(states, arity)
+    stack = _stack_states(states)
     layout = stack.layout
     if observable is None:
         observable = multi_state_observable(layout.arity, layout.n_data_qubits)

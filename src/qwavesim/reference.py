@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .encoding import Hamiltonian, build_hamiltonian
+from .encoding import build_hamiltonian
 from .errors import EvolutionError, ValidationError
 
 CFL_SAFETY = 0.9
@@ -195,32 +195,25 @@ def spectral_forced_solution(
     t0: float,
     t1: float,
     w0: np.ndarray | None = None,
-    smoothness: float | None = None,
-    ham: Hamiltonian | None = None,
 ) -> np.ndarray:
     """Rounding-level solution of B dw/dt = A w + chi f(t) at t1.
 
     Decomposes the encoded generator and evaluates the Duhamel integral per
     eigenmode with composite Gauss-Legendre panels of equal width; the width
     resolves both the fastest eigenfrequency and the forcing smoothness
-    scale (taken from ``smoothness`` or an f.dt_hint attribute when present).
+    scale, read from an f.dt_hint attribute when f has one.
     f is called once, on the nodes of all panels together. Because the
     panels share one width, the kernel exp(-i lam (t1 - s)) factors into one
     n x GL_NODES node table and one phase per panel, so the quadrature is a
     table product taken PANEL_CHUNK panels at a time, not a loop over panels.
-    ``ham`` defaults to build_hamiltonian(system), which is memoized on the
+    The generator is build_hamiltonian(system), which is memoized on the
     system object, so repeated solves on one system (and the sync and mult
-    generators built from its H) share one decomposition. A ``ham`` passed
-    explicitly is used as given and must match the system size.
+    generators built from its H) share one decomposition.
     """
     if t1 < t0:
         raise ValidationError("t1 precedes t0")
     diag = system.b_diagonal()
-    if ham is None:
-        ham = build_hamiltonian(system)
-    elif ham.dim != diag.size:
-        raise ValidationError("generator does not match the system size")
-    lam, vecs = ham.eigendecomposition()
+    lam, vecs = build_hamiltonian(system).eigendecomposition()
     chi = np.asarray(chi, dtype=np.float64)
     if chi.shape != diag.shape:
         raise ValidationError("forcing pattern does not match the system size")
@@ -233,7 +226,7 @@ def spectral_forced_solution(
 
     if t1 > t0:
         lam_max = float(np.abs(lam).max()) if lam.size else 0.0
-        hint = smoothness if smoothness is not None else getattr(f, "dt_hint", None)
+        hint = getattr(f, "dt_hint", None)
         h = t1 - t0
         if lam_max > 0.0:
             h = min(h, 2.5 / lam_max)

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .encoding import Hamiltonian, QuantumRegisterState, stack_substates
+from .encoding import QuantumRegisterState, stack_substates
 from .errors import CausalityError, SourceError, SupportError
 from .reference import cfl_limit, leapfrog_evolve, spectral_forced_solution
 
@@ -115,14 +115,12 @@ class SourceTimeFunction:
         return self.t_end - self.t_start
 
 
-def gaussian_pulse(
-    center: float, sigma: float, amplitude: float = 1.0, n_samples: int = 257
-) -> SourceTimeFunction:
-    """Gaussian bump; support truncated at 7 sigma (relative 2e-11)."""
+def gaussian_pulse(center: float, sigma: float, amplitude: float = 1.0) -> SourceTimeFunction:
+    """Gaussian bump; support truncated at 7 sigma (relative 2e-11), 257 export samples."""
     if sigma <= 0:
         raise SourceError("sigma must be positive")
     t0, t1 = center - 7.0 * sigma, center + 7.0 * sigma
-    times = np.linspace(t0, t1, n_samples)
+    times = np.linspace(t0, t1, 257)
 
     def fn(t):
         return amplitude * np.exp(-0.5 * ((t - center) / sigma) ** 2)
@@ -134,16 +132,15 @@ def gaussian_pulse(
 
 
 def ricker_wavelet(
-    peak_frequency: float, delay: float | None = None, amplitude: float = 1.0,
-    n_samples: int = 257,
+    peak_frequency: float, delay: float | None = None, amplitude: float = 1.0
 ) -> SourceTimeFunction:
-    """Second Gaussian derivative wavelet; support delay +- 2/f_peak."""
+    """Second Gaussian derivative wavelet; support delay +- 2/f_peak, 257 export samples."""
     if peak_frequency <= 0:
         raise SourceError("peak frequency must be positive")
     if delay is None:
         delay = 2.0 / peak_frequency
     t0, t1 = delay - 2.0 / peak_frequency, delay + 2.0 / peak_frequency
-    times = np.linspace(t0, t1, n_samples)
+    times = np.linspace(t0, t1, 257)
 
     def fn(t):
         arg = (np.pi * peak_frequency * (t - delay)) ** 2
@@ -156,18 +153,18 @@ def ricker_wavelet(
 
 
 def windowed_sine(
-    frequency: float, t_start: float, duration: float, amplitude: float = 1.0,
-    edge_fraction: float = 0.1, n_samples: int = 513,
+    frequency: float, t_start: float, duration: float, amplitude: float = 1.0
 ) -> SourceTimeFunction:
-    """Sine burst under a double-sigmoid envelope vanishing at both ends."""
+    """Sine burst under a double-sigmoid envelope vanishing at both ends.
+
+    Each sigmoid edge spans a tenth of the duration; 513 export samples.
+    """
     if frequency <= 0 or duration <= 0:
         raise SourceError("frequency and duration must be positive")
-    if not 0 < edge_fraction < 0.5:
-        raise SourceError("edge fraction must be in (0, 0.5)")
-    m = edge_fraction * duration
+    m = 0.1 * duration
     z = TAIL_CUT / m
     t1 = t_start + duration
-    times = np.linspace(t_start, t1, n_samples)
+    times = np.linspace(t_start, t1, 513)
 
     def fn(t):
         env = expit(z * (t - t_start - m)) * expit(-z * (t - t1 + m))
@@ -179,13 +176,13 @@ def windowed_sine(
     )
 
 
-def time_function_from_samples(times, values, kind: str = "samples") -> SourceTimeFunction:
+def time_function_from_samples(times, values) -> SourceTimeFunction:
     """Spline-interpolated f from a sample table (CSV import path)."""
     times = np.asarray(times, dtype=np.float64)
     return SourceTimeFunction(
         times=times, values=np.asarray(values, dtype=np.float64),
         t_start=float(times[0]), t_end=float(times[-1]),
-        dt_hint=float(np.diff(times).min()), kind=kind, fn=None,
+        dt_hint=float(np.diff(times).min()), kind="samples", fn=None,
     )
 
 
@@ -242,6 +239,16 @@ def _source_coords(system) -> np.ndarray:
     """Coordinates of every unknown the system carries."""
     grid = system.grid
     return system.restrict(np.concatenate([grid.scalar_coords, *grid.flux_coords], axis=0))
+
+
+def _require_ball_in_domain(grid, center, radius: float, name: str, advice: str = "") -> None:
+    """Raise CausalityError naming the first axis along which the ball leaves the domain."""
+    for ax, (lo, hi) in enumerate(grid.bounds):
+        if center[ax] - radius < lo - 1e-12 or center[ax] + radius > hi + 1e-12:
+            raise CausalityError(
+                f"{name} of radius {radius:.6g} around {tuple(center)} "
+                f"leaves the domain along axis {ax}{advice}"
+            )
 
 
 def _support_margin_cells(cone_cells: float) -> int:
@@ -319,13 +326,10 @@ def presimulate_pulse(
     margin = _support_margin_cells(cone / dx_max) * dx_max
     radius = cone + margin
     center = grid.scalar_coords[grid.scalar_index(*source.location)]
-    for ax, (lo, hi) in enumerate(grid.bounds):
-        if center[ax] - radius < lo - 1e-12 or center[ax] + radius > hi + 1e-12:
-            raise CausalityError(
-                f"pulse support ball of radius {radius:.6g} around "
-                f"{tuple(center)} leaves the domain along axis {ax}; "
-                "shorten the pulse or move the source inward"
-            )
+    _require_ball_in_domain(
+        grid, center, radius, "pulse support ball",
+        "; shorten the pulse or move the source inward",
+    )
     chi = system.restrict(chi_pattern(source, grid))
 
     def forcing(t: float) -> np.ndarray:
@@ -470,7 +474,6 @@ def greens_decompose(
     system,
     mode: str | None = None,
     steepness: float | None = None,
-    ham: Hamiltonian | None = None,
 ) -> list[PreSimResult]:
     """Slice a long source into windowed pulses with known compact responses.
 
@@ -481,11 +484,10 @@ def greens_decompose(
     evaluates the exact grid response by eigenbasis quadrature. The default
     is dalembert on 1D scalar sources and discrete otherwise.
 
-    The discrete mode solves every slice with the H of ``system``: ``ham``
-    when given (it must match the system size), else the one that
-    build_hamiltonian memoizes on the system object. Either way one
-    decomposition serves every slice and any later sync or mult generator
-    built from the same system; the closed-form mode does not use it.
+    The discrete mode solves every slice with the H that build_hamiltonian
+    memoizes on the system object, so one decomposition serves every slice
+    and any later sync or mult generator built from the same system; the
+    closed-form mode does not use it.
 
     Returns one PreSimResult per window, each stamped with its slice end
     time, ready for assemble_multisource_state.
@@ -498,10 +500,6 @@ def greens_decompose(
         raise SourceError("ball radius and homogeneous coefficients must be positive")
     if steepness is not None and not 0 < steepness < np.inf:
         raise SourceError(f"steepness must be finite and positive, got {steepness!r}")
-    if ham is not None and ham.dim != system.n_total:
-        raise SourceError(
-            f"generator dim {ham.dim} does not match the system's {system.n_total} unknowns"
-        )
     scalar_only = all(c == 0.0 for c in source.polarization[1:])
     if mode is None:
         mode = "dalembert" if (grid.dimension == 1 and scalar_only) else "discrete"
@@ -513,7 +511,8 @@ def greens_decompose(
         )
 
     center = grid.scalar_coords[grid.scalar_index(*source.location)]
-    _check_homogeneous_ball(system, center, r_s, c_hom, rho_hom)
+    coords = _source_coords(system)
+    _check_homogeneous_ball(system, coords, center, r_s, c_hom, rho_hom)
 
     t_hom = r_s / c_hom
     dx_max = max(grid.spacing)
@@ -532,12 +531,7 @@ def greens_decompose(
             f"(sigmoid margin {margin:.4g}, grid margin {d_margin:.4g}); "
             "enlarge the ball or raise the steepness"
         )
-    for ax, (lo, hi) in enumerate(grid.bounds):
-        if center[ax] - r_s < lo - 1e-12 or center[ax] + r_s > hi + 1e-12:
-            raise CausalityError(
-                f"homogeneous ball of radius {r_s:.6g} around {tuple(center)} "
-                f"leaves the domain along axis {ax}"
-            )
+    _require_ball_in_domain(grid, center, r_s, "homogeneous ball")
 
     first = f.t_start - margin
     last = f.t_end + margin
@@ -545,7 +539,6 @@ def greens_decompose(
     breakpoints = [first + j * width for j in range(n_windows)] + [last]
 
     chi = system.restrict(chi_pattern(source, grid))
-    coords = _source_coords(system)
 
     slices = []
     for j in range(len(breakpoints) - 1):
@@ -556,14 +549,13 @@ def greens_decompose(
         if mode == "dalembert":
             w = system.restrict(_dalembert_field(g, source, grid, c_hom, rho_hom, center))
         else:
-            w = spectral_forced_solution(system, chi, g, g.t_start, g.t_end, ham=ham)
+            w = spectral_forced_solution(system, chi, g, g.t_start, g.t_end)
         w = _enforce_support(w, coords, center, radius)
         slices.append(PreSimResult.from_field(w, g.t_end, center, radius))
     return slices
 
 
-def _check_homogeneous_ball(system, center, r_s, c_hom, rho_hom):
-    coords = _source_coords(system)
+def _check_homogeneous_ball(system, coords, center, r_s, c_hom, rho_hom):
     dist = np.linalg.norm(coords - center[None, :], axis=1)
     inside = dist <= r_s
     diag = system.b_diagonal()

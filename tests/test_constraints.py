@@ -10,7 +10,7 @@ import qwavesim as q
 from qwavesim.constraints import _interp_rows
 from qwavesim.errors import ConstraintError, IncompatibleConstraintError
 
-from conftest import build_acoustic_1d, build_acoustic_2d
+from conftest import build_acoustic_1d, build_acoustic_2d, chiral_systems
 
 
 def test_boundary_indices_2d_box():
@@ -54,14 +54,22 @@ def test_pinning_deletes_rows_and_columns():
     np.testing.assert_array_equal(red.constrained_indices, [0, 9])
 
 
-def test_embed_restrict_round_trip(rng):
-    pair = build_acoustic_1d(n=9)
-    red = q.reduce_system(pair, q.dirichlet_constraints(pair.grid, [0, 8]))
+@given(
+    red=st.sampled_from([("acoustic", 1), ("acoustic", 2), ("maxwell", 1)])
+    .flatmap(lambda family: chiral_systems(*family))
+    .filter(lambda system: isinstance(system, q.ReducedSystem)),
+    seed=st.integers(0, 2**16),
+)
+def test_embed_restrict_round_trip(red, seed):
+    rng = np.random.default_rng(seed)
     w_free = rng.normal(size=red.n_total)
     full = red.embed(w_free)
-    assert full.size == pair.n_total
-    np.testing.assert_array_equal(full[[0, 8]], 0.0)
+    assert full.size == red.parent.n_total
     np.testing.assert_array_equal(red.restrict(full), w_free)
+    v = rng.normal(size=red.parent.n_total)
+    pinned_zero = v.copy()
+    pinned_zero[red.constrained_indices] = 0.0
+    np.testing.assert_array_equal(red.embed(red.restrict(v)), pinned_zero)
 
 
 def test_reduced_evolution_matches_pinned_full_system(rng):

@@ -277,6 +277,9 @@ def test_derived_metadata_matches_the_materialized_matrix(n, t_ends, lag, arity)
         assert not isinstance(gen, q.Hamiltonian)
         built = q.Hamiltonian.from_matrix(gen.matrix)
         assert (gen.maxnorm, gen.sparsity) == (built.maxnorm, built.sparsity)
+        t_max = max(map(abs, gen.times))
+        defect_gap = abs(gen.hermiticity_defect() - built.hermiticity_defect())
+        assert defect_gap <= 1e-15 * t_max * ham.maxnorm
 
 
 def test_stacked_generator_with_another_block_dim_is_refused():

@@ -348,11 +348,3 @@ def test_estimate_refuses_a_string_on_the_data_qubits(rng, letter):
     )
     with pytest.raises(MeasurementError, match="data qubits"):
         q.estimate(vectors, q.SubspaceProjector.full(4), observable=observable)
-
-
-def test_stacked_state_arity_is_validated(rng):
-    vectors = [rng.normal(size=4) for _ in range(2)]
-    with pytest.raises(MeasurementError):
-        q.estimate(vectors, q.SubspaceProjector.full(4), arity=1)
-    res = q.estimate(vectors, q.SubspaceProjector.full(4), arity=4)
-    assert res.observable.arity == 4

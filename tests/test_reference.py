@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -162,11 +164,13 @@ def test_spectral_solution_matches_expm_with_flux_data_and_drive(route):
     system = build_acoustic_1d(n=24, rho=lambda x: 1.0 + 0.4 * np.sin(5.0 * x[0]))
     rng = np.random.default_rng(3)
     w0, chi = rng.normal(size=(2, system.n_total))
-    ham = q.build_hamiltonian(system)
+    solved = system
     if route == "eigh":
-        ham = q.Hamiltonian.from_matrix(ham.matrix)
+        # without a scalar_slice the H carries no split and decomposes by eigh
+        solved = types.SimpleNamespace(A=system.A, b_diagonal=system.b_diagonal)
+    assert (q.build_hamiltonian(solved).split is None) == (route == "eigh")
     out = q.spectral_forced_solution(
-        system, chi, lambda t: np.ones_like(t), 0.0, 0.3, w0=w0, ham=ham
+        solved, chi, lambda t: np.ones_like(t), 0.0, 0.3, w0=w0
     )
     b = system.b_diagonal()
     lifted = np.zeros((system.n_total + 1, system.n_total + 1))
@@ -183,23 +187,26 @@ def test_spectral_solution_matches_expm_with_flux_data_and_drive(route):
     span=st.floats(1e-3, 1.0),
     omega=st.floats(0.0, 20.0),
     phase=st.floats(0.0, 2.0 * np.pi),
-    smoothness=st.sampled_from([None, 0.01]),
+    dt_hint=st.sampled_from([None, 0.01]),
     seed=st.integers(0, 2**16),
 )
 def test_table_quadrature_matches_expm_of_the_lifted_system(
-    kind, dimension, data, t0, span, omega, phase, smoothness, seed
+    kind, dimension, data, t0, span, omega, phase, dt_hint, seed
 ):
     # f = cos(omega t + phase) is the first coordinate of a rotation, so the
     # forced system lifts to a homogeneous one two coordinates larger; a
-    # smoothness of 0.01 spreads the quadrature over several panel chunks
+    # dt_hint of 0.01 spreads the quadrature over several panel chunks
     system = data.draw(chiral_systems(kind, dimension))
     n = system.n_total
     rng = np.random.default_rng(seed)
     w0, chi = rng.normal(size=(2, n))
-    out = q.spectral_forced_solution(
-        system, chi, lambda t: np.cos(omega * t + phase), t0, t0 + span,
-        w0=w0, smoothness=smoothness,
-    )
+
+    def f(t):
+        return np.cos(omega * t + phase)
+
+    if dt_hint is not None:
+        f.dt_hint = dt_hint
+    out = q.spectral_forced_solution(system, chi, f, t0, t0 + span, w0=w0)
     b = system.b_diagonal()
     lifted = np.zeros((n + 2, n + 2))
     lifted[:n, :n] = system.A.toarray() / b[:, None]
@@ -208,17 +215,3 @@ def test_table_quadrature_matches_expm_of_the_lifted_system(
     start = np.append(w0, [np.cos(omega * t0 + phase), np.sin(omega * t0 + phase)])
     exact = scipy.linalg.expm(span * lifted) @ start
     np.testing.assert_allclose(out, exact[:n], rtol=0, atol=1e-11 * np.abs(exact).max())
-
-
-def test_spectral_solution_reuses_a_given_hamiltonian():
-    system = build_acoustic_1d(n=64)
-    chi = np.zeros(system.n_total)
-    chi[32] = 1.0
-    f = q.gaussian_pulse(0.1, 0.03)
-    ham = q.build_hamiltonian(system)
-    given = q.spectral_forced_solution(system, chi, f, 0.0, 0.4, ham=ham)
-    built = q.spectral_forced_solution(system, chi, f, 0.0, 0.4)
-    np.testing.assert_array_equal(given, built)
-    other = q.build_hamiltonian(build_acoustic_1d(n=32))
-    with pytest.raises(ValidationError):
-        q.spectral_forced_solution(system, chi, f, 0.0, 0.4, ham=other)

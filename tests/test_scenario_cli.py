@@ -1028,9 +1028,7 @@ def test_python_dash_m_runs_the_cli():
     assert "usage: qwavesim" in done.stdout
 
 
-@pytest.mark.parametrize(
-    "suite", ["symmetry", "conservation", "estimator", "initcircuit", "sources"]
-)
+@pytest.mark.parametrize("suite", sorted(checks.SUITES))
 def test_verify_suites_pass(suite, capsys):
     assert cli.main(["verify", suite]) == 0
     out = capsys.readouterr().out
