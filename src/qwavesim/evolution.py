@@ -28,6 +28,9 @@ decomposition is memoized on H, so every block and every generator built
 from it shares one; for the chiral H of a staggered-grid system it comes
 from the real SVD of the scalar x flux block, and from the complex eigh of
 H otherwise (see the encoding module). There is no backend option.
+
+scipy.sparse.linalg is imported by the sparse backend at its first use, not
+with this module, so importing the package does not load it.
 """
 from __future__ import annotations
 
@@ -36,7 +39,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .encoding import Hamiltonian, QuantumRegisterState, next_power_of_two
 from .errors import EvolutionError, NumericalError
@@ -53,6 +55,10 @@ def _dense_action(ham: Hamiltonian, vec: np.ndarray, t: float) -> np.ndarray:
 
 
 def _krylov_action(ham: Hamiltonian, vec: np.ndarray, t: float) -> np.ndarray:
+    # imported here: scipy.sparse.linalg (and scipy.linalg under it) is only
+    # needed above MAX_DENSE_DIM, so no command pays for it at start-up
+    from scipy.sparse.linalg import expm_multiply
+
     return expm_multiply(sp.csc_matrix(-1j * t * ham.matrix), vec)
 
 

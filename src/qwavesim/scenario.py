@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
@@ -209,17 +208,46 @@ def _positive(value, where: str) -> float:
     return float(value)
 
 
-def _square(x: float) -> float:
-    """x**2, or inf where it overflows (float ** raises where numpy would give inf)."""
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant splitting a double into two halves
+_SPLIT_MIN = 2.0**-400  # below this the halves' products can underflow and the error is inexact
+
+
+def _pow_square(v: float) -> float:
+    """v ** 2 through the C library's pow, or inf where float ** raises on overflow."""
     try:
-        return x**2
+        return v**2.0
     except OverflowError:
         return np.inf
 
 
+def _square(x) -> np.ndarray:
+    """float.__pow__(x, 2.0) elementwise, bit for bit, and inf where that overflows.
+
+    float ** calls the C library's pow, which is not always x * x: with glibc,
+    about 1 square in 1,200 differs by an ulp. glibc's pow is within 0.54 ulp,
+    so wherever the exact square lies within 0.46 ulp of x * x, pow returns
+    x * x. The exact error of x * x comes from Dekker's two-product, and pow
+    is called only where that error reaches 0.45 ulp, where x * x is a power
+    of two (the ulp below it is half the ulp above), where |x| < 2**-400 (the
+    split is inexact) and where x or x * x is not finite.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.asarray(x * x)  # an array even for 0-d x, so .flat writes through
+        c = _SPLIT * x
+        hi = c - (c - x)
+        lo = x - hi
+        err = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+        slow = ~(np.abs(err) < 0.45 * np.spacing(p))  # also where err or p is inf or nan
+    slow |= (np.frexp(p)[0] == 0.5) | ~(np.abs(x) >= _SPLIT_MIN)
+    where = np.flatnonzero(slow)
+    p.flat[where] = [_pow_square(v) for v in x.flat[where].tolist()]
+    return p
+
+
 def _gaussian_spread(width: float, where: str) -> float:
     """2 * width**2 of a Gaussian, refused unless it is finite and positive."""
-    spread = 2.0 * _square(width)
+    spread = 2.0 * float(_square(width))
     if not 0.0 < spread < np.inf:
         raise ScenarioError(f"{where}: 2 * {width!r}**2 is not a finite positive number")
     return spread
@@ -580,16 +608,16 @@ def _parse_initcircuit(raw: dict, base: Path) -> InitCircuitSpec | None:
     if kind == "gaussian_ring":
         where = "initcircuit.profile"
         r0 = _finite(_require(profile, "radius", where), f"{where}.radius")
+        if _square(abs(r0) + extent) == np.inf:
+            raise ScenarioError(
+                f"{where}.radius: ({abs(r0)!r} + extent {extent!r})**2 is not finite"
+            )
         width = _positive(_require(profile, "width", where), f"{where}.width")
         spread = _gaussian_spread(width, f"{where}.width")
         amplitude = _finite(profile.get("amplitude", 1.0), f"{where}.amplitude")
 
         def magnitude(r: np.ndarray) -> np.ndarray:
-            # float ** 2 calls the C library's pow, which is not always x * x: with
-            # glibc, numpy's square moves about 1 square in 1,200 by an ulp
-            offsets = (r - r0).flat  # numpy float64 scalars, a float subclass
-            square = np.fromiter(map(float.__pow__, offsets, repeat(2.0)), np.float64, r.size)
-            return amplitude * np.exp(-square.reshape(r.shape) / spread)
+            return amplitude * np.exp(-_square(r - r0) / spread)
 
         desc = f"gaussian_ring(radius={r0}, width={width})"
     elif kind == "file":

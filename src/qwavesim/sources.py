@@ -28,6 +28,10 @@ include a discretization margin that grows like the cube root of the cone
 length in cells; fields are verified against the claimed ball and hard-zeroed
 outside it, and the surviving nonzero count is what the resolution-scaling
 checks compare.
+
+scipy.special (the sigmoid expit) and scipy.interpolate (CubicSpline) are
+imported inside the functions that use them, at their first call, so
+importing the package loads neither.
 """
 from __future__ import annotations
 
@@ -35,7 +39,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .encoding import QuantumRegisterState, stack_substates
 from .errors import CausalityError, SourceError, SupportError
@@ -167,6 +170,8 @@ def windowed_sine(
     times = np.linspace(t_start, t1, 513)
 
     def fn(t):
+        from scipy.special import expit
+
         env = expit(z * (t - t_start - m)) * expit(-z * (t - t1 + m))
         return amplitude * np.sin(2.0 * np.pi * frequency * (t - t_start)) * env
 
@@ -406,6 +411,8 @@ def default_steepness(breakpoints) -> float:
 
 def _window(t, z: float, lo: float, hi: float):
     """The double-sigmoid window expit(z (t - lo)) - expit(z (t - hi))."""
+    from scipy.special import expit
+
     return expit(z * (t - lo)) - expit(z * (t - hi))
 
 

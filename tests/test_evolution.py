@@ -267,10 +267,19 @@ def test_mult_matches_the_exponential_of_its_matrix(method, n, arity, t, seed):
     t_ends=st.lists(_TIMES, min_size=1, max_size=8),
     lag=st.sampled_from([0.0, 0.3]),
     arity=st.sampled_from([1, 2, 4]),
+    perturb_seed=st.none() | st.integers(0, 2**16),
 )
-def test_derived_metadata_matches_the_materialized_matrix(n, t_ends, lag, arity):
-    pair = build_acoustic_1d(n=n, rho=1.3, c=0.8)
-    ham = q.build_hamiltonian(pair)
+def test_derived_metadata_matches_the_materialized_matrix(n, t_ends, lag, arity, perturb_seed):
+    ham = q.build_hamiltonian(build_acoustic_1d(n=n, rho=1.3, c=0.8))
+    if perturb_seed is not None:
+        # the acoustic H has a defect of 0 or of rounding size, which a wrong
+        # derived defect can match; one entry moved by about 1e-6 dwarfs rounding
+        rng = np.random.default_rng(perturb_seed)
+        dense = ham.matrix.toarray()
+        i, j = rng.choice(ham.dim, size=2, replace=False)
+        dense[i, j] += rng.uniform(0.5e-6, 2e-6) * rng.choice([1.0, -1.0, 1j, -1j])
+        ham = q.Hamiltonian.from_matrix(dense)
+        assert ham.hermiticity_defect() >= 0.5e-6
     sync = q.build_sync_hamiltonian(ham, t_ends, t_sync=max(t_ends) + lag)
     mult = q.build_mult_hamiltonian(ham, arity)
     for gen in (sync, mult):

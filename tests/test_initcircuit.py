@@ -347,3 +347,36 @@ def test_gaussian_ring_table_squares_as_the_per_point_profile_did(rng, tmp_path)
     points = rng.uniform(-1.0, 1.0, size=(20000, 2))
     expected = np.array([reference(x) for x in points])
     np.testing.assert_array_equal(_bits(field.table(points)), _bits(expected))
+
+
+def _pow_or_inf(v: float) -> float:
+    try:
+        return float.__pow__(v, 2.0)
+    except OverflowError:
+        return np.inf
+
+
+_MAX_ROOT = float(np.sqrt(np.finfo(np.float64).max))  # the largest square root, just under 2**512
+_SQUARE_EDGES = np.array(
+    [2.0**k for k in range(-1074, 1024)]
+    + [2.0**-400, *np.nextafter(2.0**-400, [0.0, 1.0]), 5e-324, 1e-310, 1e-160, 3e-162]
+    + [*np.nextafter(_MAX_ROOT, np.full(9, np.inf)), *np.nextafter(_MAX_ROOT, np.zeros(9))]
+    + [_MAX_ROOT, 2.0**512, 1e154, 1.35e154, 1e200, np.finfo(np.float64).max]
+    + [0.0, np.inf, np.nan, np.array(0x7FF8000200000000, np.uint64).view(np.float64)]
+)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_square_is_float_pow_bit_for_bit(seed):
+    # the vectorized square of the gaussian_ring profile against the C library's
+    # pow through float.__pow__ (inf where that raises on overflow); 30 examples
+    # draw over 10**6 values across every binade, plus the edges of the method
+    rng = np.random.default_rng(seed)
+    n = 10_000
+    spread = rng.uniform(1.0, 2.0, n) * np.exp2(rng.integers(-1074, 1024, n).astype(float))
+    scale = 10.0 ** rng.integers(1, 17, n)
+    short = np.round(rng.uniform(-4.0, 4.0, n) * scale) / scale  # decimal-like offsets
+    values = np.concatenate([rng.uniform(-1.0, 1.0, n), spread, short, _SQUARE_EDGES])
+    values = np.concatenate([values, -values])
+    expected = np.array([_pow_or_inf(v) for v in values.tolist()])
+    np.testing.assert_array_equal(_bits(q.scenario._square(values)), _bits(expected))

@@ -61,12 +61,21 @@ def test_test_imports_are_declared_in_the_test_extra():
     assert not undeclared, f"imported by the tests but declared nowhere: {undeclared}"
 
 
-def test_cli_import_does_not_load_scipy_interpolate():
-    # the spline import is deferred to the first spline evaluation
+def _scipy_modules_after(statement: str) -> set[str]:
+    """The scipy modules in sys.modules after running statement in a fresh interpreter."""
     path = [str(SRC), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = "import sys, qwavesim.cli; print('scipy.interpolate' in sys.modules)"
+    code = f"import sys; {statement}; print(*(m for m in sys.modules if m.startswith('scipy')))"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    return set(result.stdout.split())
+
+
+def test_cli_import_loads_no_scipy_module_beyond_scipy_sparse():
+    # scipy.sparse.linalg, scipy.special and scipy.interpolate are imported
+    # where they are first used, so no command pays for them at start-up
+    extra = _scipy_modules_after("import qwavesim.cli") - _scipy_modules_after(
+        "import numpy, scipy.sparse"
+    )
+    assert not extra, f"importing qwavesim.cli loads {sorted(extra)}"

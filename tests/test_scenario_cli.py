@@ -777,6 +777,12 @@ _MALFORMED = [
           "initcircuit.extent", "initcircuit"),
     _case("ring-radius-infinite", _ring(radius=float("inf")), "initcircuit.profile.radius",
           "initcircuit"),
+    _case("ring-radius-overflowing", _ring(radius=1e200), "initcircuit.profile.radius",
+          "initcircuit"),
+    _case("ring-radius-overflowing-negative", _ring(radius=-1e200), "initcircuit.profile.radius",
+          "initcircuit"),
+    _case("ring-radius-largest", _ring(radius=1e308), "initcircuit.profile.radius",
+          "initcircuit"),
     _case("ring-width-nan", _ring(width=float("nan")), "initcircuit.profile.width",
           "initcircuit"),
     _case("ring-width-zero", _ring(width=0.0), "initcircuit.profile.width", "initcircuit"),
