@@ -16,16 +16,23 @@ the next power of two; the pad coordinates never couple to anything.
 
 On the staggered grid A couples scalars only to fluxes, so H is chiral:
 
-    H = [[0, iC], [-iC^T, 0]],    C real, n_scalar x n_flux.
+    H = [[0, iC], [-iC^T, 0]],    C real, n_scalar x n_flux,
 
-With C = U S V^T, the eigenpairs of H are +-s_k with eigenvectors
-[u_k; -+i v_k]/sqrt(2), and the surplus singular vectors of the larger side
-give the zero modes [u; 0] or [0; v] (the Jordan-Wielandt correspondence).
-build_hamiltonian records the scalar/flux split when both diagonal blocks of
-the scaled generator store no entries, and the dense eigendecomposition then
-comes from the real SVD of C. Without a split (a generator wrapped by
-Hamiltonian.from_matrix, or a reduced system whose constraints couple
-scalars to scalars) it falls back to the complex eigh of H.
+and e^{-iHt} = e^{Kt} with K = [[0, C], [-C^T, 0]] real: the evolution is a
+real rotation. With the thin SVD C = U diag(s) V^T, every mode k turns the
+pair (u_k, v_k) by the angle s_k t:
+
+    x' = x + U(a * U^T x + b * V^T y)
+    y' = y + V(a * V^T y - b * U^T x),    a = cos(st) - 1,  b = sin(st),
+
+for x the scalar and y the flux coordinates. The zero modes need no vectors,
+because they are the identity term. build_hamiltonian records the
+scalar/flux split when both diagonal blocks of the scaled generator store no
+entries, and the dense decomposition is then the real thin SVD (s, U, V) of
+C, applied in this rotation form (``_rotate``); no complex eigenvectors are
+built. Without a split (a generator wrapped by Hamiltonian.from_matrix, or a
+reduced system whose constraints couple scalars to scalars) it falls back to
+the complex eigh of H.
 
 A register state may stack several sub-states (block dimension times arity)
 and may carry one auxiliary qubit in front (the measurement layout); the
@@ -169,9 +176,9 @@ class Hamiltonian:
     matrix is sparse complex (purely imaginary entries for real systems);
     maxnorm is max|H_jk| and sparsity the largest row population. split is
     the number of leading scalar coordinates when H is chiral (both
-    diagonal blocks empty), else None. A dense eigendecomposition is
-    memoized on first use (``_eig``): from the real SVD of the scalar x flux
-    block when there is a split, from eigh of H otherwise. evolve takes the
+    diagonal blocks empty), else None. A dense decomposition is memoized on
+    first use (``_eig``): the real thin SVD (s, U, V) of the scalar x flux
+    block when there is a split, eigh of H otherwise. evolve takes the
     dense backend whenever that memo is set or dim <= MAX_DENSE_DIM, and the
     sparse polynomial action otherwise; there is no option to override it.
     The stacked schedule generators of the evolution module keep a
@@ -212,33 +219,38 @@ class Hamiltonian:
         d = self.matrix - self.matrix.conjugate().T
         return float(np.abs(d.data).max()) if d.nnz else 0.0
 
-    def eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:
-        """(evals, evecs) with H = evecs diag(evals) evecs^H, in no particular order."""
+    def eigendecomposition(self) -> tuple[np.ndarray, ...]:
+        """The memoized dense decomposition of H.
+
+        For a chiral H (split set) it is the real thin SVD (s, U, V) of the
+        scalar x flux block C = U diag(s) V^T, which ``_rotate`` applies.
+        Otherwise it is (evals, evecs) with H = evecs diag(evals) evecs^H, in
+        no particular order.
+        """
         if self._eig is None:
             if self.split is None:
                 self._eig = np.linalg.eigh(self.matrix.toarray())
             else:
-                self._eig = _chiral_eig(self.matrix[: self.split, self.split :].toarray().imag)
+                # .imag before toarray: no complex copy of C stays alive as a base
+                c = self.matrix[: self.split, self.split :].imag.toarray()
+                u, s, vt = np.linalg.svd(c, full_matrices=False)
+                self._eig = (s, u, vt.T)
         return self._eig
 
 
-def _chiral_eig(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of [[0, iC], [-iC^T, 0]] from the full SVD of the real C."""
-    m, p = c.shape
-    u, s, vt = np.linalg.svd(c)
-    k = s.size
-    r = np.sqrt(0.5)
-    evecs = np.zeros((m + p, m + p), dtype=np.complex128)
-    # columns: +s_k with [u_k; -i v_k]/sqrt2, -s_k with [u_k; i v_k]/sqrt2,
-    # then the zero modes [u; 0] and [0; v] of the larger side
-    evecs.real[:m, :k] = r * u[:, :k]
-    evecs.real[:m, k : 2 * k] = evecs.real[:m, :k]
-    evecs.imag[m:, k : 2 * k] = r * vt[:k].T
-    evecs.imag[m:, :k] = -evecs.imag[m:, k : 2 * k]
-    evecs.real[:m, 2 * k : k + m] = u[:, k:]
-    evecs.real[m:, k + m :] = vt[k:].T
-    evals = np.concatenate([s, -s, np.zeros(m + p - 2 * k)])
-    return evals, evecs
+def _rotate(ham: Hamiltonian, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The non-identity part of a per-mode rotation of the real columns w.
+
+    For the chiral ham with thin SVD (s, U, V), x = w[:split] and
+    y = w[split:], this is [U(a * U^T x + b * V^T y); V(a * V^T y - b * U^T x)].
+    a and b hold one coefficient per mode, shaped (k,) or (k, columns) for a
+    real (n, columns) w; e^{-iHt} w is w plus this with a = cos(st) - 1 and
+    b = sin(st).
+    """
+    _, u, v = ham.eigendecomposition()
+    x, y = w[: ham.split], w[ham.split :]
+    ux, vy = u.T @ x, v.T @ y
+    return np.concatenate([u @ (a * ux + b * vy), v @ (a * vy - b * ux)])
 
 
 def _as_b_diagonal(b) -> np.ndarray:
@@ -258,8 +270,8 @@ def build_hamiltonian(system) -> Hamiltonian:
     antisymmetry guarantees it, and this is the line of defense against an
     operator assembled some other way. The scalar/flux split of a system
     with a ``scalar_slice`` is recorded on the result when the matrix itself
-    shows both diagonal blocks empty, which selects the chiral SVD path of
-    eigendecomposition.
+    shows both diagonal blocks empty, which selects the real thin SVD of
+    eigendecomposition and the rotation form.
 
     A frozen dataclass system (OperatorPair, ReducedSystem) keeps the result
     in its instance ``__dict__``, outside its fields, so eq and repr are

@@ -21,13 +21,18 @@ first H.dim coordinates of each block s with tau_s != 0 and leaves pad
 coordinates and zero-time blocks untouched.
 
 The exponential action on one block has one backend, chosen from what the
-block H shows: a dense eigendecomposition when one is already cached on H
-or H.dim <= MAX_DENSE_DIM, and a sparse polynomial action (Al-Mohy and
-Higham 2011; cost roughly nnz * |H| * t per application) above that. The
+block H shows: a dense decomposition when one is already cached on H or
+H.dim <= MAX_DENSE_DIM, and a sparse polynomial action (Al-Mohy and Higham
+2011; cost roughly nnz * |H| * t per application) above that. The
 decomposition is memoized on H, so every block and every generator built
-from it shares one; for the chiral H of a staggered-grid system it comes
-from the real SVD of the scalar x flux block, and from the complex eigh of
-H otherwise (see the encoding module). There is no backend option.
+from it shares one. For the chiral H of a staggered-grid system it is the
+real thin SVD of the scalar x flux block, and e^{-iHt} is applied as a real
+rotation to the real and imaginary parts of the amplitudes, as real columns
+(see the encoding module); no complex eigenvectors are built. Any other H
+falls back to the complex eigh. evolve hands every block with the same time
+to one call as the columns of one array, so the simultaneous generator,
+whose times are all 1, is one matrix-matrix product. There is no backend
+option.
 
 scipy.sparse.linalg is imported by the sparse backend at its first use, not
 with this module, so importing the package does not load it.
@@ -40,7 +45,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .encoding import Hamiltonian, QuantumRegisterState, next_power_of_two
+from .encoding import Hamiltonian, QuantumRegisterState, _rotate, next_power_of_two
 from .errors import EvolutionError, NumericalError
 
 MAX_BUILD_DIM = 1 << 22  # largest stacked matrix built by StackedHamiltonian.matrix
@@ -49,17 +54,26 @@ NORM_DRIFT_TOL = 1e-11  # 10x the 1e-12 accuracy both backends reach
 SCHEDULE_TOL = 1e-12
 
 
-def _dense_action(ham: Hamiltonian, vec: np.ndarray, t: float) -> np.ndarray:
-    evals, evecs = ham.eigendecomposition()
-    return evecs @ (np.exp(-1j * evals * t) * (vec.conj() @ evecs).conj())
+def _dense_action(ham: Hamiltonian, vecs: np.ndarray, t: float) -> np.ndarray:
+    """e^{-iHt} applied to the complex columns of vecs, from the cached decomposition."""
+    if ham.split is None:
+        evals, evecs = ham.eigendecomposition()
+        return evecs @ (np.exp(-1j * evals * t)[:, None] * (evecs.T @ vecs.conj()).conj())
+    # e^{-iHt} is real: rotate the real and imaginary parts as real columns, so
+    # no complex product (which would copy U and V to complex) is ever taken
+    s = ham.eigendecomposition()[0][:, None]
+    cols = vecs.shape[1]
+    w = np.concatenate([vecs.real, vecs.imag], axis=1)
+    w += _rotate(ham, np.cos(s * t) - 1.0, np.sin(s * t), w)
+    return w[:, :cols] + 1j * w[:, cols:]
 
 
-def _krylov_action(ham: Hamiltonian, vec: np.ndarray, t: float) -> np.ndarray:
+def _krylov_action(ham: Hamiltonian, vecs: np.ndarray, t: float) -> np.ndarray:
     # imported here: scipy.sparse.linalg (and scipy.linalg under it) is only
     # needed above MAX_DENSE_DIM, so no command pays for it at start-up
     from scipy.sparse.linalg import expm_multiply
 
-    return expm_multiply(sp.csc_matrix(-1j * t * ham.matrix), vec)
+    return expm_multiply(sp.csc_matrix(-1j * t * ham.matrix), vecs)
 
 
 def _backend(ham: Hamiltonian):
@@ -111,11 +125,13 @@ def evolve(
 
     action = _backend(block)
     out = state.amplitudes.copy()
-    n = block.dim
+    blocks = out.reshape(len(times), stride)[:, : block.dim]  # a view: one row per block
+    same_time: dict[float, list[int]] = {}
     for s, tau in enumerate(times):
         if tau:
-            lo = s * stride
-            out[lo : lo + n] = action(block, out[lo : lo + n], tau * t)
+            same_time.setdefault(tau, []).append(s)
+    for tau, rows in same_time.items():
+        blocks[rows] = action(block, blocks[rows].T, tau * t).T
 
     norm = float(np.linalg.norm(out))
     if abs(norm - 1.0) > NORM_DRIFT_TOL:

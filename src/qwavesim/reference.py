@@ -24,10 +24,13 @@ Stability requires dt <= safety * dx_min / (c_max sqrt(D)); violations are
 refused with the admissible bound in the message.
 
 For forced problems needing far more accuracy than O(dt^2), the module also
-provides the eigenbasis quadrature solution: diagonalize the encoded
-generator and evaluate the resulting oscillatory Duhamel integrals by
-composite Gauss-Legendre panels sized against both the largest eigenfrequency
-and the smoothness scale of the forcing. Its error is at rounding level and
+provides the spectral quadrature solution: decompose the encoded generator
+and evaluate the resulting oscillatory Duhamel integrals by composite
+Gauss-Legendre panels sized against both the largest frequency and the
+smoothness scale of the forcing. For the chiral H of a staggered-grid system
+the frequencies are the singular values of the scalar x flux block and the
+solution is assembled in real rotation form, with no complex eigenvectors;
+any other H uses its complex eigenbasis. Its error is at rounding level and
 it serves as the oracle that order-of-accuracy and pipeline-equality checks
 compare against.
 """
@@ -38,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .encoding import build_hamiltonian
+from .encoding import _rotate, build_hamiltonian
 from .errors import EvolutionError, ValidationError
 
 CFL_SAFETY = 0.9
@@ -199,13 +202,15 @@ def spectral_forced_solution(
     """Rounding-level solution of B dw/dt = A w + chi f(t) at t1.
 
     Decomposes the encoded generator and evaluates the Duhamel integral per
-    eigenmode with composite Gauss-Legendre panels of equal width; the width
-    resolves both the fastest eigenfrequency and the forcing smoothness
-    scale, read from an f.dt_hint attribute when f has one.
-    f is called once, on the nodes of all panels together. Because the
-    panels share one width, the kernel exp(-i lam (t1 - s)) factors into one
-    n x GL_NODES node table and one phase per panel, so the quadrature is a
-    table product taken PANEL_CHUNK panels at a time, not a loop over panels.
+    mode with composite Gauss-Legendre panels of equal width; the width
+    resolves both the fastest frequency and the forcing smoothness scale,
+    read from an f.dt_hint attribute when f has one (see _duhamel_integrals).
+    For a chiral generator the modes are the k singular values s of its
+    scalar x flux block, and with acc = int exp(-i s (t1 - tau)) f dtau the
+    forced part is (int f) g plus the rotation of g with coefficients
+    a = Re acc - int f and b = -Im acc (int cos and int sin of s (t1 - tau)
+    against f), all in real arithmetic. Any other generator uses its complex
+    eigenbasis and refuses a result with an imaginary part.
     The generator is build_hamiltonian(system), which is memoized on the
     system object, so repeated solves on one system (and the sync and mult
     generators built from its H) share one decomposition.
@@ -213,42 +218,48 @@ def spectral_forced_solution(
     if t1 < t0:
         raise ValidationError("t1 precedes t0")
     diag = system.b_diagonal()
-    lam, vecs = build_hamiltonian(system).eigendecomposition()
     chi = np.asarray(chi, dtype=np.float64)
     if chi.shape != diag.shape:
         raise ValidationError("forcing pattern does not match the system size")
+    if not np.all(np.isfinite(chi)):
+        raise ValidationError("forcing pattern must be finite")
+    if w0 is not None:
+        w0 = np.asarray(w0)
+        if np.iscomplexobj(w0) and np.any(w0.imag != 0):
+            raise EvolutionError(
+                "initial vector has an imaginary part; inputs are not a real system"
+            )
+        w0 = np.asarray(w0.real, dtype=np.float64)
+        if w0.shape != diag.shape:
+            raise ValidationError("initial vector does not match the system size")
+        if not np.all(np.isfinite(w0)):
+            raise ValidationError("initial vector must be finite")
+    ham = build_hamiltonian(system)
     sqrt_b = np.sqrt(diag)
-    g = ((chi / sqrt_b) @ vecs).conj()
+    g = chi / sqrt_b
 
+    if ham.split is not None:
+        s = ham.eigendecomposition()[0]
+        acc, total = _duhamel_integrals(s, f, t0, t1)
+        # the columns: the forcing g, then the initial data y0 = B^{1/2} w0 if given
+        cols, a, b = [g], [acc.real - total], [-acc.imag]
+        y1 = total * g
+        if w0 is not None:
+            y0 = sqrt_b * w0
+            cols.append(y0)
+            a.append(np.cos(s * (t1 - t0)) - 1.0)
+            b.append(np.sin(s * (t1 - t0)))
+            y1 = y1 + y0
+        turned = _rotate(ham, np.stack(a, axis=1), np.stack(b, axis=1), np.stack(cols, axis=1))
+        return (y1 + turned.sum(axis=1)) / sqrt_b
+
+    lam, vecs = ham.eigendecomposition()
+    g = (g @ vecs).conj()
     y_hat = np.zeros(lam.size, dtype=np.complex128)
     if w0 is not None:
-        y_hat = np.exp(-1j * lam * (t1 - t0)) * ((sqrt_b * np.asarray(w0)).conj() @ vecs).conj()
-
-    if t1 > t0:
-        lam_max = float(np.abs(lam).max()) if lam.size else 0.0
-        hint = getattr(f, "dt_hint", None)
-        h = t1 - t0
-        if lam_max > 0.0:
-            h = min(h, 2.5 / lam_max)
-        if hint:
-            h = min(h, float(hint))
-        n_panels = int(np.ceil((t1 - t0) / h))
-        nodes, weights = np.polynomial.legendre.leggauss(GL_NODES)
-        edges = np.linspace(t0, t1, n_panels + 1)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (t1 - t0) / n_panels
-        # exp(-i lam (t1 - c_p - half x_j)) = exp(-i lam (t1 - c_p)) exp(i lam half x_j):
-        # one node table for every panel, one phase per panel
-        s_q = centers[None, :] + half * nodes[:, None]
-        f_q = np.asarray(f(s_q.ravel()), dtype=np.float64).reshape(s_q.shape)
-        f_q = f_q * (half * weights)[:, None]  # a new array: f's own result stays as it was
-        node_phase = np.exp(1j * np.outer(lam, half * nodes))
-        acc = np.zeros(lam.size, dtype=np.complex128)
-        for p in range(0, n_panels, PANEL_CHUNK):
-            chunk = slice(p, p + PANEL_CHUNK)
-            panel_phase = np.exp(-1j * np.outer(lam, t1 - centers[chunk]))
-            acc += np.einsum("kp,kp->k", panel_phase, node_phase @ f_q[:, chunk])
-        y_hat = y_hat + acc * g
+        y_hat = np.exp(-1j * lam * (t1 - t0)) * ((sqrt_b * w0) @ vecs).conj()
+    acc, _ = _duhamel_integrals(lam, f, t0, t1)
+    y_hat = y_hat + acc * g
 
     y1 = vecs @ y_hat
     w1 = y1 / sqrt_b
@@ -260,3 +271,41 @@ def spectral_forced_solution(
             "inputs are not a real system"
         )
     return w1.real
+
+
+def _duhamel_integrals(freqs: np.ndarray, f, t0: float, t1: float) -> tuple[np.ndarray, float]:
+    """acc_k = int_t0^t1 exp(-i freqs_k (t1 - tau)) f(tau) dtau, and int_t0^t1 f.
+
+    Composite Gauss-Legendre panels of one width, which resolves both the
+    largest |freqs| and f.dt_hint when f has one. f is called once, on the
+    nodes of all panels together. Because the panels share one width, the
+    kernel factors into one n x GL_NODES node table and one phase per panel,
+    so the quadrature is a table product taken PANEL_CHUNK panels at a time,
+    not a loop over panels.
+    """
+    acc = np.zeros(freqs.size, dtype=np.complex128)
+    if t1 == t0:
+        return acc, 0.0
+    freq_max = float(np.abs(freqs).max()) if freqs.size else 0.0
+    hint = getattr(f, "dt_hint", None)
+    h = t1 - t0
+    if freq_max > 0.0:
+        h = min(h, 2.5 / freq_max)
+    if hint:
+        h = min(h, float(hint))
+    n_panels = int(np.ceil((t1 - t0) / h))
+    nodes, weights = np.polynomial.legendre.leggauss(GL_NODES)
+    edges = np.linspace(t0, t1, n_panels + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (t1 - t0) / n_panels
+    # exp(-i w (t1 - c_p - half x_j)) = exp(-i w (t1 - c_p)) exp(i w half x_j):
+    # one node table for every panel, one phase per panel
+    s_q = centers[None, :] + half * nodes[:, None]
+    f_q = np.asarray(f(s_q.ravel()), dtype=np.float64).reshape(s_q.shape)
+    f_q = f_q * (half * weights)[:, None]  # a new array: f's own result stays as it was
+    node_phase = np.exp(1j * np.outer(freqs, half * nodes))
+    for p in range(0, n_panels, PANEL_CHUNK):
+        chunk = slice(p, p + PANEL_CHUNK)
+        panel_phase = np.exp(-1j * np.outer(freqs, t1 - centers[chunk]))
+        acc += np.einsum("kp,kp->k", panel_phase, node_phase @ f_q[:, chunk])
+    return acc, float(f_q.sum())

@@ -12,6 +12,7 @@ scenario path for context.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -266,7 +267,15 @@ def _parse_grid(raw: dict) -> StaggeredGrid:
     extra = set(spec) - {"bounds", "shape"}
     if extra:
         raise ScenarioError(f"grid has unknown keys {sorted(extra)}")
-    return build_grid([tuple(b) for b in bounds], [_integer(n, "grid.shape") for n in shape])
+    counts = [_integer(n, "grid.shape") for n in shape]
+    # a node table of float64 must be addressable; a larger shape would end in
+    # an unrelated numpy error (or a memory error) inside build_grid
+    if math.prod(counts) * 8 > np.iinfo(np.intp).max:
+        raise ScenarioError(f"grid.shape {counts} has too many nodes to address")
+    try:
+        return build_grid([tuple(b) for b in bounds], counts)
+    except MemoryError:
+        raise ScenarioError(f"grid.shape {counts}: not enough memory for the grid") from None
 
 
 def _coefficient(spec, grid: StaggeredGrid, base: Path, name: str):

@@ -1,3 +1,4 @@
+import tracemalloc
 import types
 
 import numpy as np
@@ -11,7 +12,7 @@ import qwavesim as q
 from qwavesim.encoding import next_power_of_two
 from qwavesim.errors import EncodingError, NumericalError
 
-from conftest import build_acoustic_1d, build_maxwell, chiral_systems
+from conftest import build_acoustic_1d, build_acoustic_2d, build_maxwell, chiral_systems
 
 
 def _toy_system(a_dense, b_diag):
@@ -107,9 +108,13 @@ def test_decode_refuses_genuinely_complex_states():
 
 
 def test_spectrum_is_symmetric_about_zero():
+    # +-s is symmetric by construction, so the symmetry is tested on eigvalsh
+    # of the dense H, and the handle's spectrum against that
     for pair in (build_acoustic_1d(n=12, rho=1.3, c=0.8), build_maxwell(n=12)):
-        evals, _ = q.build_hamiltonian(pair).eigendecomposition()
-        np.testing.assert_allclose(np.sort(evals), -np.sort(evals)[::-1], atol=1e-10)
+        ham = q.build_hamiltonian(pair)
+        evals = np.sort(np.linalg.eigvalsh(ham.matrix.toarray()))
+        np.testing.assert_allclose(evals, -evals[::-1], atol=1e-10)
+        np.testing.assert_allclose(_spectrum(ham), evals, atol=1e-10)
 
 
 def test_homogeneous_metadata_values():
@@ -180,16 +185,37 @@ def test_next_power_of_two():
 
 
 # ---------------------------------------------------------------------------
-# chiral decomposition: H = [[0, iC], [-iC^T, 0]] through the SVD of C
+# chiral decomposition: H = [[0, iC], [-iC^T, 0]] held as the thin SVD of C
 
 
 def _assert_decomposes(ham):
+    """The memoized decomposition reproduces H: the thin SVD of C when chiral, else eigh."""
     h = ham.matrix.toarray()
-    evals, evecs = ham.eigendecomposition()
-    assert evals.shape == (ham.dim,) and evecs.shape == (ham.dim, ham.dim)
-    residual = np.abs(h @ evecs - evecs * evals).max()
-    assert residual <= 1e-12 * np.abs(h).max()
-    assert np.abs(evecs.conj().T @ evecs - np.eye(ham.dim)).max() <= 1e-12
+    if ham.split is None:
+        evals, evecs = ham.eigendecomposition()
+        assert evals.shape == (ham.dim,) and evecs.shape == (ham.dim, ham.dim)
+        residual = np.abs(h @ evecs - evecs * evals).max()
+        assert residual <= 1e-12 * np.abs(h).max()
+        assert np.abs(evecs.conj().T @ evecs - np.eye(ham.dim)).max() <= 1e-12
+        return
+    s, u, v = ham.eigendecomposition()
+    c = h[: ham.split, ham.split :].imag
+    k = min(c.shape)
+    assert s.shape == (k,) and u.shape == (c.shape[0], k) and v.shape == (c.shape[1], k)
+    assert all(x.dtype == np.float64 for x in (s, u, v))
+    assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-12
+    assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-12
+    # both sides, so C = U diag(s) V^T whichever of U and V is square
+    assert np.abs(c @ v - u * s).max() <= 1e-12 * ham.maxnorm
+    assert np.abs(c.T @ u - v * s).max() <= 1e-12 * ham.maxnorm
+
+
+def _spectrum(ham):
+    """The sorted eigenvalues of H from its decomposition: +-s and zeros when chiral."""
+    if ham.split is None:
+        return np.sort(ham.eigendecomposition()[0])
+    s = ham.eigendecomposition()[0]
+    return np.sort(np.concatenate([s, -s, np.zeros(ham.dim - 2 * s.size)]))
 
 
 def _evolved(ham, psi, t):
@@ -234,9 +260,9 @@ def test_wrapped_matrix_takes_the_eigh_path_with_the_same_results(rng):
     wrapped = q.Hamiltonian.from_matrix(chiral.matrix)
     assert chiral.split == 11 and wrapped.split is None
     _assert_decomposes(wrapped)
+    _assert_decomposes(chiral)
     np.testing.assert_allclose(
-        np.sort(wrapped.eigendecomposition()[0]), np.sort(chiral.eigendecomposition()[0]),
-        rtol=0.0, atol=1e-12 * chiral.maxnorm,
+        _spectrum(wrapped), _spectrum(chiral), rtol=0.0, atol=1e-12 * chiral.maxnorm
     )
     psi = _random_state(chiral.dim, 5)
     np.testing.assert_allclose(_evolved(wrapped, psi, 0.7), _evolved(chiral, psi, 0.7), atol=1e-12)
@@ -255,3 +281,44 @@ def test_a_stored_scalar_scalar_entry_takes_the_eigh_path():
     psi = _random_state(ham.dim, 11)
     exact = scipy.linalg.expm(-0.9j * ham.matrix.toarray()) @ psi
     assert np.abs(_evolved(ham, psi, 0.9) - exact).max() <= 1e-12
+
+
+def _owner(a):
+    """The array that owns a's memory (a itself unless a is a view)."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_chiral_memo_holds_only_the_real_thin_factors(monkeypatch):
+    # a memory guard: the decomposition of a 2D 16x16 pair (dim 736) holds
+    # s, U and V in float64 and never allocates a complex array as large as C
+    pair = build_acoustic_2d(nx=16, ny=16, rho=lambda x: 1.0 + x[0])
+    ham = q.build_hamiltonian(pair)
+    n_s, n_f = ham.split, ham.dim - ham.split
+    k = min(n_s, n_f)
+    complex_tables = []
+    for name in ("zeros", "empty"):
+
+        def spy(shape, dtype=float, *args, _make=getattr(np, name), **kwargs):
+            if np.dtype(dtype).kind == "c" and np.prod(shape) >= n_s * n_f:
+                complex_tables.append(tuple(int(n) for n in np.atleast_1d(shape)))
+            return _make(shape, dtype, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    memo = ham.eigendecomposition()
+    assert complex_tables == []
+    assert all(isinstance(a, np.ndarray) and a.dtype == np.float64 for a in memo)
+    owners = {id(o): o for o in map(_owner, memo)}
+    assert sum(o.nbytes for o in owners.values()) <= 8 * (n_s**2 + n_f**2 + k)
+
+    # and the action never copies U or V: one evolve allocates less than U holds
+    state = q.encode(np.random.default_rng(3).normal(size=pair.n_total), pair)
+    tracemalloc.start()
+    try:
+        q.evolve(state, ham, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert complex_tables == []
+    assert peak < 8 * n_s * k

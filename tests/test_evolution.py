@@ -204,6 +204,24 @@ def test_mult_generator_advances_all_blocks_identically(rng):
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 
+def test_blocks_with_one_time_share_one_action_call(rng):
+    # the mult generator is one call on all blocks as columns; the sync
+    # generator one call per distinct nonzero time, none for a zero-time block
+    pair = build_acoustic_1d(n=8)
+    ham = q.build_hamiltonian(pair)
+    state = _stack([rng.normal(size=pair.n_total) + 0j for _ in range(4)], 16)
+    calls = []
+
+    def recording(block, vecs, t):
+        calls.append((vecs.shape, t))
+        return evolution._dense_action(block, vecs, t)
+
+    with mock.patch.object(evolution, "_backend", lambda block: recording):
+        q.evolve(state, q.build_mult_hamiltonian(ham, 4), 0.3)
+        q.evolve(state, q.build_sync_hamiltonian(ham, [0.25, 0.5, 0.25, 0.75], 0.75), 2.0)
+    assert calls == [((15, 4), 0.3), ((15, 2), 1.0), ((15, 1), 0.5)]
+
+
 # ---------------------------------------------------------------------------
 # stacked generators act per block: equivalence with their materialized matrix
 

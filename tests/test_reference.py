@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qwavesim as q
-from qwavesim.errors import ValidationError
+from qwavesim.errors import EvolutionError, ValidationError
 
 from conftest import build_acoustic_1d, build_acoustic_2d, chiral_systems
 
@@ -215,3 +215,83 @@ def test_table_quadrature_matches_expm_of_the_lifted_system(
     start = np.append(w0, [np.cos(omega * t0 + phase), np.sin(omega * t0 + phase)])
     exact = scipy.linalg.expm(span * lifted) @ start
     np.testing.assert_allclose(out, exact[:n], rtol=0, atol=1e-11 * np.abs(exact).max())
+
+
+@pytest.mark.parametrize("kind, dimension", [("acoustic", 1), ("acoustic", 2), ("maxwell", 1)])
+@given(
+    data=st.data(),
+    span=st.floats(1e-3, 1.0),
+    omega=st.floats(0.0, 20.0),
+    with_data=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_chiral_forced_solution_matches_the_eigh_path(
+    kind, dimension, data, span, omega, with_data, seed
+):
+    # the rotation form over the singular values against the complex
+    # eigenbasis of the same H, reached through a wrapper without scalar_slice
+    system = data.draw(chiral_systems(kind, dimension))
+    w0, chi = np.random.default_rng(seed).normal(size=(2, system.n_total))
+    w0 = w0 if with_data else None
+
+    def f(t):
+        return np.cos(omega * t)
+
+    wrapped = types.SimpleNamespace(A=system.A, b_diagonal=system.b_diagonal)
+    assert q.build_hamiltonian(system).split is not None
+    assert q.build_hamiltonian(wrapped).split is None
+    chiral = q.spectral_forced_solution(system, chi, f, 0.0, span, w0=w0)
+    eigh = q.spectral_forced_solution(wrapped, chi, f, 0.0, span, w0=w0)
+    np.testing.assert_allclose(chiral, eigh, rtol=0, atol=1e-12 * np.abs(eigh).max())
+
+
+def _both_routes():
+    system = build_acoustic_1d(n=16)  # 31 unknowns
+    return {
+        "chiral": system,
+        "eigh": types.SimpleNamespace(A=system.A, b_diagonal=system.b_diagonal),
+    }
+
+
+@pytest.mark.parametrize("route", ["chiral", "eigh"])
+@pytest.mark.parametrize(
+    "w0",
+    [np.zeros(30), np.zeros(32), np.zeros((31, 1)), np.full(31, np.nan),
+     np.r_[np.zeros(30), np.inf]],
+    ids=["short", "long", "column", "nan", "inf"],
+)
+def test_forced_solution_refuses_a_malformed_initial_vector(route, w0):
+    system = _both_routes()[route]
+    with pytest.raises(ValidationError, match="initial vector"):
+        q.spectral_forced_solution(
+            system, np.ones(31), lambda t: np.ones_like(t), 0.0, 0.1, w0=w0
+        )
+
+
+@pytest.mark.parametrize("route", ["chiral", "eigh"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_forced_solution_refuses_a_non_finite_forcing_pattern(route, bad):
+    chi = np.ones(31)
+    chi[3] = bad
+    with pytest.raises(ValidationError, match="forcing pattern"):
+        q.spectral_forced_solution(_both_routes()[route], chi, lambda t: np.ones_like(t), 0.0, 0.1)
+
+
+@pytest.mark.parametrize("route", ["chiral", "eigh"])
+def test_forced_solution_refuses_a_complex_initial_vector(route):
+    system = _both_routes()[route]
+    w0 = np.zeros(31, dtype=complex)
+    w0[4] = 1e-3j
+    with pytest.raises(EvolutionError, match="inputs are not a real system"):
+        q.spectral_forced_solution(
+            system, np.ones(31), lambda t: np.ones_like(t), 0.0, 0.1, w0=w0
+        )
+    # a complex vector with a zero imaginary part is a real one
+    w0[4] = 1.0
+    out = q.spectral_forced_solution(
+        system, np.ones(31), lambda t: np.ones_like(t), 0.0, 0.1, w0=w0
+    )
+    real = q.spectral_forced_solution(
+        system, np.ones(31), lambda t: np.ones_like(t), 0.0, 0.1, w0=w0.real
+    )
+    np.testing.assert_array_equal(out, real)

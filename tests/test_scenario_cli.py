@@ -751,6 +751,8 @@ _MALFORMED = [
     _case("location-fraction", {"sources": [dict(_SOURCE, location=[16.7])]},
           "sources[0].location"),
     _case("shape-fraction", {"grid": {"bounds": [[0.0, 1.0]], "shape": [3.7]}}, "grid.shape"),
+    _case("shape-2^62", {"grid": {"bounds": [[0.0, 1.0]], "shape": [2**62]}}, "grid.shape"),
+    _case("shape-2^63", {"grid": {"bounds": [[0.0, 1.0]], "shape": [2**63]}}, "grid.shape"),
     _case("bounds-infinite", {"grid": {"bounds": [[0.0, float("inf")]], "shape": [32]}},
           "grid bounds must be finite"),
     _case("indices-fraction", _measure({"kind": "indices", "indices": [1.5]}),
@@ -858,6 +860,23 @@ def test_malformed_field_exits_one_naming_the_key(
     err = capsys.readouterr().err
     assert "qwavesim: validation error:" in err
     assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_grid_out_of_memory_exits_one_naming_the_shape(tmp_path, capsys, monkeypatch):
+    # a shape that passes the address check may still not fit in memory; the
+    # allocation failure is faked, since a real one could exhaust the host
+    def exhausted(bounds, shape):
+        raise MemoryError
+
+    monkeypatch.setattr(q.scenario, "build_grid", exhausted)
+    scenario = _write(tmp_path, _fast_doc())
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "qwavesim: validation error:" in err
+    assert "grid.shape" in err and "memory" in err
     assert "Traceback" not in err
     assert not out.exists()
 
