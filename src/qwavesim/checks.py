@@ -3,16 +3,26 @@
 Every check returns a list of (name, value, tol) rows, and a row passes
 when value <= tol (a NaN value fails). A strict bound "value < b" is stored
 as tol = the largest double below b, so one comparison serves every row.
-The checks are grouped into the suites that ``qwavesim verify SUITE`` runs,
-and the acceptance gate (tests/test_acceptance.py) asserts the same rows,
-so each input and tolerance lives in exactly one place.
+Every tol is finite and >= 0; a yes/no condition is a 0/1 row with tol 0.
+The checks are grouped into the suites that ``qwavesim verify SUITE`` runs.
+All eleven acceptance checks live here, and the acceptance gate
+(tests/test_acceptance.py) runs every check of every suite, so each input
+and tolerance lives in exactly one place.
 """
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
+from .constraints import (
+    ConstraintSet,
+    boundary_scalar_indices,
+    dirichlet_constraints,
+    reduce_system,
+)
 from .discretize import MaterialModel, antisymmetry_defect, assemble_operator_pair, build_grid
-from .encoding import build_hamiltonian, encode, stack_substates
+from .encoding import build_hamiltonian, decode, encode, stack_substates
+from .errors import IncompatibleConstraintError
 from .evolution import build_mult_hamiltonian, build_sync_hamiltonian, evolve
 from .initcircuit import (
     PolarGridSpec,
@@ -32,7 +42,7 @@ from .measurement import (
     pauli_expectation,
     two_state_observable,
 )
-from .reference import spectral_forced_solution
+from .reference import cfl_limit, leapfrog_evolve, spectral_forced_solution
 from .sources import (
     PointSource,
     assemble_multisource_state,
@@ -48,6 +58,21 @@ from .sources import (
 def _acoustic(bounds, shape, rho, c):
     grid = build_grid(bounds, shape)
     return grid, assemble_operator_pair(grid, MaterialModel.acoustic(grid, rho=rho, c=c))
+
+
+def _pressure_bump(pair, center, sigma):
+    """Collocated data: a Gaussian pressure bump at rest."""
+    xs = pair.grid.scalar_coords[:, 0]
+    w0 = np.zeros(pair.n_total)
+    w0[: pair.grid.n_scalar] = np.exp(-((xs - center) ** 2) / (2.0 * sigma**2))
+    return w0
+
+
+def _symmetry_rows(label, system):
+    return [
+        (f"{label} generator antisymmetry", antisymmetry_defect(system.A), 0.0),
+        (f"{label} hermiticity", build_hamiltonian(system).hermiticity_defect(), 1e-12),
+    ]
 
 
 def symmetry():
@@ -77,26 +102,37 @@ def symmetry():
     grid = build_grid([(0.0, 1.0)], [128])
     maxwell = assemble_operator_pair(grid, MaterialModel.maxwell1d(grid, eps=eps, mu=0.5))
     cases.append(("maxwell 1D N=128", maxwell))
-    rows = []
-    for label, pair in cases:
-        rows.append((f"{label} generator antisymmetry", antisymmetry_defect(pair.A), 0.0))
-        rows.append((f"{label} hermiticity", build_hamiltonian(pair).hermiticity_defect(), 1e-12))
-    return rows
+    return [row for label, pair in cases for row in _symmetry_rows(label, pair)]
 
 
 def conservation():
     """Norm and energy drift of a pressure bump over five domain crossings."""
-    grid, pair = _acoustic([(0.0, 1.0)], [128], 1.0, 1.0)
-    w0 = np.zeros(pair.n_total)
-    x = grid.scalar_coords[:, 0]
-    w0[: grid.n_scalar] = np.exp(-((x - 0.5) ** 2) / (2 * 0.05**2))
-    state = encode(w0, pair)
+    _, pair = _acoustic([(0.0, 1.0)], [128], 1.0, 1.0)
+    state = encode(_pressure_bump(pair, 0.5, 0.05), pair)
     evolved = evolve(state, build_hamiltonian(pair), 5.0)  # domain length 1 at c = 1
     norm_drift = abs(float(np.linalg.norm(evolved.amplitudes)) - 1.0)
     energy_drift = abs(evolved.scale**2 - state.scale**2) / state.scale**2
     return [
         ("norm drift over 5 crossings", norm_drift, 1e-10),
         ("energy drift over 5 crossings", energy_drift, 1e-10),
+    ]
+
+
+def leapfrog_agreement():
+    """Leapfrog against the decoded unitary: second order as dt halves twice."""
+    _, pair = _acoustic([(0.0, 1.0)], [128], 1.0, 1.0)
+    w0 = _pressure_bump(pair, 0.5, 0.05)
+    ham = build_hamiltonian(pair)
+    errs = []
+    for k in (2, 4, 8):
+        tr = leapfrog_evolve(pair, w0, cfl_limit(pair) / k, 0.25)
+        exact = decode(evolve(encode(w0, pair), ham, tr.times[-1]), pair)
+        errs.append(float(np.linalg.norm(tr.final - exact) / np.linalg.norm(exact)))
+    orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(2)]
+    return [
+        ("leapfrog order CFL/2 -> CFL/4, offset from 2", abs(orders[0] - 2.0), 0.2),
+        ("leapfrog order CFL/4 -> CFL/8, offset from 2", abs(orders[1] - 2.0), 0.2),
+        ("leapfrog error vs unitary at CFL/8", errs[-1], float(np.nextafter(1e-3, 0.0))),
     ]
 
 
@@ -209,6 +245,18 @@ def sliced_pipeline():
     ]
 
 
+def presim_support():
+    """Pre-simulated nonzeros stay put when resolution and pulse bandwidth double."""
+    counts = []
+    for n, sigma in ((255, 0.025), (509, 0.0125)):
+        _, pair = _acoustic([(0.0, 2.0)], [n], 1.0, 1.0)
+        stf = gaussian_pulse(center=0.25, sigma=sigma)
+        source = PointSource(location=(n // 2,), polarization=(1.0, 0.0), time_function=stf)
+        counts.append(presimulate_pulse(source, pair).nonzero_count)
+    ratio = counts[1] / counts[0]
+    return [("presim nonzeros, refined / coarse, offset from 1", abs(ratio - 1.0), 0.10)]
+
+
 def preparation_circuit():
     """Polar preparation circuit against direct construction, 10 random profiles per size."""
     rng = np.random.default_rng(9)
@@ -230,11 +278,75 @@ def preparation_circuit():
     return rows
 
 
+def wall_polarity():
+    """A natural wall reflects a pressure bump upright, a Dirichlet wall inverted.
+
+    The SNR is the reflected peak over the largest pressure left in a quiet
+    region; SNR > 100 is stored as 1/SNR < 0.01.
+    """
+    _, pair = _acoustic([(0.0, 1.0)], [256], 1.0, 1.0)
+    n_scalar = pair.grid.n_scalar
+    xs = pair.grid.scalar_coords[:, 0]
+    w0 = _pressure_bump(pair, 0.3, 0.03)
+    dt = cfl_limit(pair) / 4
+    natural = leapfrog_evolve(pair, w0, dt, 0.6).final
+    reduced = reduce_system(pair, dirichlet_constraints(pair.grid, np.array([0])))
+    pinned = reduced.embed(leapfrog_evolve(reduced, reduced.restrict(w0), dt, 0.6).final)
+    returned = (xs > 0.15) & (xs < 0.45)
+    quiet = (xs > 0.5) & (xs < 0.8)
+
+    def reflection(w):
+        p = w[:n_scalar]
+        window = p[returned]
+        peak = float(window[np.argmax(np.abs(window))])
+        return peak, abs(peak) / float(np.abs(p[quiet]).max())
+
+    nat_peak, nat_snr = reflection(natural)
+    dir_peak, dir_snr = reflection(pinned)
+    below_hundredth = float(np.nextafter(0.01, 0.0))
+    return [
+        ("natural wall peak inverted (must be upright)", float(not nat_peak > 0), 0.0),
+        ("natural wall reflection 1/SNR", 1.0 / nat_snr, below_hundredth),
+        ("dirichlet wall peak upright (must be inverted)", float(not dir_peak < 0), 0.0),
+        ("dirichlet wall reflection 1/SNR", 1.0 / dir_snr, below_hundredth),
+    ]
+
+
+def constraint_compatibility():
+    """Decoupled Dirichlet eliminations keep the generator exact; a coupled one is refused."""
+    grid, pair = _acoustic([(0.0, 1.0)], [32], 1.2, 0.9)
+    cases = [
+        (f"1D N=32 pinned {ids}", reduce_system(pair, dirichlet_constraints(grid, np.array(ids))))
+        for ids in ([0], [31], [0, 31])
+    ]
+    grid, pair = _acoustic([(0.0, 1.0), (0.0, 1.0)], [6, 6], 1.0, 1.0)
+    walls = dirichlet_constraints(grid, boundary_scalar_indices(grid, ["left", "bottom"]))
+    cases.append(("2D 6x6 pinned left+bottom", reduce_system(pair, walls)))
+    rows = [row for label, reduced in cases for row in _symmetry_rows(label, reduced)]
+
+    rng = np.random.default_rng(77)
+    _, pair = _acoustic([(0.0, 1.0)], [8], 1.0, 1.0)
+    coupled = ConstraintSet(
+        constrained=np.array([0, 14]),
+        r_f=sp.csr_matrix(rng.normal(size=(2, pair.n_total - 2))),
+        r_c=sp.csr_matrix(np.eye(2)),
+    )
+    try:
+        reduce_system(pair, coupled)
+        accepted = 1.0
+    except IncompatibleConstraintError:
+        accepted = 0.0
+    rows.append(("coupled elimination accepted (must be refused)", accepted, 0.0))
+    return rows
+
+
 # suite name -> its checks, in the order `qwavesim verify` prints their rows
 SUITES = {
     "symmetry": (symmetry,),
     "conservation": (conservation,),
+    "reference": (leapfrog_agreement,),
     "estimator": (exact_estimates, shot_scaling),
     "initcircuit": (preparation_circuit,),
-    "sources": (windows, sliced_pipeline),
+    "sources": (windows, sliced_pipeline, presim_support),
+    "constraints": (wall_polarity, constraint_compatibility),
 }

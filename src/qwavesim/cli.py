@@ -129,10 +129,7 @@ def _run_simulate(args) -> int:
     )
     state = encode(traj.final, system)
     ham = build_hamiltonian(system)
-    results = [
-        (req, estimate(state, req.projector, config=scenario.estimator))
-        for req in scenario.measurements
-    ]
+    write_measurements = _measure(scenario, state)
     manifest = _manifest(scenario, ham, dt, traj)
 
     out = _out_dir(scenario)
@@ -140,14 +137,9 @@ def _run_simulate(args) -> int:
     io.write_field_csv(out / "snapshots.csv", traj.times, traj.fields)
     io.write_energy_csv(out / "energy.csv", traj.times, traj.energy)
     io.write_state(out / "state.csv", state)
-    for req, result in results:
-        io.write_measurement_json(
-            out / f"measurement_{req.name}.json",
-            result,
-            extra={"name": req.name, "subspace": req.description},
-        )
+    written = write_measurements(out)
     io.write_json(out / "manifest.json", manifest)
-    print(f"simulate: wrote {5 + len(results)} files to {out}")
+    print(f"simulate: wrote {5 + written} files to {out}")
     return 0
 
 
@@ -217,6 +209,30 @@ def _manifest(scenario: Scenario, ham, dt: float, traj) -> dict:
 # measure
 
 
+def _measure(scenario: Scenario, state):
+    """Estimate every measurement request now; return the writer of their JSON files.
+
+    The writer takes the output directory and returns how many files it
+    wrote. Estimating before anything is written keeps a failing run from
+    leaving partial output.
+    """
+    results = [
+        (req, estimate(state, req.projector, config=scenario.estimator))
+        for req in scenario.measurements
+    ]
+
+    def write(out: Path) -> int:
+        for req, result in results:
+            io.write_measurement_json(
+                out / f"measurement_{req.name}.json",
+                result,
+                extra={"name": req.name, "subspace": req.description},
+            )
+        return len(results)
+
+    return write
+
+
 def _run_measure(args) -> int:
     scenario = _load(args)
     state = io.read_state(args.state)
@@ -227,19 +243,11 @@ def _run_measure(args) -> int:
         )
     if not scenario.measurements:
         raise ScenarioError(f"{scenario.path}: no measurements requested")
-    results = [
-        (req, estimate(state, req.projector, config=scenario.estimator))
-        for req in scenario.measurements
-    ]
+    write_measurements = _measure(scenario, state)
     out = _out_dir(scenario)
     out.mkdir(parents=True, exist_ok=True)
-    for req, result in results:
-        io.write_measurement_json(
-            out / f"measurement_{req.name}.json",
-            result,
-            extra={"name": req.name, "subspace": req.description},
-        )
-    print(f"measure: wrote {len(results)} files to {out}")
+    written = write_measurements(out)
+    print(f"measure: wrote {written} files to {out}")
     return 0
 
 

@@ -94,14 +94,17 @@ def evolve(
     its single-block H; pad coordinates are untouched. Augmented
     (measurement layout) states are not evolvable here. The result is
     renormalized to exact unit norm; a norm drift beyond NORM_DRIFT_TOL
-    raises instead of being papered over.
+    raises instead of being papered over. A non-finite time or generator is
+    refused.
     """
+    if not np.isfinite(t):
+        raise EvolutionError(f"evolution time {t} is not finite")
     if state.is_null:
         return state
     if state.layout.augmented:
         raise EvolutionError("cannot evolve an augmented measurement state")
     defect = ham.hermiticity_defect()
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise EvolutionError(f"generator is not Hermitian (defect {defect:.3e})")
     layout = state.layout
     total = layout.total_dim
@@ -134,7 +137,7 @@ def evolve(
         blocks[rows] = action(block, blocks[rows].T, tau * t).T
 
     norm = float(np.linalg.norm(out))
-    if abs(norm - 1.0) > NORM_DRIFT_TOL:
+    if not abs(norm - 1.0) <= NORM_DRIFT_TOL:
         raise NumericalError(f"evolution lost unitarity: norm {norm!r}")
     return state.with_amplitudes(out / norm)
 
@@ -156,7 +159,10 @@ class StackedHamiltonian:
     def __post_init__(self):
         if self.block_dim < self.block.dim:
             raise EvolutionError("block dimension smaller than the generator")
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        times = tuple(float(t) for t in self.times)
+        if not np.all(np.isfinite(times)):
+            raise EvolutionError(f"block times {times} are not all finite")
+        object.__setattr__(self, "times", times)
 
     @property
     def dim(self) -> int:
@@ -204,6 +210,10 @@ def build_sync_hamiltonian(
     t_ends = [float(x) for x in t_ends]
     if not t_ends:
         raise EvolutionError("need at least one sub-state end time")
+    if not np.all(np.isfinite([*t_ends, t_sync])):
+        raise EvolutionError(
+            f"schedule times must be finite: end times {t_ends}, synchronization time {t_sync}"
+        )
     if t_sync < max(t_ends) - SCHEDULE_TOL:
         raise EvolutionError(
             f"synchronization time {t_sync} precedes a sub-state end time {max(t_ends)}"

@@ -337,6 +337,37 @@ def test_sync_refuses_backward_evolution():
         q.build_sync_hamiltonian(ham, [0.2, 0.9], t_sync=0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sync_refuses_non_finite_times(bad):
+    ham, _ = _two_level()
+    for t_ends, t_sync in (([bad, 0.2], 0.5), ([0.1, 0.2], bad)):
+        with pytest.raises(EvolutionError, match=f"must be finite.*{bad}"):
+            q.build_sync_hamiltonian(ham, t_ends, t_sync=t_sync)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stacked_generator_refuses_non_finite_times(bad):
+    ham, _ = _two_level()
+    with pytest.raises(EvolutionError, match=f"{bad}.*not all finite"):
+        evolution.StackedHamiltonian(ham, (1.0, bad), 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_evolve_refuses_a_non_finite_time(bad, rng):
+    pair = build_acoustic_1d(n=16)
+    state = q.encode(rng.normal(size=pair.n_total), pair)
+    with pytest.raises(EvolutionError, match=f"time {bad} is not finite"):
+        q.evolve(state, q.build_hamiltonian(pair), bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_evolve_refuses_a_non_finite_generator(bad):
+    _, b = _two_level()
+    ham = q.Hamiltonian.from_matrix(np.array([[bad, 1j], [-1j, 0.0]]))
+    with pytest.raises(EvolutionError, match="not Hermitian"):
+        q.evolve(q.encode(np.array([1.0, 0.0]), b), ham, 0.1)
+
+
 def test_mult_refuses_non_power_of_two_arity():
     ham, _ = _two_level()
     with pytest.raises(EvolutionError):

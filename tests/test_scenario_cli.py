@@ -1062,14 +1062,23 @@ def test_verify_suites_pass(suite, capsys):
 
 
 def test_verify_reports_a_missed_tolerance_with_exit_code_two(monkeypatch, capsys):
-    def drifted():
-        (name, value, tol), *rest = checks.conservation()
-        return [(name, tol + 1.0, tol), *rest]
+    (name, _, tol), *rest = checks.conservation()
+    for excess in (1.0, float("nan")):  # a NaN value fails too
+        monkeypatch.setitem(
+            checks.SUITES, "conservation", (lambda: [(name, tol + excess, tol), *rest],)
+        )
+        assert cli.main(["verify", "conservation"]) == 2
+        captured = capsys.readouterr()
+        assert "norm drift over 5 crossings" in captured.out
+        assert "FAIL" in captured.out
+        assert "all checks passed" not in captured.out
+        assert "numerical failure: suite conservation: 1 of 2 checks failed" in captured.err
 
-    monkeypatch.setitem(checks.SUITES, "conservation", (drifted,))
-    assert cli.main(["verify", "conservation"]) == 2
-    captured = capsys.readouterr()
-    assert "norm drift over 5 crossings" in captured.out
-    assert "FAIL" in captured.out
-    assert "all checks passed" not in captured.out
-    assert "numerical failure: suite conservation: 1 of 2 checks failed" in captured.err
+
+def test_registry_row_names_are_unique_and_tolerances_finite():
+    # a duplicate name would hide one printed line
+    rows = [row for suite in checks.SUITES.values() for check in suite for row in check()]
+    names = [name for name, _, _ in rows]
+    assert len(set(names)) == len(names)
+    for name, _, tol in rows:
+        assert isinstance(tol, float) and np.isfinite(tol) and tol >= 0.0, name
