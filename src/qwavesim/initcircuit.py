@@ -26,14 +26,23 @@ Fields that are not covariant cannot be prepared this way; the module
 measures a covariance defect instead of guessing, and the fidelity between
 the circuit output and the direct construction is the acceptance metric.
 
+Every gate is real, so the circuit is emulated on a float64 statevector
+updated in place, and the amplitudes become complex128 once, in the returned
+register state; the bits are those of the complex emulation.
+
 A field is any callable from one point, shape (2,), to its two components.
-The ray, the direct construction and the covariance defect each sample the
-field on a point table (PolarGridSpec.points, shape (A, Theta, 2)). A field
-with a table method, such as RadialField, is evaluated on the whole table in
-one call, with the same bits as point by point; any other callable is called
+The ray, the direct construction and the covariance defect sample the field
+on the point table PolarGridSpec.points(), shape (A, Theta, 2), which a spec
+builds once and keeps read-only. A spec also keeps the read-only values of
+the last field it sampled on the whole table, matched by identity of the
+field object, so the direct construction and the covariance defect share
+one grid evaluation; the ray samples its A points itself. A field with a
+table method, such as RadialField, is evaluated on a whole table in one
+call, with the same bits as point by point; any other callable is called
 once per point and must return two components. The reported evaluation
 counts (A for the ray, A Theta for the direct state) count grid points
-either way.
+either way. Samples whose norm is zero, not finite, or whose sum of squares
+overflows or underflows float64 cannot be normalized and are refused.
 """
 from __future__ import annotations
 
@@ -104,12 +113,36 @@ class PolarGridSpec:
         return np.pi * np.arange(self.angular_divisions) / self.angular_divisions
 
     def points(self) -> np.ndarray:
-        """The (A, Theta, 2) table of grid points; points()[a, k] equals point(a, k) bit for bit."""
-        th = self.angles()
-        r = np.asarray(self.radii)[:, None]
-        return np.stack(
-            [self.center[0] + r * np.cos(th), self.center[1] + r * np.sin(th)], axis=-1
-        )
+        """The read-only (A, Theta, 2) table of grid points, built once per spec.
+
+        points()[a, k] equals point(a, k) bit for bit.
+        """
+        memo = vars(self)
+        if "_points" not in memo:
+            th = self.angles()
+            r = np.asarray(self.radii)[:, None]
+            table = np.stack(
+                [self.center[0] + r * np.cos(th), self.center[1] + r * np.sin(th)], axis=-1
+            )
+            table.setflags(write=False)
+            memo["_points"] = table
+        return memo["_points"]
+
+    def _samples(self, field: Callable[[np.ndarray], Sequence[float]]) -> np.ndarray:
+        """The read-only (A, Theta, 2) field values on points().
+
+        The spec keeps the table of the last field it sampled, matched by
+        identity of the field object, so the direct state and the covariance
+        defect share one grid evaluation. The memo assumes a field gives the
+        same values every time it is called on the same point.
+        """
+        memo = vars(self)
+        last = memo.get("_sampled")
+        if last is None or last[0] is not field:
+            values = _sample(field, self.points())
+            values.setflags(write=False)
+            last = memo["_sampled"] = (field, values)
+        return last[1]
 
 
 @dataclass(frozen=True)
@@ -137,6 +170,29 @@ class RadialField:
 
     def __call__(self, x) -> np.ndarray:
         return self.table(np.asarray(x, dtype=np.float64)[None])[0]
+
+
+# below this norm the sum of squares is subnormal or zero and the norm has lost bits
+_MIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
+def _norm(values: np.ndarray, what: str) -> float:
+    """Euclidean norm of field samples, refused when zero or when its square leaves float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(values))
+    if not np.isfinite(norm):
+        if not np.all(np.isfinite(values)):
+            raise InitCircuitError(f"{what}: field samples must be finite")
+        raise InitCircuitError(
+            f"{what}: the sum of squared samples overflows float64; scale the field down"
+        )
+    if norm < _MIN_NORM:
+        if not np.any(values):
+            raise InitCircuitError(f"{what} is identically zero; nothing to prepare")
+        raise InitCircuitError(
+            f"{what}: the sum of squared samples underflows float64; scale the field up"
+        )
+    return norm
 
 
 def _sample(field: Callable[[np.ndarray], Sequence[float]], points: np.ndarray) -> np.ndarray:
@@ -172,13 +228,12 @@ def sample_reference_ray(
     """Evaluate the field once per radius along theta = 0.
 
     The classical budget of the whole preparation is exactly these
-    radial_divisions evaluations; a zero ray cannot be normalized and is
+    radial_divisions evaluations. A ray whose norm is zero, not finite, or
+    whose square overflows or underflows float64 cannot be normalized and is
     refused.
     """
     values = np.ascontiguousarray(_sample(field, spec.points()[:, 0]).T)
-    norm = float(np.linalg.norm(values))
-    if norm == 0.0:
-        raise InitCircuitError("reference ray is identically zero; nothing to prepare")
+    norm = _norm(values, "reference ray")
     values.setflags(write=False)
     return ReferenceRay(values=values, norm=norm, eval_count=spec.radial_divisions)
 
@@ -241,22 +296,51 @@ def build_circuit(spec: PolarGridSpec) -> GateCircuit:
     )
 
 
-def _qubit_slice(n_qubits: int, fixed: dict[int, int]) -> tuple:
-    """Index into the (2,) * n_qubits view of a statevector with the given qubits fixed."""
-    return tuple(fixed.get(q, slice(None)) for q in range(n_qubits))
+# shortest contiguous run an elementwise gate update loops along; below it a
+# strided loop along a longer axis is faster (measured on 2**17 amplitudes)
+_MIN_RUN = 16
+
+
+def _qubit_view(psi: np.ndarray, n_qubits: int, fixed: dict[int, int]) -> np.ndarray:
+    """Writable view of the amplitudes of a statevector with the given qubits fixed.
+
+    Qubit q is bit n_qubits - 1 - q of the index (most significant first).
+    The free qubits between two fixed ones share one axis, so the view has
+    at most len(fixed) + 1 axes. When the contiguous last axis is shorter
+    than _MIN_RUN, the longest axis is moved last instead; elementwise
+    updates pass order="C", so numpy runs its inner loop along that axis
+    rather than along runs of two or four adjacent amplitudes.
+    """
+    shape, index, free_from = [], [], 0
+    for q in sorted(fixed):
+        shape += [1 << (q - free_from), 2]
+        index += [slice(None), fixed[q]]
+        free_from = q + 1
+    shape.append(1 << (n_qubits - free_from))
+    index.append(slice(None))
+    view = psi.reshape(shape)[tuple(index)]
+    if view.shape[-1] < _MIN_RUN:
+        view = view.transpose(np.argsort(view.shape, kind="stable"))
+    return view
+
+
+# 1/sqrt(2) as a factor: a complex statevector divided by np.sqrt(2.0) was
+# multiplied by this reciprocal, and the real one keeps those bits
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def simulate_circuit(circuit: GateCircuit, ray: ReferenceRay) -> QuantumRegisterState:
     """Run the preparation on a statevector and return the register state.
 
-    The scale is the full-grid norm N' sqrt(Theta), so scale times the
-    amplitudes reproduces the field samples for covariant inputs.
+    Every gate is real, so the statevector is float64, each gate updates it
+    in place, and it becomes complex only in the returned state. The scale
+    is the full-grid norm N' sqrt(Theta), so scale times the amplitudes
+    reproduces the field samples for covariant inputs.
     """
     n = circuit.n_qubits
     theta = 1 << circuit.n_angular_qubits
     dim = 1 << n
-    psi = np.zeros(dim, dtype=np.complex128)
-    bits = psi.reshape((2,) * n)  # axis q is qubit q, most significant first
+    psi = np.zeros(dim)
 
     for gate in circuit.gates:
         if gate.kind == "prep":
@@ -264,20 +348,25 @@ def simulate_circuit(circuit: GateCircuit, ray: ReferenceRay) -> QuantumRegister
             if loaded.size * theta != dim:
                 raise InitCircuitError("reference ray does not match the circuit register")
             psi[:] = 0.0
-            psi.reshape(-1, theta)[:, 0] = loaded  # angular register in |0>
+            # angular register in |0>; adding 0.0 turns -0.0 into 0.0, as the
+            # zero imaginary parts did in the Hadamard sums of a complex state
+            np.add(loaded, 0.0, out=psi.reshape(-1, theta)[:, 0])
         elif gate.kind == "h":
             q = gate.qubits[0]
-            lo, hi = bits[_qubit_slice(n, {q: 0})], bits[_qubit_slice(n, {q: 1})]
-            a, b = lo.copy(), hi.copy()
-            lo[...] = (a + b) / np.sqrt(2.0)
-            hi[...] = (a - b) / np.sqrt(2.0)
+            lo, hi = (_qubit_view(psi, n, {q: b}) for b in (0, 1))
+            total = np.add(lo, hi, order="C")
+            np.subtract(lo, hi, out=hi, order="C")
+            np.multiply(hi, _INV_SQRT2, out=hi, order="C")
+            np.multiply(total, _INV_SQRT2, out=lo, order="C")
         else:  # crot
             control, target = gate.qubits
-            i0, i1 = (bits[_qubit_slice(n, {control: 1, target: t})] for t in (0, 1))
-            a, b = i0.copy(), i1.copy()
+            i0, i1 = (_qubit_view(psi, n, {control: 1, target: t}) for t in (0, 1))
             cos_t, sin_t = np.cos(gate.angle), np.sin(gate.angle)
-            i0[...] = cos_t * a - sin_t * b
-            i1[...] = sin_t * a + cos_t * b
+            sin_a, sin_b = (np.multiply(sin_t, v, order="C") for v in (i0, i1))
+            np.multiply(cos_t, i0, out=i0, order="C")
+            np.subtract(i0, sin_b, out=i0, order="C")  # cos a - sin b
+            np.multiply(cos_t, i1, out=i1, order="C")
+            np.add(sin_a, i1, out=i1, order="C")  # sin a + cos b
 
     layout = StateLayout(num_physical=dim, block_dim=dim)
     return QuantumRegisterState(
@@ -293,10 +382,8 @@ def direct_polar_state(
     The oracle the circuit is judged against; returns the state and the
     evaluation count (radial times angular divisions).
     """
-    values = np.ascontiguousarray(np.moveaxis(_sample(field, spec.points()), -1, 0))
-    norm = float(np.linalg.norm(values))
-    if norm == 0.0:
-        raise InitCircuitError("field is identically zero on the polar grid")
+    values = np.ascontiguousarray(np.moveaxis(spec._samples(field), -1, 0))
+    norm = _norm(values, "field on the polar grid")
     dim = values.size
     layout = StateLayout(num_physical=dim, block_dim=next_power_of_two(dim))
     amps = np.zeros(layout.block_dim, dtype=np.complex128)
@@ -325,8 +412,7 @@ def covariance_defect(
     th = spec.angles()
     cos, sin = np.cos(th), np.sin(th)
     rot = np.stack([np.stack([cos, -sin], axis=-1), np.stack([sin, cos], axis=-1)], axis=-2)
-    diff = _sample(field, spec.points())
     # (Theta, 2, 2) rotations times the (A, 2) ray: the rotated ray at every (a, k)
-    diff -= (rot[None] @ ray.values.T[:, None, :, None])[..., 0]
+    diff = spec._samples(field) - (rot[None] @ ray.values.T[:, None, :, None])[..., 0]
     worst = float(np.sqrt(np.vecdot(diff, diff).max()))
     return worst / peak if peak else 0.0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -380,3 +382,146 @@ def test_square_is_float_pow_bit_for_bit(seed):
     values = np.concatenate([values, -values])
     expected = np.array([_pow_or_inf(v) for v in values.tolist()])
     np.testing.assert_array_equal(_bits(q.scenario._square(values)), _bits(expected))
+
+
+# ---------------------------------------------------------------------------
+# real statevector and the shared grid table
+
+
+def _complex_reference(circuit, ray):
+    """The preparation gate by gate on a complex128 statevector, as first written."""
+    n = circuit.n_qubits
+    theta = 1 << circuit.n_angular_qubits
+    psi = np.zeros(1 << n, dtype=np.complex128)
+    bits = psi.reshape((2,) * n)
+
+    def fixed(qubits):
+        return tuple(qubits.get(q, slice(None)) for q in range(n))
+
+    for gate in circuit.gates:
+        if gate.kind == "prep":
+            psi.reshape(-1, theta)[:, 0] = ray.statevector()
+        elif gate.kind == "h":
+            q = gate.qubits[0]
+            lo, hi = bits[fixed({q: 0})], bits[fixed({q: 1})]
+            a, b = lo.copy(), hi.copy()
+            lo[...] = (a + b) / np.sqrt(2.0)
+            hi[...] = (a - b) / np.sqrt(2.0)
+        else:
+            control, target = gate.qubits
+            i0, i1 = (bits[fixed({control: 1, target: t})] for t in (0, 1))
+            a, b = i0.copy(), i1.copy()
+            cos_t, sin_t = np.cos(gate.angle), np.sin(gate.angle)
+            i0[...] = cos_t * a - sin_t * b
+            i1[...] = sin_t * a + cos_t * b
+    return psi
+
+
+def _seeded_fields(seed):
+    """A Gaussian ring, a random profile of both signs, and one with signed zeros."""
+    rng = np.random.default_rng(seed)
+    center = tuple(rng.uniform(-0.5, 0.5, size=2))
+    r0, width, amplitude = rng.uniform(0.2, 0.8), rng.uniform(0.05, 0.3), rng.uniform(0.5, 2.0)
+    coeffs = rng.normal(size=4)
+    return center, [
+        lambda r: amplitude * np.exp(-((r - r0) ** 2) / (2.0 * width**2)),
+        lambda r: coeffs[0] + coeffs[1] * r + coeffs[2] * np.sin(coeffs[3] * r),
+        # -0.0 samples give -0.0 components, which the complex Hadamard sums dropped
+        lambda r: np.where(r <= np.median(r), -0.0, coeffs[0] * r),
+    ]
+
+
+@pytest.mark.parametrize("divisions", [2, 4, 8, 16, 32, 64])
+@pytest.mark.parametrize("seed", [11, 12])
+def test_real_statevector_matches_the_complex_gate_by_gate_reference(divisions, seed):
+    center, profiles = _seeded_fields(seed)
+    spec = q.PolarGridSpec.uniform(divisions, extent=1.5, center=center)
+    circuit = q.build_circuit(spec)
+    for profile in profiles:
+        ray = q.sample_reference_ray(q.RadialField(center, profile), spec)
+        state = q.simulate_circuit(circuit, ray)
+        expected = _complex_reference(circuit, ray)
+        assert state.amplitudes.dtype == np.complex128
+        assert state.amplitudes.real.tobytes() == expected.real.tobytes()
+        assert np.all(state.amplitudes.imag == 0.0)
+        assert np.all(expected.imag == 0.0)
+
+
+class _CountingProfile:
+    """A magnitude profile that counts the radii it is asked for."""
+
+    def __init__(self, scale=1.0):
+        self.scale = scale
+        self.radii = 0
+
+    def __call__(self, r):
+        self.radii += r.size
+        return self.scale * np.exp(-2.0 * r)
+
+
+def test_direct_state_and_covariance_defect_share_one_grid_evaluation():
+    a_n = 16
+    spec = q.PolarGridSpec.uniform(a_n, extent=1.0, center=(0.2, -0.1))
+    profile = _CountingProfile()
+    field = q.RadialField(center=(0.2, -0.1), profile=profile)
+    direct, count = q.direct_polar_state(field, spec)
+    assert profile.radii == a_n * a_n == count
+    defect = q.covariance_defect(field, spec)  # samples its own ray, reuses the grid
+    assert profile.radii == a_n * a_n + a_n
+    q.sample_reference_ray(field, spec)
+    assert profile.radii == a_n * a_n + 2 * a_n
+
+    # the shared table gives the values a fresh spec computes
+    fresh = q.PolarGridSpec.uniform(a_n, extent=1.0, center=(0.2, -0.1))
+    assert direct.amplitudes.tobytes() == q.direct_polar_state(field, fresh)[0].amplitudes.tobytes()
+    assert defect == q.covariance_defect(field, fresh)
+    assert defect < 1e-12
+    profile.radii = 0
+
+    # a second field on the same spec is evaluated and gets its own values
+    other_profile = _CountingProfile(scale=-3.0)
+    other = q.RadialField(center=(0.2, -0.1), profile=other_profile)
+    flipped, _ = q.direct_polar_state(other, spec)
+    assert other_profile.radii == a_n * a_n
+    np.testing.assert_allclose(flipped.amplitudes, -direct.amplitudes, atol=1e-15)
+    assert flipped.scale == pytest.approx(3.0 * direct.scale, rel=1e-14)
+    # and the first field, no longer the last one sampled, is evaluated again
+    assert q.direct_polar_state(field, spec)[0].amplitudes.tobytes() == direct.amplitudes.tobytes()
+    assert profile.radii == a_n * a_n
+
+
+def test_memoized_tables_are_read_only():
+    spec = q.PolarGridSpec.uniform(4, extent=1.0)
+    points = spec.points()
+    assert spec.points() is points
+    with pytest.raises(ValueError):
+        points[0, 0, 0] = 1.0
+    field = q.RadialField(center=(0.0, 0.0), profile=lambda r: r)
+    q.direct_polar_state(field, spec)
+    q.covariance_defect(field, spec)
+    np.testing.assert_array_equal(points, q.PolarGridSpec.uniform(4, extent=1.0).points())
+    # the memo lives outside the fields: equality and repr are unchanged
+    assert spec == q.PolarGridSpec.uniform(4, extent=1.0)
+    assert "_points" not in repr(spec)
+
+
+@pytest.mark.parametrize(
+    "amplitude, message", [(1e200, "overflows float64"), (1e-200, "underflows float64")]
+)
+@pytest.mark.parametrize("oracle", [q.sample_reference_ray, q.direct_polar_state])
+def test_norms_that_leave_float64_are_refused(oracle, amplitude, message):
+    spec = q.PolarGridSpec.uniform(8, extent=1.0)
+    field = q.RadialField(center=(0.0, 0.0), profile=lambda r: amplitude * np.exp(-r))
+    assert np.all(field.table(spec.points())[..., 0] != 0.0)  # every sample is representable
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InitCircuitError, match=message):
+            oracle(field, spec)
+
+
+def test_non_finite_samples_are_refused():
+    spec = q.PolarGridSpec.uniform(4, extent=1.0)
+    field = q.RadialField(center=(0.0, 0.0), profile=lambda r: np.where(r > 0.5, np.nan, r))
+    for oracle in (q.sample_reference_ray, q.direct_polar_state):
+        with pytest.raises(InitCircuitError, match="finite"):
+            oracle(field, spec)

@@ -7,16 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qwavesim as q
+from qwavesim.checks import _pressure_bump
 from qwavesim.errors import EvolutionError, ValidationError
 
 from conftest import build_acoustic_1d, build_acoustic_2d, chiral_systems
-
-
-def _pressure_bump(system, center=0.5, sigma=0.05):
-    xs = system.grid.scalar_coords.reshape(-1)
-    w0 = np.zeros(system.n_total)
-    w0[system.scalar_slice] = np.exp(-((xs - center) ** 2) / (2.0 * sigma**2))
-    return w0
 
 
 def test_zero_state_stays_zero(acoustic_1d):
@@ -28,14 +22,14 @@ def test_zero_state_stays_zero(acoustic_1d):
 
 def test_energy_series_is_flat_without_sources():
     system = build_acoustic_1d(n=256)
-    w0 = _pressure_bump(system, sigma=0.02)
+    w0 = _pressure_bump(system, 0.5, 0.02)
     tr = q.leapfrog_evolve(system, w0, q.cfl_limit(system) / 2, 0.4)
     assert np.ptp(tr.energy) / tr.energy[0] < 1e-12
 
 
 def test_initial_energy_tracks_the_material_norm():
     system = build_acoustic_1d(n=64)
-    w0 = _pressure_bump(system)
+    w0 = _pressure_bump(system, 0.5, 0.05)
     tr = q.leapfrog_evolve(system, w0, q.cfl_limit(system) / 8, 0.05)
     expected = w0 @ (system.b_diagonal() * w0)
     # The staggered bookkeeping shifts the flux sample by half a step, so the
@@ -46,7 +40,7 @@ def test_initial_energy_tracks_the_material_norm():
 def test_pulse_travels_at_the_material_speed():
     system = build_acoustic_1d(n=256)
     xs = system.grid.scalar_coords.reshape(-1)
-    w0 = _pressure_bump(system, center=0.5, sigma=0.02)
+    w0 = _pressure_bump(system, 0.5, 0.02)
     tr = q.leapfrog_evolve(system, w0, q.cfl_limit(system) / 2, 0.2)
     p = tr.final[system.scalar_slice]
     dx = system.grid.spacing[0]
@@ -59,7 +53,7 @@ def test_pulse_travels_at_the_material_speed():
 
 def test_stepper_is_time_reversible():
     system = build_acoustic_1d(n=128)
-    w0 = _pressure_bump(system, sigma=0.04)
+    w0 = _pressure_bump(system, 0.5, 0.04)
     dt = q.cfl_limit(system) / 2
     fwd = q.leapfrog_evolve(system, w0, dt, 0.3)
     mirrored = fwd.final.copy()
@@ -72,7 +66,7 @@ def test_stepper_is_time_reversible():
 
 def test_convergence_is_second_order():
     system = build_acoustic_1d(n=64)
-    w0 = _pressure_bump(system)
+    w0 = _pressure_bump(system, 0.5, 0.05)
     ham = q.build_hamiltonian(system)
     errs = []
     for k in (2, 4, 8):
@@ -114,7 +108,7 @@ def test_bad_arguments_are_rejected(acoustic_1d):
 
 def test_recording_stride_keeps_endpoints():
     system = build_acoustic_1d(n=64)
-    w0 = _pressure_bump(system)
+    w0 = _pressure_bump(system, 0.5, 0.05)
     dt = q.cfl_limit(system) / 2
     tr = q.leapfrog_evolve(system, w0, dt, 0.2, record_every=7)
     assert tr.times[0] == 0.0
@@ -148,7 +142,7 @@ def test_spectral_solution_is_linear_in_the_drive():
 
 def test_spectral_free_evolution_matches_the_unitary_route():
     system = build_acoustic_1d(n=64)
-    w0 = _pressure_bump(system)
+    w0 = _pressure_bump(system, 0.5, 0.05)
     out = q.spectral_forced_solution(
         system, np.zeros(system.n_total), lambda t: np.zeros_like(t), 0.0, 0.3, w0=w0
     )

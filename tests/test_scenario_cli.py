@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -861,6 +862,24 @@ def test_malformed_field_exits_one_naming_the_key(
     assert "qwavesim: validation error:" in err
     assert message in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("amplitude, message", [(1e200, "overflows"), (1e-200, "underflows")])
+def test_ring_whose_norm_leaves_float64_exits_one_without_warnings(
+    tmp_path, capsys, amplitude, message
+):
+    # every sample is a finite nonzero double; only their squares leave the range
+    ring = dict(_RING, radial_divisions=8, profile=dict(_RING["profile"], amplitude=amplitude))
+    scenario = _write(tmp_path, _fast_doc(initcircuit=ring))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["initcircuit", "--scenario", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "qwavesim: validation error:" in err
+    assert f"reference ray: the sum of squared samples {message} float64" in err
+    assert "Warning" not in err and "Traceback" not in err
     assert not out.exists()
 
 
