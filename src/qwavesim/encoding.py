@@ -5,34 +5,35 @@ mapped to Schrodinger form by the similarity y = B^{1/2} w. Systems carry A
 as sparse CSR and B as its diagonal vector (``b_diagonal()``), so every
 function here takes that vector, never a matrix B:
 
-    dy/dt = -i H y,    H = i B^{-1/2} A B^{-1/2}.
+    dy/dt = -i H y,    H = i K,    K = B^{-1/2} A B^{-1/2}.
 
-H is Hermitian (it is i times a real antisymmetric matrix), so the evolution
-is unitary and the squared encoded norm is conserved. That norm carries the
-physics: |y|^2 = <w|B|w> is twice the total energy of the field, potential
-plus kinetic, and it is stored separately as a scale factor so the register
-amplitudes can stay unit norm. Amplitudes are padded with exact zeros up to
-the next power of two; the pad coordinates never couple to anything.
+K is real and antisymmetric, so H is Hermitian, the evolution e^{-iHt} =
+e^{Kt} is unitary and the squared encoded norm is conserved. A Hamiltonian
+holds K, in the canonical float64 CSR form of A; the complex H is never
+stored. That norm carries the physics: |y|^2 = <w|B|w> is twice the total
+energy of the field, potential plus kinetic, and it is stored separately as
+a scale factor so the register amplitudes can stay unit norm. Amplitudes are
+padded with exact zeros up to the next power of two; the pad coordinates
+never couple to anything.
 
-On the staggered grid A couples scalars only to fluxes, so H is chiral:
+Functions of H reach vectors through one method, ``Hamiltonian.apply``, and
+this module alone chooses how. On the staggered grid A couples scalars only
+to fluxes, so K = [[0, C], [-C^T, 0]] with C real, n_scalar x n_flux, and H
+is chiral. With the thin SVD C = U diag(s) V^T, H has eigenvalues +-s and
+zeros, and every mode k turns the pair (u_k, v_k); for a function phi with
+phi(-s) the conjugate of phi(s), a real operator,
 
-    H = [[0, iC], [-iC^T, 0]],    C real, n_scalar x n_flux,
+    phi(H) w = phi(0) w + [U(a * U^T x + b * V^T y); V(a * V^T y - b * U^T x)],
+    a = Re phi(s) - phi(0),  b = -Im phi(s),
 
-and e^{-iHt} = e^{Kt} with K = [[0, C], [-C^T, 0]] real: the evolution is a
-real rotation. With the thin SVD C = U diag(s) V^T, every mode k turns the
-pair (u_k, v_k) by the angle s_k t:
-
-    x' = x + U(a * U^T x + b * V^T y)
-    y' = y + V(a * V^T y - b * U^T x),    a = cos(st) - 1,  b = sin(st),
-
-for x the scalar and y the flux coordinates. The zero modes need no vectors,
-because they are the identity term. build_hamiltonian records the
-scalar/flux split when both diagonal blocks of the scaled generator store no
-entries, and the dense decomposition is then the real thin SVD (s, U, V) of
-C, applied in this rotation form (``_rotate``); no complex eigenvectors are
-built. Without a split (a generator wrapped by Hamiltonian.from_matrix, or a
-reduced system whose constraints couple scalars to scalars) it falls back to
-the complex eigh of H.
+for x = w[:split] the scalar and y the flux coordinates (e^{-iHt} has
+a = cos(st) - 1, b = sin(st)). The zero modes need no vectors, because they
+are the phi(0) term. build_hamiltonian records the scalar/flux split when
+both diagonal blocks of K store no entries, and the dense decomposition is
+then the real thin SVD (s, U, V) of C, applied in this real form; no
+complex eigenvectors are built. Without a split (a generator wrapped by
+Hamiltonian.from_matrix, or a reduced system whose constraints couple
+scalars to scalars) it falls back to the complex eigh of H.
 
 A register state may stack several sub-states (block dimension times arity)
 and may carry one auxiliary qubit in front (the measurement layout); the
@@ -46,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .discretize import antisymmetry_defect
 from .errors import EncodingError, NumericalError
 
 HERMITICITY_TOL = 1e-12
@@ -154,34 +156,41 @@ def stack_substates(vectors, arity: int = 1) -> QuantumRegisterState:
     Each vector is zero-padded to a power-of-two block; the arity is at least
     len(vectors), rounded up to a power of two, with zero pad blocks. The
     stack is normalized and its norm kept as the scale (all zeros give the
-    null state). Callers validate the vectors.
+    null state). The norm is taken over the vectors themselves, not the
+    padded stack, and their real and imaginary parts are divided by it
+    separately, straight into the register, so one real vector gets exactly
+    the scale of np.linalg.norm and the amplitudes of a real division.
+    Callers validate the vectors.
     """
+    vectors = [np.asarray(v) for v in vectors]
     n = len(vectors[0])
     block = next_power_of_two(n)
     m = next_power_of_two(max(len(vectors), arity))
     stacked = np.zeros(m * block, dtype=np.complex128)
-    for s, v in enumerate(vectors):
-        stacked[s * block : s * block + n] = v
-    scale = float(np.linalg.norm(stacked))
     layout = StateLayout(num_physical=n, block_dim=block, arity=m)
+    scale = float(np.sqrt(sum(np.vdot(v, v).real for v in vectors)))
     if scale == 0.0:
         return QuantumRegisterState(amplitudes=stacked, scale=0.0, layout=layout)
-    return QuantumRegisterState(amplitudes=stacked / scale, scale=scale, layout=layout)
+    for row, v in zip(stacked.reshape(m, block), vectors):
+        np.divide(v.real, scale, out=row.real[:n])
+        if np.iscomplexobj(v):
+            np.divide(v.imag, scale, out=row.imag[:n])
+    return QuantumRegisterState(amplitudes=stacked, scale=scale, layout=layout)
 
 
 @dataclass
 class Hamiltonian:
-    """Hermitian generator with the metadata the cost model reports.
+    """The Hermitian generator H = iK, held as the real antisymmetric K.
 
-    matrix is sparse complex (purely imaginary entries for real systems);
-    maxnorm is max|H_jk| and sparsity the largest row population. split is
-    the number of leading scalar coordinates when H is chiral (both
-    diagonal blocks empty), else None. A dense decomposition is memoized on
-    first use (``_eig``): the real thin SVD (s, U, V) of the scalar x flux
-    block when there is a split, eigh of H otherwise. evolve takes the
+    generator is K as canonical float64 CSR (sorted indices, no duplicates,
+    no stored zeros); maxnorm is max|H_jk| = max|K_jk| and sparsity the
+    largest row population. split is the number of leading scalar
+    coordinates when H is chiral, else None. The dense decomposition the
+    module docstring describes is memoized on first use (``_eig``), and
+    ``apply`` is the one way to use it. evolve takes the
     dense backend whenever that memo is set or dim <= MAX_DENSE_DIM, and the
-    sparse polynomial action otherwise; there is no option to override it.
-    The stacked schedule generators of the evolution module keep a
+    sparse polynomial action of K otherwise; there is no option to override
+    it. The stacked schedule generators of the evolution module keep a
     single-block Hamiltonian and act through it, so one decomposition of the
     block H serves every block of every generator built from it.
     build_hamiltonian memoizes its result on the (frozen, never mutated in
@@ -190,67 +199,84 @@ class Hamiltonian:
     generators) shares this instance and its one decomposition.
     """
 
-    matrix: sp.csr_matrix
+    generator: sp.csr_matrix
     maxnorm: float
     sparsity: int
     split: int | None = None
     _eig: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def from_matrix(cls, matrix) -> "Hamiltonian":
-        """Wrap a sparse generator as CSR without stored zeros, with its metadata."""
-        matrix = sp.csr_matrix(matrix)
-        matrix.eliminate_zeros()
+    def from_matrix(cls, generator) -> "Hamiltonian":
+        """Wrap a real generator K (H = iK) as CSR without duplicates or stored zeros."""
+        k = sp.csr_matrix(generator)
+        if np.iscomplexobj(k.data):
+            raise EncodingError("the generator K of H = iK must be real")
+        k = k.astype(np.float64, copy=False)
+        k.sum_duplicates()
+        k.eliminate_zeros()
         return cls(
-            matrix=matrix,
-            maxnorm=float(np.abs(matrix.data).max()) if matrix.nnz else 0.0,
-            sparsity=int(np.diff(matrix.indptr).max()) if matrix.nnz else 0,
+            generator=k,
+            maxnorm=float(np.abs(k.data).max()) if k.nnz else 0.0,
+            sparsity=int(np.diff(k.indptr).max()) if k.nnz else 0,
         )
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.generator.shape[0]
 
     @property
     def n_qubits(self) -> int:
         return int(round(np.log2(next_power_of_two(self.dim))))
 
     def hermiticity_defect(self) -> float:
-        d = self.matrix - self.matrix.conjugate().T
-        return float(np.abs(d.data).max()) if d.nnz else 0.0
+        """max|H - H^H| = max|K + K^T|."""
+        return antisymmetry_defect(self.generator)
 
     def eigendecomposition(self) -> tuple[np.ndarray, ...]:
         """The memoized dense decomposition of H.
 
         For a chiral H (split set) it is the real thin SVD (s, U, V) of the
-        scalar x flux block C = U diag(s) V^T, which ``_rotate`` applies.
-        Otherwise it is (evals, evecs) with H = evecs diag(evals) evecs^H, in
-        no particular order.
+        scalar x flux block C = U diag(s) V^T of K. Otherwise it is
+        (evals, evecs) with H = evecs diag(evals) evecs^H, in no particular
+        order.
         """
         if self._eig is None:
             if self.split is None:
-                self._eig = np.linalg.eigh(self.matrix.toarray())
+                self._eig = np.linalg.eigh(1j * self.generator.toarray())
             else:
-                # .imag before toarray: no complex copy of C stays alive as a base
-                c = self.matrix[: self.split, self.split :].imag.toarray()
+                c = self.generator[: self.split, self.split :].toarray()
                 u, s, vt = np.linalg.svd(c, full_matrices=False)
                 self._eig = (s, u, vt.T)
         return self._eig
 
+    def frequencies(self) -> np.ndarray:
+        """Where ``apply`` takes phi: the singular values of C when chiral, else eigenvalues."""
+        return self.eigendecomposition()[0]
 
-def _rotate(ham: Hamiltonian, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The non-identity part of a per-mode rotation of the real columns w.
+    def apply(self, phi: np.ndarray, phi0, w: np.ndarray) -> np.ndarray:
+        """phi(H) applied to the columns of w, from the memoized decomposition.
 
-    For the chiral ham with thin SVD (s, U, V), x = w[:split] and
-    y = w[split:], this is [U(a * U^T x + b * V^T y); V(a * V^T y - b * U^T x)].
-    a and b hold one coefficient per mode, shaped (k,) or (k, columns) for a
-    real (n, columns) w; e^{-iHt} w is w plus this with a = cos(st) - 1 and
-    b = sin(st).
-    """
-    _, u, v = ham.eigendecomposition()
-    x, y = w[: ham.split], w[ham.split :]
-    ux, vy = u.T @ x, v.T @ y
-    return np.concatenate([u @ (a * ux + b * vy), v @ (a * vy - b * ux)])
+        phi holds the function's values at ``frequencies()``, shaped (k, 1),
+        or (k, columns) for a real w; phi0 is its value at the zero modes, a
+        scalar or one per column. For a chiral H, phi(H) is real (see the
+        module docstring): a real w gives a real result, and the real and
+        imaginary parts of a complex w are turned as real columns, never a
+        complex product against U or V.
+        """
+        if self.split is None:
+            _, evecs = self.eigendecomposition()
+            return evecs @ (phi * (evecs.T @ w.conj()).conj())
+        if np.iscomplexobj(w):
+            cols = w.shape[1]
+            out = self.apply(phi, phi0, np.concatenate([w.real, w.imag], axis=1))
+            return out[:, :cols] + 1j * out[:, cols:]
+        _, u, v = self.eigendecomposition()
+        a, b = phi.real - phi0, -phi.imag
+        x, y = w[: self.split], w[self.split :]
+        ux, vy = u.T @ x, v.T @ y
+        out = np.concatenate([u @ (a * ux + b * vy), v @ (a * vy - b * ux)])
+        out += phi0 * w
+        return out
 
 
 def _as_b_diagonal(b) -> np.ndarray:
@@ -262,16 +288,16 @@ def _as_b_diagonal(b) -> np.ndarray:
 
 
 def build_hamiltonian(system) -> Hamiltonian:
-    """H = i B^{-1/2} A B^{-1/2} from an operator pair or reduced system.
+    """H = iK, K = B^{-1/2} A B^{-1/2}, from an operator pair or reduced system.
 
     Accepts anything exposing a sparse generator .A and the diagonal of B
     through .b_diagonal().
     Hermiticity is verified to 1e-12 in the max-entry norm; the input
     antisymmetry guarantees it, and this is the line of defense against an
     operator assembled some other way. The scalar/flux split of a system
-    with a ``scalar_slice`` is recorded on the result when the matrix itself
-    shows both diagonal blocks empty, which selects the real thin SVD of
-    eigendecomposition and the rotation form.
+    with a ``scalar_slice`` is recorded on the result when K itself shows
+    both diagonal blocks empty, which selects the real thin SVD of
+    eigendecomposition and the real form of apply.
 
     A frozen dataclass system (OperatorPair, ReducedSystem) keeps the result
     in its instance ``__dict__``, outside its fields, so eq and repr are
@@ -292,15 +318,13 @@ def _build_hamiltonian(system) -> Hamiltonian:
     diag = _as_b_diagonal(system)
     if system.A.shape[0] != diag.size:
         raise EncodingError("generator and energy weight dimensions differ")
-    inv_sqrt = 1.0 / np.sqrt(diag)
-    scaled = sp.csr_matrix(system.A, dtype=np.complex128)
-    scaled = sp.diags(inv_sqrt) @ scaled @ sp.diags(inv_sqrt)
-    ham = Hamiltonian.from_matrix(1j * scaled)
+    inv_sqrt = sp.diags(1.0 / np.sqrt(diag))
+    ham = Hamiltonian.from_matrix(inv_sqrt @ sp.csr_matrix(system.A) @ inv_sqrt)
     defect = ham.hermiticity_defect()
     if defect > HERMITICITY_TOL:
         raise NumericalError(f"encoded generator is not Hermitian: defect {defect:.3e}")
     split = system.scalar_slice.stop if hasattr(system, "scalar_slice") else None
-    if split is not None and 0 < split < ham.dim and _is_chiral(ham.matrix, split):
+    if split is not None and 0 < split < ham.dim and _is_chiral(ham.generator, split):
         ham.split = split
     return ham
 
@@ -322,16 +346,7 @@ def encode(w: np.ndarray, b) -> QuantumRegisterState:
     w = np.asarray(w, dtype=np.float64)
     if w.shape != diag.shape:
         raise EncodingError("field vector and energy weight dimensions differ")
-    y = np.sqrt(diag) * w
-    scale = float(np.linalg.norm(y))
-    n = diag.size
-    dim = next_power_of_two(n)
-    layout = StateLayout(num_physical=n, block_dim=dim)
-    amps = np.zeros(dim, dtype=np.complex128)
-    if scale == 0.0:
-        return QuantumRegisterState(amplitudes=amps, scale=0.0, layout=layout)
-    amps[:n] = y / scale
-    return QuantumRegisterState(amplitudes=amps, scale=scale, layout=layout)
+    return stack_substates([np.sqrt(diag) * w])
 
 
 def decode(state: QuantumRegisterState, b) -> np.ndarray:

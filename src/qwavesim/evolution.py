@@ -21,18 +21,14 @@ first H.dim coordinates of each block s with tau_s != 0 and leaves pad
 coordinates and zero-time blocks untouched.
 
 The exponential action on one block has one backend, chosen from what the
-block H shows: a dense decomposition when one is already cached on H or
-H.dim <= MAX_DENSE_DIM, and a sparse polynomial action (Al-Mohy and Higham
-2011; cost roughly nnz * |H| * t per application) above that. The
-decomposition is memoized on H, so every block and every generator built
-from it shares one. For the chiral H of a staggered-grid system it is the
-real thin SVD of the scalar x flux block, and e^{-iHt} is applied as a real
-rotation to the real and imaginary parts of the amplitudes, as real columns
-(see the encoding module); no complex eigenvectors are built. Any other H
-falls back to the complex eigh. evolve hands every block with the same time
-to one call as the columns of one array, so the simultaneous generator,
-whose times are all 1, is one matrix-matrix product. There is no backend
-option.
+block H shows: its dense decomposition (``Hamiltonian.apply``) when one is
+already cached on H or H.dim <= MAX_DENSE_DIM, and the sparse polynomial
+action of e^{-iHt} = e^{tK} (Al-Mohy and Higham 2011; cost roughly
+nnz * |H| * t per application) above that. The decomposition is memoized
+on H, so every block and every generator built from it shares one. evolve
+hands every block with the same time to one call as the columns of one
+array, so the simultaneous generator, whose times are all 1, is one
+matrix-matrix product. There is no backend option.
 
 scipy.sparse.linalg is imported by the sparse backend at its first use, not
 with this module, so importing the package does not load it.
@@ -45,10 +41,9 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .encoding import Hamiltonian, QuantumRegisterState, _rotate, next_power_of_two
+from .encoding import Hamiltonian, QuantumRegisterState, next_power_of_two
 from .errors import EvolutionError, NumericalError
 
-MAX_BUILD_DIM = 1 << 22  # largest stacked matrix built by StackedHamiltonian.matrix
 MAX_DENSE_DIM = 4096  # largest dimension diagonalized without a cached decomposition
 NORM_DRIFT_TOL = 1e-11  # 10x the 1e-12 accuracy both backends reach
 SCHEDULE_TOL = 1e-12
@@ -56,16 +51,7 @@ SCHEDULE_TOL = 1e-12
 
 def _dense_action(ham: Hamiltonian, vecs: np.ndarray, t: float) -> np.ndarray:
     """e^{-iHt} applied to the complex columns of vecs, from the cached decomposition."""
-    if ham.split is None:
-        evals, evecs = ham.eigendecomposition()
-        return evecs @ (np.exp(-1j * evals * t)[:, None] * (evecs.T @ vecs.conj()).conj())
-    # e^{-iHt} is real: rotate the real and imaginary parts as real columns, so
-    # no complex product (which would copy U and V to complex) is ever taken
-    s = ham.eigendecomposition()[0][:, None]
-    cols = vecs.shape[1]
-    w = np.concatenate([vecs.real, vecs.imag], axis=1)
-    w += _rotate(ham, np.cos(s * t) - 1.0, np.sin(s * t), w)
-    return w[:, :cols] + 1j * w[:, cols:]
+    return ham.apply(np.exp(-1j * ham.frequencies() * t)[:, None], 1.0, vecs)
 
 
 def _krylov_action(ham: Hamiltonian, vecs: np.ndarray, t: float) -> np.ndarray:
@@ -73,7 +59,7 @@ def _krylov_action(ham: Hamiltonian, vecs: np.ndarray, t: float) -> np.ndarray:
     # needed above MAX_DENSE_DIM, so no command pays for it at start-up
     from scipy.sparse.linalg import expm_multiply
 
-    return expm_multiply(sp.csc_matrix(-1j * t * ham.matrix), vecs)
+    return expm_multiply(sp.csc_matrix(t * ham.generator), vecs)
 
 
 def _backend(ham: Hamiltonian):
@@ -148,8 +134,7 @@ class StackedHamiltonian:
 
     It holds the single-block H and the per-block times, not the stacked
     matrix; evolve acts on each block through H. maxnorm and sparsity are
-    read off H. ``matrix`` builds the stacked matrix on each read, and only
-    there does MAX_BUILD_DIM apply.
+    read off H.
     """
 
     block: Hamiltonian
@@ -175,18 +160,6 @@ class StackedHamiltonian:
     @property
     def sparsity(self) -> int:
         return self.block.sparsity if any(self.times) else 0
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        if self.dim > MAX_BUILD_DIM:
-            raise EvolutionError(
-                f"stacked dimension {self.dim} exceeds the build cutoff {MAX_BUILD_DIM}"
-            )
-        padded = self.block.matrix.copy()
-        padded.resize((self.block_dim, self.block_dim))
-        stacked = sp.block_diag([t * padded for t in self.times], format="csr")
-        stacked.eliminate_zeros()
-        return stacked
 
     def hermiticity_defect(self) -> float:
         """The stacked defect: the block's, scaled by the largest block time (to rounding)."""

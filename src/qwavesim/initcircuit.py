@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .encoding import QuantumRegisterState, StateLayout, next_power_of_two
+from .encoding import QuantumRegisterState, StateLayout, next_power_of_two, stack_substates
 from .errors import InitCircuitError
 
 
@@ -383,12 +383,8 @@ def direct_polar_state(
     evaluation count (radial times angular divisions).
     """
     values = np.ascontiguousarray(np.moveaxis(spec._samples(field), -1, 0))
-    norm = _norm(values, "field on the polar grid")
-    dim = values.size
-    layout = StateLayout(num_physical=dim, block_dim=next_power_of_two(dim))
-    amps = np.zeros(layout.block_dim, dtype=np.complex128)
-    amps[:dim] = values.ravel() / norm
-    return QuantumRegisterState(amplitudes=amps, scale=norm, layout=layout), spec.n_points
+    _norm(values, "field on the polar grid")  # for its refusals
+    return stack_substates([values.ravel()]), spec.n_points
 
 
 def fidelity(a: QuantumRegisterState, b: QuantumRegisterState) -> float:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .encoding import QuantumRegisterState, stack_substates
 from .errors import CausalityError, SourceError, SupportError
-from .reference import cfl_limit, leapfrog_evolve, spectral_forced_solution
+from .reference import cfl_limit, counted, leapfrog_evolve, spectral_forced_solution
 
 TAIL_CUT = 25.0
 SUPPORT_RTOL = 1e-8
@@ -542,7 +542,8 @@ def greens_decompose(
 
     first = f.t_start - margin
     last = f.t_end + margin
-    n_windows = max(1, int(np.ceil((last - first) / width - 1e-9)))
+    windows = np.ceil((last - first) / width - 1e-9)
+    n_windows = max(1, counted(windows, "windows over the source support"))
     breakpoints = [first + j * width for j in range(n_windows)] + [last]
 
     chi = system.restrict(chi_pattern(source, grid))

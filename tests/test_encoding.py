@@ -32,15 +32,15 @@ def test_non_finite_amplitudes_are_refused(bad):
 
 def test_unit_rotation_maps_to_pauli_y_form():
     sys2 = _toy_system([[0.0, 1.0], [-1.0, 0.0]], [1.0, 1.0])
-    h = q.build_hamiltonian(sys2).matrix.toarray()
-    np.testing.assert_array_equal(h, [[0.0, 1.0j], [-1.0j, 0.0]])
+    k = q.build_hamiltonian(sys2).generator.toarray()
+    np.testing.assert_array_equal(1j * k, [[0.0, 1.0j], [-1.0j, 0.0]])
 
 
 def test_energy_weight_rescales_coupling():
     # B = diag(4, 1) halves the off-diagonal through B^{-1/2} on both sides
     sys2 = _toy_system([[0.0, 1.0], [-1.0, 0.0]], [4.0, 1.0])
-    h = q.build_hamiltonian(sys2).matrix.toarray()
-    np.testing.assert_allclose(h, [[0.0, 0.5j], [-0.5j, 0.0]], atol=1e-15)
+    k = q.build_hamiltonian(sys2).generator.toarray()
+    np.testing.assert_allclose(1j * k, [[0.0, 0.5j], [-0.5j, 0.0]], atol=1e-15)
 
 
 def test_encode_three_four_gives_unit_amplitudes_scale_five():
@@ -112,7 +112,7 @@ def test_spectrum_is_symmetric_about_zero():
     # of the dense H, and the handle's spectrum against that
     for pair in (build_acoustic_1d(n=12, rho=1.3, c=0.8), build_maxwell(n=12)):
         ham = q.build_hamiltonian(pair)
-        evals = np.sort(np.linalg.eigvalsh(ham.matrix.toarray()))
+        evals = np.sort(np.linalg.eigvalsh(1j * ham.generator.toarray()))
         np.testing.assert_allclose(evals, -evals[::-1], atol=1e-10)
         np.testing.assert_allclose(_spectrum(ham), evals, atol=1e-10)
 
@@ -124,6 +124,33 @@ def test_homogeneous_metadata_values():
     assert ham.sparsity == 2
     assert ham.hermiticity_defect() == 0.0
     assert ham.dim == pair.n_total
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        build_acoustic_2d(nx=7, ny=5, rho=lambda x: 1.0 + x[0]),
+        build_maxwell(n=12, eps=lambda x: 1.0 + x[0]),
+    ],
+    ids=["acoustic-2d", "maxwell-1d"],
+)
+def test_generator_is_the_scaled_a_in_canonical_real_form(pair):
+    # H = iK is held as K = B^{-1/2} A B^{-1/2}: real, in the stored form of A
+    ham = q.build_hamiltonian(pair)
+    k = ham.generator
+    assert isinstance(k, sp.csr_matrix) and k.dtype == np.float64 and k.has_canonical_format
+    inv_sqrt = sp.diags(1.0 / np.sqrt(pair.b_diagonal()))
+    want = inv_sqrt @ pair.A @ inv_sqrt
+    want.sum_duplicates()
+    want.eliminate_zeros()
+    for got, ref in zip((k.indptr, k.indices, k.data), (want.indptr, want.indices, want.data)):
+        assert got.tobytes() == ref.tobytes()
+    assert ham.hermiticity_defect() == q.antisymmetry_defect(k)
+
+
+def test_a_complex_generator_is_refused():
+    with pytest.raises(EncodingError, match="must be real"):
+        q.Hamiltonian.from_matrix(np.array([[0.0, 1j], [-1j, 0.0]]))
 
 
 def test_non_antisymmetric_generator_is_refused():
@@ -190,7 +217,7 @@ def test_next_power_of_two():
 
 def _assert_decomposes(ham):
     """The memoized decomposition reproduces H: the thin SVD of C when chiral, else eigh."""
-    h = ham.matrix.toarray()
+    h = 1j * ham.generator.toarray()
     if ham.split is None:
         evals, evecs = ham.eigendecomposition()
         assert evals.shape == (ham.dim,) and evecs.shape == (ham.dim, ham.dim)
@@ -199,7 +226,7 @@ def _assert_decomposes(ham):
         assert np.abs(evecs.conj().T @ evecs - np.eye(ham.dim)).max() <= 1e-12
         return
     s, u, v = ham.eigendecomposition()
-    c = h[: ham.split, ham.split :].imag
+    c = ham.generator[: ham.split, ham.split :].toarray()
     k = min(c.shape)
     assert s.shape == (k,) and u.shape == (c.shape[0], k) and v.shape == (c.shape[1], k)
     assert all(x.dtype == np.float64 for x in (s, u, v))
@@ -240,7 +267,7 @@ def test_chiral_decomposition_is_an_orthonormal_eigenbasis(kind, dimension, data
     assert ham.split == system.scalar_slice.stop
     _assert_decomposes(ham)
     psi = _random_state(ham.dim, seed)
-    exact = scipy.linalg.expm(-1j * t * ham.matrix.toarray()) @ psi
+    exact = scipy.linalg.expm(t * ham.generator.toarray()) @ psi
     assert np.abs(_evolved(ham, psi, t) - exact).max() <= 1e-12
 
 
@@ -257,7 +284,7 @@ def test_chiral_decomposition_calls_no_eigh(monkeypatch):
 def test_wrapped_matrix_takes_the_eigh_path_with_the_same_results(rng):
     pair = build_maxwell(n=11, eps=lambda x: 1.0 + x[0])
     chiral = q.build_hamiltonian(pair)
-    wrapped = q.Hamiltonian.from_matrix(chiral.matrix)
+    wrapped = q.Hamiltonian.from_matrix(chiral.generator)
     assert chiral.split == 11 and wrapped.split is None
     _assert_decomposes(wrapped)
     _assert_decomposes(chiral)
@@ -279,7 +306,7 @@ def test_a_stored_scalar_scalar_entry_takes_the_eigh_path():
     assert ham.split is None
     _assert_decomposes(ham)
     psi = _random_state(ham.dim, 11)
-    exact = scipy.linalg.expm(-0.9j * ham.matrix.toarray()) @ psi
+    exact = scipy.linalg.expm(0.9 * ham.generator.toarray()) @ psi
     assert np.abs(_evolved(ham, psi, 0.9) - exact).max() <= 1e-12
 
 

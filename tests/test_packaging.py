@@ -79,3 +79,15 @@ def test_cli_import_loads_no_scipy_module_beyond_scipy_sparse():
         "import numpy, scipy.sparse"
     )
     assert not extra, f"importing qwavesim.cli loads {sorted(extra)}"
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # what two modules share is public; a private helper stays in its module
+    private = []
+    for path in sorted((SRC / "qwavesim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "qwavesim"
+            ):
+                private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert not private, f"private names imported from a sibling module: {private}"

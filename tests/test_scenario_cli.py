@@ -1072,6 +1072,49 @@ def test_python_dash_m_runs_the_cli():
     assert "usage: qwavesim" in done.stdout
 
 
+def _ricker_peak_1e_300(doc):
+    doc["sources"][0]["time_function"] = {"kind": "ricker", "peak_frequency": 1e-300}
+
+
+def _dt_1e_300(doc):
+    doc["evolution"]["dt"] = 1e-300
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("presim", _ricker_peak_1e_300, "e+301 windows over the source support"),
+        ("simulate", _dt_1e_300, "5.5e+299 time steps of 1e-300"),
+    ],
+    ids=["presim-windows", "simulate-steps"],
+)
+def test_a_count_too_large_to_address_is_refused_at_once(tmp_path, command, edit, message):
+    # the support (or span) is ~1e300 windows (or steps) long: unchecked, the
+    # run would build or loop over them until memory or time ran out, so it
+    # runs in a child process under a timeout and an address-space limit
+    resource = pytest.importorskip("resource")
+    doc = json.loads((SCENARIOS / "acoustic_demo.json").read_text())
+    edit(doc)
+    scenario = _write(tmp_path, doc)
+    src = str(Path(q.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    limit = 2 << 30
+
+    done = subprocess.run(
+        [sys.executable, "-m", "qwavesim", command, "--scenario", str(scenario),
+         "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 1, done.stderr
+    assert "qwavesim: validation error:" in done.stderr
+    assert message in done.stderr and "too many to count" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("suite", sorted(checks.SUITES))
 def test_verify_suites_pass(suite, capsys):
     assert cli.main(["verify", suite]) == 0
