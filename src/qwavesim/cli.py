@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_measure = scenario_command(
         "measure", _run_measure, "measure a stored state with a scenario's requests"
     )
-    p_measure.add_argument("--state", required=True, help="state CSV written by simulate")
+    p_measure.add_argument("--state", required=True, help="state CSV (and sidecar) from simulate")
     scenario_command("presim", _run_presim, "pre-simulate or slice the scenario sources")
     scenario_command("initcircuit", _run_initcircuit, "build the covariant preparation circuit")
 

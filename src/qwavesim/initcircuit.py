@@ -59,14 +59,11 @@ from .errors import InitCircuitError
 class PolarGridSpec:
     """Polar sampling grid: two components, A radii, Theta = A angles."""
 
-    components: int
     radial_divisions: int
     center: tuple[float, float]
     radii: tuple[float, ...]
 
     def __post_init__(self):
-        if self.components != 2:
-            raise InitCircuitError("planar rotation loading needs exactly 2 components")
         a = self.radial_divisions
         if a < 2 or a != next_power_of_two(a):
             raise InitCircuitError("radial divisions must be a power of two >= 2")
@@ -86,7 +83,7 @@ class PolarGridSpec:
             extent * (a + 1) / radial_divisions for a in range(radial_divisions)
         )
         return cls(
-            components=2, radial_divisions=radial_divisions,
+            radial_divisions=radial_divisions,
             center=(float(center[0]), float(center[1])), radii=radii,
         )
 

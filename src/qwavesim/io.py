@@ -59,11 +59,21 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
+    """The JSON value in path; a missing or malformed file or a repeated key raise ScenarioError."""
     p = Path(path)
     if not p.exists():
         raise ScenarioError(f"missing file: {p}")
+
+    def unique(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ScenarioError(f"{p}: the key {key!r} appears more than once in one object")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        return json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=unique)
     except UnicodeDecodeError:
         raise _utf8_error(p) from None
     except json.JSONDecodeError as exc:
@@ -84,6 +94,96 @@ def _utf8_error(path: Path) -> ScenarioError:
         line = len(re.split(rb"\r\n|\r|\n", raw[: exc.start]))
         return ScenarioError(f"{path}: line {line}: not valid UTF-8")
     return ScenarioError(f"{path}: not valid UTF-8")  # the file changed since it was read
+
+
+# ---------------------------------------------------------------------------
+# JSON objects from outside the program
+
+_FMAX = float(np.finfo(np.float64).max)
+_REQUIRED = object()  # the default of a getter whose key must be present
+
+
+def integer(value, where: str) -> int:
+    """An integer: 3 and 3.0 pass; 3.7, true and "3" are refused, not truncated."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def finite(value, where: str) -> float:
+    """A finite float; booleans, strings, NaN, infinities and out-of-range integers are refused."""
+    in_range = isinstance(value, (int, float)) and -_FMAX <= value <= _FMAX
+    if isinstance(value, bool) or not in_range:
+        raise ScenarioError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def positive(value, where: str) -> float:
+    """A finite positive float; booleans, strings and integers past float range are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= _FMAX:
+        raise ScenarioError(f"{where} must be a finite positive number, got {value!r}")
+    return float(value)
+
+
+def finite_array(value, where: str) -> np.ndarray:
+    """A float array of the shape of a (nested) list, each entry read through finite."""
+    table = np.asarray(value, dtype=object)
+    return np.array([finite(v, where) for v in table.flat]).reshape(table.shape)
+
+
+def list_of(rule):
+    """The rule for a JSON list whose k-th item is read through rule at the path ``where[k]``."""
+
+    def each(values, where: str) -> list:
+        if not isinstance(values, list):
+            raise ScenarioError(f"{where} must be a list, got {type(values).__name__}")
+        return [rule(v, f"{where}[{k}]") for k, v in enumerate(values)]
+
+    return each
+
+
+class JsonObject:
+    """A JSON object from a scenario file or a state sidecar, read key by key.
+
+    The one rule for JSON from outside the program: get reads a key through
+    a rule (finite, positive, integer, finite_array, list_of(...) or
+    JsonObject) that refuses a value of another type, so a number must be a
+    JSON number, not a string or a boolean, and an integer may be 3 or 3.0
+    but not 3.7. An absent key takes the default or, with none, is refused;
+    a default of None also admits null. close() refuses every key that get
+    was not asked for, so a misspelled key is never ignored; read_json has
+    already refused a repeated key. Each refusal is a ScenarioError naming
+    the key by its dotted path, such as ``sources[0].time_function.sigma``.
+    """
+
+    def __init__(self, value, where: str = ""):
+        if not isinstance(value, dict):
+            kind = type(value).__name__
+            raise ScenarioError(f"{where or 'the top level'} must be a JSON object, got {kind}")
+        self.where = where  # the dotted path of this object; "" at the top level
+        self._value = value
+        self._asked: set[str] = set()
+
+    def path(self, key: str) -> str:
+        return f"{self.where}.{key}" if self.where else key
+
+    def get(self, key: str, rule=None, default=_REQUIRED):
+        """The value of key (or default, when key is absent) read through rule(value, path)."""
+        self._asked.add(key)
+        if key not in self._value and default is _REQUIRED:
+            raise ScenarioError(f"missing the required key {self.path(key)}")
+        value = self._value.get(key, default)
+        if rule is None or value is None and default is None:
+            return value
+        return rule(value, self.path(key))
+
+    def close(self) -> None:
+        """Refuse every key of this object that get was not asked for."""
+        unknown = [self.path(key) for key in sorted(set(self._value) - self._asked)]
+        if unknown:
+            raise ScenarioError(f"unknown {'' if self.where else 'top-level '}keys {unknown}")
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +212,7 @@ def write_state(path, state: QuantumRegisterState) -> None:
 
 
 def read_state(path) -> QuantumRegisterState:
-    """Read a state written by write_state; malformed rows raise ScenarioError.
+    """Read a state written by write_state; malformed rows or sidecar raise ScenarioError.
 
     Every row must carry an integer index in [0, total_dim) that no other
     row repeats; indices without a row hold zero amplitude.
@@ -121,15 +221,18 @@ def read_state(path) -> QuantumRegisterState:
     index, real, imag = _read_table(path, ["index", "real", "imag"])
     sidecar = read_json(str(path) + ".json")
     try:
-        layout = StateLayout(
-            num_physical=int(sidecar["layout"]["num_physical"]),
-            block_dim=int(sidecar["layout"]["block_dim"]),
-            arity=int(sidecar["layout"]["arity"]),
-            augmented=bool(sidecar["layout"]["augmented"]),
-        )
-        scale = float(sidecar["scale"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}: bad state sidecar: {exc}") from exc
+        sidecar = JsonObject(sidecar)
+        spec = sidecar.get("layout", JsonObject)
+        counts = {key: spec.get(key, integer) for key in ("num_physical", "block_dim", "arity")}
+        augmented = spec.get("augmented")
+        if not isinstance(augmented, bool):
+            raise ScenarioError(f"{spec.path('augmented')} must be true or false, got {augmented!r}")
+        spec.close()
+        scale = sidecar.get("scale", finite)
+        sidecar.close()
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: bad state sidecar: {exc}") from None
+    layout = StateLayout(**counts, augmented=augmented)
     total = layout.total_dim
     index = _index_column(path, index, total, "index")
     amps = np.zeros(total, dtype=np.complex128)

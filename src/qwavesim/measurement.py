@@ -302,6 +302,8 @@ class EstimatorConfig:
             raise MeasurementError(f"unknown estimator mode {self.mode!r}")
         if self.mode == "shots" and self.shots < 2:
             raise MeasurementError("shot mode needs at least 2 shots")
+        if self.mode == "shots" and self.seed is None:
+            raise MeasurementError("shot mode without a seed is not reproducible; refusing")
 
 
 @dataclass(frozen=True)
@@ -417,8 +419,6 @@ def estimate(
     scale_sq = stack.scale**2
     stderr, shots = 0.0, None
     if config.mode == "shots":
-        if config.seed is None:
-            raise MeasurementError("shot mode without a seed is not reproducible; refusing")
         shots = config.shots
         streams = np.random.SeedSequence(config.seed).spawn(len(observable.strings))
         sampled, variances = [], []
@@ -469,8 +469,6 @@ def weighted_l2(states, partitions, config: EstimatorConfig | None = None) -> fl
             raise MeasurementError("partitions overlap; weighted loss needs disjoint masks")
         occupied |= proj.mask
     config = config or EstimatorConfig()
-    if config.mode == "shots" and config.seed is None:
-        raise MeasurementError("shot mode without a seed is not reproducible; refusing")
     total = 0.0
     for j, (proj, weight) in enumerate(parts):
         part_config = config

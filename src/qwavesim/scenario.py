@@ -32,7 +32,8 @@ from .discretize import (
 )
 from .errors import ScenarioError, SourceError
 from .initcircuit import PolarGridSpec, RadialField
-from .io import read_initial_csv, read_json, read_source_csv
+from .io import JsonObject, finite, finite_array, integer, list_of, positive, read_json
+from .io import read_initial_csv, read_source_csv
 from .measurement import EstimatorConfig, SubspaceProjector
 from .sources import (
     PointSource,
@@ -43,13 +44,6 @@ from .sources import (
     time_function_from_samples,
     windowed_sine,
 )
-
-_TOP_LEVEL_KEYS = {
-    "grid", "material", "boundaries", "initial", "sources", "evolution",
-    "measurements", "estimator", "initcircuit", "output_dir",
-}
-_FMAX = float(np.finfo(np.float64).max)
-
 
 @dataclass(frozen=True)
 class SourceSpec:
@@ -143,12 +137,7 @@ def load_scenario(
     into shot mode, since overriding shots in exact mode would be inert).
     """
     path = Path(path)
-    raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{path}: scenario must be a JSON object")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ScenarioError(f"{path}: unknown top-level keys {sorted(unknown)}")
+    raw = JsonObject(read_json(path))
     base = path.parent
 
     try:
@@ -162,14 +151,15 @@ def load_scenario(
         measurements = _parse_measurements(raw, grid, system)
         estimator = _parse_estimator(raw, seed_override, shots_override)
         initcircuit = _parse_initcircuit(raw, base)
-    except ScenarioError:
-        raise
+        output_dir = raw.get("output_dir", default=None)
+        raw.close()
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
-    output_dir = out_override if out_override is not None else raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ScenarioError(f"{path}: output_dir must be a string")
+    if out_override is not None:
+        output_dir = out_override
 
     return Scenario(
         path=str(path), grid=grid, material=material, pair=pair, system=system,
@@ -177,36 +167,6 @@ def load_scenario(
         dt=dt, record_every=record_every, measurements=measurements,
         estimator=estimator, initcircuit=initcircuit, output_dir=output_dir,
     )
-
-
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ScenarioError(f"{where} is missing the required key {key!r}")
-    return obj[key]
-
-
-def _integer(value, where: str) -> int:
-    """An integer field: 3 and 3.0 pass; 3.7, true and "3" are refused, not truncated."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    ):
-        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
-    return int(value)
-
-
-def _finite(value, where: str) -> float:
-    """A finite float; booleans, strings, NaN, infinities and out-of-range integers are refused."""
-    finite = isinstance(value, (int, float)) and -_FMAX <= value <= _FMAX
-    if isinstance(value, bool) or not finite:
-        raise ScenarioError(f"{where} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _positive(value, where: str) -> float:
-    """A finite positive float; booleans, strings and integers past float range are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= _FMAX:
-        raise ScenarioError(f"{where} must be a finite positive number, got {value!r}")
-    return float(value)
 
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant splitting a double into two halves
@@ -254,125 +214,99 @@ def _gaussian_spread(width: float, where: str) -> float:
     return spread
 
 
-def _finite_array(value, where: str) -> np.ndarray:
-    """A float array of the shape of a (nested) list, each entry read through _finite."""
-    table = np.asarray(value, dtype=object)
-    return np.array([_finite(v, where) for v in table.flat]).reshape(table.shape)
-
-
-def _parse_grid(raw: dict) -> StaggeredGrid:
-    spec = _require(raw, "grid", "scenario")
-    bounds = _require(spec, "bounds", "grid")
-    shape = _require(spec, "shape", "grid")
-    extra = set(spec) - {"bounds", "shape"}
-    if extra:
-        raise ScenarioError(f"grid has unknown keys {sorted(extra)}")
-    counts = [_integer(n, "grid.shape") for n in shape]
+def _parse_grid(raw: JsonObject) -> StaggeredGrid:
+    spec = raw.get("grid", JsonObject)
+    bounds = spec.get("bounds", finite_array)
+    counts = spec.get("shape", list_of(integer))
+    spec.close()
     # a node table of float64 must be addressable; a larger shape would end in
     # an unrelated numpy error (or a memory error) inside build_grid
     if math.prod(counts) * 8 > np.iinfo(np.intp).max:
         raise ScenarioError(f"grid.shape {counts} has too many nodes to address")
     try:
-        return build_grid([tuple(b) for b in bounds], counts)
+        return build_grid(bounds.tolist(), counts)
     except MemoryError:
         raise ScenarioError(f"grid.shape {counts}: not enough memory for the grid") from None
 
 
-def _coefficient(spec, grid: StaggeredGrid, base: Path, name: str):
-    """A material coefficient: a constant, a piecewise table, or a file.
+def _coefficient(material: JsonObject, grid: StaggeredGrid, base: Path, name: str):
+    """The material coefficient at name: a constant, a piecewise table, or a file.
 
     Piecewise and file coefficients become PiecewiseCoefficient and
     TabulatedCoefficient, which MaterialModel samples on the whole
     coordinate table at once.
     """
+    spec = material.get(name)
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return float(spec)
+        return finite(spec, material.path(name))
     if not isinstance(spec, dict):
         raise ScenarioError(f"material coefficient {name} must be a number or an object")
-    kind = _require(spec, "kind", f"material.{name}")
+    spec = JsonObject(spec, material.path(name))
+    kind = spec.get("kind")
     if kind == "piecewise":
-        where = f"material.{name}"
-        background = _finite(_require(spec, "background", where), f"{where}.background")
-        regions = _require(spec, "regions", where)
+        background = spec.get("background", finite)
         boxes = []
-        for region in regions:
-            bounds = _require(region, "bounds", f"{where} region")
-            box = _finite_array(bounds, f"{where} region bounds")
+        for region in spec.get("regions", list_of(JsonObject)):
+            box = region.get("bounds", finite_array)
             if box.shape != (grid.dimension, 2):
                 raise ScenarioError(
-                    f"{where} region bounds must be {grid.dimension} [lo, hi] pairs"
+                    f"{region.path('bounds')} must be {grid.dimension} [lo, hi] pairs"
                 )
-            value = _finite(_require(region, "value", f"{where} region"), f"{where} region value")
-            boxes.append((box, value))
+            boxes.append((box, region.get("value", finite)))
+            region.close()
+        spec.close()
         return PiecewiseCoefficient(background=background, regions=tuple(boxes))
     if kind == "file":
         if grid.dimension != 1:
-            raise ScenarioError(f"material.{name}: tabulated coefficients are 1D only")
-        p = base / _require(spec, "path", f"material.{name}")
+            raise ScenarioError(f"{spec.where}: tabulated coefficients are 1D only")
+        p = base / spec.get("path")
+        spec.close()
         times, values = read_source_csv(p)  # same two-column layout, x instead of t
         if times.size < 2:
             raise ScenarioError(f"{p}: a tabulated coefficient needs at least 2 samples")
         return TabulatedCoefficient(x=times, values=values)
-    raise ScenarioError(f"material.{name}: unknown kind {kind!r}")
+    raise ScenarioError(f"{spec.where}: unknown kind {kind!r}")
 
 
-def _parse_material(raw: dict, grid: StaggeredGrid, base: Path) -> MaterialModel:
-    spec = _require(raw, "material", "scenario")
-    family = _require(spec, "family", "material")
-    if family == "acoustic":
-        rho = _coefficient(_require(spec, "rho", "material"), grid, base, "rho")
-        c = _coefficient(_require(spec, "c", "material"), grid, base, "c")
-        return MaterialModel.acoustic(grid, rho=rho, c=c)
-    if family == "maxwell1d":
-        eps = _coefficient(_require(spec, "eps", "material"), grid, base, "eps")
-        mu = _coefficient(_require(spec, "mu", "material"), grid, base, "mu")
-        return MaterialModel.maxwell1d(grid, eps=eps, mu=mu)
-    raise ScenarioError(f"material: unknown family {family!r}")
+_FAMILIES = {"acoustic": ("rho", "c"), "maxwell1d": ("eps", "mu")}  # MaterialModel constructors
 
 
-def _parse_boundaries(raw: dict, grid: StaggeredGrid, pair: OperatorPair, base: Path):
+def _parse_material(raw: JsonObject, grid: StaggeredGrid, base: Path) -> MaterialModel:
+    spec = raw.get("material", JsonObject)
+    family = spec.get("family")
+    if family not in _FAMILIES:
+        raise ScenarioError(f"material: unknown family {family!r}")
+    coefficients = {name: _coefficient(spec, grid, base, name) for name in _FAMILIES[family]}
+    spec.close()
+    return getattr(MaterialModel, family)(grid, **coefficients)
+
+
+def _parse_boundaries(raw: JsonObject, grid: StaggeredGrid, pair: OperatorPair, base: Path):
     """Natural walls cost nothing; Dirichlet walls pin scalar unknowns.
 
     All pinned sides are merged into one constraint set. A corner node
     claimed by two sides is fine while both are homogeneous; two data
     series on one node have no single value, so that is refused.
     """
-    spec = raw.get("boundaries", {})
-    sides = [side for names in WALLS[: grid.dimension] for side in names]
-    extra = set(spec) - set(sides)
-    if extra:
-        raise ScenarioError(f"boundaries: unknown side(s) {sorted(extra)}")
-
+    spec = raw.get("boundaries", JsonObject, {})
     pinned: dict[int, bool] = {}  # node -> pinned by a driven side
     driven = []  # (nodes, times, values) per driven side
-    for side in sides:
-        entry = spec.get(side, "natural")
+    for side in [side for names in WALLS[: grid.dimension] for side in names]:
+        entry = spec.get(side, default="natural")
         if entry in ("natural", "neumann"):
             # the staggered operators already impose a vanishing
             # perpendicular flux on every wall, so nothing to pin
             continue
         if entry == "dirichlet":
             entry = {"kind": "dirichlet"}
-        if not isinstance(entry, dict) or entry.get("kind") != "dirichlet":
+        wall = JsonObject(entry, spec.path(side)) if isinstance(entry, dict) else None
+        if wall is None or wall.get("kind") != "dirichlet":
             raise ScenarioError(
-                f"boundaries.{side}: expected 'natural'/'neumann', 'dirichlet', "
+                f"{spec.path(side)}: expected 'natural'/'neumann', 'dirichlet', "
                 "or a dirichlet object"
             )
-        data = entry.get("data")
-        series = None
-        if data is not None:
-            if "path" in data:
-                times, values = read_source_csv(base / data["path"])
-            else:
-                times = np.asarray(_require(data, "times", f"boundaries.{side}.data"), dtype=np.float64)
-                values = np.asarray(_require(data, "values", f"boundaries.{side}.data"), dtype=np.float64)
-                if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))
-                        and times.shape == values.shape and np.all(np.diff(times) > 0)):
-                    raise ScenarioError(
-                        f"boundaries.{side}.data: times and values must be finite numbers, "
-                        "one value per strictly increasing time"
-                    )
-            series = (times, values)
+        series = _wall_series(wall.get("data", JsonObject, None), base)
+        wall.close()
         nodes = boundary_scalar_indices(grid, [side])
         for node in nodes.tolist():
             if node in pinned and (pinned[node] or series is not None):
@@ -383,6 +317,7 @@ def _parse_boundaries(raw: dict, grid: StaggeredGrid, pair: OperatorPair, base: 
             pinned.setdefault(node, series is not None)
         if series is not None:
             driven.append((nodes, *series))
+    spec.close()
 
     if not pinned:
         return pair
@@ -402,156 +337,156 @@ def _parse_boundaries(raw: dict, grid: StaggeredGrid, pair: OperatorPair, base: 
     return reduce_system(pair, constraints)
 
 
-def _parse_initial(raw: dict, grid, pair, system, base: Path) -> np.ndarray:
-    spec = raw.get("initial", {"kind": "zero"})
-    kind = _require(spec, "kind", "initial")
+def _wall_series(data: JsonObject | None, base: Path):
+    """The (times, values) that drive a dirichlet wall, or None for a grounded wall."""
+    if data is None:
+        return None
+    path = data.get("path", default=None)
+    if path is not None:
+        times, values = read_source_csv(base / path)
+    else:
+        times, values = data.get("times", finite_array), data.get("values", finite_array)
+        if not (times.ndim == 1 and times.shape == values.shape and np.all(np.diff(times) > 0)):
+            raise ScenarioError(
+                f"{data.where}: times and values must be lists of one value per "
+                "strictly increasing time"
+            )
+    data.close()
+    return times, values
+
+
+def _parse_initial(raw: JsonObject, grid, pair, system, base: Path) -> np.ndarray:
+    spec = raw.get("initial", JsonObject, {"kind": "zero"})
+    kind = spec.get("kind")
     if kind == "zero":
+        spec.close()
         return np.zeros(system.A.shape[0])
     if kind == "scalar_gaussian":
-        center = _finite_array(_require(spec, "center", "initial"), "initial.center")
+        center = spec.get("center", finite_array)
         if center.shape != (grid.dimension,):
             raise ScenarioError("initial.center must match the grid dimension")
-        sigma = _positive(_require(spec, "sigma", "initial"), "initial.sigma")
-        spread = _gaussian_spread(sigma, "initial.sigma")
-        amplitude = _finite(spec.get("amplitude", 1.0), "initial.amplitude")
+        spread = _gaussian_spread(spec.get("sigma", positive), "initial.sigma")
+        amplitude = spec.get("amplitude", finite, 1.0)
+        spec.close()
         w = np.zeros(pair.n_total)
         r2 = np.sum((grid.scalar_coords - center[None, :]) ** 2, axis=1)
         w[: grid.n_scalar] = amplitude * np.exp(-r2 / spread)
         return system.restrict(w)
     if kind == "file":
-        w = read_initial_csv(base / _require(spec, "path", "initial"), pair.n_total)
-        return system.restrict(w)
+        p = base / spec.get("path")
+        spec.close()
+        return system.restrict(read_initial_csv(p, pair.n_total))
     raise ScenarioError(f"initial: unknown kind {kind!r}")
 
 
-def _parse_time_function(spec: dict, base: Path, where: str) -> SourceTimeFunction:
+def _parse_time_function(spec: JsonObject, base: Path) -> SourceTimeFunction:
     """A pulse or a sample table; a pulse float64 cannot sample is refused naming its keys."""
-    def finite(key):
-        return _finite(_require(spec, key, where), f"{where}.{key}")
-
-    def positive(key):
-        return _positive(_require(spec, key, where), f"{where}.{key}")
-
-    kind = _require(spec, "kind", where)
-    amplitude = _finite(spec.get("amplitude", 1.0), f"{where}.amplitude")
+    kind = spec.get("kind")
+    if kind == "file":
+        p = base / spec.get("path")
+        spec.close()
+        return time_function_from_samples(*read_source_csv(p))
+    if kind not in ("gaussian", "ricker", "windowed_sine"):
+        raise ScenarioError(f"{spec.where}: unknown kind {kind!r}")
+    amplitude = spec.get("amplitude", finite, 1.0)
     if kind == "gaussian":
-        center, sigma = finite("center"), positive("sigma")
-        _gaussian_spread(sigma, f"{where}.sigma")
+        center, sigma = spec.get("center", finite), spec.get("sigma", positive)
+        _gaussian_spread(sigma, spec.path("sigma"))
         keys, make = ("center", "sigma"), partial(gaussian_pulse, center=center, sigma=sigma)
     elif kind == "ricker":
-        peak = positive("peak_frequency")
+        peak = spec.get("peak_frequency", positive)
         if _square(np.pi * peak) == np.inf:
-            raise ScenarioError(f"{where}.peak_frequency: (pi * {peak!r})**2 is not finite")
-        delay = spec.get("delay")
+            raise ScenarioError(f"{spec.path('peak_frequency')}: (pi * {peak!r})**2 is not finite")
         keys = ("peak_frequency", "delay")
-        make = partial(
-            ricker_wavelet, peak_frequency=peak, delay=None if delay is None else finite("delay")
-        )
-    elif kind == "windowed_sine":
-        frequency = positive("frequency")
+        make = partial(ricker_wavelet, peak_frequency=peak, delay=spec.get("delay", finite, None))
+    else:
+        frequency = spec.get("frequency", positive)
         if 2.0 * np.pi * frequency == np.inf:
-            raise ScenarioError(f"{where}.frequency: 2 * pi * {frequency!r} is not finite")
+            raise ScenarioError(f"{spec.path('frequency')}: 2 * pi * {frequency!r} is not finite")
         keys = ("frequency", "t_start", "duration")
         make = partial(
-            windowed_sine, frequency=frequency, t_start=finite("t_start"),
-            duration=positive("duration"),
+            windowed_sine, frequency=frequency, t_start=spec.get("t_start", finite),
+            duration=spec.get("duration", positive),
         )
-    elif kind == "file":
-        times, values = read_source_csv(base / _require(spec, "path", where))
-        return time_function_from_samples(times, values)
-    else:
-        raise ScenarioError(f"{where}: unknown kind {kind!r}")
     try:
-        return make(amplitude=amplitude)
+        pulse = make(amplitude=amplitude)
     except SourceError as exc:
-        named = ", ".join(f"{where}.{key}" for key in keys)
+        named = ", ".join(spec.path(key) for key in keys)
         raise ScenarioError(f"{named}: the pulse cannot be sampled in float64: {exc}") from None
+    spec.close()
+    return pulse
 
 
-def _parse_sources(raw: dict, grid, system, base: Path) -> tuple[SourceSpec, ...]:
+def _parse_sources(raw: JsonObject, grid, system, base: Path) -> tuple[SourceSpec, ...]:
     out = []
-    for k, spec in enumerate(raw.get("sources", [])):
-        where = f"sources[{k}]"
-        location = tuple(_integer(i, f"{where}.location") for i in _require(spec, "location", where))
-        polarization = tuple(
-            _finite(v, f"{where}.polarization") for v in _require(spec, "polarization", where)
-        )
-        f = _parse_time_function(
-            _require(spec, "time_function", where), base, f"{where}.time_function"
-        )
+    for spec in raw.get("sources", list_of(JsonObject), []):
+        location = tuple(spec.get("location", list_of(integer)))
+        polarization = tuple(spec.get("polarization", list_of(finite)))
+        f = _parse_time_function(spec.get("time_function", JsonObject), base)
+        decompose = spec.get("decompose", JsonObject, None)
+        if decompose is not None:
+            decompose = _parse_decompose(decompose)
+        spec.close()
         source = PointSource(location=location, polarization=polarization, time_function=f)
         chi = system.restrict(chi_pattern(source, grid))
-        decompose = spec.get("decompose")
-        if decompose is not None:
-            decompose = _parse_decompose(decompose, f"{where}.decompose")
         out.append(SourceSpec(source=source, chi=chi, decompose=decompose))
     return tuple(out)
 
 
-def _parse_decompose(spec: dict, where: str) -> dict:
+def _parse_decompose(spec: JsonObject) -> dict:
     """The greens_decompose parameters, refused here rather than midway through presim."""
-    parsed = {k: _positive(_require(spec, k, where), f"{where}.{k}") for k in ("radius", "c", "rho")}
-    bad = set(spec) - {*parsed, "mode", "steepness"}
-    if bad:
-        raise ScenarioError(f"{where} has unknown keys {sorted(bad)}")
-    steepness = spec.get("steepness")
-    parsed["steepness"] = None if steepness is None else _positive(steepness, f"{where}.steepness")
-    parsed["mode"] = mode = spec.get("mode")
+    parsed = {k: spec.get(k, positive) for k in ("radius", "c", "rho")}
+    parsed["steepness"] = spec.get("steepness", positive, None)
+    parsed["mode"] = mode = spec.get("mode", default=None)
     if mode not in (None, "dalembert", "discrete"):
-        raise ScenarioError(f"{where}.mode must be 'dalembert' or 'discrete', got {mode!r}")
+        raise ScenarioError(f"{spec.path('mode')} must be 'dalembert' or 'discrete', got {mode!r}")
+    spec.close()
     return parsed
 
 
-def _parse_evolution(raw: dict):
-    spec = raw.get("evolution")
+def _parse_evolution(raw: JsonObject):
+    spec = raw.get("evolution", JsonObject, None)
     if spec is None:
         return 0.0, None, None, 1
-    t_start = _finite(spec.get("t_start", 0.0), "evolution.t_start")
-    t_final = _finite(_require(spec, "t_final", "evolution"), "evolution.t_final")
+    t_start = spec.get("t_start", finite, 0.0)
+    t_final = spec.get("t_final", finite)
+    dt = spec.get("dt", positive, None)
+    record_every = spec.get("record_every", integer, 1)
+    spec.close()
     if not t_final > t_start:
         raise ScenarioError("evolution: t_final must exceed t_start")
-    dt = spec.get("dt")
-    if dt is not None:
-        dt = _finite(dt, "evolution.dt")
-        if dt <= 0:
-            raise ScenarioError("evolution: dt must be positive")
-    record_every = _integer(spec.get("record_every", 1), "evolution.record_every")
     if record_every < 1:
         raise ScenarioError("evolution: record_every must be >= 1")
     return t_start, t_final, dt, record_every
 
 
-def _parse_measurements(raw: dict, grid, system) -> tuple[MeasurementRequest, ...]:
+def _parse_measurements(raw: JsonObject, grid, system) -> tuple[MeasurementRequest, ...]:
     n_sys = system.A.shape[0]
     out = []
     seen = set()
-    for k, spec in enumerate(raw.get("measurements", [])):
-        where = f"measurements[{k}]"
-        name = _require(spec, "name", where)
+    for spec in raw.get("measurements", list_of(JsonObject), []):
+        name = spec.get("name")
         if not isinstance(name, str) or not name or any(ch in name for ch in "/\\ "):
-            raise ScenarioError(f"{where}: name must be a nonempty token without spaces or slashes")
+            raise ScenarioError(
+                f"{spec.where}: name must be a nonempty token without spaces or slashes"
+            )
         if name in seen:
-            raise ScenarioError(f"{where}: duplicate measurement name {name!r}")
+            raise ScenarioError(f"{spec.where}: duplicate measurement name {name!r}")
         seen.add(name)
-        sub = _require(spec, "subspace", where)
-        kind = _require(sub, "kind", f"{where}.subspace")
+        sub = spec.get("subspace", JsonObject)
+        spec.close()
+        kind = sub.get("kind")
         mask = np.zeros(n_sys, dtype=bool)
         if kind == "dof_range":
-            start = _integer(_require(sub, "start", f"{where}.subspace"), f"{where}.subspace.start")
-            stop = _integer(_require(sub, "stop", f"{where}.subspace"), f"{where}.subspace.stop")
+            start, stop = sub.get("start", integer), sub.get("stop", integer)
             if not (0 <= start < stop <= n_sys):
-                raise ScenarioError(
-                    f"{where}.subspace: need 0 <= start < stop <= {n_sys}"
-                )
+                raise ScenarioError(f"{sub.where}: need 0 <= start < stop <= {n_sys}")
             mask[start:stop] = True
             desc = f"unknowns [{start}, {stop})"
         elif kind == "scalar_region":
-            bounds = _require(sub, "bounds", f"{where}.subspace")
-            box = _finite_array(bounds, f"{where}.subspace.bounds")
+            box = sub.get("bounds", finite_array)
             if box.shape != (grid.dimension, 2):
-                raise ScenarioError(
-                    f"{where}.subspace: bounds must be {grid.dimension} [lo, hi] pairs"
-                )
+                raise ScenarioError(f"{sub.where}: bounds must be {grid.dimension} [lo, hi] pairs")
             inside = np.all(
                 (grid.scalar_coords >= box[:, 0]) & (grid.scalar_coords <= box[:, 1]),
                 axis=1,
@@ -561,26 +496,24 @@ def _parse_measurements(raw: dict, grid, system) -> tuple[MeasurementRequest, ..
             mask = system.restrict(full)
             desc = f"scalar nodes in {box.tolist()}"
         elif kind == "indices":
-            listed = _require(sub, "indices", f"{where}.subspace")
-            idx = np.asarray([_integer(i, f"{where}.subspace.indices") for i in listed], dtype=np.int64)
-            if idx.size and (idx.min() < 0 or idx.max() >= n_sys):
-                raise ScenarioError(f"{where}.subspace: index out of range (n={n_sys})")
-            mask[idx] = True
-            desc = f"{idx.size} listed unknowns"
+            listed = sub.get("indices", list_of(integer))
+            if not all(0 <= i < n_sys for i in listed):
+                raise ScenarioError(f"{sub.where}: index out of range (n={n_sys})")
+            mask[listed] = True
+            desc = f"{len(listed)} listed unknowns"
         else:
-            raise ScenarioError(f"{where}.subspace: unknown kind {kind!r}")
+            raise ScenarioError(f"{sub.where}: unknown kind {kind!r}")
+        sub.close()
         out.append(MeasurementRequest(name=name, projector=SubspaceProjector(mask=mask), description=desc))
     return tuple(out)
 
 
-def _parse_estimator(raw: dict, seed_override, shots_override) -> EstimatorConfig:
-    spec = dict(raw.get("estimator", {}))
-    bad = set(spec) - {"mode", "shots", "seed"}
-    if bad:
-        raise ScenarioError(f"estimator has unknown keys {sorted(bad)}")
-    mode = spec.get("mode", "exact")
-    shots = _integer(spec.get("shots", 10000), "estimator.shots")
-    seed = spec.get("seed")
+def _parse_estimator(raw: JsonObject, seed_override, shots_override) -> EstimatorConfig:
+    spec = raw.get("estimator", JsonObject, {})
+    mode = spec.get("mode", default="exact")
+    shots = spec.get("shots", integer, 10000)
+    seed = spec.get("seed", default=None)
+    spec.close()
     if shots_override is not None:
         mode, shots = "shots", int(shots_override)
     if seed_override is not None:
@@ -597,40 +530,36 @@ def _parse_estimator(raw: dict, seed_override, shots_override) -> EstimatorConfi
     return EstimatorConfig(mode=mode, shots=shots, seed=seed)
 
 
-def _parse_initcircuit(raw: dict, base: Path) -> InitCircuitSpec | None:
-    spec = raw.get("initcircuit")
+def _parse_initcircuit(raw: JsonObject, base: Path) -> InitCircuitSpec | None:
+    spec = raw.get("initcircuit", JsonObject, None)
     if spec is None:
         return None
-    bad = set(spec) - {"radial_divisions", "extent", "center", "profile"}
-    if bad:
-        raise ScenarioError(f"initcircuit has unknown keys {sorted(bad)}")
-    divisions = _require(spec, "radial_divisions", "initcircuit")
-    divisions = _integer(divisions, "initcircuit.radial_divisions")
-    extent = _finite(_require(spec, "extent", "initcircuit"), "initcircuit.extent")
-    center = tuple(_finite(v, "initcircuit.center") for v in spec.get("center", (0.0, 0.0)))
+    divisions = spec.get("radial_divisions", integer)
+    extent = spec.get("extent", finite)
+    center = tuple(spec.get("center", list_of(finite), [0.0, 0.0]))
     if len(center) != 2:
         raise ScenarioError(f"initcircuit.center must be two finite numbers, got {list(center)}")
+    profile = spec.get("profile", JsonObject)
+    spec.close()
     polar = PolarGridSpec.uniform(divisions, extent, center=center)
 
-    profile = _require(spec, "profile", "initcircuit")
-    kind = _require(profile, "kind", "initcircuit.profile")
+    kind = profile.get("kind")
     if kind == "gaussian_ring":
-        where = "initcircuit.profile"
-        r0 = _finite(_require(profile, "radius", where), f"{where}.radius")
+        r0 = profile.get("radius", finite)
         if _square(abs(r0) + extent) == np.inf:
             raise ScenarioError(
-                f"{where}.radius: ({abs(r0)!r} + extent {extent!r})**2 is not finite"
+                f"{profile.path('radius')}: ({abs(r0)!r} + extent {extent!r})**2 is not finite"
             )
-        width = _positive(_require(profile, "width", where), f"{where}.width")
-        spread = _gaussian_spread(width, f"{where}.width")
-        amplitude = _finite(profile.get("amplitude", 1.0), f"{where}.amplitude")
+        width = profile.get("width", positive)
+        spread = _gaussian_spread(width, profile.path("width"))
+        amplitude = profile.get("amplitude", finite, 1.0)
 
         def magnitude(r: np.ndarray) -> np.ndarray:
             return amplitude * np.exp(-_square(r - r0) / spread)
 
         desc = f"gaussian_ring(radius={r0}, width={width})"
     elif kind == "file":
-        p = base / _require(profile, "path", "initcircuit.profile")
+        p = base / profile.get("path")
         radii, values = read_source_csv(p)
 
         def magnitude(r: np.ndarray) -> np.ndarray:
@@ -638,6 +567,7 @@ def _parse_initcircuit(raw: dict, base: Path) -> InitCircuitSpec | None:
 
         desc = f"file({p.name})"
     else:
-        raise ScenarioError(f"initcircuit.profile: unknown kind {kind!r}")
+        raise ScenarioError(f"{profile.where}: unknown kind {kind!r}")
+    profile.close()
 
     return InitCircuitSpec(spec=polar, field=RadialField(center, magnitude), profile=desc)

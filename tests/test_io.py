@@ -188,3 +188,15 @@ def test_header_only_table_is_empty_and_quiet(tmp_path):
         warnings.simplefilter("error")
         columns = io._read_table(tmp_path / "t.csv", HEADER)
     assert [c.shape for c in columns] == [(0,), (0,), (0,)]
+
+
+@pytest.mark.parametrize(
+    "text", ['{"dt": 0.001, "dt": 0.1}', '[{"t_final": 1, "dt": 0.001, "dt": 0.1}]']
+)
+def test_read_json_refuses_a_repeated_key(tmp_path, text):
+    # json.loads alone would keep the last value and run with dt = 0.1
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    with pytest.raises(ScenarioError) as refused:
+        io.read_json(path)
+    assert str(refused.value) == f"{path}: the key 'dt' appears more than once in one object"

@@ -52,6 +52,18 @@ def test_unknown_top_level_key_is_refused(tmp_path):
         q.load_scenario(_write(tmp_path, _base(extra_block={})))
 
 
+def test_the_readme_scenario_example_loads(tmp_path):
+    # the documented example is held to the same strict reader as any scenario
+    readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scenario files\n", 1)[1]
+    example = tmp_path / "example.json"
+    example.write_text(section.split("```json\n", 1)[1].split("```", 1)[0])
+    sc = q.load_scenario(example)
+    assert sc.output_dir == "demo-output"
+    assert sc.sources[0].decompose["mode"] == "discrete"
+    assert sc.initcircuit.spec.radial_divisions == 8
+
+
 def test_neumann_is_a_synonym_for_natural(tmp_path):
     a = q.load_scenario(
         _write(tmp_path, _base(boundaries={"left": "natural", "right": "natural"}), "a.json")
@@ -73,7 +85,7 @@ def test_dirichlet_wall_pins_one_scalar_node(tmp_path):
 def test_bogus_boundary_entry_is_refused(tmp_path):
     with pytest.raises(ScenarioError, match="boundaries.left"):
         q.load_scenario(_write(tmp_path, _base(boundaries={"left": "absorbing"})))
-    with pytest.raises(ScenarioError, match="unknown side"):
+    with pytest.raises(ScenarioError, match=r"unknown keys \['boundaries\.front'\]"):
         q.load_scenario(_write(tmp_path, _base(boundaries={"front": "natural"})))
 
 
@@ -383,7 +395,7 @@ def test_table_sampled_coefficients_are_bit_equal_to_per_point_sampling(tmp_path
     # the coefficient objects stay callable on one point
     points = np.concatenate([sc.grid.scalar_coords, *sc.grid.flux_coords])
     for name, spec in specs.items():
-        coefficient = q.scenario._coefficient(spec, sc.grid, tmp_path, name)
+        coefficient = q.scenario._coefficient(q.io.JsonObject(specs), sc.grid, tmp_path, name)
         if callable(coefficient):
             assert [coefficient(x) for x in points] == [per_point[name](x) for x in points]
 
@@ -483,7 +495,7 @@ def test_measure_checks_the_state_dimension(tmp_path, capsys):
     assert "255" in err and "63" in err
 
 
-def _measure_with_state(tmp_path, rows):
+def _measure_with_state(tmp_path, rows, edit_sidecar=lambda sidecar: None):
     """Run measure on a 63-unknown scenario with a hand-written state.csv."""
     scenario = _write(
         tmp_path,
@@ -492,8 +504,10 @@ def _measure_with_state(tmp_path, rows):
     state = tmp_path / "state.csv"
     text = "index,real,imag\n" + "".join(row + "\n" for row in rows)
     state.write_bytes(text.encode("utf-8", "surrogateescape"))  # "\udcff" writes byte 0xff
-    layout = {"num_physical": 63, "block_dim": 64, "arity": 1, "augmented": False}
-    (tmp_path / "state.csv.json").write_text(json.dumps({"scale": 1.0, "layout": layout}))
+    sidecar = {"scale": 1.0, "layout": {"num_physical": 63, "block_dim": 64, "arity": 1,
+                                        "augmented": False}}
+    edit_sidecar(sidecar)
+    (tmp_path / "state.csv.json").write_text(json.dumps(sidecar))
     return cli.main(
         ["measure", "--scenario", str(scenario), "--state", str(state),
          "--out", str(tmp_path / "out")]
@@ -666,7 +680,8 @@ def test_simulate_refuses_non_finite_inline_wall_data(tmp_path, capsys, data):
     assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "qwavesim: validation error:" in err
-    assert "boundaries.left.data: times and values must be finite numbers" in err
+    key = "values" if np.all(np.isfinite(data["times"])) else "times"
+    assert f"boundaries.left.data.{key} must be a finite number" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -755,9 +770,11 @@ _MALFORMED = [
     _case("shape-2^62", {"grid": {"bounds": [[0.0, 1.0]], "shape": [2**62]}}, "grid.shape"),
     _case("shape-2^63", {"grid": {"bounds": [[0.0, 1.0]], "shape": [2**63]}}, "grid.shape"),
     _case("bounds-infinite", {"grid": {"bounds": [[0.0, float("inf")]], "shape": [32]}},
-          "grid bounds must be finite"),
+          "grid.bounds must be a finite number"),
     _case("indices-fraction", _measure({"kind": "indices", "indices": [1.5]}),
           "measurements[0].subspace.indices"),
+    _case("indices-past-int64", _measure({"kind": "indices", "indices": [2**70]}),
+          "measurements[0].subspace: index out of range"),
     _case("start-fraction", _measure({"kind": "dof_range", "start": 1.5, "stop": 4}),
           "measurements[0].subspace.start"),
     _case("stop-fraction", _measure({"kind": "dof_range", "start": 1, "stop": 4.5}),
@@ -835,11 +852,13 @@ _MALFORMED = [
           {"material": {"family": "acoustic", "c": 1.0,
                         "rho": {"kind": "piecewise", "background": float("nan"), "regions": []}}},
           "material.rho.background"),
+    _case("rho-past-float-range", {"material": {"family": "acoustic", "rho": 10**400, "c": 1.0}},
+          "material.rho must be a finite number"),
     _case("region-value-infinite",
           {"material": {"family": "acoustic", "c": 1.0,
                         "rho": {"kind": "piecewise", "background": 1.0,
                                 "regions": [{"bounds": [[0.2, 0.4]], "value": float("inf")}]}}},
-          "material.rho region value"),
+          "material.rho.regions[0].value"),
     _case("scalar-region-nan", _measure({"kind": "scalar_region", "bounds": [[float("nan"), 1.0]]}),
           "measurements[0].subspace.bounds"),
     _case("ring-width-overflowing", _ring(width=1e200), "initcircuit.profile.width",
@@ -863,6 +882,110 @@ def test_malformed_field_exits_one_naming_the_key(
     assert message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# one scenario holding every kind of object the loader reads
+_EVERY_OBJECT = _fast_doc(
+    material={"family": "acoustic", "c": {"kind": "file", "path": "c.csv"},
+              "rho": {"kind": "piecewise", "background": 1.0,
+                      "regions": [{"bounds": [[0.2, 0.4]], "value": 2.0}]}},
+    boundaries={"left": {"kind": "dirichlet",
+                         "data": {"times": [0.0, 1.0], "values": [0.0, 0.5]}}},
+    sources=[dict(_SOURCE, decompose={"radius": 0.45, "c": 1.0, "rho": 1.0})],
+    measurements=[{"name": "m", "subspace": {"kind": "dof_range", "start": 0, "stop": 4}}],
+    estimator={"mode": "exact"},
+    initcircuit=_RING,
+)
+
+
+def _bad(case_id, where, key, value, message):
+    """A case setting key to value in the object at the path where (a tuple of keys)."""
+    return pytest.param(where, key, value, message, id=case_id)
+
+
+_MISSPELLED = [
+    _bad("top-level", (), "output_dri", "out", "unknown top-level keys ['output_dri']"),
+    _bad("grid", ("grid",), "nodes", 32, "'grid.nodes'"),
+    _bad("material", ("material",), "density", 1.0, "'material.density'"),
+    _bad("piecewise", ("material", "rho"), "default", 1.0, "'material.rho.default'"),
+    _bad("file-coefficient", ("material", "c"), "column", 1, "'material.c.column'"),
+    _bad("region", ("material", "rho", "regions", 0), "weight", 1.0,
+         "'material.rho.regions[0].weight'"),
+    _bad("boundary-side", ("boundaries", "left"), "dat", {"times": [0.0, 1.0], "values": [0, 1]},
+         "'boundaries.left.dat'"),
+    _bad("wall-data", ("boundaries", "left", "data"), "time", [0.0, 1.0],
+         "'boundaries.left.data.time'"),
+    _bad("initial", ("initial",), "amplitdue", 2.0, "'initial.amplitdue'"),
+    _bad("source", ("sources", 0), "decompse", {}, "'sources[0].decompse'"),
+    _bad("time-function", ("sources", 0, "time_function"), "amplitdue", 2.0,
+         "'sources[0].time_function.amplitdue'"),
+    _bad("decompose", ("sources", 0, "decompose"), "steepnes", 4.0,
+         "'sources[0].decompose.steepnes'"),
+    _bad("evolution", ("evolution",), "record_evry", 2, "'evolution.record_evry'"),
+    _bad("measurement", ("measurements", 0), "descripton", "x", "'measurements[0].descripton'"),
+    _bad("subspace", ("measurements", 0, "subspace"), "stpo", 8,
+         "'measurements[0].subspace.stpo'"),
+    _bad("estimator", ("estimator",), "sed", 3, "'estimator.sed'"),
+    _bad("initcircuit", ("initcircuit",), "centre", [0.0, 0.0], "'initcircuit.centre'"),
+    _bad("profile", ("initcircuit", "profile"), "amplitdue", 2.0,
+         "'initcircuit.profile.amplitdue'"),
+    _bad("bounds-text", ("grid",), "bounds", [["0", 1.0]], "grid.bounds must be a finite number"),
+    _bad("bounds-true", ("grid",), "bounds", [[0.0, True]], "grid.bounds must be a finite number"),
+    _bad("wall-text", ("boundaries", "left", "data"), "times", ["0", 1.0],
+         "boundaries.left.data.times must be a finite number"),
+    _bad("wall-true", ("boundaries", "left", "data"), "values", [0.0, True],
+         "boundaries.left.data.values must be a finite number"),
+]
+
+
+@pytest.mark.parametrize("where, key, value, message", _MISSPELLED)
+def test_an_unknown_key_or_a_mistyped_number_exits_one_naming_its_path(
+    tmp_path, capsys, where, key, value, message
+):
+    (tmp_path / "c.csv").write_text("time,value\n0.0,1.0\n1.0,1.5\n")
+    doc = json.loads(json.dumps(_EVERY_OBJECT))
+    q.load_scenario(_write(tmp_path, doc))  # valid before the edit
+    target = doc
+    for step in where:
+        target = target[step]
+    target[key] = value
+    scenario = _write(tmp_path, doc)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qwavesim: validation error:") and message in err
+    assert not out.exists()
+
+
+def _set_in_sidecar(where, key, value):
+    def edit(sidecar):
+        (sidecar[where] if where else sidecar)[key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "where, key, value, message",
+    [
+        ("", "version", 1, "unknown top-level keys ['version']"),
+        ("layout", "arty", 1, "'layout.arty'"),
+        ("", "scale", "2.5", "scale must be a finite number, got '2.5'"),
+        ("layout", "num_physical", 63.9, "layout.num_physical: expected an integer, got 63.9"),
+        ("layout", "arity", True, "layout.arity: expected an integer, got True"),
+        ("layout", "augmented", "false", "layout.augmented must be true or false, got 'false'"),
+    ],
+    ids=["top-level", "layout", "scale-text", "num-physical-fraction", "arity-true",
+         "augmented-text"],
+)
+def test_a_malformed_state_sidecar_exits_one_naming_its_path(
+    tmp_path, capsys, where, key, value, message
+):
+    assert _measure_with_state(tmp_path, ["0,0.6,0.0"], _set_in_sidecar(where, key, value)) == 1
+    err = capsys.readouterr().err
+    sidecar = f"{tmp_path / 'state.csv'}: bad state sidecar"
+    assert err.startswith(f"qwavesim: validation error: {sidecar}")
+    assert message in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("amplitude, message", [(1e200, "overflows"), (1e-200, "underflows")])
