@@ -93,7 +93,6 @@ from .sources import (
     PointSource,
     PreSimResult,
     SourceTimeFunction,
-    WindowSpec,
     assemble_multisource_state,
     chi_pattern,
     default_steepness,

@@ -268,7 +268,7 @@ def _run_presim(args) -> int:
             dec = spec.decompose
             slices = greens_decompose(
                 spec.source, dec["c"], dec["rho"], dec["radius"], system,
-                mode=dec["mode"], steepness=dec["steepness"],
+                steepness=dec["steepness"],
             )
         else:
             slices = [presimulate_pulse(spec.source, system, dt=scenario.dt)]

@@ -259,21 +259,20 @@ def _sample(
 
     A scalar is broadcast. A PiecewiseCoefficient or TabulatedCoefficient is
     evaluated on the whole coordinate table at once. Any other callable is
-    called once per point with that point's coordinate vector.
+    called once per point with that point's coordinate vector. Anything else,
+    per-point arrays included, is refused: one array cannot say which
+    staggered unknowns its values belong to.
     """
-    n = coords.shape[0]
     if isinstance(spec, _TableCoefficient):
         out = spec._table(coords)
     elif callable(spec):
         out = np.asarray([spec(x) for x in coords], dtype=np.float64)
     elif np.isscalar(spec):
-        out = np.full(n, float(spec))
+        out = np.full(coords.shape[0], float(spec))
     else:
-        out = np.asarray(spec, dtype=np.float64)
-        if out.shape != (n,):
-            raise MaterialError(
-                f"{name}: expected {n} per-point values, got shape {out.shape}"
-            )
+        raise MaterialError(
+            f"{name}: pass a scalar or a callable of position, not {type(spec).__name__}"
+        )
     if not np.all(np.isfinite(out)) or np.any(out <= 0.0):
         raise MaterialError(f"{name}: material values must be finite and positive")
     return out
@@ -300,18 +299,11 @@ class MaterialModel:
         """Acoustic medium from density rho and sound speed c.
 
         rho and c are scalars or callables of the coordinate vector; rho is
-        sampled at both node and midpoint unknowns, so a single per-block
-        array cannot describe it and array input is rejected. Scalars,
+        sampled at both node and midpoint unknowns. Scalars,
         PiecewiseCoefficient and TabulatedCoefficient (the scenario file's
         constant, piecewise and file kinds) are sampled on the whole
         coordinate table at once; any other callable is called per point.
         """
-        for name, spec in (("rho", rho), ("c", c)):
-            if not (np.isscalar(spec) or callable(spec)):
-                raise MaterialError(
-                    f"{name}: pass a scalar or a callable of position "
-                    "(per-point arrays are ambiguous across staggered blocks)"
-                )
         rho_s = _sample(rho, grid.scalar_coords, "rho")
         c_s = _sample(c, grid.scalar_coords, "c")
         flux_coords = np.concatenate(grid.flux_coords, axis=0)

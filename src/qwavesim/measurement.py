@@ -302,6 +302,11 @@ class EstimatorConfig:
             raise MeasurementError(f"unknown estimator mode {self.mode!r}")
         if self.mode == "shots" and self.shots < 2:
             raise MeasurementError("shot mode needs at least 2 shots")
+        limit = np.iinfo(np.int64).max  # rng.binomial draws its count as an int64
+        if self.mode == "shots" and self.shots > limit:
+            raise MeasurementError(
+                f"shots must fit the sampler's int64 range (at most {limit}), got {self.shots}"
+            )
         if self.mode == "shots" and self.seed is None:
             raise MeasurementError("shot mode without a seed is not reproducible; refusing")
 

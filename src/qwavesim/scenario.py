@@ -51,8 +51,9 @@ class SourceSpec:
 
     chi is the injection pattern already restricted to the simulated
     unknowns; decompose, when present, holds the validated homogeneous-ball
-    parameters for greens_decompose: radius, c, rho, mode and steepness
-    (mode and steepness None when not given).
+    parameters for greens_decompose: radius, c, rho and steepness (None
+    when not given). Every slice is solved on the grid, so there is no
+    solver to choose.
     """
 
     source: PointSource
@@ -437,9 +438,6 @@ def _parse_decompose(spec: JsonObject) -> dict:
     """The greens_decompose parameters, refused here rather than midway through presim."""
     parsed = {k: spec.get(k, positive) for k in ("radius", "c", "rho")}
     parsed["steepness"] = spec.get("steepness", positive, None)
-    parsed["mode"] = mode = spec.get("mode", default=None)
-    if mode not in (None, "dalembert", "discrete"):
-        raise ScenarioError(f"{spec.path('mode')} must be 'dalembert' or 'discrete', got {mode!r}")
     spec.close()
     return parsed
 
@@ -541,6 +539,13 @@ def _parse_initcircuit(raw: JsonObject, base: Path) -> InitCircuitSpec | None:
         raise ScenarioError(f"initcircuit.center must be two finite numbers, got {list(center)}")
     profile = spec.get("profile", JsonObject)
     spec.close()
+    # the register holds 2 A**2 float64 amplitudes and must be addressable;
+    # refused before PolarGridSpec.uniform builds its A radii one by one
+    if divisions > 0 and 2 * divisions**2 * 8 > np.iinfo(np.intp).max:
+        raise ScenarioError(
+            f"{spec.path('radial_divisions')} {divisions}: a register of 2 * {divisions}**2 "
+            "amplitudes is too large to address"
+        )
     polar = PolarGridSpec.uniform(divisions, extent, center=center)
 
     kind = profile.get("kind")

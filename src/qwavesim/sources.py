@@ -21,9 +21,9 @@ accuracy. In the z -> infinity limit the windows become half-open boxes and
 the slices partition the source samples exactly.
 
 Each slice is short enough that its wave stays inside a homogeneous ball of
-radius r_s around the source, where the response is known: in 1D the
-closed-form traveling-wave solution (scalar polarization), or exactly on the
-grid via the eigenbasis quadrature of the reference module. Support radii
+radius r_s around the source, and is solved exactly on the grid by the
+eigenbasis quadrature of the reference module: the slice obeys the same
+discrete equations as the H that carries it forward. Support radii
 include a discretization margin that grows like the cube root of the cone
 length in cells; fields are verified against the claimed ball and hard-zeroed
 outside it, and the surviving nonzero count is what the resolution-scaling
@@ -379,30 +379,6 @@ def assemble_multisource_state(
 # windows
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """Breakpoints tau_0 < ... < tau_J and the sigmoid steepness z."""
-
-    breakpoints: tuple[float, ...]
-    steepness: float
-
-    def __post_init__(self):
-        bp = tuple(float(x) for x in self.breakpoints)
-        if len(bp) < 2 or np.any(np.diff(bp) <= 0):
-            raise SourceError("need at least two strictly increasing breakpoints")
-        if not self.steepness > 0:
-            raise SourceError("steepness must be positive (inf for the box limit)")
-        object.__setattr__(self, "breakpoints", bp)
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(np.asarray(self.breakpoints))
-
-    @property
-    def n_windows(self) -> int:
-        return len(self.breakpoints) - 1
-
-
 def default_steepness(breakpoints) -> float:
     """Steepness keeping the partition-of-unity deviation under 1e-3 inside."""
     widths = np.diff(np.asarray(breakpoints, dtype=np.float64))
@@ -426,18 +402,23 @@ def make_windows(
     the breakpoint span. Infinite steepness gives half-open box indicators
     [tau_j, tau_{j+1}), which tile samples exactly.
     """
-    spec = WindowSpec(breakpoints=tuple(breakpoints), steepness=float(steepness))
+    bp = np.asarray(breakpoints, dtype=np.float64)
+    widths = np.diff(bp)
+    z = float(steepness)
+    if bp.size < 2 or np.any(widths <= 0):
+        raise SourceError("need at least two strictly increasing breakpoints")
+    if not z > 0:
+        raise SourceError("steepness must be positive (inf for the box limit)")
     t = np.asarray(t_grid, dtype=np.float64)
-    bp = np.asarray(spec.breakpoints)
     windows = []
-    for j in range(spec.n_windows):
-        if np.isinf(spec.steepness):
+    for j in range(bp.size - 1):
+        if np.isinf(z):
             w = ((t >= bp[j]) & (t < bp[j + 1])).astype(np.float64)
         else:
-            w = _window(t, spec.steepness, bp[j], bp[j + 1])
+            w = _window(t, z, bp[j], bp[j + 1])
         windows.append(w)
     total = np.sum(windows, axis=0)
-    delta = 0.5 * float(spec.widths.min())
+    delta = 0.5 * float(widths.min())
     interior = (t >= bp[0] + delta) & (t <= bp[-1] - delta)
     deviation = float(np.abs(total[interior] - 1.0).max()) if np.any(interior) else 0.0
     return windows, deviation
@@ -486,15 +467,14 @@ def greens_decompose(
 
     The medium must be homogeneous (rho_hom, c_hom) inside the ball of radius
     r_s around the source; each slice is short enough that its wave stays in
-    that ball, margins included. mode "dalembert" (1D, scalar polarization)
-    evaluates the closed-form traveling wave; mode "discrete" (any dimension)
-    evaluates the exact grid response by eigenbasis quadrature. The default
-    is dalembert on 1D scalar sources and discrete otherwise.
+    that ball, margins included. Every slice is the exact grid response by
+    eigenbasis quadrature, solved with the H that build_hamiltonian memoizes
+    on the system object, so one decomposition serves every slice and any
+    later sync or mult generator built from the same system.
 
-    The discrete mode solves every slice with the H that build_hamiltonian
-    memoizes on the system object, so one decomposition serves every slice
-    and any later sync or mult generator built from the same system; the
-    closed-form mode does not use it.
+    mode accepts only None or "discrete", the one solver. The benchmark
+    harness still passes mode="discrete"; the keyword goes with the next
+    change to that harness.
 
     Returns one PreSimResult per window, each stamped with its slice end
     time, ready for assemble_multisource_state.
@@ -507,15 +487,8 @@ def greens_decompose(
         raise SourceError("ball radius and homogeneous coefficients must be positive")
     if steepness is not None and not 0 < steepness < np.inf:
         raise SourceError(f"steepness must be finite and positive, got {steepness!r}")
-    scalar_only = all(c == 0.0 for c in source.polarization[1:])
-    if mode is None:
-        mode = "dalembert" if (grid.dimension == 1 and scalar_only) else "discrete"
-    if mode not in ("dalembert", "discrete"):
-        raise SourceError(f"unknown decomposition mode {mode!r}")
-    if mode == "dalembert" and (grid.dimension != 1 or not scalar_only):
-        raise SourceError(
-            "the closed-form mode covers 1D scalar-polarized sources; use mode='discrete'"
-        )
+    if mode not in (None, "discrete"):
+        raise SourceError(f"unknown decomposition mode {mode!r}; the only solver is 'discrete'")
 
     center = grid.scalar_coords[grid.scalar_index(*source.location)]
     coords = _source_coords(system)
@@ -554,10 +527,7 @@ def greens_decompose(
         g = _windowed_slice(f, tau_lo, tau_hi, z, margin)
         slice_cone = c_hom * g.duration
         radius = min(r_s, slice_cone + _support_margin_cells(slice_cone / dx_max) * dx_max)
-        if mode == "dalembert":
-            w = system.restrict(_dalembert_field(g, source, grid, c_hom, rho_hom, center))
-        else:
-            w = spectral_forced_solution(system, chi, g, g.t_start, g.t_end)
+        w = spectral_forced_solution(system, chi, g, g.t_start, g.t_end)
         w = _enforce_support(w, coords, center, radius)
         slices.append(PreSimResult.from_field(w, g.t_end, center, radius))
     return slices
@@ -577,24 +547,3 @@ def _check_homogeneous_ball(system, coords, center, r_s, c_hom, rho_hom):
             f"{int(np.count_nonzero(bad))} unknowns inside the ball differ from "
             "the declared homogeneous medium"
         )
-
-
-def _dalembert_field(
-    g: SourceTimeFunction, source, grid, c: float, rho: float, center
-) -> np.ndarray:
-    """Closed-form 1D traveling-wave response of a scalar point pulse.
-
-    A unit nodal injection stands for a delta of weight dx, so the outgoing
-    amplitude is (rho c dx / 2) g(t - |x - x_s|/c) on the scalar block and
-    sign(x - x_s)/(rho c) times that on the flux block.
-    """
-    dx = grid.spacing[0]
-    amp = source.polarization[0]
-    t_eval = g.t_end
-    x_s = float(center[0])
-    x_u = grid.scalar_coords[:, 0]
-    x_v = grid.flux_coords[0][:, 0]
-    u = 0.5 * rho * c * dx * amp * np.asarray(g(t_eval - np.abs(x_u - x_s) / c))
-    v_mag = np.asarray(g(t_eval - np.abs(x_v - x_s) / c))
-    v = 0.5 * dx * amp * np.sign(x_v - x_s) * v_mag
-    return np.concatenate([u, v])

@@ -235,6 +235,20 @@ def test_nonpositive_material_refused():
         q.MaterialModel.maxwell1d(grid, eps=0.0, mu=1.0)
 
 
+@pytest.mark.parametrize("family, kwargs", [
+    ("acoustic", {"rho": np.ones(8), "c": 1.0}),
+    ("acoustic", {"rho": 1.0, "c": np.ones(8)}),
+    ("maxwell1d", {"eps": np.ones(8), "mu": 1.0}),
+    ("maxwell1d", {"eps": 1.0, "mu": np.ones(7)}),
+], ids=["acoustic-rho", "acoustic-c", "maxwell1d-eps", "maxwell1d-mu"])
+def test_both_families_refuse_a_per_point_array(family, kwargs):
+    # one rule for every coefficient: a scalar or a callable of position
+    grid = q.build_grid([(0.0, 1.0)], [8])
+    name = next(k for k, v in kwargs.items() if isinstance(v, np.ndarray))
+    with pytest.raises(MaterialError, match=f"{name}: pass a scalar or a callable of position"):
+        getattr(q.MaterialModel, family)(grid, **kwargs)
+
+
 def test_heterogeneous_material_sampled_pointwise():
     grid = q.build_grid([(0.0, 1.0)], [5])
     material = q.MaterialModel.acoustic(grid, rho=lambda x: 1.0 + x[0], c=1.0)

@@ -1,8 +1,10 @@
+import dataclasses
 import types
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -117,6 +119,18 @@ def test_recording_stride_keeps_endpoints():
     np.testing.assert_allclose(tr.final, dense.final, atol=1e-12)
     assert len(tr.times) == len(tr.fields) == len(tr.energy)
     assert len(tr.times) < len(dense.times)
+
+
+def test_leapfrog_refuses_scalar_scalar_coupling():
+    # an antisymmetric coupling between two scalar nodes breaks the staggered two-block form
+    pair = build_acoustic_1d(n=16)
+    coupling = scipy.sparse.csr_matrix(([1.0, -1.0], ([0, 1], [1, 0])), shape=pair.A.shape)
+    coupled = dataclasses.replace(pair, A=(pair.A + coupling).tocsr())
+    with pytest.raises(
+        ValidationError,
+        match="leapfrog needs the two-block staggered structure; scalar-scalar coupling present",
+    ):
+        q.leapfrog_evolve(coupled, np.zeros(pair.n_total), 0.5 * q.cfl_limit(pair), 0.1)
 
 
 def test_trajectory_requires_consistent_lengths():

@@ -60,7 +60,7 @@ def test_the_readme_scenario_example_loads(tmp_path):
     example.write_text(section.split("```json\n", 1)[1].split("```", 1)[0])
     sc = q.load_scenario(example)
     assert sc.output_dir == "demo-output"
-    assert sc.sources[0].decompose["mode"] == "discrete"
+    assert sc.sources[0].decompose == {"radius": 0.45, "c": 1.0, "rho": 1.0, "steepness": None}
     assert sc.initcircuit.spec.radial_divisions == 8
 
 
@@ -743,6 +743,11 @@ _MALFORMED = [
     _case("rho-negative", _decompose(rho=-1.0), "sources[0].decompose.rho", "presim"),
     _case("mode-closed-form", _decompose(mode="closed_form"), "sources[0].decompose.mode",
           "presim"),
+    # decompose has no mode key: every slice is solved on the grid
+    _case("mode-discrete", _decompose(mode="discrete"),
+          "unknown keys ['sources[0].decompose.mode']", "presim"),
+    _case("mode-dalembert", _decompose(mode="dalembert"),
+          "unknown keys ['sources[0].decompose.mode']", "presim"),
     _case("seed-negative", {"estimator": {"mode": "shots", "seed": -1}}, _SEED),
     _case("seed-text", {"estimator": {"mode": "shots", "seed": "s"}}, _SEED),
     _case("seed-fraction", {"estimator": {"mode": "shots", "seed": 1.5}}, _SEED),
@@ -781,10 +786,18 @@ _MALFORMED = [
           "measurements[0].subspace.stop"),
     _case("shots-fraction", {"estimator": {"mode": "shots", "shots": 1.5, "seed": 1}},
           "estimator.shots"),
+    _case("shots-past-int64", {"estimator": {"mode": "shots", "shots": 2**70, "seed": 1}},
+          "shots must fit the sampler's int64 range"),
+    _case("shots-override-past-int64", {}, "shots must fit the sampler's int64 range",
+          args=["--shots", str(2**70), "--seed", "1"]),
     _case("record-every-fraction", {"evolution": {"t_final": 0.1, "record_every": 2.5}},
           "evolution.record_every"),
     _case("radial-divisions-fraction", {"initcircuit": dict(_RING, radial_divisions=4.5)},
           "initcircuit.radial_divisions", "initcircuit"),
+    # refused before any radius is built: unchecked, 2**70 radii grow until the process is killed
+    _case("radial-divisions-past-address-range",
+          {"initcircuit": dict(_RING, radial_divisions=2**70)},
+          f"initcircuit.radial_divisions {2**70}: a register of", "initcircuit"),
     _case("center-one-number", {"initcircuit": dict(_RING, center=[0])}, "initcircuit.center",
           "initcircuit"),
     _case("center-infinite", {"initcircuit": dict(_RING, center=[float("inf"), 0.0])},
@@ -1066,6 +1079,29 @@ def test_presim_writes_slices_and_an_index(tmp_path, capsys):
     assert f"presim: wrote {len(slices) + 1} files" in stdout
 
 
+def test_presim_of_a_source_without_decompose_is_one_whole_pulse(tmp_path, capsys):
+    # no decompose block: the pulse is integrated by leapfrog over its support, in one piece
+    pulse = {"kind": "gaussian", "center": 0.04, "sigma": 0.005}
+    doc = _fast_doc(
+        grid={"bounds": [[0.0, 1.0]], "shape": [128]},
+        sources=[{"location": [64], "polarization": [1.0, 0.0], "time_function": pulse}],
+    )
+    scenario = _write(tmp_path, doc)
+    out = tmp_path / "pre"
+    assert cli.main(["presim", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert f"presim: wrote 2 files to {out}" in capsys.readouterr().out
+    index = json.loads((out / "presim.json").read_text())
+    sc = q.load_scenario(scenario)
+    whole = q.presimulate_pulse(sc.sources[0].source, sc.system, dt=sc.dt)
+    assert index == {"sources": [{"source": 0, "mode": "presimulate", "slices": [{
+        "file": "presim0_slice0.csv", "t_end": whole.t_end,
+        "support_radius": whole.support_radius, "nonzero_count": whole.nonzero_count,
+    }]}]}
+    assert whole.t_end == pytest.approx(0.04 + 7 * 0.005)
+    assert 0 < whole.nonzero_count < sc.n_unknowns
+    assert (out / "presim0_slice0.csv").exists()
+
+
 def test_presim_without_sources_is_a_validation_error(tmp_path, capsys):
     out = tmp_path / "pre"
     rc = cli.main(
@@ -1134,13 +1170,29 @@ def test_shot_override_without_a_seed_is_refused(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-def test_outputs_are_byte_for_byte_deterministic(tmp_path):
-    demo = str(SCENARIOS / "driven_boundary_demo.json")
+@pytest.mark.parametrize(
+    "command, demo, args",
+    [
+        ("simulate", "driven_boundary_demo", []),
+        ("presim", "acoustic_demo", []),
+        ("initcircuit", "initcircuit_demo", []),
+        ("measure", "driven_boundary_demo", ["--shots", "1000", "--seed", "3"]),
+    ],
+    ids=["simulate", "presim", "initcircuit", "measure"],
+)
+def test_outputs_are_byte_for_byte_deterministic(tmp_path, command, demo, args):
+    # every command promises byte-identical reruns, not only simulate
+    demo = str(SCENARIOS / f"{demo}.json")
+    if command == "measure":
+        stored = tmp_path / "stored"
+        assert cli.main(["simulate", "--scenario", demo, "--out", str(stored)]) == 0
+        args = [*args, "--state", str(stored / "state.csv")]
     first = tmp_path / "first"
     second = tmp_path / "second"
-    assert cli.main(["simulate", "--scenario", demo, "--out", str(first)]) == 0
-    assert cli.main(["simulate", "--scenario", demo, "--out", str(second)]) == 0
+    assert cli.main([command, "--scenario", demo, "--out", str(first), *args]) == 0
+    assert cli.main([command, "--scenario", demo, "--out", str(second), *args]) == 0
     names = sorted(p.name for p in first.iterdir())
+    assert names
     assert names == sorted(p.name for p in second.iterdir())
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name

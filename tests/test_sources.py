@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qwavesim as q
-from qwavesim import checks, cli
-from qwavesim.errors import CausalityError, SourceError
+from qwavesim import checks, cli, sources
+from qwavesim.errors import CausalityError, SourceError, SupportError
 
 from conftest import build_acoustic_1d, build_maxwell
 
@@ -343,12 +343,13 @@ def test_box_windows_put_each_sample_in_one_window(breakpoints, samples):
 
 
 def test_window_spec_validation():
-    with pytest.raises(SourceError):
-        q.WindowSpec(breakpoints=(0.0,), steepness=1.0)
-    with pytest.raises(SourceError):
-        q.WindowSpec(breakpoints=(0.0, 0.0, 1.0), steepness=1.0)
-    with pytest.raises(SourceError):
-        q.WindowSpec(breakpoints=(0.0, 1.0), steepness=0.0)
+    t = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(SourceError, match="at least two strictly increasing breakpoints"):
+        q.make_windows(t, 1.0, (0.0,))
+    with pytest.raises(SourceError, match="at least two strictly increasing breakpoints"):
+        q.make_windows(t, 1.0, (0.0, 0.0, 1.0))
+    with pytest.raises(SourceError, match=r"steepness must be positive \(inf for the box limit\)"):
+        q.make_windows(t, 0.0, (0.0, 1.0))
     assert q.default_steepness([0.0, 0.25, 1.0]) == pytest.approx(64.0)
 
 
@@ -522,36 +523,6 @@ def test_single_window_slice_matches_the_unsliced_solution():
     assert rel < 1e-6
 
 
-def test_closed_form_decomposition_converges_to_monolithic_solution():
-    # Individual slices carry window-edge features near the grid scale, so
-    # the meaningful comparison is the synchronized sum: advance every
-    # closed-form slice to a common time and check the total against the
-    # one-shot forced solution. The residual is grid dispersion on the
-    # window edges and must shrink as the grid refines.
-    t_common = 0.7
-    rels = []
-    for n in (128, 256, 512):
-        pair = build_acoustic_1d(n=n)
-        f = q.gaussian_pulse(0.3, 0.04)
-        src = q.PointSource(
-            location=(n // 2,), polarization=(1.0, 0.0), time_function=f
-        )
-        slices = q.greens_decompose(src, 1.0, 1.0, 0.45, pair, mode="dalembert")
-        assert len(slices) >= 2
-        ham = q.build_hamiltonian(pair)
-        total = np.zeros(pair.n_total)
-        for s in slices:
-            if not np.any(s.field):
-                continue
-            state = q.encode(s.field, pair)
-            total += q.decode(q.evolve(state, ham, t_common - s.t_end), pair)
-        chi = q.chi_pattern(src, pair.grid)
-        exact = q.spectral_forced_solution(pair, chi, f, f.t_start, t_common)
-        rels.append(np.linalg.norm(total - exact) / np.linalg.norm(exact))
-    assert rels[0] > rels[1] > rels[2]
-    assert rels[2] < 0.01
-
-
 def test_greens_refuses_heterogeneous_ball():
     pair = build_acoustic_1d(n=64, rho=1.0, c=1.0)
     grid = pair.grid
@@ -579,6 +550,7 @@ def test_greens_refuses_ball_too_small_for_any_window():
 
 
 @pytest.mark.parametrize("steepness", [0.0, -5.0, np.inf, np.nan])
+# the steepness is refused before the mode is read, so a refused mode changes nothing
 @pytest.mark.parametrize("mode", ["dalembert", "discrete"])
 def test_greens_refuses_a_steepness_that_is_not_finite_and_positive(mode, steepness):
     pair = build_acoustic_1d(n=64)
@@ -587,15 +559,44 @@ def test_greens_refuses_a_steepness_that_is_not_finite_and_positive(mode, steepn
         q.greens_decompose(src, 1.0, 1.0, 0.45, pair, mode=mode, steepness=steepness)
 
 
+def test_greens_without_a_mode_solves_on_the_grid():
+    # without a mode a 1D scalar source is solved on the grid like any other
+    pair = build_acoustic_1d(n=128)
+    src = _scalar_source(128, center=0.08, sigma=0.01)
+    default = q.greens_decompose(src, 1.0, 1.0, 0.45, pair)
+    named = q.greens_decompose(src, 1.0, 1.0, 0.45, pair, mode="discrete")
+    assert len(default) == len(named) >= 2
+    for a, b in zip(default, named):
+        np.testing.assert_array_equal(a.field, b.field)
+        assert a.t_end == b.t_end
+
+
+def test_support_check_refuses_a_field_that_leaks_out_of_the_ball():
+    coords = np.linspace(0.0, 1.0, 11)[:, None]
+    center = np.array([0.5])
+    w = np.zeros(11)
+    w[5], w[9] = 1.0, 1e-6
+    with pytest.raises(
+        SupportError,
+        match=r"leaks outside the claimed support ball: 1\.000e-06 against a peak of 1\.000e\+00",
+    ):
+        sources._enforce_support(w, coords, center, 0.2)
+    # a tail under the tolerance is zeroed instead
+    w[9] = 1e-9
+    kept = sources._enforce_support(w, coords, center, 0.2)
+    assert kept[9] == 0.0 and kept[5] == 1.0
+
+
 def test_greens_mode_restrictions():
     pair = build_acoustic_1d(n=64)
     f = q.gaussian_pulse(0.1, 0.01)
     flux_src = q.PointSource(location=(32,), polarization=(0.0, 1.0), time_function=f)
-    with pytest.raises(SourceError):
+    # the grid solve is the only solver: any other mode is refused by name
+    with pytest.raises(SourceError, match="unknown decomposition mode 'dalembert'"):
         q.greens_decompose(flux_src, 1.0, 1.0, 0.4, pair, mode="dalembert")
     em = build_maxwell(n=64)
     src = q.PointSource(location=(32,), polarization=(1.0, 0.0), time_function=f)
     with pytest.raises(SourceError):
         q.greens_decompose(src, 1.0, 1.0, 0.4, em, mode="discrete")
-    with pytest.raises(SourceError):
+    with pytest.raises(SourceError, match="unknown decomposition mode 'mystery'"):
         q.greens_decompose(src, 1.0, 1.0, 0.4, pair, mode="mystery")
