@@ -74,7 +74,6 @@ from .measurement import (
     SubspaceProjector,
     augment_state,
     estimate,
-    gate_count_report,
     masked_permutation,
     multi_state_observable,
     pauli_expectation,

@@ -116,7 +116,7 @@ def _run_simulate(args) -> int:
     if scenario.t_final is None:
         raise ScenarioError(f"{scenario.path}: simulate needs an 'evolution' section")
     system = scenario.system
-    dt = scenario.dt if scenario.dt is not None else 0.5 * cfl_limit(system)
+    dt = scenario.dt
 
     traj = leapfrog_evolve(
         system,

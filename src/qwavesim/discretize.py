@@ -63,6 +63,18 @@ def antisymmetry_defect(op: sp.csr_matrix) -> float:
     return float(np.abs(s.data).max()) if s.nnz else 0.0
 
 
+def diagonal_block_entry(op: sp.csr_matrix, split: int) -> tuple[int, int] | None:
+    """The first stored nonzero (i, j) with i and j on one side of split, else None.
+
+    None means op couples the first split coordinates (the scalars) only to
+    the rest (the fluxes): the two-block form of a staggered generator.
+    Stored zeros are ignored.
+    """
+    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+    inside = np.flatnonzero(((rows < split) == (op.indices < split)) & (op.data != 0))
+    return (int(rows[inside[0]]), int(op.indices[inside[0]])) if inside.size else None
+
+
 # ---------------------------------------------------------------------------
 # grid
 

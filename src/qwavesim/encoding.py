@@ -28,12 +28,10 @@ phi(-s) the conjugate of phi(s), a real operator,
 
 for x = w[:split] the scalar and y the flux coordinates (e^{-iHt} has
 a = cos(st) - 1, b = sin(st)). The zero modes need no vectors, because they
-are the phi(0) term. build_hamiltonian records the scalar/flux split when
-both diagonal blocks of K store no entries, and the dense decomposition is
-then the real thin SVD (s, U, V) of C, applied in this real form; no
-complex eigenvectors are built. Without a split (a generator wrapped by
-Hamiltonian.from_matrix, or a reduced system whose constraints couple
-scalars to scalars) it falls back to the complex eigh of H.
+are the phi(0) term. Every Hamiltonian is chiral: it records the
+scalar/flux split, and a K with a stored entry inside either diagonal block
+is refused. The dense decomposition is the real thin SVD (s, U, V) of C,
+applied in this real form; no complex eigenvectors are built.
 
 A register state may stack several sub-states (block dimension times arity)
 and may carry one auxiliary qubit in front (the measurement layout); the
@@ -47,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .discretize import antisymmetry_defect
+from .discretize import antisymmetry_defect, diagonal_block_entry
 from .errors import EncodingError, NumericalError
 
 HERMITICITY_TOL = 1e-12
@@ -185,7 +183,7 @@ class Hamiltonian:
     generator is K as canonical float64 CSR (sorted indices, no duplicates,
     no stored zeros); maxnorm is max|H_jk| = max|K_jk| and sparsity the
     largest row population. split is the number of leading scalar
-    coordinates when H is chiral, else None. The dense decomposition the
+    coordinates; H is chiral about it. The dense decomposition the
     module docstring describes is memoized on first use (``_eig``), and
     ``apply`` is the one way to use it. evolve takes the
     dense backend whenever that memo is set or dim <= MAX_DENSE_DIM, and the
@@ -202,22 +200,30 @@ class Hamiltonian:
     generator: sp.csr_matrix
     maxnorm: float
     sparsity: int
-    split: int | None = None
+    split: int
     _eig: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def from_matrix(cls, generator) -> "Hamiltonian":
-        """Wrap a real generator K (H = iK) as CSR without duplicates or stored zeros."""
+    def from_matrix(cls, generator, split: int) -> "Hamiltonian":
+        """Wrap a real generator K (H = iK) as CSR without duplicates or stored zeros.
+
+        K must couple the first split coordinates (the scalars) only to the rest.
+        """
         k = sp.csr_matrix(generator)
         if np.iscomplexobj(k.data):
             raise EncodingError("the generator K of H = iK must be real")
         k = k.astype(np.float64, copy=False)
         k.sum_duplicates()
         k.eliminate_zeros()
+        entry = diagonal_block_entry(k, split)
+        if entry is not None:
+            side = "scalar" if entry[0] < split else "flux"
+            raise EncodingError(f"K is not chiral: entry {entry} couples two {side} coordinates")
         return cls(
             generator=k,
             maxnorm=float(np.abs(k.data).max()) if k.nnz else 0.0,
             sparsity=int(np.diff(k.indptr).max()) if k.nnz else 0,
+            split=split,
         )
 
     @property
@@ -235,22 +241,17 @@ class Hamiltonian:
     def eigendecomposition(self) -> tuple[np.ndarray, ...]:
         """The memoized dense decomposition of H.
 
-        For a chiral H (split set) it is the real thin SVD (s, U, V) of the
-        scalar x flux block C = U diag(s) V^T of K. Otherwise it is
-        (evals, evecs) with H = evecs diag(evals) evecs^H, in no particular
-        order.
+        It is the real thin SVD (s, U, V) of the scalar x flux block
+        C = U diag(s) V^T of K.
         """
         if self._eig is None:
-            if self.split is None:
-                self._eig = np.linalg.eigh(1j * self.generator.toarray())
-            else:
-                c = self.generator[: self.split, self.split :].toarray()
-                u, s, vt = np.linalg.svd(c, full_matrices=False)
-                self._eig = (s, u, vt.T)
+            c = self.generator[: self.split, self.split :].toarray()
+            u, s, vt = np.linalg.svd(c, full_matrices=False)
+            self._eig = (s, u, vt.T)
         return self._eig
 
     def frequencies(self) -> np.ndarray:
-        """Where ``apply`` takes phi: the singular values of C when chiral, else eigenvalues."""
+        """Where ``apply`` takes phi: the singular values of C."""
         return self.eigendecomposition()[0]
 
     def apply(self, phi: np.ndarray, phi0, w: np.ndarray) -> np.ndarray:
@@ -258,14 +259,11 @@ class Hamiltonian:
 
         phi holds the function's values at ``frequencies()``, shaped (k, 1),
         or (k, columns) for a real w; phi0 is its value at the zero modes, a
-        scalar or one per column. For a chiral H, phi(H) is real (see the
-        module docstring): a real w gives a real result, and the real and
+        scalar or one per column. phi(H) is real (see the module
+        docstring): a real w gives a real result, and the real and
         imaginary parts of a complex w are turned as real columns, never a
         complex product against U or V.
         """
-        if self.split is None:
-            _, evecs = self.eigendecomposition()
-            return evecs @ (phi * (evecs.T @ w.conj()).conj())
         if np.iscomplexobj(w):
             cols = w.shape[1]
             out = self.apply(phi, phi0, np.concatenate([w.real, w.imag], axis=1))
@@ -290,14 +288,13 @@ def _as_b_diagonal(b) -> np.ndarray:
 def build_hamiltonian(system) -> Hamiltonian:
     """H = iK, K = B^{-1/2} A B^{-1/2}, from an operator pair or reduced system.
 
-    Accepts anything exposing a sparse generator .A and the diagonal of B
-    through .b_diagonal().
+    Accepts anything exposing a sparse generator .A, the diagonal of B
+    through .b_diagonal() and the scalar coordinates as .scalar_slice.
     Hermiticity is verified to 1e-12 in the max-entry norm; the input
     antisymmetry guarantees it, and this is the line of defense against an
-    operator assembled some other way. The scalar/flux split of a system
-    with a ``scalar_slice`` is recorded on the result when K itself shows
-    both diagonal blocks empty, which selects the real thin SVD of
-    eigendecomposition and the real form of apply.
+    operator assembled some other way. The split is scalar_slice.stop, and
+    a K that couples two scalars or two fluxes is refused with an
+    EncodingError naming the entry (see Hamiltonian.from_matrix).
 
     A frozen dataclass system (OperatorPair, ReducedSystem) keeps the result
     in its instance ``__dict__``, outside its fields, so eq and repr are
@@ -319,20 +316,12 @@ def _build_hamiltonian(system) -> Hamiltonian:
     if system.A.shape[0] != diag.size:
         raise EncodingError("generator and energy weight dimensions differ")
     inv_sqrt = sp.diags(1.0 / np.sqrt(diag))
-    ham = Hamiltonian.from_matrix(inv_sqrt @ sp.csr_matrix(system.A) @ inv_sqrt)
+    k = inv_sqrt @ sp.csr_matrix(system.A) @ inv_sqrt
+    ham = Hamiltonian.from_matrix(k, system.scalar_slice.stop)
     defect = ham.hermiticity_defect()
     if defect > HERMITICITY_TOL:
         raise NumericalError(f"encoded generator is not Hermitian: defect {defect:.3e}")
-    split = system.scalar_slice.stop if hasattr(system, "scalar_slice") else None
-    if split is not None and 0 < split < ham.dim and _is_chiral(ham.generator, split):
-        ham.split = split
     return ham
-
-
-def _is_chiral(matrix: sp.csr_matrix, split: int) -> bool:
-    """Whether every stored entry couples a row below split to a column at or above it."""
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    return bool(np.all((rows < split) != (matrix.indices < split)))
 
 
 def encode(w: np.ndarray, b) -> QuantumRegisterState:

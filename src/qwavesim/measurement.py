@@ -232,24 +232,6 @@ def masked_permutation(projector: SubspaceProjector, layout: StateLayout) -> np.
     return perm
 
 
-def gate_count_report(projector: SubspaceProjector, layout: StateLayout) -> dict:
-    """Cost estimate of realizing the masked permutation with multi-controlled gates.
-
-    One multi-controlled X per subspace coordinate (or per complement
-    coordinate, whichever side is smaller); the counts are estimates for
-    reporting, not a compiled circuit.
-    """
-    d = projector.cardinality
-    small = min(d, projector.n - d)
-    n_controls = layout.n_data_qubits
-    return {
-        "subspace_cardinality": d,
-        "controlled_flips": small,
-        "cnot_estimate": small * max(1, 2 * n_controls),
-        "depth_estimate": small * max(1, n_controls),
-    }
-
-
 def augment_state(
     state: QuantumRegisterState, projector: SubspaceProjector
 ) -> QuantumRegisterState:

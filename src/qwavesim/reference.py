@@ -38,6 +38,7 @@ from typing import Callable
 
 import numpy as np
 
+from .discretize import diagonal_block_entry
 from .encoding import build_hamiltonian
 from .errors import EvolutionError, ValidationError
 
@@ -81,13 +82,12 @@ def _split_blocks(system):
     """Scalar/flux slices and the cross blocks of A; refuse non-staggered systems."""
     su, sv = system.scalar_slice, system.flux_slice
     a = system.A
-    a_uu = a[su, su]
-    a_vv = a[sv, sv]
-    for blk, name in ((a_uu, "scalar-scalar"), (a_vv, "flux-flux")):
-        if blk.nnz and np.abs(blk.data).max() > 0.0:
-            raise ValidationError(
-                f"leapfrog needs the two-block staggered structure; {name} coupling present"
-            )
+    entry = diagonal_block_entry(a, su.stop)
+    if entry is not None:
+        name = "scalar-scalar" if entry[0] < su.stop else "flux-flux"
+        raise ValidationError(
+            f"leapfrog needs the two-block staggered structure; {name} coupling present"
+        )
     return su, sv, a[su, sv].tocsr(), a[sv, su].tocsr()
 
 

@@ -35,6 +35,7 @@ from .initcircuit import PolarGridSpec, RadialField
 from .io import JsonObject, finite, finite_array, integer, list_of, positive, read_json
 from .io import read_initial_csv, read_source_csv
 from .measurement import EstimatorConfig, SubspaceProjector
+from .reference import cfl_limit
 from .sources import (
     PointSource,
     SourceTimeFunction,
@@ -44,6 +45,9 @@ from .sources import (
     time_function_from_samples,
     windowed_sine,
 )
+
+MAX_CELL_UPDATES = 10**10  # leapfrog steps x unknowns; 2D 256^2 to t_final 1 needs about 1.6e8
+
 
 @dataclass(frozen=True)
 class SourceSpec:
@@ -86,7 +90,9 @@ class Scenario:
     system is the operator pair to simulate: the assembled full pair, or
     the constraint-reduced system when any wall is pinned. Either one's
     restrict maps a full vector onto its unknowns, over which initial,
-    every source chi, and every measurement mask are indexed.
+    every source chi, and every measurement mask are indexed. dt is the
+    leapfrog step, half the CFL limit when evolution.dt is null, and None
+    without an evolution section.
     """
 
     path: str
@@ -161,6 +167,16 @@ def load_scenario(
         raise ScenarioError(f"{path}: output_dir must be a string")
     if out_override is not None:
         output_dir = out_override
+
+    if t_final is not None:
+        dt = dt if dt is not None else 0.5 * cfl_limit(system)
+        steps = np.ceil((t_final - t_start) / dt)
+        if not steps * system.n_total <= MAX_CELL_UPDATES:
+            raise ScenarioError(
+                f"{path}: evolution.dt {dt!r} and evolution.t_final {t_final!r} need "
+                f"{steps:.3g} leapfrog steps of {system.n_total} unknowns, "
+                f"{steps * system.n_total:.3g} cell updates, above {MAX_CELL_UPDATES:.0e}"
+            )
 
     return Scenario(
         path=str(path), grid=grid, material=material, pair=pair, system=system,

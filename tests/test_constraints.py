@@ -8,7 +8,12 @@ from hypothesis.extra.numpy import arrays
 
 import qwavesim as q
 from qwavesim.constraints import _interp_rows
-from qwavesim.errors import ConstraintError, IncompatibleConstraintError
+from qwavesim.errors import (
+    ConstraintError,
+    EncodingError,
+    IncompatibleConstraintError,
+    ValidationError,
+)
 
 from conftest import build_acoustic_1d, build_acoustic_2d, chiral_systems
 
@@ -231,6 +236,26 @@ def test_incompatible_coupling_is_rejected(rng):
     )
     with pytest.raises(IncompatibleConstraintError):
         q.reduce_system(pair, cons)
+
+
+def test_an_antisymmetric_reduction_that_couples_scalars_is_refused():
+    # eliminating fluxes c1, c2 with R_f rows (a2 / 2, -a1 / 2), a_k the free
+    # part of A's column c_k, subtracts the antisymmetric (a1 a2^T - a2 a1^T) / 2
+    # from A: the reduction passes its antisymmetry test but couples the
+    # scalars next to c1 to those next to c2, which neither solver can take
+    pair = build_acoustic_1d(n=8)  # 8 scalars, then 7 fluxes
+    pinned = np.array([9, 12])
+    free = np.setdiff1d(np.arange(pair.n_total), pinned)
+    a1, a2 = pair.A[free][:, pinned].toarray().T
+    cons = q.ConstraintSet(
+        constrained=pinned, r_f=sp.csr_matrix(np.stack([a2 / 2, -a1 / 2])), r_c=sp.identity(2)
+    )
+    red = q.reduce_system(pair, cons)
+    assert q.antisymmetry_defect(red.A) == 0.0
+    with pytest.raises(EncodingError, match=r"entry \(1, 4\) couples two scalar coordinates"):
+        q.build_hamiltonian(red)
+    with pytest.raises(ValidationError, match="scalar-scalar coupling present"):
+        q.leapfrog_evolve(red, np.zeros(red.n_total), 0.5 * q.cfl_limit(red), 0.1)
 
 
 def test_singular_r_c_is_rejected():

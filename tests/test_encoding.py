@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import types
 
@@ -5,12 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import qwavesim as q
 from qwavesim.encoding import next_power_of_two
-from qwavesim.errors import EncodingError, NumericalError
+from qwavesim.errors import EncodingError, NumericalError, ValidationError
 
 from conftest import build_acoustic_1d, build_acoustic_2d, build_maxwell, chiral_systems
 
@@ -20,6 +21,7 @@ def _toy_system(a_dense, b_diag):
     return types.SimpleNamespace(
         A=sp.csr_matrix(np.asarray(a_dense, dtype=float)),
         b_diagonal=lambda: diag,
+        scalar_slice=slice(0, 1),
     )
 
 
@@ -150,7 +152,7 @@ def test_generator_is_the_scaled_a_in_canonical_real_form(pair):
 
 def test_a_complex_generator_is_refused():
     with pytest.raises(EncodingError, match="must be real"):
-        q.Hamiltonian.from_matrix(np.array([[0.0, 1j], [-1j, 0.0]]))
+        q.Hamiltonian.from_matrix(np.array([[0.0, 1j], [-1j, 0.0]]), 1)
 
 
 def test_non_antisymmetric_generator_is_refused():
@@ -216,15 +218,7 @@ def test_next_power_of_two():
 
 
 def _assert_decomposes(ham):
-    """The memoized decomposition reproduces H: the thin SVD of C when chiral, else eigh."""
-    h = 1j * ham.generator.toarray()
-    if ham.split is None:
-        evals, evecs = ham.eigendecomposition()
-        assert evals.shape == (ham.dim,) and evecs.shape == (ham.dim, ham.dim)
-        residual = np.abs(h @ evecs - evecs * evals).max()
-        assert residual <= 1e-12 * np.abs(h).max()
-        assert np.abs(evecs.conj().T @ evecs - np.eye(ham.dim)).max() <= 1e-12
-        return
+    """The memoized decomposition reproduces H: the thin SVD of its block C."""
     s, u, v = ham.eigendecomposition()
     c = ham.generator[: ham.split, ham.split :].toarray()
     k = min(c.shape)
@@ -238,9 +232,7 @@ def _assert_decomposes(ham):
 
 
 def _spectrum(ham):
-    """The sorted eigenvalues of H from its decomposition: +-s and zeros when chiral."""
-    if ham.split is None:
-        return np.sort(ham.eigendecomposition()[0])
+    """The sorted eigenvalues of H from its decomposition: +-s and zeros."""
     s = ham.eigendecomposition()[0]
     return np.sort(np.concatenate([s, -s, np.zeros(ham.dim - 2 * s.size)]))
 
@@ -281,33 +273,40 @@ def test_chiral_decomposition_calls_no_eigh(monkeypatch):
     _assert_decomposes(q.build_hamiltonian(pair))
 
 
-def test_wrapped_matrix_takes_the_eigh_path_with_the_same_results(rng):
-    pair = build_maxwell(n=11, eps=lambda x: 1.0 + x[0])
-    chiral = q.build_hamiltonian(pair)
-    wrapped = q.Hamiltonian.from_matrix(chiral.generator)
-    assert chiral.split == 11 and wrapped.split is None
-    _assert_decomposes(wrapped)
-    _assert_decomposes(chiral)
-    np.testing.assert_allclose(
-        _spectrum(wrapped), _spectrum(chiral), rtol=0.0, atol=1e-12 * chiral.maxnorm
-    )
-    psi = _random_state(chiral.dim, 5)
-    np.testing.assert_allclose(_evolved(wrapped, psi, 0.7), _evolved(chiral, psi, 0.7), atol=1e-12)
-
-
-def test_a_stored_scalar_scalar_entry_takes_the_eigh_path():
+def test_a_stored_scalar_scalar_entry_is_refused():
     pair = build_acoustic_1d(n=10, c=lambda x: 1.0 + x[0])
     a = pair.A.tolil()
     a[2, 5], a[5, 2] = 0.75, -0.75  # antisymmetric, but inside the scalar block
     system = types.SimpleNamespace(
         A=sp.csr_matrix(a), b_diagonal=pair.b_diagonal, scalar_slice=pair.scalar_slice
     )
-    ham = q.build_hamiltonian(system)
-    assert ham.split is None
-    _assert_decomposes(ham)
-    psi = _random_state(ham.dim, 11)
-    exact = scipy.linalg.expm(0.9 * ham.generator.toarray()) @ psi
-    assert np.abs(_evolved(ham, psi, 0.9) - exact).max() <= 1e-12
+    with pytest.raises(
+        EncodingError, match=r"K is not chiral: entry \(2, 5\) couples two scalar coordinates"
+    ):
+        q.build_hamiltonian(system)
+
+
+@pytest.mark.parametrize("kind, dimension", [("acoustic", 1), ("acoustic", 2), ("maxwell", 1)])
+@given(data=st.data(), a=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1))
+def test_a_pair_inside_a_diagonal_block_is_refused_by_both_solvers(kind, dimension, data, a):
+    system = data.draw(chiral_systems(kind, dimension))
+    split = system.scalar_slice.stop
+    assert q.build_hamiltonian(system).split == split
+    sizes = {"scalar": split, "flux": system.n_total - split}
+    sides = [name for name, size in sizes.items() if size >= 2]
+    assume(sides)  # a block of one coordinate holds no pair
+    side = data.draw(st.sampled_from(sides))
+    start = 0 if side == "scalar" else split
+    i, j = sorted(data.draw(st.lists(
+        st.integers(start, start + sizes[side] - 1), min_size=2, max_size=2, unique=True
+    )))
+    pair = sp.csr_matrix(([a, -a], ([i, j], [j, i])), shape=system.A.shape)
+    coupled = dataclasses.replace(system, A=(system.A + pair).tocsr())
+    with pytest.raises(EncodingError) as refused:
+        q.build_hamiltonian(coupled)
+    assert str(refused.value) == f"K is not chiral: entry ({i}, {j}) couples two {side} coordinates"
+    with pytest.raises(ValidationError, match=f"{side}-{side} coupling present"):
+        q.leapfrog_evolve(coupled, np.zeros(system.n_total), 0.5 * q.cfl_limit(system), 0.1)
 
 
 def _owner(a):

@@ -17,10 +17,10 @@ from conftest import build_acoustic_1d, chiral_systems
 def _two_level():
     a = sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     b = np.array([1.0, 1.0])
-    ham = q.build_hamiltonian(
-        type("S", (), {"A": a, "b_diagonal": staticmethod(lambda: b)})
+    system = type(
+        "S", (), {"A": a, "b_diagonal": staticmethod(lambda: b), "scalar_slice": slice(0, 1)}
     )
-    return ham, b
+    return q.build_hamiltonian(system), b
 
 
 def _stack(blocks, block_dim, scale=1.0):
@@ -298,21 +298,27 @@ def test_derived_metadata_matches_the_materialized_matrix(n, t_ends, lag, arity,
     ham = q.build_hamiltonian(build_acoustic_1d(n=n, rho=1.3, c=0.8))
     if perturb_seed is not None:
         # the acoustic H has a defect of 0 or of rounding size, which a wrong
-        # derived defect can match; one entry moved by about 1e-6 dwarfs rounding
+        # derived defect can match; one entry of the scalar x flux block
+        # (or its mirror) moved by about 1e-6 dwarfs rounding
         rng = np.random.default_rng(perturb_seed)
         dense = ham.generator.toarray()
-        i, j = rng.choice(ham.dim, size=2, replace=False)
+        i, j = rng.integers(ham.split), rng.integers(ham.split, ham.dim)
+        if rng.integers(2):
+            i, j = j, i
         dense[i, j] += rng.uniform(0.5e-6, 2e-6) * rng.choice([1.0, -1.0])
-        ham = q.Hamiltonian.from_matrix(dense)
+        ham = q.Hamiltonian.from_matrix(dense, ham.split)
         assert ham.hermiticity_defect() >= 0.5e-6
     sync = q.build_sync_hamiltonian(ham, t_ends, t_sync=max(t_ends) + lag)
     mult = q.build_mult_hamiltonian(ham, arity)
     for gen in (sync, mult):
         assert not isinstance(gen, q.Hamiltonian)
-        built = q.Hamiltonian.from_matrix(_materialized(gen))
-        assert (gen.maxnorm, gen.sparsity) == (built.maxnorm, built.sparsity)
+        stacked = _materialized(gen)
+        stacked.eliminate_zeros()
+        maxnorm = np.abs(stacked.data).max() if stacked.nnz else 0.0
+        sparsity = np.diff(stacked.indptr).max() if stacked.nnz else 0
+        assert (gen.maxnorm, gen.sparsity) == (maxnorm, sparsity)
         t_max = max(map(abs, gen.times))
-        defect_gap = abs(gen.hermiticity_defect() - built.hermiticity_defect())
+        defect_gap = abs(gen.hermiticity_defect() - q.antisymmetry_defect(stacked))
         assert defect_gap <= 1e-15 * t_max * ham.maxnorm
 
 
@@ -370,7 +376,7 @@ def test_evolve_refuses_a_non_finite_time(bad, rng):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_evolve_refuses_a_non_finite_generator(bad):
     _, b = _two_level()
-    ham = q.Hamiltonian.from_matrix(np.array([[bad, 1.0], [-1.0, 0.0]]))
+    ham = q.Hamiltonian.from_matrix(np.array([[0.0, bad], [-1.0, 0.0]]), 1)
     with pytest.raises(EvolutionError, match="not Hermitian"):
         q.evolve(q.encode(np.array([1.0, 0.0]), b), ham, 0.1)
 

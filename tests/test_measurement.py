@@ -226,15 +226,6 @@ def test_weighted_l2_rejects_overlap_and_bad_weights(rng):
         q.weighted_l2(vectors, [])
 
 
-def test_gate_count_report_uses_the_smaller_side():
-    layout = q.StateLayout(num_physical=8, block_dim=8)
-    proj = q.SubspaceProjector.from_indices(8, [0, 1, 2, 3, 4, 5])
-    report = q.gate_count_report(proj, layout)
-    assert report["subspace_cardinality"] == 6
-    assert report["controlled_flips"] == 2
-    assert report["cnot_estimate"] > 0
-
-
 def test_large_subspace_warns_about_permutation_cost(rng):
     n = 200
     v = rng.normal(size=n)

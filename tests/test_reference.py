@@ -1,5 +1,4 @@
 import dataclasses
-import types
 
 import numpy as np
 import pytest
@@ -165,27 +164,24 @@ def test_spectral_free_evolution_matches_the_unitary_route():
     np.testing.assert_allclose(out, exact, atol=1e-12)
 
 
-@pytest.mark.parametrize("route", ["chiral", "eigh"])
-def test_spectral_solution_matches_expm_with_flux_data_and_drive(route):
+def test_spectral_solution_matches_expm_with_flux_data_and_drive():
     # Data and drive on scalar and flux unknowns alike, so both the real and
-    # the imaginary halves of the chiral eigenvectors enter the projections.
+    # the imaginary halves of the chiral eigenvectors enter the projections;
+    # without data (w0=None) the forced part is the only column.
     system = build_acoustic_1d(n=24, rho=lambda x: 1.0 + 0.4 * np.sin(5.0 * x[0]))
     rng = np.random.default_rng(3)
     w0, chi = rng.normal(size=(2, system.n_total))
-    solved = system
-    if route == "eigh":
-        # without a scalar_slice the H carries no split and decomposes by eigh
-        solved = types.SimpleNamespace(A=system.A, b_diagonal=system.b_diagonal)
-    assert (q.build_hamiltonian(solved).split is None) == (route == "eigh")
-    out = q.spectral_forced_solution(
-        solved, chi, lambda t: np.ones_like(t), 0.0, 0.3, w0=w0
-    )
     b = system.b_diagonal()
     lifted = np.zeros((system.n_total + 1, system.n_total + 1))
     lifted[:-1, :-1] = system.A.toarray() / b[:, None]
     lifted[:-1, -1] = chi / b
-    exact = scipy.linalg.expm(0.3 * lifted) @ np.append(w0, 1.0)
-    np.testing.assert_allclose(out, exact[:-1], rtol=0, atol=1e-11 * np.abs(exact).max())
+    for data in (w0, None):
+        out = q.spectral_forced_solution(
+            system, chi, lambda t: np.ones_like(t), 0.0, 0.3, w0=data
+        )
+        start = np.append(np.zeros(system.n_total) if data is None else data, 1.0)
+        exact = scipy.linalg.expm(0.3 * lifted) @ start
+        np.testing.assert_allclose(out, exact[:-1], rtol=0, atol=1e-11 * np.abs(exact).max())
 
 
 @pytest.mark.parametrize("kind, dimension", [("acoustic", 1), ("acoustic", 2), ("maxwell", 1)])
@@ -225,69 +221,30 @@ def test_table_quadrature_matches_expm_of_the_lifted_system(
     np.testing.assert_allclose(out, exact[:n], rtol=0, atol=1e-11 * np.abs(exact).max())
 
 
-@pytest.mark.parametrize("kind, dimension", [("acoustic", 1), ("acoustic", 2), ("maxwell", 1)])
-@given(
-    data=st.data(),
-    span=st.floats(1e-3, 1.0),
-    omega=st.floats(0.0, 20.0),
-    with_data=st.booleans(),
-    seed=st.integers(0, 2**16),
-)
-def test_chiral_forced_solution_matches_the_eigh_path(
-    kind, dimension, data, span, omega, with_data, seed
-):
-    # the rotation form over the singular values against the complex
-    # eigenbasis of the same H, reached through a wrapper without scalar_slice
-    system = data.draw(chiral_systems(kind, dimension))
-    w0, chi = np.random.default_rng(seed).normal(size=(2, system.n_total))
-    w0 = w0 if with_data else None
-
-    def f(t):
-        return np.cos(omega * t)
-
-    wrapped = types.SimpleNamespace(A=system.A, b_diagonal=system.b_diagonal)
-    assert q.build_hamiltonian(system).split is not None
-    assert q.build_hamiltonian(wrapped).split is None
-    chiral = q.spectral_forced_solution(system, chi, f, 0.0, span, w0=w0)
-    eigh = q.spectral_forced_solution(wrapped, chi, f, 0.0, span, w0=w0)
-    np.testing.assert_allclose(chiral, eigh, rtol=0, atol=1e-12 * np.abs(eigh).max())
-
-
-def _both_routes():
-    system = build_acoustic_1d(n=16)  # 31 unknowns
-    return {
-        "chiral": system,
-        "eigh": types.SimpleNamespace(A=system.A, b_diagonal=system.b_diagonal),
-    }
-
-
-@pytest.mark.parametrize("route", ["chiral", "eigh"])
 @pytest.mark.parametrize(
     "w0",
     [np.zeros(30), np.zeros(32), np.zeros((31, 1)), np.full(31, np.nan),
      np.r_[np.zeros(30), np.inf]],
     ids=["short", "long", "column", "nan", "inf"],
 )
-def test_forced_solution_refuses_a_malformed_initial_vector(route, w0):
-    system = _both_routes()[route]
+def test_forced_solution_refuses_a_malformed_initial_vector(w0):
+    system = build_acoustic_1d(n=16)  # 31 unknowns
     with pytest.raises(ValidationError, match="initial vector"):
         q.spectral_forced_solution(
             system, np.ones(31), lambda t: np.ones_like(t), 0.0, 0.1, w0=w0
         )
 
 
-@pytest.mark.parametrize("route", ["chiral", "eigh"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_forced_solution_refuses_a_non_finite_forcing_pattern(route, bad):
+def test_forced_solution_refuses_a_non_finite_forcing_pattern(bad):
     chi = np.ones(31)
     chi[3] = bad
     with pytest.raises(ValidationError, match="forcing pattern"):
-        q.spectral_forced_solution(_both_routes()[route], chi, lambda t: np.ones_like(t), 0.0, 0.1)
+        q.spectral_forced_solution(build_acoustic_1d(n=16), chi, lambda t: np.ones_like(t), 0.0, 0.1)
 
 
-@pytest.mark.parametrize("route", ["chiral", "eigh"])
-def test_forced_solution_refuses_a_complex_initial_vector(route):
-    system = _both_routes()[route]
+def test_forced_solution_refuses_a_complex_initial_vector():
+    system = build_acoustic_1d(n=16)  # 31 unknowns
     w0 = np.zeros(31, dtype=complex)
     w0[4] = 1e-3j
     with pytest.raises(EvolutionError, match="inputs are not a real system"):

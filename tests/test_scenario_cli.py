@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -1258,8 +1259,10 @@ def _dt_1e_300(doc):
 @pytest.mark.parametrize(
     "command, edit, message",
     [
-        ("presim", _ricker_peak_1e_300, "e+301 windows over the source support"),
-        ("simulate", _dt_1e_300, "5.5e+299 time steps of 1e-300"),
+        ("presim", _ricker_peak_1e_300,
+         "e+301 windows over the source support are too many to count"),
+        ("simulate", _dt_1e_300,
+         "evolution.dt 1e-300 and evolution.t_final 0.55 need 5.5e+299 leapfrog steps"),
     ],
     ids=["presim-windows", "simulate-steps"],
 )
@@ -1286,8 +1289,30 @@ def test_a_count_too_large_to_address_is_refused_at_once(tmp_path, command, edit
     )
     assert done.returncode == 1, done.stderr
     assert "qwavesim: validation error:" in done.stderr
-    assert message in done.stderr and "too many to count" in done.stderr
+    assert message in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_an_evolution_past_the_work_bound_is_refused_at_load(tmp_path, capsys, monkeypatch):
+    # 5.5e11 leapfrog steps of 255 unknowns pass every per-value check, and
+    # their count fits an integer; the work bound refuses them before any step
+    def started(*args, **kwargs):
+        raise AssertionError("the leapfrog started")
+
+    monkeypatch.setattr(cli, "leapfrog_evolve", started)
+    doc = json.loads((SCENARIOS / "acoustic_demo.json").read_text())
+    doc["evolution"]["dt"] = 1e-12
+    scenario = _write(tmp_path, doc)
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+    assert time.perf_counter() - t0 < 2.0
+    err = capsys.readouterr().err
+    assert err == (
+        f"qwavesim: validation error: {scenario}: evolution.dt 1e-12 and evolution.t_final "
+        "0.55 need 5.5e+11 leapfrog steps of 255 unknowns, 1.4e+14 cell updates, above 1e+10\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("suite", sorted(checks.SUITES))

@@ -380,8 +380,9 @@ def test_greens_slices_cover_the_source():
 def _count_decompositions(monkeypatch):
     """Record the H dimension of every dense decomposition.
 
-    A chiral H is decomposed through the SVD of its off-diagonal block C,
-    which stands for an H of dim rows + cols; any other H through eigh.
+    Every H is chiral and is decomposed through the SVD of its off-diagonal
+    block C, which stands for an H of dim rows + cols; an eigh call, which
+    no path makes, would be recorded by its own dim.
     """
     dims = []
     eigh, svd = np.linalg.eigh, np.linalg.svd
