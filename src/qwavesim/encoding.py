@@ -121,7 +121,8 @@ class QuantumRegisterState:
             if np.any(amps != 0):
                 raise EncodingError("null state must have zero amplitudes")
         else:
-            norm = float(np.linalg.norm(amps))
+            # the real and imaginary parts as one contiguous real vector: one dot, not two strided
+            norm = float(np.linalg.norm(np.ascontiguousarray(amps).view(np.float64)))
             if not np.isfinite(norm):  # a NaN norm would pass the unit-norm test
                 raise EncodingError("amplitudes must be finite")
             if abs(norm - 1.0) > 1e-12:

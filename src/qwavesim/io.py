@@ -16,29 +16,30 @@ Formats (one line each, documented fully in the README):
   measurement        JSON {value, stderr, shots, mode, strings}
   circuit            JSON {register, gates, min_rotation_angle}
 
-The CSV readers parse a table in bulk, in one np.loadtxt call over the open
-file, whose values are bit-equal to float() of each cell. A table that call
+The CSV readers check the header through csv.reader, then parse the table
+in bulk, in one np.loadtxt call on the path, which numpy reads in chunks in
+C; its values are bit-equal to float() of each cell. A table that call
 refuses or reads differently (a blank line, a quoted cell, a spelling such
-as 1_0) is read again row by row through csv.reader, which accepts it as
-before or names its first bad line. They refuse a byte that is not UTF-8,
-a row with the wrong number of cells or a cell that is not a finite number
-with ScenarioError; read_state and read_initial_csv also refuse indices
-outside the vector, fractional or repeated, and read_source_csv refuses
-times that do not strictly increase.
+as 1_0), or a file named like a compressed one, is read again row by row
+through csv.reader, which accepts it as before or names its first bad line.
+They refuse a byte that is not UTF-8, a row with the wrong number of cells
+or a cell that is not a finite number with ScenarioError; read_state and
+read_initial_csv also refuse indices outside the vector, fractional or
+repeated, and read_source_csv refuses times that do not strictly increase.
+read_state reads the sidecar first and refuses a layout no writer produces
+or whose amplitudes cannot be allocated before it parses the table.
 """
 from __future__ import annotations
 
 import csv
-import itertools
 import json
-import operator
 import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .encoding import QuantumRegisterState, StateLayout
+from .encoding import QuantumRegisterState, StateLayout, next_power_of_two
 from .errors import ScenarioError
 from .initcircuit import GateCircuit
 from .measurement import EstimateResult
@@ -215,10 +216,25 @@ def read_state(path) -> QuantumRegisterState:
     """Read a state written by write_state; malformed rows or sidecar raise ScenarioError.
 
     Every row must carry an integer index in [0, total_dim) that no other
-    row repeats; indices without a row hold zero amplitude.
+    row repeats; indices without a row hold zero amplitude. The sidecar is
+    read and checked before the table is parsed: its block_dim must be the
+    next power of two of its num_physical, as write_state writes it, and the
+    total_dim amplitudes of its layout must be allocatable.
     """
     path = Path(path)
+    if not path.exists():
+        raise ScenarioError(f"missing file: {path}")
+    layout, scale = _read_sidecar(path)
+    amps = _allocate(path, layout)
     index, real, imag = _read_table(path, ["index", "real", "imag"])
+    index = _index_column(path, index, layout.total_dim, "index")
+    amps.real[index] = real
+    amps.imag[index] = imag
+    return QuantumRegisterState(amplitudes=amps, scale=scale, layout=layout)
+
+
+def _read_sidecar(path: Path) -> tuple[StateLayout, float]:
+    """The layout and scale in the JSON sidecar of the state at path."""
     sidecar = read_json(str(path) + ".json")
     try:
         sidecar = JsonObject(sidecar)
@@ -233,12 +249,28 @@ def read_state(path) -> QuantumRegisterState:
     except ScenarioError as exc:
         raise ScenarioError(f"{path}: bad state sidecar: {exc}") from None
     layout = StateLayout(**counts, augmented=augmented)
+    block = next_power_of_two(layout.num_physical)
+    if layout.block_dim != block:
+        raise ScenarioError(
+            f"{path}.json: layout.block_dim {layout.block_dim} is not {block}, the next power "
+            f"of two of layout.num_physical {layout.num_physical}"
+        )
+    return layout, scale
+
+
+def _allocate(path: Path, layout: StateLayout) -> np.ndarray:
+    """The zero amplitudes of layout; a total_dim that cannot be allocated raises ScenarioError."""
     total = layout.total_dim
-    index = _index_column(path, index, total, "index")
-    amps = np.zeros(total, dtype=np.complex128)
-    amps.real[index] = real
-    amps.imag[index] = imag
-    return QuantumRegisterState(amplitudes=amps, scale=scale, layout=layout)
+    if total <= np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize:
+        try:
+            return np.zeros(total, dtype=np.complex128)
+        except MemoryError:
+            pass
+    augmented = " x 2 (layout.augmented)" if layout.augmented else ""
+    raise ScenarioError(
+        f"{path}.json: layout.block_dim {layout.block_dim} x layout.arity {layout.arity}"
+        f"{augmented} = total_dim {total} amplitudes cannot be allocated"
+    )
 
 
 def _read_table(path, header: list[str]) -> list[np.ndarray]:
@@ -247,9 +279,11 @@ def _read_table(path, header: list[str]) -> list[np.ndarray]:
     A missing file, a byte that is not UTF-8, another header, a row with
     another number of cells, or a cell that is not a finite number raises
     ScenarioError naming the line.
-    The table is parsed in one np.loadtxt call; a file that call refuses or
-    reads differently from csv.reader goes through the row loop instead,
-    which accepts it as before or names its first bad line.
+    The header is read through csv.reader, then the table below it is parsed
+    in one np.loadtxt call on the path; a file that call refuses or reads
+    differently from csv.reader, or whose name loadtxt would decompress,
+    goes through the row loop instead, which accepts it as before or names
+    its first bad line.
     """
     path = Path(path)
     if not path.exists():
@@ -259,38 +293,71 @@ def _read_table(path, header: list[str]) -> list[np.ndarray]:
         with open(path, newline="", encoding="utf-8") as fh:
             if next(csv.reader(fh), None) != header:
                 raise ScenarioError(f"{path}: expected header {','.join(header)}")
-            table = _bulk_rows(fh, width)
+        # loadtxt opens a name ending in .gz, .bz2, .xz or .lzma as compressed
+        table = None if path.suffix in _COMPRESSED else _bulk_rows(path, width)
         if table is None:  # also where a byte that is not UTF-8 ends the bulk parse
             table = _csv_rows(path, width)
     except UnicodeDecodeError:
         raise _utf8_error(path) from None
-    finite = np.isfinite(table).all(axis=1)
-    if not np.all(finite):
-        row = int(np.argmin(finite))
+    finite = np.isfinite(table)
+    if not finite.all():  # one flat pass; the rows are reduced only to name the line
+        row = int(np.argmin(finite.all(axis=1)))
         raise ScenarioError(f"{path}: line {row + 2}: cells must be finite numbers")
     return list(table.T)
 
 
-def _bulk_rows(fh, width: int) -> np.ndarray | None:
-    """The rest of an open CSV file as a (rows, width) table, or None for the row loop.
+_COMPRESSED = {".gz", ".bz2", ".xz", ".lzma"}
+# bytes per read when counting lines: bounds the counter's memory, not the file's size
+_LINE_CHUNK = 1 << 16
 
-    loadtxt takes the file's lines as the file object splits them, which are
-    the lines csv.reader sees (CRLF, LF or a lone CR end one), and converts
-    each cell with CPython's own string-to-double, so its values are
-    bit-equal to float(). It refuses quoted cells, comment marks and
-    spellings like 1_0 that float() accepts, and it skips blank lines where
-    the row loop names them; the table is kept only if it has one row of
-    ``width`` cells for every line.
+
+def _bulk_rows(path: Path, width: int) -> np.ndarray | None:
+    """The table below a CSV file's one header line, or None for the row loop.
+
+    loadtxt reads the path in chunks in C. It opens the file with universal
+    newlines, so its lines are the lines csv.reader sees (CRLF, LF or a lone
+    CR end one), and it converts each cell with CPython's own
+    string-to-double, so its values are bit-equal to float(). It refuses
+    quoted cells, comment marks and spellings like 1_0 that float() accepts,
+    and it skips blank lines where the row loop names them; the table is
+    kept only if it has one row of ``width`` cells for every line after the
+    header, as _count_lines counts them.
     """
-    lines = itertools.count()
-    counted = map(operator.itemgetter(0), zip(fh, lines))
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(counted, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
-    except ValueError:
+            table = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2,
+                               dtype=np.float64, encoding="utf-8")
+    except ValueError:  # UnicodeDecodeError included
         return None
-    return table if table.shape == (next(lines), width) else None
+    lines = _count_lines(path)
+    return table if lines is not None and table.shape == (lines - 1, width) else None
+
+
+def _count_lines(path: Path) -> int | None:
+    """The lines of a file as csv.reader splits them: CRLF, LF or a lone CR ends one.
+
+    The raw bytes are read _LINE_CHUNK at a time. A CRLF is one terminator
+    even where a chunk ends between its two bytes, and a last line without a
+    terminator counts. No byte of a multi-byte UTF-8 character is CR or LF,
+    so the count is that of the decoded text. None where a byte 0x1c to 0x1f
+    occurs: loadtxt strips those as whitespace around a cell, and float()
+    refuses them.
+    """
+    lines = 0
+    last = b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_LINE_CHUNK):
+            raw = np.frombuffer(chunk, dtype=np.uint8)
+            if np.count_nonzero(raw - np.uint8(0x1C) < 4):
+                return None
+            lf, cr = raw == ord("\n"), raw == ord("\r")
+            # an LF ends a line, and so does a CR that no LF follows
+            lines += np.count_nonzero(lf) + np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & lf[1:])
+            if last == b"\r" and lf[0]:
+                lines -= 1  # the CR ending the previous chunk was half of this CRLF
+            last = chunk[-1:]
+    return int(lines) + (last not in (b"", b"\r", b"\n"))
 
 
 def _csv_rows(path: Path, width: int) -> np.ndarray:

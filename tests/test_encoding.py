@@ -202,6 +202,18 @@ def test_state_norm_is_validated():
         )
 
 
+def test_a_strided_unit_vector_is_a_state():
+    layout = q.StateLayout(num_physical=3, block_dim=4)
+    amps = np.zeros(8, dtype=complex)
+    amps[::2] = [0.5, 0.5j, -0.5, 0.5 - 0.0j]
+    state = q.QuantumRegisterState(amplitudes=amps[::2], scale=1.0, layout=layout)
+    np.testing.assert_array_equal(state.amplitudes, amps[::2])
+    # a norm 2e-12 from 1 is still refused, whatever order the squares are summed in
+    off = amps[::2] * (1.0 + 2e-12)
+    with pytest.raises(EncodingError, match="unit norm"):
+        q.QuantumRegisterState(amplitudes=off, scale=1.0, layout=layout)
+
+
 def test_next_power_of_two():
     assert [next_power_of_two(k) for k in (1, 2, 3, 31, 32, 33)] == [
         1,

@@ -1,17 +1,18 @@
 """Byte layout of the CSV writers, against a csv.writer reference, and the
 bulk CSV reader, against the csv.reader row loop it falls back to."""
 import csv
+import gzip
 import json
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qwavesim import io
 from qwavesim.encoding import QuantumRegisterState, StateLayout
-from qwavesim.errors import ScenarioError
+from qwavesim.errors import ScenarioError, ValidationError
 
 # signed zeros, the smallest subnormal, exponent and fixed forms, and non-finite values
 SPECIAL = [-0.0, 0.0, 5e-324, 1e-5, 0.1, 1e16, 123456789.0, -2.5, float("inf"), float("nan")]
@@ -143,7 +144,7 @@ def test_bulk_parse_matches_the_row_loop(tmp_path_factory, text):
     path.write_bytes(text.encode())
     bulk = _outcome(path)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(io, "_bulk_rows", lambda fh, width: None)
+        patch.setattr(io, "_bulk_rows", lambda path, width: None)
         loop = _outcome(path)
     if isinstance(loop, str):
         assert bulk == loop
@@ -177,9 +178,7 @@ def test_clean_tables_take_the_bulk_parse(tmp_path, monkeypatch, end, final):
 )
 def test_tables_loadtxt_reads_differently_go_to_the_row_loop(tmp_path, body):
     (tmp_path / "t.csv").write_text("index,real,imag\n" + body)
-    with open(tmp_path / "t.csv", newline="") as fh:
-        fh.readline()
-        assert io._bulk_rows(fh, 3) is None
+    assert io._bulk_rows(tmp_path / "t.csv", 3) is None
 
 
 def test_header_only_table_is_empty_and_quiet(tmp_path):
@@ -188,6 +187,109 @@ def test_header_only_table_is_empty_and_quiet(tmp_path):
         warnings.simplefilter("error")
         columns = io._read_table(tmp_path / "t.csv", HEADER)
     assert [c.shape for c in columns] == [(0,), (0,), (0,)]
+
+
+@example(lines=["ab", "c"], ends=["\r\n", "\r\n"], final=False, chunk=3)  # "ab\r" | "\nc"
+@given(
+    lines=st.lists(st.text(alphabet="a1,.é ", max_size=4), max_size=8),
+    ends=st.lists(st.sampled_from(TERMINATORS), min_size=8, max_size=8),
+    final=st.booleans(),
+    chunk=st.integers(1, 9),
+)
+def test_line_count_is_what_csv_reader_sees(tmp_path_factory, lines, ends, final, chunk):
+    # a chunk of a few bytes splits many CRLFs between two reads
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if not final:
+        text = text.rstrip("\r\n")
+    path = tmp_path_factory.mktemp("lines") / "t.csv"
+    path.write_bytes(text.encode())
+    with open(path, newline="", encoding="utf-8") as fh:
+        seen = sum(1 for _ in csv.reader(fh))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "_LINE_CHUNK", chunk)
+        assert io._count_lines(path) == seen
+
+
+@pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+@pytest.mark.parametrize("row", ["0,1,2{}", "0,1{},2", "{}0,1,2"])
+def test_a_separator_byte_loadtxt_strips_goes_to_the_row_loop(tmp_path, sep, row):
+    # loadtxt strips the ASCII separators 0x1c to 0x1f around a cell as
+    # whitespace; float() refuses them, so the row loop names the line
+    (tmp_path / "t.csv").write_text("index,real,imag\n1,2,3\n" + row.format(sep) + "\n")
+    with pytest.raises(ScenarioError, match="line 3: non-numeric cell"):
+        io._read_table(tmp_path / "t.csv", HEADER)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_a_plain_table_named_like_a_compressed_file_reads_as_text(tmp_path, suffix):
+    # loadtxt would open these names through a decompressor
+    text = "index,real,imag\r\n0,0.1,-0.0\r\n1,5e-324,1E-7\r\n2,.5,+3\r\n"
+    (tmp_path / "t.csv").write_text(text, newline="")
+    (tmp_path / f"t.csv{suffix}").write_text(text, newline="")
+    plain = io._read_table(tmp_path / "t.csv", HEADER)
+    named = io._read_table(tmp_path / f"t.csv{suffix}", HEADER)
+    for a, b in zip(plain, named):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_a_gzipped_state_is_refused_as_not_utf8(tmp_path):
+    layout = StateLayout(num_physical=2, block_dim=2)
+    state = QuantumRegisterState(amplitudes=np.array([0.6, 0.8j]), scale=1.0, layout=layout)
+    io.write_state(tmp_path / "state.csv", state)
+    path = tmp_path / "state.csv.gz"
+    path.write_bytes(gzip.compress((tmp_path / "state.csv").read_bytes()))
+    (tmp_path / "state.csv.gz.json").write_bytes((tmp_path / "state.csv.json").read_bytes())
+    with pytest.raises(ScenarioError) as refused:
+        io.read_state(path)
+    assert str(refused.value) == f"{path}: line 1: not valid UTF-8"
+
+
+def test_a_byte_past_the_header_read_that_is_not_utf8_names_its_line(tmp_path):
+    # the header read decodes only the file's first few KiB; the bad byte sits
+    # far past them, where the bulk parse meets it and hands over to the row loop
+    rows = [f"{k},0.0,0.0" for k in range(4000)]
+    rows[3000] = "3000,0.0,0.0\udcff"
+    text = "\r\n".join(["index,real,imag", *rows]) + "\r\n"
+    (tmp_path / "t.csv").write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(ScenarioError) as refused:
+        io._read_table(tmp_path / "t.csv", HEADER)
+    assert str(refused.value) == f"{tmp_path / 't.csv'}: line 3002: not valid UTF-8"
+
+
+def test_a_bad_sidecar_is_refused_before_the_table_is_parsed(tmp_path, monkeypatch):
+    (tmp_path / "state.csv").write_text("index,real,imag\n0,1.0,0.0\n")
+    (tmp_path / "state.csv.json").write_text('{"scale": 1.0}')
+
+    def parse(path, header):
+        raise AssertionError("the table was parsed")
+
+    monkeypatch.setattr(io, "_read_table", parse)
+    with pytest.raises(ScenarioError, match="bad state sidecar: missing the required key layout"):
+        io.read_state(tmp_path / "state.csv")
+    (tmp_path / "state.csv.json").unlink()
+    with pytest.raises(ScenarioError, match="missing file: .*state.csv.json"):
+        io.read_state(tmp_path / "state.csv")
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({"num_physical": 5, "block_dim": 16, "arity": 1},
+         "layout.block_dim 16 is not 8, the next power of two of layout.num_physical 5"),
+        ({"num_physical": 5, "block_dim": 4, "arity": 1},
+         "physical dimension must fit the padded block"),
+        ({"num_physical": 5, "block_dim": 8, "arity": 2**61},
+         "layout.block_dim 8 x layout.arity 2305843009213693952 = total_dim "
+         "18446744073709551616 amplitudes cannot be allocated"),
+    ],
+)
+def test_a_sidecar_layout_no_writer_produces_is_refused(tmp_path, counts, message):
+    (tmp_path / "state.csv").write_text("index,real,imag\n0,1.0,0.0\n")
+    layout = dict(counts, augmented=False)
+    (tmp_path / "state.csv.json").write_text(json.dumps({"scale": 1.0, "layout": layout}))
+    with pytest.raises(ValidationError) as refused:
+        io.read_state(tmp_path / "state.csv")
+    assert message in str(refused.value)
 
 
 @pytest.mark.parametrize(

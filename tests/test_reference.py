@@ -222,6 +222,26 @@ def test_table_quadrature_matches_expm_of_the_lifted_system(
 
 
 @pytest.mark.parametrize(
+    "system, omega",
+    [(build_acoustic_2d(2, 2), 12.0), (build_acoustic_2d(2, 2), 20.0), (build_acoustic_1d(2), 20.0)],
+    ids=["2d-2x2-omega12", "2d-2x2-omega20", "1d-n2-omega20"],
+)
+def test_a_forcing_faster_than_the_grid_without_a_hint_is_resolved(system, omega):
+    # the largest frequency of these grids is 2 or less, so panels sized from it
+    # alone under-resolve cos(omega t); without a dt_hint they are halved instead
+    n = system.n_total
+    chi = np.random.default_rng(5).normal(size=n)
+    out = q.spectral_forced_solution(system, chi, lambda t: np.cos(omega * t), 0.0, 1.0)
+    b = system.b_diagonal()
+    lifted = np.zeros((n + 2, n + 2))
+    lifted[:n, :n] = system.A.toarray() / b[:, None]
+    lifted[:n, n] = chi / b
+    lifted[n, n + 1], lifted[n + 1, n] = -omega, omega
+    exact = scipy.linalg.expm(lifted) @ np.append(np.zeros(n), [1.0, 0.0])
+    np.testing.assert_allclose(out, exact[:n], rtol=0, atol=1e-11 * np.abs(exact).max())
+
+
+@pytest.mark.parametrize(
     "w0",
     [np.zeros(30), np.zeros(32), np.zeros((31, 1)), np.full(31, np.nan),
      np.r_[np.zeros(30), np.inf]],

@@ -1293,6 +1293,47 @@ def test_a_count_too_large_to_address_is_refused_at_once(tmp_path, command, edit
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("block_dim", "layout.block_dim 1099511627776 is not 64, the next power of two of "
+                      "layout.num_physical 63"),
+        ("arity", "layout.block_dim 64 x layout.arity 1099511627776 = total_dim "
+                  "70368744177664 amplitudes cannot be allocated"),
+    ],
+)
+def test_a_state_layout_too_large_to_allocate_is_refused(tmp_path, key, message):
+    # unchecked, a sidecar count of 2**40 sized an index count of 2**40 or
+    # more and ended in a MemoryError traceback, so this runs in a child
+    # process under an address-space limit
+    resource = pytest.importorskip("resource")
+    scenario = _write(
+        tmp_path,
+        _base(measurements=[{"name": "m", "subspace": {"kind": "dof_range", "start": 0, "stop": 4}}]),
+    )
+    state = tmp_path / "state.csv"
+    state.write_text("index,real,imag\n0,1.0,0.0\n")
+    layout = {"num_physical": 63, "block_dim": 64, "arity": 1, "augmented": False, key: 2**40}
+    sidecar = Path(f"{state}.json")
+    sidecar.write_text(json.dumps({"scale": 1.0, "layout": layout}))
+    src = str(Path(q.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    limit = 2 << 30
+
+    done = subprocess.run(
+        [sys.executable, "-m", "qwavesim", "measure", "--scenario", str(scenario),
+         "--state", str(state), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == f"qwavesim: validation error: {sidecar}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_an_evolution_past_the_work_bound_is_refused_at_load(tmp_path, capsys, monkeypatch):
     # 5.5e11 leapfrog steps of 255 unknowns pass every per-value check, and
     # their count fits an integer; the work bound refuses them before any step
