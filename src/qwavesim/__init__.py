@@ -14,6 +14,7 @@ from .constraints import (
 from .discretize import (
     MaterialModel,
     OperatorPair,
+    RowForcing,
     StaggeredGrid,
     antisymmetry_defect,
     assemble_operator_pair,

@@ -26,17 +26,19 @@ properties trivially. R_f, R_c and the reduced A' are canonical CSR, like the
 generator they come from.
 
 b(t) arrives as time samples and is linearly interpolated when the induced
-source is evaluated between samples.
+source is evaluated between samples. Only the free unknowns next to a
+constrained one feel b, so the source is kept as a RowForcing on those rows:
+the rows of A_fc R_c^{-1} that are not empty, times the interpolated b(t).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .discretize import OperatorPair, StaggeredGrid, antisymmetry_defect, canonical_csr
+from .discretize import OperatorPair, RowForcing, StaggeredGrid, antisymmetry_defect, canonical_csr
 from .errors import ConstraintError, IncompatibleConstraintError
 
 REDUCED_SYMMETRY_TOL = 1e-12
@@ -142,17 +144,24 @@ class ReducedSystem:
     A is the reduced generator (canonical CSR) and b_diag the read-only
     diagonal of the reduced energy weight, both over the free unknowns;
     free_indices maps reduced positions to full-system unknowns;
-    source(t) samples the induced forcing (all zeros for homogeneous
-    constraints). parent grid/material ride along for solver metadata.
+    induced is the forcing the constraint data b(t) induces, a RowForcing
+    on the free unknowns next to a constrained one (it touches no row for
+    homogeneous constraints). source is its dense view, t -> the full
+    forcing vector; solvers read induced. parent grid/material ride along
+    for solver metadata.
     """
 
     A: sp.csr_matrix
     b_diag: np.ndarray
     free_indices: np.ndarray
     constrained_indices: np.ndarray
-    source: Callable[[float], np.ndarray]
+    induced: RowForcing
     parent: OperatorPair
     has_inhomogeneous_data: bool
+    source: Callable[[float], np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "source", self.induced)
 
     @property
     def n_total(self) -> int:
@@ -214,17 +223,16 @@ def reduce_system(pair: OperatorPair, constraints: ConstraintSet) -> ReducedSyst
     """Eliminate the constrained unknowns from an operator pair.
 
     Returns the reduced system over the free unknowns, with the induced
-    source sampler. Raises IncompatibleConstraintError when the reduced
+    source. Raises IncompatibleConstraintError when the reduced
     generator loses antisymmetry beyond 1e-12, and ConstraintError for a
     singular R_c, index problems, or a reduced weight that is not positive.
     """
     n = pair.n_total
     c_idx = constraints.constrained
     if c_idx.size == 0:
-        zero = np.zeros(n)
         return ReducedSystem(
             A=pair.A, b_diag=pair.b_diag, free_indices=np.arange(n, dtype=np.int64),
-            constrained_indices=c_idx.copy(), source=lambda _t: zero,
+            constrained_indices=c_idx.copy(), induced=RowForcing.zero(n),
             parent=pair, has_inhomogeneous_data=False,
         )
     if c_idx.max() >= n:
@@ -266,24 +274,18 @@ def reduce_system(pair: OperatorPair, constraints: ConstraintSet) -> ReducedSyst
         # only the free unknowns next to a pinned one feel the wall; the
         # product over those rows keeps each row's sum, so it is bit-equal
         coupled = np.flatnonzero(np.diff(a_fc.indptr))
-        a_coupled = a_fc[coupled]
-
-        def source(t: float) -> np.ndarray:
-            out = np.zeros(f_idx.size)
-            out[coupled] = a_coupled @ _interp_rows(times, rc_b, t)
-            return out
+        induced = RowForcing(
+            f_idx.size, coupled, a_fc[coupled], lambda t: _interp_rows(times, rc_b, t)
+        )
     else:
-        zero = np.zeros(f_idx.size)
-
-        def source(_t: float) -> np.ndarray:
-            return zero
+        induced = RowForcing.zero(f_idx.size)
 
     return ReducedSystem(
         A=a_red,
         b_diag=diag,
         free_indices=f_idx,
         constrained_indices=c_idx.copy(),
-        source=source,
+        induced=induced,
         parent=pair,
         has_inhomogeneous_data=inhomogeneous,
     )

@@ -31,12 +31,12 @@ positive diagonal vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GridError, MaterialError, NumericalError
+from .errors import GridError, MaterialError, NumericalError, ValidationError
 
 # ---------------------------------------------------------------------------
 # sparse operators
@@ -73,6 +73,65 @@ def diagonal_block_entry(op: sp.csr_matrix, split: int) -> tuple[int, int] | Non
     rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
     inside = np.flatnonzero(((rows < split) == (op.indices < split)) & (op.data != 0))
     return (int(rows[inside[0]]), int(op.indices[inside[0]])) if inside.size else None
+
+
+@dataclass(frozen=True)
+class RowForcing:
+    """A forcing sum_k chi_k(x) f_k(t) kept on the few rows it touches.
+
+    Its value at t is ``pattern @ coefficients(t)`` on ``rows`` and zero on
+    every other of the ``size`` rows. rows are strictly increasing, pattern
+    is canonical CSR with one row per forced row and one column per time
+    coefficient, and coefficients samples those k coefficients at t.
+    Calling the object returns the dense vector of all ``size`` rows.
+    """
+
+    size: int
+    rows: np.ndarray
+    pattern: sp.csr_matrix
+    coefficients: Callable[[float], np.ndarray]
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows, dtype=np.int64)
+        if rows.ndim != 1 or np.any(np.diff(rows) <= 0) or np.any((rows < 0) | (rows >= self.size)):
+            raise ValidationError("forcing rows must be strictly increasing indices below its size")
+        pattern = canonical_csr(self.pattern, ValidationError)
+        if pattern.shape[0] != rows.size:
+            raise ValidationError("forcing pattern needs one row per forced row")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "pattern", pattern)
+
+    @classmethod
+    def of_columns(cls, columns, functions) -> "RowForcing":
+        """sum_k columns[k] * functions[k](t), on the rows where some column is nonzero."""
+        chi = np.stack([np.asarray(c, dtype=np.float64) for c in columns], axis=1)
+        rows = np.flatnonzero(np.any(chi != 0.0, axis=1))
+        functions = tuple(functions)
+        return cls(
+            size=chi.shape[0], rows=rows, pattern=chi[rows],
+            coefficients=lambda t: np.array([f(t) for f in functions], dtype=np.float64),
+        )
+
+    @classmethod
+    def zero(cls, size: int) -> "RowForcing":
+        """The forcing that touches no row."""
+        return cls(size, np.empty(0, dtype=np.int64), sp.csr_matrix((0, 0)), lambda _t: np.zeros(0))
+
+    def on_rows(self, t: float) -> np.ndarray:
+        """The value at t on ``rows``."""
+        return self.pattern @ self.coefficients(t)
+
+    def __call__(self, t: float) -> np.ndarray:
+        out = np.zeros(self.size)
+        out[self.rows] = self.on_rows(t)
+        return out
+
+    def split(self, stop: int) -> tuple["RowForcing", "RowForcing"]:
+        """The forcing on rows [0, stop) and on rows [stop, size), each counted from its first row."""
+        k = int(np.searchsorted(self.rows, stop))
+        head = RowForcing(stop, self.rows[:k], self.pattern[:k], self.coefficients)
+        tail = RowForcing(self.size - stop, self.rows[k:] - stop, self.pattern[k:], self.coefficients)
+        return head, tail
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoding import QuantumRegisterState, StateLayout, next_power_of_two
-from .errors import ScenarioError
+from .errors import EncodingError, ScenarioError
 from .initcircuit import GateCircuit
 from .measurement import EstimateResult
 
@@ -218,8 +218,10 @@ def read_state(path) -> QuantumRegisterState:
     Every row must carry an integer index in [0, total_dim) that no other
     row repeats; indices without a row hold zero amplitude. The sidecar is
     read and checked before the table is parsed: its block_dim must be the
-    next power of two of its num_physical, as write_state writes it, and the
-    total_dim amplitudes of its layout must be allocatable.
+    next power of two of its num_physical, as write_state writes it, its
+    arity a power of two, its scale nonnegative, and the total_dim
+    amplitudes of its layout must be allocatable. Every refusal names the
+    file, and a sidecar refusal the key.
     """
     path = Path(path)
     if not path.exists():
@@ -230,7 +232,10 @@ def read_state(path) -> QuantumRegisterState:
     index = _index_column(path, index, layout.total_dim, "index")
     amps.real[index] = real
     amps.imag[index] = imag
-    return QuantumRegisterState(amplitudes=amps, scale=scale, layout=layout)
+    try:
+        return QuantumRegisterState(amplitudes=amps, scale=scale, layout=layout)
+    except EncodingError as exc:  # amplitudes that are not unit norm, or a null state that is not zero
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 def _read_sidecar(path: Path) -> tuple[StateLayout, float]:
@@ -248,14 +253,23 @@ def _read_sidecar(path: Path) -> tuple[StateLayout, float]:
         sidecar.close()
     except ScenarioError as exc:
         raise ScenarioError(f"{path}: bad state sidecar: {exc}") from None
-    layout = StateLayout(**counts, augmented=augmented)
-    block = next_power_of_two(layout.num_physical)
-    if layout.block_dim != block:
+    num_physical, block_dim, arity = counts["num_physical"], counts["block_dim"], counts["arity"]
+    if not 1 <= num_physical <= block_dim:
         raise ScenarioError(
-            f"{path}.json: layout.block_dim {layout.block_dim} is not {block}, the next power "
-            f"of two of layout.num_physical {layout.num_physical}"
+            f"{path}.json: layout.num_physical {num_physical} is not in 1..layout.block_dim "
+            f"{block_dim}: physical dimension must fit the padded block"
         )
-    return layout, scale
+    block = next_power_of_two(num_physical)
+    if block_dim != block:
+        raise ScenarioError(
+            f"{path}.json: layout.block_dim {block_dim} is not {block}, the next power "
+            f"of two of layout.num_physical {num_physical}"
+        )
+    if arity < 1 or arity != next_power_of_two(arity):
+        raise ScenarioError(f"{path}.json: layout.arity {arity}: arity must be a power of two")
+    if scale < 0.0:
+        raise ScenarioError(f"{path}.json: scale must be nonnegative, got {scale!r}")
+    return StateLayout(**counts, augmented=augmented), scale
 
 
 def _allocate(path: Path, layout: StateLayout) -> np.ndarray:

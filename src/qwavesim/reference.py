@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discretize import diagonal_block_entry
+from .discretize import RowForcing, diagonal_block_entry
 from .encoding import build_hamiltonian
 from .errors import EvolutionError, ValidationError
 
@@ -105,7 +105,7 @@ def leapfrog_evolve(
     w0: np.ndarray,
     dt: float,
     t_final: float,
-    source: Callable[[float], np.ndarray] | None = None,
+    source: RowForcing | None = None,
     record_every: int = 1,
     t_start: float = 0.0,
 ) -> Trajectory:
@@ -118,7 +118,10 @@ def leapfrog_evolve(
         w0: collocated initial unknowns at t_start.
         dt: time step; must satisfy the CFL bound.
         t_final: end time; the step count is rounded to cover it.
-        source: optional sampler t -> forcing vector (same length as w0).
+        source: optional RowForcing over the unknowns of w0. Each forcing
+            is split once into its scalar and its flux rows; a step samples
+            the scalar rows at t + dt/2 and the flux rows at t + dt, and
+            adds the induced forcing plus ``source`` to those rows only.
         record_every: snapshot stride in steps (first and last always kept).
 
     Returns:
@@ -138,21 +141,15 @@ def leapfrog_evolve(
     b_diag = system.b_diagonal()
     bu, bv = b_diag[su], b_diag[sv]
     mu, mv = 1.0 / bu, 1.0 / bv
+    dt_mu = dt * mu
 
-    samplers = []
-    induced = getattr(system, "source", None)
-    if callable(induced):
-        samplers.append(induced)
-    if source is not None:
-        samplers.append(source)
-
-    def forcing(t: float) -> tuple[np.ndarray, np.ndarray]:
-        if not samplers:
-            return 0.0, 0.0
-        s = samplers[0](t)
-        for extra in samplers[1:]:
-            s = s + extra(t)
-        return s[su], s[sv]
+    forcings = [f for f in (getattr(system, "induced", None), source) if f is not None]
+    for f in forcings:
+        if not isinstance(f, RowForcing) or f.size != system.n_total:
+            raise ValidationError("forcing must be a RowForcing over the system's unknowns")
+    halves = [f.split(su.stop) for f in forcings]
+    add_scalar_forcing = _forcing_adder([h[0] for h in halves])
+    add_flux_forcing = _forcing_adder([h[1] for h in halves])
 
     w0 = np.asarray(w0, dtype=np.float64)
     if w0.shape != (system.n_total,):
@@ -172,8 +169,9 @@ def leapfrog_evolve(
         fields.append(np.concatenate([u_n, v_colloc]))
         energies.append(e_n)
 
-    su_t0, sv_t0 = forcing(t_start)
-    kick0 = mv * (a_vu @ u + sv_t0)
+    kick0 = a_vu @ u
+    add_flux_forcing(kick0, t_start)
+    kick0 *= mv
     v_stream = v + 0.5 * dt * kick0       # v^{1/2}
     v_prev_stream = v - 0.5 * dt * kick0  # v^{-1/2}
     record(0, u, v, float(u @ (bu * u) + v_prev_stream @ (bv * v_stream)))
@@ -181,13 +179,18 @@ def leapfrog_evolve(
     for n in range(n_steps):
         t_mid = t_start + (n + 0.5) * dt
         t_next = t_start + (n + 1) * dt
-        su_mid, _ = forcing(t_mid)
-        u = u + dt * mu * (a_uv @ v_stream + su_mid)
-        _, sv_next = forcing(t_next)
-        kick = mv * (a_vu @ u + sv_next)
-        v_prev_stream = v_stream
-        v_stream = v_stream + dt * kick
-        if (n + 1) % record_every == 0 or n + 1 == n_steps:
+        du = a_uv @ v_stream
+        add_scalar_forcing(du, t_mid)
+        du *= dt_mu
+        u += du
+        kick = a_vu @ u
+        add_flux_forcing(kick, t_next)
+        kick *= mv
+        recorded = (n + 1) % record_every == 0 or n + 1 == n_steps
+        if recorded:
+            v_prev_stream = v_stream.copy()  # v^{n+1/2}, which only the energy reads
+        v_stream += dt * kick
+        if recorded:
             v_colloc = v_stream - 0.5 * dt * kick
             e_n = float(u @ (bu * u) + v_prev_stream @ (bv * v_stream))
             record(n + 1, u, v_colloc, e_n)
@@ -198,6 +201,29 @@ def leapfrog_evolve(
         energy=np.asarray(energies),
         dt=dt,
     )
+
+
+def _forcing_adder(parts: list[RowForcing]) -> Callable[[np.ndarray, float], None]:
+    """add(r, t): r += the sum of parts at t, on the rows they touch, in place.
+
+    The parts are summed in the order given before they are added to r,
+    so each row gets r + (s_0 + s_1 + ...), as with dense forcing vectors.
+    Other rows get nothing, where a dense vector would add a zero: that
+    changes no bit, because r is a sparse product, which is never -0.0.
+    """
+    parts = [p for p in parts if p.rows.size]
+    if not parts:
+        return lambda _r, _t: None
+    rows = np.unique(np.concatenate([p.rows for p in parts]))
+    at = [np.searchsorted(rows, p.rows) for p in parts]
+
+    def add(r: np.ndarray, t: float) -> None:
+        total = np.zeros(rows.size)
+        for part, where in zip(parts, at):
+            total[where] += part.on_rows(t)
+        r[rows] += total
+
+    return add
 
 
 def spectral_forced_solution(

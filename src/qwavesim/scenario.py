@@ -25,6 +25,7 @@ from .discretize import (
     MaterialModel,
     OperatorPair,
     PiecewiseCoefficient,
+    RowForcing,
     StaggeredGrid,
     TabulatedCoefficient,
     assemble_operator_pair,
@@ -115,19 +116,13 @@ class Scenario:
     def n_unknowns(self) -> int:
         return self.system.A.shape[0]
 
-    def external_forcing(self) -> Callable[[float], np.ndarray] | None:
+    def external_forcing(self) -> RowForcing | None:
         """Sum of the point-source injections, or None when there are none."""
         if not self.sources:
             return None
-        pairs = [(s.chi, s.source.time_function) for s in self.sources]
-
-        def forcing(t: float) -> np.ndarray:
-            total = pairs[0][0] * pairs[0][1](t)
-            for chi, f in pairs[1:]:
-                total = total + chi * f(t)
-            return total
-
-        return forcing
+        return RowForcing.of_columns(
+            [s.chi for s in self.sources], [s.source.time_function for s in self.sources]
+        )
 
 
 def load_scenario(

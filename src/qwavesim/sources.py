@@ -40,6 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .discretize import RowForcing
 from .encoding import QuantumRegisterState, stack_substates
 from .errors import CausalityError, SourceError, SupportError
 from .reference import cfl_limit, counted, leapfrog_evolve, spectral_forced_solution
@@ -336,16 +337,12 @@ def presimulate_pulse(
         "; shorten the pulse or move the source inward",
     )
     chi = system.restrict(chi_pattern(source, grid))
-
-    def forcing(t: float) -> np.ndarray:
-        return chi * f(t)
-
     traj = leapfrog_evolve(
         system,
         np.zeros(system.n_total),
         dt,
         f.t_end,
-        source=forcing,
+        source=RowForcing.of_columns([chi], [f]),
         record_every=10**9,
         t_start=f.t_start,
     )

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import qwavesim as q
 from qwavesim.constraints import WALLS
-from qwavesim.errors import GridError, MaterialError
+from qwavesim.errors import GridError, MaterialError, ValidationError
 
 from conftest import build_acoustic_1d, build_acoustic_2d, build_maxwell
 
@@ -261,3 +261,29 @@ def test_maxwell_rejects_2d_grid():
     grid = q.build_grid([(0.0, 1.0), (0.0, 1.0)], [4, 4])
     with pytest.raises(MaterialError):
         q.MaterialModel.maxwell1d(grid, eps=1.0, mu=1.0)
+
+
+def test_row_forcing_keeps_the_rows_its_columns_touch():
+    chis = [np.zeros(7), np.zeros(7)]
+    chis[0][[1, 5]] = [2.0, -1.0]
+    chis[1][[5, 6]] = [0.5, 3.0]
+    forcing = q.RowForcing.of_columns(chis, [np.sin, np.cos])
+    np.testing.assert_array_equal(forcing.rows, [1, 5, 6])
+    assert forcing.pattern.shape == (3, 2)
+    t = 0.3
+    np.testing.assert_array_equal(forcing(t), chis[0] * np.sin(t) + chis[1] * np.cos(t))
+    head, tail = forcing.split(5)
+    assert (head.size, tail.size) == (5, 2)
+    np.testing.assert_array_equal(np.concatenate([head(t), tail(t)]), forcing(t))
+    np.testing.assert_array_equal(q.RowForcing.zero(4)(t), np.zeros(4))
+
+
+@pytest.mark.parametrize(
+    "rows, pattern",
+    [([2, 1], np.ones((2, 1))), ([1, 1], np.ones((2, 1))), ([0, 7], np.ones((2, 1))),
+     ([-1], np.ones((1, 1))), ([1, 2], np.ones((3, 1))), ([1], [[np.nan]])],
+    ids=["unsorted", "repeated", "past-size", "negative", "pattern-rows", "non-finite"],
+)
+def test_row_forcing_refuses_rows_that_do_not_fit(rows, pattern):
+    with pytest.raises(ValidationError, match="forcing|sparse operator entries must be finite"):
+        q.RowForcing(7, np.array(rows), sp.csr_matrix(pattern), lambda t: np.ones(1))

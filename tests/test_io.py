@@ -293,6 +293,39 @@ def test_a_sidecar_layout_no_writer_produces_is_refused(tmp_path, counts, messag
 
 
 @pytest.mark.parametrize(
+    "sidecar, table, message",
+    [
+        ({"num_physical": 5, "block_dim": 4, "arity": 1}, None,
+         "state.csv.json: layout.num_physical 5 is not in 1..layout.block_dim 4: "
+         "physical dimension must fit the padded block"),
+        ({"num_physical": 0, "block_dim": 1, "arity": 1}, None,
+         "state.csv.json: layout.num_physical 0 is not in 1..layout.block_dim 1: "
+         "physical dimension must fit the padded block"),
+        ({"num_physical": 5, "block_dim": 8, "arity": 3}, None,
+         "state.csv.json: layout.arity 3: arity must be a power of two"),
+        ({"num_physical": 5, "block_dim": 8, "arity": 0}, None,
+         "state.csv.json: layout.arity 0: arity must be a power of two"),
+        ({"num_physical": 5, "block_dim": 8, "arity": 1, "scale": -1.0}, None,
+         "state.csv.json: scale must be nonnegative, got -1.0"),
+        ({"num_physical": 5, "block_dim": 8, "arity": 1}, "0,0.5,0.0\n",
+         "state.csv: amplitudes must be unit norm, got 0.5"),
+        ({"num_physical": 5, "block_dim": 8, "arity": 1, "scale": 0.0}, None,
+         "state.csv: null state must have zero amplitudes"),
+    ],
+)
+def test_a_state_the_register_refuses_is_named_by_path_and_key(tmp_path, sidecar, table, message):
+    # the refusal reaches `qwavesim measure` as its whole message: it names the file and key
+    path = tmp_path / "state.csv"
+    path.write_text("index,real,imag\n" + (table or "0,1.0,0.0\n"))
+    counts = {k: v for k, v in sidecar.items() if k != "scale"}
+    doc = {"scale": sidecar.get("scale", 1.0), "layout": dict(counts, augmented=False)}
+    (tmp_path / "state.csv.json").write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError) as refused:
+        io.read_state(path)
+    assert str(refused.value) == f"{tmp_path}/{message}"
+
+
+@pytest.mark.parametrize(
     "text", ['{"dt": 0.001, "dt": 0.1}', '[{"t_final": 1, "dt": 0.001, "dt": 0.1}]']
 )
 def test_read_json_refuses_a_repeated_key(tmp_path, text):

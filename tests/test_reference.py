@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import qwavesim as q
 from qwavesim.checks import _pressure_bump
+from qwavesim.constraints import ReducedSystem
 from qwavesim.errors import EvolutionError, ValidationError
 
 from conftest import build_acoustic_1d, build_acoustic_2d, chiral_systems
@@ -130,6 +131,236 @@ def test_leapfrog_refuses_scalar_scalar_coupling():
         match="leapfrog needs the two-block staggered structure; scalar-scalar coupling present",
     ):
         q.leapfrog_evolve(coupled, np.zeros(pair.n_total), 0.5 * q.cfl_limit(pair), 0.1)
+
+
+def _dense_leapfrog(system, w0, dt, t_final, samplers, record_every=1, t_start=0.0):
+    """The staggered leapfrog as its formulas read, with dense forcing vectors.
+
+    samplers map t to forcing vectors over every unknown and are summed in
+    the order given; both halves of the sum are built at t + dt/2 and at
+    t + dt, and every update makes a new vector.
+    """
+    su, sv = system.scalar_slice, system.flux_slice
+    a_uv, a_vu = system.A[su, sv].tocsr(), system.A[sv, su].tocsr()
+    b = system.b_diagonal()
+    bu, bv = b[su], b[sv]
+    mu, mv = 1.0 / bu, 1.0 / bv
+
+    def forcing(t):
+        if not samplers:
+            return 0.0, 0.0
+        s = samplers[0](t)
+        for extra in samplers[1:]:
+            s = s + extra(t)
+        return s[su], s[sv]
+
+    n_steps = 0
+    if t_final > t_start:
+        n_steps = max(1, int(np.ceil((t_final - t_start) / dt - 1e-12)))
+    u, v = w0[su].copy(), w0[sv].copy()
+    times, fields, energies = [], [], []
+
+    def record(step, u_n, v_colloc, e_n):
+        times.append(t_start + step * dt)
+        fields.append(np.concatenate([u_n, v_colloc]))
+        energies.append(e_n)
+
+    _, sv_t0 = forcing(t_start)
+    kick0 = mv * (a_vu @ u + sv_t0)
+    v_stream = v + 0.5 * dt * kick0
+    v_prev_stream = v - 0.5 * dt * kick0
+    record(0, u, v, float(u @ (bu * u) + v_prev_stream @ (bv * v_stream)))
+    for n in range(n_steps):
+        su_mid, _ = forcing(t_start + (n + 0.5) * dt)
+        u = u + dt * mu * (a_uv @ v_stream + su_mid)
+        _, sv_next = forcing(t_start + (n + 1) * dt)
+        kick = mv * (a_vu @ u + sv_next)
+        v_prev_stream = v_stream
+        v_stream = v_stream + dt * kick
+        if (n + 1) % record_every == 0 or n + 1 == n_steps:
+            v_colloc = v_stream - 0.5 * dt * kick
+            record(n + 1, u, v_colloc, float(u @ (bu * u) + v_prev_stream @ (bv * v_stream)))
+    return np.asarray(times), np.asarray(fields), np.asarray(energies)
+
+
+def _with_wall_data(system, rng, t0, t1):
+    """system with random data on its pinned walls, and that data's A_fc b(t) as a dense sampler."""
+    pinned = system.constrained_indices
+    times = np.sort(rng.uniform(t0 - 0.2, t1 + 0.2, rng.integers(2, 6)))
+    values = rng.normal(size=(times.size, pinned.size))
+    driven = q.reduce_system(
+        system.parent, q.dirichlet_constraints(system.grid, pinned, times, values)
+    )
+    a_fc = system.parent.A[driven.free_indices][:, pinned]
+
+    def wall(t):
+        return a_fc @ np.array([np.interp(t, times, values[:, c]) for c in range(pinned.size)])
+
+    return driven, wall
+
+
+def _signed_zeros(rng, w):
+    """w with about a third of its entries replaced by 0.0 or -0.0."""
+    zeros = np.where(rng.random(w.size) < 0.5, 0.0, -0.0)
+    return np.where(rng.random(w.size) < 1 / 3, zeros, w)
+
+
+def _time_function(rng, t0, t1):
+    if rng.random() < 0.5:
+        center, sigma = rng.uniform(t0, t1 + 0.1), rng.uniform(0.02, 0.2)
+        return q.gaussian_pulse(center, sigma, amplitude=rng.normal())
+    a, omega, phase = rng.normal(), rng.uniform(0.0, 20.0), rng.uniform(0.0, 6.3)
+    return lambda t: a * np.cos(omega * t + phase)
+
+
+@pytest.mark.parametrize("kind, dimension", [("acoustic", 1), ("acoustic", 2), ("maxwell", 1)])
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    driven=st.booleans(),
+    n_sources=st.integers(0, 3),
+    record_every=st.sampled_from([1, 2, 3, 7]),
+    courant=st.floats(0.2, 1.0),
+    t_start=st.floats(-0.5, 0.5),
+    span=st.floats(0.0, 0.6),
+)
+def test_row_forcing_steps_bit_equal_to_dense_forcing(
+    kind, dimension, data, seed, driven, n_sources, record_every, courant, t_start, span
+):
+    # The leapfrog adds each forcing only on its rows, in place; the dense
+    # stepper adds full vectors. Zeros added elsewhere change no bit, because
+    # a sparse product never yields -0.0, so the two agree to the last bit.
+    system = data.draw(chiral_systems(kind, dimension))
+    rng = np.random.default_rng(seed)
+    n = system.n_total
+    samplers = []
+    if isinstance(system, ReducedSystem):
+        if driven:
+            system, wall = _with_wall_data(system, rng, t_start, t_start + span)
+            samplers.append(wall)
+        else:
+            samplers.append(lambda t: np.zeros(n))  # the homogeneous walls' source
+    # source 0 sits on a row next to a driven wall, source 1 on source 0's node
+    wall_rows = system.induced.rows if isinstance(system, ReducedSystem) else np.empty(0)
+    anchor = int(rng.choice(wall_rows)) if wall_rows.size else int(rng.integers(n))
+    anchors = [anchor, anchor, int(rng.integers(n))][:n_sources]
+    chis, fs = [], []
+    for row in anchors:
+        chi = np.zeros(n)
+        chi[row] = rng.normal()
+        chi[rng.integers(n)] += rng.normal()
+        chis.append(chi)
+        fs.append(_time_function(rng, t_start, t_start + span))
+    source = q.RowForcing.of_columns(chis, fs) if chis else None
+    if chis:
+        def external(t):
+            total = chis[0] * fs[0](t)
+            for chi, f in zip(chis[1:], fs[1:]):
+                total = total + chi * f(t)
+            return total
+
+        samplers.append(external)
+    w0 = _signed_zeros(rng, rng.normal(size=n) if rng.random() < 0.75 else np.zeros(n))
+    dt = courant * q.cfl_limit(system)
+    t_final = t_start + span
+    got = q.leapfrog_evolve(
+        system, w0, dt, t_final, source=source, record_every=record_every, t_start=t_start
+    )
+    times, fields, energy = _dense_leapfrog(system, w0, dt, t_final, samplers, record_every, t_start)
+    assert got.times.tobytes() == times.tobytes()
+    assert got.fields.tobytes() == fields.tobytes()
+    assert got.energy.tobytes() == energy.tobytes()
+
+
+@pytest.mark.parametrize("walls", [(), ("left",), ("left", "right")])
+@given(
+    n=st.integers(64, 96),
+    c=st.floats(0.5, 1.0),
+    sigma=st.floats(0.003, 0.008),  # the pulse's causal ball stays inside [0, 1]
+    polarization=st.tuples(st.floats(0.25, 2.0), st.floats(-2.0, 2.0)),
+    courant=st.floats(0.2, 1.0),
+)
+def test_presimulated_pulse_is_bit_equal_to_dense_forcing(walls, n, c, sigma, polarization, courant):
+    pair = build_acoustic_1d(n=n, c=c)
+    system = pair
+    if walls:
+        system = q.reduce_system(
+            pair, q.dirichlet_constraints(pair.grid, q.boundary_scalar_indices(pair.grid, list(walls)))
+        )
+    f = q.gaussian_pulse(7.0 * sigma, sigma)
+    src = q.PointSource(location=(n // 2,), polarization=polarization, time_function=f)
+    dt = courant * q.cfl_limit(system)
+    got = q.presimulate_pulse(src, system, dt=dt)
+    chi = system.restrict(q.chi_pattern(src, pair.grid))
+    samplers = [lambda t: np.zeros(system.n_total)] if walls else []
+    samplers.append(lambda t: chi * f(t))
+
+    def dense(system_, w0, dt_, t_final, source, record_every, t_start):
+        times, fields, energy = _dense_leapfrog(system_, w0, dt_, t_final, samplers, record_every, t_start)
+        return q.Trajectory(times=times, fields=fields, energy=energy, dt=dt_)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(q.sources, "leapfrog_evolve", dense)
+        expected = q.presimulate_pulse(src, system, dt=dt)
+    assert got.field.tobytes() == expected.field.tobytes()
+    assert got.nonzero_count == expected.nonzero_count
+
+
+@pytest.mark.parametrize(
+    "rows, halves",
+    [((3,), "scalar"), ((20, 25), "flux"), ((3, 5, 20), "both")],
+)
+def test_each_half_of_a_forcing_is_sampled_once_per_step(rows, halves):
+    # rows 0..15 are the scalar nodes of the 1D n=16 pair, 16..30 its fluxes
+    system = build_acoustic_1d(n=16)
+    calls = []
+
+    def coefficients(t):
+        calls.append(t)
+        return np.array([np.sin(3.0 * t)])
+
+    pattern = scipy.sparse.csr_matrix(np.ones((len(rows), 1)))
+    forcing = q.RowForcing(system.n_total, np.array(rows), pattern, coefficients)
+    dt, t0 = 0.5 * q.cfl_limit(system), 0.125
+    tr = q.leapfrog_evolve(system, np.zeros(system.n_total), dt, t0 + 10 * dt,
+                           source=forcing, record_every=4, t_start=t0)
+    assert tr.times[-1] == t0 + 10 * dt
+    expected = [t0] if halves != "scalar" else []  # the first half kick
+    for n in range(10):
+        if halves != "flux":
+            expected.append(t0 + (n + 0.5) * dt)
+        if halves != "scalar":
+            expected.append(t0 + (n + 1) * dt)
+    assert calls == expected
+    assert np.any(tr.final != 0.0)
+
+
+def test_the_leapfrog_never_reads_the_dense_source_view():
+    pair = build_acoustic_2d(nx=10, ny=8)
+    pinned = q.boundary_scalar_indices(pair.grid, ["left", "right"])
+    times = np.array([0.0, 0.05, 0.2])
+    values = np.outer([0.0, 1.0, 0.0], np.ones(pinned.size))
+    red = q.reduce_system(pair, q.dirichlet_constraints(pair.grid, pinned, times, values))
+    dt = 0.5 * q.cfl_limit(red)
+    before = q.leapfrog_evolve(red, np.zeros(red.n_total), dt, 0.2)
+
+    def refuse(_t):
+        raise AssertionError("the leapfrog sampled the dense view of the wall source")
+
+    object.__setattr__(red, "source", refuse)  # the dataclass is frozen
+    after = q.leapfrog_evolve(red, np.zeros(red.n_total), dt, 0.2)
+    assert after.fields.tobytes() == before.fields.tobytes()
+    assert np.abs(after.final).max() > 0.0
+
+
+def test_the_leapfrog_refuses_a_forcing_of_another_size(acoustic_1d):
+    dt = 0.5 * q.cfl_limit(acoustic_1d)
+    w0 = np.zeros(acoustic_1d.n_total)
+    wrong = q.RowForcing.of_columns([np.ones(acoustic_1d.n_total + 1)], [np.cos])
+    with pytest.raises(ValidationError, match="RowForcing over the system's unknowns"):
+        q.leapfrog_evolve(acoustic_1d, w0, dt, 0.1, source=wrong)
+    with pytest.raises(ValidationError, match="RowForcing over the system's unknowns"):
+        q.leapfrog_evolve(acoustic_1d, w0, dt, 0.1, source=lambda t: np.ones(w0.size))
 
 
 def test_trajectory_requires_consistent_lengths():

@@ -1178,8 +1178,9 @@ def test_shot_override_without_a_seed_is_refused(tmp_path, capsys):
         ("presim", "acoustic_demo", []),
         ("initcircuit", "initcircuit_demo", []),
         ("measure", "driven_boundary_demo", ["--shots", "1000", "--seed", "3"]),
+        ("simulate", "acoustic_demo", []),
     ],
-    ids=["simulate", "presim", "initcircuit", "measure"],
+    ids=["simulate", "presim", "initcircuit", "measure", "simulate-point-source"],
 )
 def test_outputs_are_byte_for_byte_deterministic(tmp_path, command, demo, args):
     # every command promises byte-identical reruns, not only simulate
