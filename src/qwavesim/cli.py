@@ -13,7 +13,9 @@ Subcommands:
 Exit codes: 0 success, 1 validation failure (bad scenario, bad usage),
 2 numerical failure (a computation or verify check did not meet its
 tolerance). Nothing is written unless the requested computation finished,
-so a failing run leaves no partial output files. Outputs are deterministic:
+so a run refused for its inputs or for a numerical failure leaves no
+output files; an I/O failure partway through the writes can still leave
+some. Outputs are deterministic:
 rerunning with the same scenario and seeds reproduces every file byte for
 byte. The default output directory comes from --out, then the scenario,
 then the QWAVESIM_OUTPUT_DIR environment variable.
@@ -68,18 +70,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qwavesim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def scenario_command(name, handler, help_text):
+    def scenario_command(name, handler, help_text, estimates=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", help="output directory (overrides the scenario)")
-        p.add_argument("--seed", type=int, help="estimator seed override")
-        p.add_argument("--shots", type=int, help="shot count override (switches to shot mode)")
+        if estimates:
+            p.add_argument("--seed", type=int, help="estimator seed override")
+            p.add_argument("--shots", type=int, help="shot count override (switches to shot mode)")
         p.set_defaults(handler=handler)
         return p
 
-    scenario_command("simulate", _run_simulate, "integrate a scenario end to end")
+    scenario_command("simulate", _run_simulate, "integrate a scenario end to end", True)
     p_measure = scenario_command(
-        "measure", _run_measure, "measure a stored state with a scenario's requests"
+        "measure", _run_measure, "measure a stored state with a scenario's requests", True
     )
     p_measure.add_argument("--state", required=True, help="state CSV (and sidecar) from simulate")
     scenario_command("presim", _run_presim, "pre-simulate or slice the scenario sources")
@@ -94,11 +97,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> Scenario:
+    """The scenario of args; presim and initcircuit have no estimator flags to override."""
     return load_scenario(
         args.scenario,
         out_override=args.out,
-        seed_override=args.seed,
-        shots_override=args.shots,
+        seed_override=getattr(args, "seed", None),
+        shots_override=getattr(args, "shots", None),
     )
 
 
@@ -266,10 +270,7 @@ def _run_presim(args) -> int:
     for k, spec in enumerate(scenario.sources):
         if spec.decompose is not None:
             dec = spec.decompose
-            slices = greens_decompose(
-                spec.source, dec["c"], dec["rho"], dec["radius"], system,
-                steepness=dec["steepness"],
-            )
+            slices = greens_decompose(spec.source, dec["c"], dec["rho"], dec["radius"], system)
         else:
             slices = [presimulate_pulse(spec.source, system, dt=scenario.dt)]
         parts = []

@@ -157,7 +157,6 @@ class ReducedSystem:
     constrained_indices: np.ndarray
     induced: RowForcing
     parent: OperatorPair
-    has_inhomogeneous_data: bool
     source: Callable[[float], np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -232,8 +231,7 @@ def reduce_system(pair: OperatorPair, constraints: ConstraintSet) -> ReducedSyst
     if c_idx.size == 0:
         return ReducedSystem(
             A=pair.A, b_diag=pair.b_diag, free_indices=np.arange(n, dtype=np.int64),
-            constrained_indices=c_idx.copy(), induced=RowForcing.zero(n),
-            parent=pair, has_inhomogeneous_data=False,
+            constrained_indices=c_idx.copy(), induced=RowForcing.zero(n), parent=pair,
         )
     if c_idx.max() >= n:
         raise ConstraintError("constrained index out of range for this system")
@@ -267,8 +265,7 @@ def reduce_system(pair: OperatorPair, constraints: ConstraintSet) -> ReducedSyst
             f"reduced energy weight is not positive definite (min diagonal {diag.min():.3e})"
         )
 
-    inhomogeneous = constraints.b_values is not None
-    if inhomogeneous:
+    if constraints.b_values is not None:
         times = constraints.b_times
         rc_b = _solve_rc(constraints.r_c, constraints.b_values.T).T
         # only the free unknowns next to a pinned one feel the wall; the
@@ -287,7 +284,6 @@ def reduce_system(pair: OperatorPair, constraints: ConstraintSet) -> ReducedSyst
         constrained_indices=c_idx.copy(),
         induced=induced,
         parent=pair,
-        has_inhomogeneous_data=inhomogeneous,
     )
 
 

@@ -149,11 +149,11 @@ class QuantumRegisterState:
         return QuantumRegisterState(amplitudes=amps, scale=self.scale, layout=self.layout)
 
 
-def stack_substates(vectors, arity: int = 1) -> QuantumRegisterState:
+def stack_substates(vectors) -> QuantumRegisterState:
     """Stack equal-length vectors into one register, sub-state s in block s.
 
-    Each vector is zero-padded to a power-of-two block; the arity is at least
-    len(vectors), rounded up to a power of two, with zero pad blocks. The
+    Each vector is zero-padded to a power-of-two block; the arity is
+    len(vectors) rounded up to a power of two, with zero pad blocks. The
     stack is normalized and its norm kept as the scale (all zeros give the
     null state). The norm is taken over the vectors themselves, not the
     padded stack, and their real and imaginary parts are divided by it
@@ -164,7 +164,7 @@ def stack_substates(vectors, arity: int = 1) -> QuantumRegisterState:
     vectors = [np.asarray(v) for v in vectors]
     n = len(vectors[0])
     block = next_power_of_two(n)
-    m = next_power_of_two(max(len(vectors), arity))
+    m = next_power_of_two(len(vectors))
     stacked = np.zeros(m * block, dtype=np.complex128)
     layout = StateLayout(num_physical=n, block_dim=block, arity=m)
     scale = float(np.sqrt(sum(np.vdot(v, v).real for v in vectors)))

@@ -219,9 +219,9 @@ def read_state(path) -> QuantumRegisterState:
     row repeats; indices without a row hold zero amplitude. The sidecar is
     read and checked before the table is parsed: its block_dim must be the
     next power of two of its num_physical, as write_state writes it, its
-    arity a power of two, its scale nonnegative, and the total_dim
-    amplitudes of its layout must be allocatable. Every refusal names the
-    file, and a sidecar refusal the key.
+    arity a power of two, its scale nonnegative with a finite square, and
+    the total_dim amplitudes of its layout must be allocatable. Every
+    refusal names the file, and a sidecar refusal the key.
     """
     path = Path(path)
     if not path.exists():
@@ -269,6 +269,10 @@ def _read_sidecar(path: Path) -> tuple[StateLayout, float]:
         raise ScenarioError(f"{path}.json: layout.arity {arity}: arity must be a power of two")
     if scale < 0.0:
         raise ScenarioError(f"{path}.json: scale must be nonnegative, got {scale!r}")
+    try:
+        scale**2  # the factor of every estimate, computed as estimate computes it
+    except OverflowError:
+        raise ScenarioError(f"{path}.json: scale {scale!r} has no finite square") from None
     return StateLayout(**counts, augmented=augmented), scale
 
 

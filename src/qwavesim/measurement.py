@@ -364,8 +364,7 @@ def estimate(
 
     Args:
         states: a stacked QuantumRegisterState, or a sequence of equal-length
-            vectors that will be stacked (padded to power-of-two arity);
-            stack_substates(vectors, arity) pads to a larger arity.
+            vectors that will be stacked (padded to power-of-two arity).
         projector: subspace mask over the physical unknowns.
         config: exact expectations by default; shot mode requires a seed.
         observable: defaults to the summation loss for the stack's arity;

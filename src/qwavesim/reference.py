@@ -45,8 +45,6 @@ from .errors import EvolutionError, ValidationError
 CFL_SAFETY = 0.9
 GL_NODES = 12
 PANEL_CHUNK = 32  # panels per phase table in the forced solve; bounds its n x chunk temporaries
-DUHAMEL_RTOL = 1e-14  # the settling test of a forcing without a dt_hint, relative to int |f|
-DUHAMEL_HALVINGS = 10  # the most panel halvings that test may take
 
 
 @dataclass(frozen=True)
@@ -239,10 +237,10 @@ def spectral_forced_solution(
     Evaluates the Duhamel integral acc = int exp(-i lam (t1 - tau)) f dtau
     at the frequencies lam of the encoded generator with composite
     Gauss-Legendre panels of equal width; the width resolves both the
-    fastest frequency and the forcing smoothness scale, read from an
-    f.dt_hint attribute when f has one; without one the panels are halved
-    until the integrals settle (see _duhamel_integrals). The forced
-    part is acc(H) applied to B^{-1/2} chi, with int f at the zero modes.
+    fastest frequency and the forcing smoothness scale f.dt_hint, which f
+    must carry as a finite positive number, as every SourceTimeFunction
+    does. The forced part is acc(H) applied to B^{-1/2} chi, with int f at
+    the zero modes.
     The generator is build_hamiltonian(system), which is memoized on the
     system object, so repeated solves on one system (and the sync and mult
     generators built from its H) share one decomposition.
@@ -255,6 +253,11 @@ def spectral_forced_solution(
         raise ValidationError("forcing pattern does not match the system size")
     if not np.all(np.isfinite(chi)):
         raise ValidationError("forcing pattern must be finite")
+    hint = getattr(f, "dt_hint", None)
+    if not (isinstance(hint, (int, float)) and 0.0 < hint < np.inf):
+        raise ValidationError(
+            f"the forcing needs a finite positive dt_hint, its smoothness scale; got {hint!r}"
+        )
     if w0 is not None:
         w0 = np.asarray(w0)
         if np.iscomplexobj(w0) and np.any(w0.imag != 0):
@@ -269,7 +272,7 @@ def spectral_forced_solution(
     ham = build_hamiltonian(system)
     sqrt_b = np.sqrt(diag)
     lam = ham.frequencies()
-    acc, total = _duhamel_integrals(lam, f, t0, t1)
+    acc, total = _duhamel_integrals(lam, f, float(hint), t0, t1)
     # the columns: the forcing B^{-1/2} chi, then the initial data B^{1/2} w0 if given
     cols, phi, phi0 = [chi / sqrt_b], [acc], [total]
     if w0 is not None:
@@ -280,46 +283,24 @@ def spectral_forced_solution(
     return np.real(y1.sum(axis=1)) / sqrt_b
 
 
-def _duhamel_integrals(freqs: np.ndarray, f, t0: float, t1: float) -> tuple[np.ndarray, float]:
+def _duhamel_integrals(
+    freqs: np.ndarray, f, dt_hint: float, t0: float, t1: float
+) -> tuple[np.ndarray, float]:
     """acc_k = int_t0^t1 exp(-i freqs_k (t1 - tau)) f(tau) dtau, and int_t0^t1 f.
 
-    Composite Gauss-Legendre panels of one width, which resolves both the
-    largest |freqs| and f.dt_hint when f has one. A forcing without a hint
-    may be faster than every frequency, so its panels are halved until the
-    integrals move by at most DUHAMEL_RTOL of int |f|, at most
-    DUHAMEL_HALVINGS times.
+    f is called once, on the nodes of all panels together. The composite
+    Gauss-Legendre panels share one width, which resolves both the largest
+    |freqs| and dt_hint, so the kernel factors into one n x GL_NODES node
+    table and one phase per panel, and the quadrature is a table product
+    taken PANEL_CHUNK panels at a time, not a loop over panels.
     """
     if t1 == t0:
         return np.zeros(freqs.size, dtype=np.complex128), 0.0
     freq_max = float(np.abs(freqs).max()) if freqs.size else 0.0
-    hint = getattr(f, "dt_hint", None)
-    h = t1 - t0
+    h = min(t1 - t0, dt_hint)
     if freq_max > 0.0:
         h = min(h, 2.5 / freq_max)
-    if hint:
-        h = min(h, float(hint))
     n_panels = int(np.ceil((t1 - t0) / h))
-    acc, total, _ = _panel_integrals(freqs, f, t0, t1, n_panels)
-    if hint:
-        return acc, total
-    for _ in range(DUHAMEL_HALVINGS):
-        n_panels *= 2
-        finer, finer_total, size = _panel_integrals(freqs, f, t0, t1, n_panels)
-        moved = max(np.abs(finer - acc).max(initial=0.0), abs(finer_total - total))
-        acc, total = finer, finer_total
-        if moved <= DUHAMEL_RTOL * size or not np.isfinite(moved):  # f may give NaN
-            break
-    return acc, total
-
-
-def _panel_integrals(freqs: np.ndarray, f, t0: float, t1: float, n_panels: int):
-    """The integrals of _duhamel_integrals on n_panels panels, and int |f| on them.
-
-    f is called once, on the nodes of all panels together. Because the
-    panels share one width, the kernel factors into one n x GL_NODES node
-    table and one phase per panel, so the quadrature is a table product
-    taken PANEL_CHUNK panels at a time, not a loop over panels.
-    """
     acc = np.zeros(freqs.size, dtype=np.complex128)
     nodes, weights = np.polynomial.legendre.leggauss(GL_NODES)
     edges = np.linspace(t0, t1, n_panels + 1)
@@ -335,4 +316,4 @@ def _panel_integrals(freqs: np.ndarray, f, t0: float, t1: float, n_panels: int):
         chunk = slice(p, p + PANEL_CHUNK)
         panel_phase = np.exp(-1j * np.outer(freqs, t1 - centers[chunk]))
         acc += np.einsum("kp,kp->k", panel_phase, node_phase @ f_q[:, chunk])
-    return acc, float(f_q.sum()), float(np.abs(f_q).sum())
+    return acc, float(f_q.sum())

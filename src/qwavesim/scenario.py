@@ -44,10 +44,12 @@ from .sources import (
     gaussian_pulse,
     ricker_wavelet,
     time_function_from_samples,
+    window_schedule,
     windowed_sine,
 )
 
-MAX_CELL_UPDATES = 10**10  # leapfrog steps x unknowns; 2D 256^2 to t_final 1 needs about 1.6e8
+# leapfrog steps, or decompose windows, x unknowns; 2D 256^2 to t_final 1 needs about 1.6e8 steps
+MAX_CELL_UPDATES = 10**10
 
 
 @dataclass(frozen=True)
@@ -56,9 +58,8 @@ class SourceSpec:
 
     chi is the injection pattern already restricted to the simulated
     unknowns; decompose, when present, holds the validated homogeneous-ball
-    parameters for greens_decompose: radius, c, rho and steepness (None
-    when not given). Every slice is solved on the grid, so there is no
-    solver to choose.
+    parameters for greens_decompose: radius, c and rho. Every slice is
+    solved on the grid, so there is no solver to choose.
     """
 
     source: PointSource
@@ -305,7 +306,7 @@ def _parse_boundaries(raw: JsonObject, grid: StaggeredGrid, pair: OperatorPair, 
     driven = []  # (nodes, times, values) per driven side
     for side in [side for names in WALLS[: grid.dimension] for side in names]:
         entry = spec.get(side, default="natural")
-        if entry in ("natural", "neumann"):
+        if entry == "natural":
             # the staggered operators already impose a vanishing
             # perpendicular flux on every wall, so nothing to pin
             continue
@@ -314,8 +315,7 @@ def _parse_boundaries(raw: JsonObject, grid: StaggeredGrid, pair: OperatorPair, 
         wall = JsonObject(entry, spec.path(side)) if isinstance(entry, dict) else None
         if wall is None or wall.get("kind") != "dirichlet":
             raise ScenarioError(
-                f"{spec.path(side)}: expected 'natural'/'neumann', 'dirichlet', "
-                "or a dirichlet object"
+                f"{spec.path(side)}: expected 'natural', 'dirichlet', or a dirichlet object"
             )
         series = _wall_series(wall.get("data", JsonObject, None), base)
         wall.close()
@@ -437,7 +437,7 @@ def _parse_sources(raw: JsonObject, grid, system, base: Path) -> tuple[SourceSpe
         f = _parse_time_function(spec.get("time_function", JsonObject), base)
         decompose = spec.get("decompose", JsonObject, None)
         if decompose is not None:
-            decompose = _parse_decompose(decompose)
+            decompose = _parse_decompose(decompose, spec.path("time_function"), f, grid, system)
         spec.close()
         source = PointSource(location=location, polarization=polarization, time_function=f)
         chi = system.restrict(chi_pattern(source, grid))
@@ -445,11 +445,30 @@ def _parse_sources(raw: JsonObject, grid, system, base: Path) -> tuple[SourceSpe
     return tuple(out)
 
 
-def _parse_decompose(spec: JsonObject) -> dict:
-    """The greens_decompose parameters, refused here rather than midway through presim."""
+def _parse_decompose(spec: JsonObject, drive: str, f, grid, system) -> dict:
+    """The greens_decompose parameters, refused here rather than midway through presim.
+
+    Their window schedule must have finite positive derived values, and
+    its windows, one grid solve of every unknown each, at most
+    MAX_CELL_UPDATES cell updates. A ball too small for any window is
+    left to presim, the one command that slices.
+    """
     parsed = {k: spec.get(k, positive) for k in ("radius", "c", "rho")}
-    parsed["steepness"] = spec.get("steepness", positive, None)
     spec.close()
+    try:
+        schedule = window_schedule(
+            f, parsed["c"], parsed["rho"], parsed["radius"], max(grid.spacing)
+        )
+    except SourceError as exc:
+        keys = ", ".join(spec.path(k) for k in ("radius", "c", "rho"))
+        raise ScenarioError(f"{keys}: {exc}") from None
+    if schedule.width > 0 and not schedule.count * system.n_total <= MAX_CELL_UPDATES:
+        raise ScenarioError(
+            f"{drive} and {spec.path('radius')}: {schedule.count:.3g} windows of "
+            f"{schedule.width:.3g} over the source support, each a solve of {system.n_total} "
+            f"unknowns, make {schedule.count * system.n_total:.3g} cell updates, "
+            f"above {MAX_CELL_UPDATES:.0e}"
+        )
     return parsed
 
 

@@ -451,6 +451,73 @@ def _windowed_slice(
     )
 
 
+@dataclass(frozen=True)
+class WindowSchedule:
+    """The windows greens_decompose cuts a source into.
+
+    For the ball crossing time t_hom = r_s / c, margin is the sigmoid
+    margin t_hom / 8, z = TAIL_CUT / margin the window steepness,
+    grid_margin the discretization margin in time, and width what is left
+    of t_hom for one window. The windows tile [first, last], the source
+    support widened by margin on each side; count is their number, as a
+    float, and meaningful only when width > 0.
+    """
+
+    first: float
+    last: float
+    margin: float
+    z: float
+    grid_margin: float
+    width: float
+
+    @property
+    def count(self) -> float:
+        return float(max(np.ceil((self.last - self.first) / self.width - 1e-9), 1.0))
+
+    def breakpoints(self) -> list[float]:
+        n_windows = counted(self.count, "windows over the source support")
+        return [self.first + j * self.width for j in range(n_windows)] + [self.last]
+
+
+def window_schedule(
+    f: SourceTimeFunction, c_hom: float, rho_hom: float, r_s: float, dx_max: float
+) -> WindowSchedule:
+    """The window schedule of f in the homogeneous ball (r_s, c_hom, rho_hom).
+
+    Raises SourceError naming the first derived value that is not a finite
+    positive number, where the float arithmetic of greens_decompose would
+    otherwise overflow or divide by zero; that includes the scalar weight
+    1 / (rho c**2) of the homogeneity check. A width <= 0 is returned as
+    it is: greens_decompose refuses it, and load_scenario leaves it to
+    presim, the one command that slices.
+    """
+
+    def check(value, what: str) -> float:
+        if not 0.0 < value < np.inf:
+            raise SourceError(
+                f"radius {r_s!r}, c {c_hom!r} and rho {rho_hom!r} give {what} {value!r}, "
+                "not a finite positive number"
+            )
+        return value
+
+    try:
+        weight = 1.0 / (rho_hom * c_hom**2)
+    except OverflowError:  # c**2 past float range
+        weight = 0.0
+    except ZeroDivisionError:  # rho c**2 rounds to zero
+        weight = np.inf
+    check(weight, "a scalar weight 1 / (rho c**2) of")
+    t_hom = check(r_s / c_hom, "a crossing time r / c of")
+    margin = check(t_hom / 8.0, "a sigmoid margin of")
+    z = check(TAIL_CUT / margin, "a window steepness of")
+    cone_cells = check((t_hom * c_hom) / dx_max, "a cone length in cells of")
+    grid_margin = check(_support_margin_cells(cone_cells) * dx_max / c_hom, "a grid margin of")
+    return WindowSchedule(
+        first=f.t_start - margin, last=f.t_end + margin, margin=margin, z=z,
+        grid_margin=grid_margin, width=t_hom - 2.0 * margin - grid_margin,
+    )
+
+
 def greens_decompose(
     source: PointSource,
     c_hom: float,
@@ -458,13 +525,13 @@ def greens_decompose(
     r_s: float,
     system,
     mode: str | None = None,
-    steepness: float | None = None,
 ) -> list[PreSimResult]:
     """Slice a long source into windowed pulses with known compact responses.
 
     The medium must be homogeneous (rho_hom, c_hom) inside the ball of radius
     r_s around the source; each slice is short enough that its wave stays in
-    that ball, margins included. Every slice is the exact grid response by
+    that ball, margins included. The windows follow window_schedule, whose
+    steepness is fixed by the ball. Every slice is the exact grid response by
     eigenbasis quadrature, solved with the H that build_hamiltonian memoizes
     on the system object, so one decomposition serves every slice and any
     later sync or mult generator built from the same system.
@@ -482,46 +549,29 @@ def greens_decompose(
         raise SourceError("the windowed decomposition covers the acoustic family")
     if r_s <= 0 or c_hom <= 0 or rho_hom <= 0:
         raise SourceError("ball radius and homogeneous coefficients must be positive")
-    if steepness is not None and not 0 < steepness < np.inf:
-        raise SourceError(f"steepness must be finite and positive, got {steepness!r}")
     if mode not in (None, "discrete"):
         raise SourceError(f"unknown decomposition mode {mode!r}; the only solver is 'discrete'")
 
+    dx_max = max(grid.spacing)
+    schedule = window_schedule(f, c_hom, rho_hom, r_s, dx_max)
     center = grid.scalar_coords[grid.scalar_index(*source.location)]
     coords = _source_coords(system)
     _check_homogeneous_ball(system, coords, center, r_s, c_hom, rho_hom)
-
-    t_hom = r_s / c_hom
-    dx_max = max(grid.spacing)
-    if steepness is None:
-        margin = t_hom / 8.0
-        z = TAIL_CUT / margin
-    else:
-        z = float(steepness)
-        margin = TAIL_CUT / z
-    cone_cells = (t_hom * c_hom) / dx_max
-    d_margin = _support_margin_cells(cone_cells) * dx_max / c_hom
-    width = t_hom - 2.0 * margin - d_margin
-    if width <= 0:
+    if schedule.width <= 0:
         raise CausalityError(
             f"homogeneous ball of radius {r_s:.6g} is too small for any window "
-            f"(sigmoid margin {margin:.4g}, grid margin {d_margin:.4g}); "
-            "enlarge the ball or raise the steepness"
+            f"(sigmoid margin {schedule.margin:.4g}, grid margin {schedule.grid_margin:.4g}); "
+            "enlarge the ball"
         )
     _require_ball_in_domain(grid, center, r_s, "homogeneous ball")
-
-    first = f.t_start - margin
-    last = f.t_end + margin
-    windows = np.ceil((last - first) / width - 1e-9)
-    n_windows = max(1, counted(windows, "windows over the source support"))
-    breakpoints = [first + j * width for j in range(n_windows)] + [last]
+    breakpoints = schedule.breakpoints()
 
     chi = system.restrict(chi_pattern(source, grid))
 
     slices = []
     for j in range(len(breakpoints) - 1):
         tau_lo, tau_hi = breakpoints[j], breakpoints[j + 1]
-        g = _windowed_slice(f, tau_lo, tau_hi, z, margin)
+        g = _windowed_slice(f, tau_lo, tau_hi, schedule.z, schedule.margin)
         slice_cone = c_hom * g.duration
         radius = min(r_s, slice_cone + _support_margin_cells(slice_cone / dx_max) * dx_max)
         w = spectral_forced_solution(system, chi, g, g.t_start, g.t_end)

@@ -10,7 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import qwavesim as q
-from qwavesim.encoding import next_power_of_two
+from qwavesim.encoding import next_power_of_two, stack_substates
 from qwavesim.errors import EncodingError, NumericalError, ValidationError
 
 from conftest import build_acoustic_1d, build_acoustic_2d, build_maxwell, chiral_systems
@@ -83,6 +83,14 @@ def test_padding_is_exact_zero_up_to_power_of_two():
     assert state.layout.num_physical == 31
     assert np.all(state.amplitudes[31:] == 0.0)
     assert state.n_qubits == 5
+
+
+def test_a_stack_takes_the_smallest_power_of_two_arity_and_no_other():
+    stack = stack_substates([np.ones(3)] * 3)
+    assert stack.layout.arity == 4
+    np.testing.assert_array_equal(stack.block(3), 0.0)
+    with pytest.raises(TypeError, match="arity"):
+        stack_substates([np.ones(3)] * 3, arity=8)
 
 
 def test_decode_round_trip(rng):

@@ -311,6 +311,11 @@ def test_a_sidecar_layout_no_writer_produces_is_refused(tmp_path, counts, messag
          "state.csv: amplitudes must be unit norm, got 0.5"),
         ({"num_physical": 5, "block_dim": 8, "arity": 1, "scale": 0.0}, None,
          "state.csv: null state must have zero amplitudes"),
+        # measure squares the scale: it would overflow past about 1.3e154
+        ({"num_physical": 5, "block_dim": 8, "arity": 1, "scale": 1e160}, None,
+         "state.csv.json: scale 1e+160 has no finite square"),
+        ({"num_physical": 5, "block_dim": 8, "arity": 1, "scale": 1e308}, None,
+         "state.csv.json: scale 1e+308 has no finite square"),
     ],
 )
 def test_a_state_the_register_refuses_is_named_by_path_and_key(tmp_path, sidecar, table, message):

@@ -271,7 +271,7 @@ def test_block_gram_expectations_match_the_augmented_register(arity, n, mask_kin
         mask_kind, rng.random(n) < 0.5
     )
     proj = q.SubspaceProjector(mask=mask)
-    stack = stack_substates(vectors, arity)
+    stack = stack_substates(vectors)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ComplexityWarning)
         augmented = q.augment_state(stack, proj).amplitudes
@@ -308,7 +308,7 @@ def test_binomial_shots_match_the_multinomial_bitstring_reference(rng):
     n, shots, reps = 3, 40, 2000
     vectors = [rng.normal(size=n) for _ in range(2)]
     proj = q.SubspaceProjector.from_indices(n, [0, 2])
-    stack = stack_substates(vectors, 2)
+    stack = stack_substates(vectors)
     observable = q.two_state_observable(stack.layout.n_data_qubits)
     augmented = q.augment_state(stack, proj).amplitudes
     fast = np.array([

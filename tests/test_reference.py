@@ -370,6 +370,12 @@ def test_trajectory_requires_consistent_lengths():
         )
 
 
+def _hinted(f, dt_hint=1.0):
+    """f carrying the dt_hint, its smoothness scale, that spectral_forced_solution requires."""
+    f.dt_hint = dt_hint
+    return f
+
+
 def test_spectral_solution_is_linear_in_the_drive():
     system = build_acoustic_1d(n=64)
     chi = np.zeros(system.n_total)
@@ -379,7 +385,7 @@ def test_spectral_solution_is_linear_in_the_drive():
     one = q.spectral_forced_solution(system, chi, f1, 0.0, 0.4)
     two = q.spectral_forced_solution(system, chi, f2, 0.0, 0.4)
     both = q.spectral_forced_solution(
-        system, chi, lambda t: f1(t) + f2(t), 0.0, 0.4
+        system, chi, _hinted(lambda t: f1(t) + f2(t), min(f1.dt_hint, f2.dt_hint)), 0.0, 0.4
     )
     np.testing.assert_allclose(both, one + two, atol=1e-10)
 
@@ -388,7 +394,7 @@ def test_spectral_free_evolution_matches_the_unitary_route():
     system = build_acoustic_1d(n=64)
     w0 = _pressure_bump(system, 0.5, 0.05)
     out = q.spectral_forced_solution(
-        system, np.zeros(system.n_total), lambda t: np.zeros_like(t), 0.0, 0.3, w0=w0
+        system, np.zeros(system.n_total), _hinted(lambda t: np.zeros_like(t)), 0.0, 0.3, w0=w0
     )
     ham = q.build_hamiltonian(system)
     exact = q.decode(q.evolve(q.encode(w0, system), ham, 0.3), system)
@@ -408,7 +414,7 @@ def test_spectral_solution_matches_expm_with_flux_data_and_drive():
     lifted[:-1, -1] = chi / b
     for data in (w0, None):
         out = q.spectral_forced_solution(
-            system, chi, lambda t: np.ones_like(t), 0.0, 0.3, w0=data
+            system, chi, _hinted(lambda t: np.ones_like(t)), 0.0, 0.3, w0=data
         )
         start = np.append(np.zeros(system.n_total) if data is None else data, 1.0)
         exact = scipy.linalg.expm(0.3 * lifted) @ start
@@ -422,15 +428,16 @@ def test_spectral_solution_matches_expm_with_flux_data_and_drive():
     span=st.floats(1e-3, 1.0),
     omega=st.floats(0.0, 20.0),
     phase=st.floats(0.0, 2.0 * np.pi),
-    dt_hint=st.sampled_from([None, 0.01]),
+    dt_hint=st.sampled_from([1.0, 0.01]),
     seed=st.integers(0, 2**16),
 )
 def test_table_quadrature_matches_expm_of_the_lifted_system(
     kind, dimension, data, t0, span, omega, phase, dt_hint, seed
 ):
     # f = cos(omega t + phase) is the first coordinate of a rotation, so the
-    # forced system lifts to a homogeneous one two coordinates larger; a
-    # dt_hint of 0.01 spreads the quadrature over several panel chunks
+    # forced system lifts to a homogeneous one two coordinates larger; its
+    # hint resolves omega, and a dt_hint of 0.01 spreads the quadrature over
+    # several panel chunks
     system = data.draw(chiral_systems(kind, dimension))
     n = system.n_total
     rng = np.random.default_rng(seed)
@@ -439,8 +446,7 @@ def test_table_quadrature_matches_expm_of_the_lifted_system(
     def f(t):
         return np.cos(omega * t + phase)
 
-    if dt_hint is not None:
-        f.dt_hint = dt_hint
+    f.dt_hint = min(dt_hint, 1.0 / (1.0 + omega))
     out = q.spectral_forced_solution(system, chi, f, t0, t0 + span, w0=w0)
     b = system.b_diagonal()
     lifted = np.zeros((n + 2, n + 2))
@@ -457,12 +463,13 @@ def test_table_quadrature_matches_expm_of_the_lifted_system(
     [(build_acoustic_2d(2, 2), 12.0), (build_acoustic_2d(2, 2), 20.0), (build_acoustic_1d(2), 20.0)],
     ids=["2d-2x2-omega12", "2d-2x2-omega20", "1d-n2-omega20"],
 )
-def test_a_forcing_faster_than_the_grid_without_a_hint_is_resolved(system, omega):
+def test_a_forcing_faster_than_the_grid_is_resolved_by_its_hint(system, omega):
     # the largest frequency of these grids is 2 or less, so panels sized from it
-    # alone under-resolve cos(omega t); without a dt_hint they are halved instead
+    # alone under-resolve cos(omega t); the forcing's dt_hint resolves it
     n = system.n_total
     chi = np.random.default_rng(5).normal(size=n)
-    out = q.spectral_forced_solution(system, chi, lambda t: np.cos(omega * t), 0.0, 1.0)
+    f = _hinted(lambda t: np.cos(omega * t), 1.0 / omega)
+    out = q.spectral_forced_solution(system, chi, f, 0.0, 1.0)
     b = system.b_diagonal()
     lifted = np.zeros((n + 2, n + 2))
     lifted[:n, :n] = system.A.toarray() / b[:, None]
@@ -470,6 +477,18 @@ def test_a_forcing_faster_than_the_grid_without_a_hint_is_resolved(system, omega
     lifted[n, n + 1], lifted[n + 1, n] = -omega, omega
     exact = scipy.linalg.expm(lifted) @ np.append(np.zeros(n), [1.0, 0.0])
     np.testing.assert_allclose(out, exact[:n], rtol=0, atol=1e-11 * np.abs(exact).max())
+
+
+@pytest.mark.parametrize("hint", [None, 0.0, -0.1, np.nan, np.inf, "0.1"])
+def test_a_forcing_without_a_finite_positive_hint_is_refused(hint):
+    # panels sized from the grid alone would under-resolve a faster forcing
+    # without a word, so the forcing must say how fast it is
+    system = build_acoustic_1d(n=16)  # 31 unknowns
+    f = lambda t: np.cos(40.0 * t)  # noqa: E731
+    if hint is not None:
+        f.dt_hint = hint
+    with pytest.raises(ValidationError, match="needs a finite positive dt_hint"):
+        q.spectral_forced_solution(system, np.ones(31), f, 0.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -482,7 +501,7 @@ def test_forced_solution_refuses_a_malformed_initial_vector(w0):
     system = build_acoustic_1d(n=16)  # 31 unknowns
     with pytest.raises(ValidationError, match="initial vector"):
         q.spectral_forced_solution(
-            system, np.ones(31), lambda t: np.ones_like(t), 0.0, 0.1, w0=w0
+            system, np.ones(31), _hinted(lambda t: np.ones_like(t)), 0.0, 0.1, w0=w0
         )
 
 
@@ -491,7 +510,9 @@ def test_forced_solution_refuses_a_non_finite_forcing_pattern(bad):
     chi = np.ones(31)
     chi[3] = bad
     with pytest.raises(ValidationError, match="forcing pattern"):
-        q.spectral_forced_solution(build_acoustic_1d(n=16), chi, lambda t: np.ones_like(t), 0.0, 0.1)
+        q.spectral_forced_solution(
+            build_acoustic_1d(n=16), chi, _hinted(lambda t: np.ones_like(t)), 0.0, 0.1
+        )
 
 
 def test_forced_solution_refuses_a_complex_initial_vector():
@@ -500,14 +521,11 @@ def test_forced_solution_refuses_a_complex_initial_vector():
     w0[4] = 1e-3j
     with pytest.raises(EvolutionError, match="inputs are not a real system"):
         q.spectral_forced_solution(
-            system, np.ones(31), lambda t: np.ones_like(t), 0.0, 0.1, w0=w0
+            system, np.ones(31), _hinted(lambda t: np.ones_like(t)), 0.0, 0.1, w0=w0
         )
     # a complex vector with a zero imaginary part is a real one
     w0[4] = 1.0
-    out = q.spectral_forced_solution(
-        system, np.ones(31), lambda t: np.ones_like(t), 0.0, 0.1, w0=w0
-    )
-    real = q.spectral_forced_solution(
-        system, np.ones(31), lambda t: np.ones_like(t), 0.0, 0.1, w0=w0.real
-    )
+    ones = _hinted(lambda t: np.ones_like(t))
+    out = q.spectral_forced_solution(system, np.ones(31), ones, 0.0, 0.1, w0=w0)
+    real = q.spectral_forced_solution(system, np.ones(31), ones, 0.0, 0.1, w0=w0.real)
     np.testing.assert_array_equal(out, real)

@@ -61,20 +61,8 @@ def test_the_readme_scenario_example_loads(tmp_path):
     example.write_text(section.split("```json\n", 1)[1].split("```", 1)[0])
     sc = q.load_scenario(example)
     assert sc.output_dir == "demo-output"
-    assert sc.sources[0].decompose == {"radius": 0.45, "c": 1.0, "rho": 1.0, "steepness": None}
+    assert sc.sources[0].decompose == {"radius": 0.45, "c": 1.0, "rho": 1.0}
     assert sc.initcircuit.spec.radial_divisions == 8
-
-
-def test_neumann_is_a_synonym_for_natural(tmp_path):
-    a = q.load_scenario(
-        _write(tmp_path, _base(boundaries={"left": "natural", "right": "natural"}), "a.json")
-    )
-    b = q.load_scenario(
-        _write(tmp_path, _base(boundaries={"left": "neumann", "right": "neumann"}), "b.json")
-    )
-    assert a.system is a.pair
-    assert b.system is b.pair
-    assert a.n_unknowns == b.n_unknowns
 
 
 def test_dirichlet_wall_pins_one_scalar_node(tmp_path):
@@ -708,6 +696,14 @@ def _decompose(**bad):
     return {"sources": [dict(_SOURCE, decompose=decompose)]}
 
 
+def _sliced(sigma=0.01, **bad):
+    """The source of acoustic_demo, whose 0.45 ball has room for windows on 128 nodes."""
+    decompose = dict({"radius": 0.45, "c": 1.0, "rho": 1.0}, **bad)
+    pulse = {"kind": "gaussian", "center": 0.08, "sigma": sigma}
+    source = dict(_SOURCE, location=[64], time_function=pulse, decompose=decompose)
+    return {"grid": {"bounds": [[0.0, 1.0]], "shape": [128]}, "sources": [source]}
+
+
 def _wall(data):
     return {"boundaries": {"left": {"kind": "dirichlet", "data": data}}}
 
@@ -730,11 +726,25 @@ def _case(case_id, overrides, message, command="simulate", files=(), args=()):
 
 _SEED = "estimator: seed must be a non-negative integer"
 _MALFORMED = [
+    # the window steepness follows from the ball: decompose has no steepness key
     _case("steepness-zero", _decompose(steepness=0), "sources[0].decompose.steepness", "presim"),
     _case("steepness-text", _decompose(steepness="abc"), "sources[0].decompose.steepness",
           "presim"),
     _case("steepness-negative", _decompose(steepness=-5), "sources[0].decompose.steepness",
           "presim"),
+    _case("steepness-any", _decompose(steepness=2000.0),
+          "unknown keys ['sources[0].decompose.steepness']", "presim"),
+    _case("boundary-neumann", {"boundaries": {"left": "neumann"}},
+          "boundaries.left: expected 'natural', 'dirichlet', or a dirichlet object"),
+    # derived values of the window schedule that float64 cannot hold: each
+    # ended in an overflow, a division by zero or a memory error in presim
+    _case("radius-overflowing", _sliced(radius=1e308), "sources[0].decompose.radius", "presim"),
+    _case("radius-subnormal", _sliced(radius=5e-324), "sources[0].decompose.radius", "presim"),
+    _case("c-overflowing", _sliced(c=1e308), "sources[0].decompose.c", "presim"),
+    _case("c-subnormal", _sliced(c=5e-324), "sources[0].decompose.c", "presim"),
+    _case("c-underflowing", _sliced(c=1e-300), "sources[0].decompose.c", "presim"),
+    _case("windows-past-cell-updates", _sliced(sigma=2**31),
+          "sources[0].time_function and sources[0].decompose.radius", "presim"),
     _case("c-text", _decompose(c="fast"), "sources[0].decompose.c", "presim"),
     _case("radius-null", _decompose(radius=None), "sources[0].decompose.radius", "presim"),
     _case("radius-infinite", _decompose(radius=float("inf")), "sources[0].decompose.radius",
@@ -1223,6 +1233,39 @@ def test_output_directory_precedence(tmp_path, monkeypatch):
     assert (tmp_path / "qwavesim-output").is_dir()
 
 
+@pytest.mark.parametrize("command", ["presim", "initcircuit"])
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--shots", "5"]])
+def test_commands_that_estimate_nothing_take_no_estimator_flags(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    demo = str(SCENARIOS / "acoustic_demo.json")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--scenario", demo, "--out", str(out), *flag])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_readme_usage_block_lists_every_flag_of_every_command():
+    # the documented usage cannot go stale: a flag added to or removed from
+    # the parser must be added to or removed from the README too
+    readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    documented = {}
+    for line in block.splitlines():
+        words = line.split("#", 1)[0].split()
+        if words and words[0] == "qwavesim":
+            tokens = (w.strip("[]") for w in words[2:])
+            documented[words[1]] = {w for w in tokens if w.startswith("--")}
+    (commands,) = [a for a in cli._build_parser()._actions if a.choices and a.dest == "command"]
+    flags = {
+        name: {o for a in sub._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert documented == flags
+    suites = block.split("SUITE", 1)[1].replace("#", " ").replace("|", " ").split()
+    assert sorted(suites) == sorted(checks.SUITES)
+
+
 def test_usage_problems_exit_with_code_one():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
@@ -1261,7 +1304,7 @@ def _dt_1e_300(doc):
     "command, edit, message",
     [
         ("presim", _ricker_peak_1e_300,
-         "e+301 windows over the source support are too many to count"),
+         "sources[0].time_function and sources[0].decompose.radius: 5.73e+301 windows"),
         ("simulate", _dt_1e_300,
          "evolution.dt 1e-300 and evolution.t_final 0.55 need 5.5e+299 leapfrog steps"),
     ],

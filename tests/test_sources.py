@@ -508,14 +508,14 @@ def test_presim_decomposes_once_for_all_discrete_sources(tmp_path, monkeypatch, 
 def test_single_window_slice_matches_the_unsliced_solution():
     # A pulse short enough for one window: the window is 1 on the support
     # up to e^{-z margin} tails, so the slice must reproduce the plain
-    # forced solution over the padded interval.
-    pair = build_acoustic_1d(n=128)
+    # forced solution over the padded interval. On 512 nodes the grid margin
+    # of a 0.49 ball leaves one window room for the pulse and both margins.
+    pair = build_acoustic_1d(n=512)
     f = q.gaussian_pulse(0.08, 0.009)
-    src = q.PointSource(location=(64,), polarization=(1.0, 0.0), time_function=f)
-    z = 2000.0
-    slices = q.greens_decompose(
-        src, 1.0, 1.0, 0.45, pair, mode="discrete", steepness=z
-    )
+    src = q.PointSource(location=(256,), polarization=(1.0, 0.0), time_function=f)
+    schedule = sources.window_schedule(f, 1.0, 1.0, 0.49, max(pair.grid.spacing))
+    assert schedule.count == 1.0
+    slices = q.greens_decompose(src, 1.0, 1.0, 0.49, pair, mode="discrete")
     assert len(slices) == 1
     assert slices[0].t_end == pytest.approx(f.t_end)
     chi = q.chi_pattern(src, pair.grid)
@@ -550,13 +550,14 @@ def test_greens_refuses_ball_too_small_for_any_window():
         q.greens_decompose(src, 1.0, 1.0, 0.05, pair, mode="discrete")
 
 
-@pytest.mark.parametrize("steepness", [0.0, -5.0, np.inf, np.nan])
-# the steepness is refused before the mode is read, so a refused mode changes nothing
+@pytest.mark.parametrize("steepness", [0.0, -5.0, np.inf, np.nan, 2000.0])
+# the window steepness follows from the ball alone, so greens_decompose takes
+# no steepness, and any value is refused before the mode is read
 @pytest.mark.parametrize("mode", ["dalembert", "discrete"])
 def test_greens_refuses_a_steepness_that_is_not_finite_and_positive(mode, steepness):
     pair = build_acoustic_1d(n=64)
     src = _scalar_source(64, center=0.1, sigma=0.01, node=32)
-    with pytest.raises(SourceError, match="steepness must be finite and positive"):
+    with pytest.raises(TypeError, match="steepness"):
         q.greens_decompose(src, 1.0, 1.0, 0.45, pair, mode=mode, steepness=steepness)
 
 
