@@ -95,10 +95,8 @@ from .sources import (
     SourceTimeFunction,
     assemble_multisource_state,
     chi_pattern,
-    default_steepness,
     gaussian_pulse,
     greens_decompose,
-    make_windows,
     presimulate_pulse,
     ricker_wavelet,
     time_function_from_samples,

@@ -44,14 +44,14 @@ from .measurement import (
 )
 from .reference import cfl_limit, leapfrog_evolve, spectral_forced_solution
 from .sources import (
+    TAIL_CUT,
     PointSource,
     assemble_multisource_state,
     chi_pattern,
-    default_steepness,
     gaussian_pulse,
     greens_decompose,
-    make_windows,
     presimulate_pulse,
+    window_schedule,
 )
 
 
@@ -202,28 +202,51 @@ def shot_scaling():
     return [("shot RMS ratio for 4x shots, offset from 2", abs(ratio - 2.0), 0.6)]
 
 
-def windows():
-    """Window partition of unity, and exact sample partition in the box limit."""
-    breakpoints = [0.0, 0.3, 0.7, 1.0]
-    t_grid = np.linspace(0.0, 1.0, 2001)
-    _, deviation = make_windows(t_grid, default_steepness(breakpoints), breakpoints)
+def _sliced_source():
+    """The sliced pipeline's grid, pair, source and ball radius; c = rho = 1 in the ball."""
+    grid, pair = _acoustic([(0.0, 1.0)], [128], 1.0, 1.0)
+    stf = gaussian_pulse(center=0.08, sigma=0.01)
+    source = PointSource(location=(64,), polarization=(1.0, 0.0), time_function=stf)
+    return grid, pair, source, 0.45
 
-    xs = np.linspace(0.0, 6.0, 500)
-    samples = np.sin(xs) * np.exp(-((xs - 3.0) ** 2))
-    boxes, _ = make_windows(xs, np.inf, [0.0, 2.0, 4.0, 6.0 + 1e-9])
-    claimed = sum(int(np.count_nonzero(w * samples)) for w in boxes)
+
+def _window_rows(f, schedule):
+    """Partition of unity of schedule's windows and the sum of its slices of f, on f's support.
+
+    The windows telescope to expit(z (t - first)) - expit(z (t - last)); first
+    and last lie a margin past the support, and z * margin = TAIL_CUT, so the
+    sum misses 1 by at most e^-TAIL_CUT at each end. The slices miss f by
+    those tails, by what each truncates a margin past its window (at most
+    e^-TAIL_CUT |f| per side, by the same telescoping), and by what each
+    flushes to zero: at most 10 e^-TAIL_CUT of the peak in each of the
+    floor(2 margin / width) + 2 windows that reach one time.
+    """
+    t = np.union1d(f.times, np.linspace(f.t_start, f.t_end, 4097))
+    bp = schedule.breakpoints()
+    unity = sum(schedule.window(t, lo, hi) for lo, hi in zip(bp[:-1], bp[1:]))
+    drive = f(t)
+    sliced = sum(g(t) for g in schedule.slices(f))
+    tail = float(np.exp(-TAIL_CUT))
+    reach = np.floor(2.0 * schedule.margin / schedule.width) + 2.0
+    missed = float(np.abs(sliced - drive).max() / np.abs(drive).max())
     return [
-        ("window partition-of-unity deviation", deviation, float(np.nextafter(1e-3, 0.0))),
-        ("box-limit nonzero-count equality", abs(claimed - int(np.count_nonzero(samples))), 0.0),
+        ("window partition-of-unity deviation", float(np.abs(unity - 1.0).max()), 2.0 * tail),
+        ("windowed slices sum to the source", missed, float((4.0 + 10.0 * reach) * tail)),
     ]
+
+
+def windows():
+    """The windows greens_decompose cuts the sliced pipeline's source with (see _window_rows)."""
+    grid, _, source, radius = _sliced_source()
+    f = source.time_function
+    return _window_rows(f, window_schedule(f, 1.0, 1.0, radius, max(grid.spacing)))
 
 
 def sliced_pipeline():
     """Sliced sources through sync and mult evolution against the monolithic loss."""
-    grid, pair = _acoustic([(0.0, 1.0)], [128], 1.0, 1.0)
-    stf = gaussian_pulse(center=0.08, sigma=0.01)
-    source = PointSource(location=(64,), polarization=(1.0, 0.0), time_function=stf)
-    slices = greens_decompose(source, 1.0, 1.0, 0.45, pair, mode="discrete")
+    grid, pair, source, radius = _sliced_source()
+    stf = source.time_function
+    slices = greens_decompose(source, 1.0, 1.0, radius, pair, mode="discrete")
     state, t_ends = assemble_multisource_state(slices, pair)
     ham = build_hamiltonian(pair)  # the memoized H the slices were solved with
     t_sync, t_final = max(t_ends), 0.55

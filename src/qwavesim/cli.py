@@ -70,14 +70,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qwavesim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def scenario_command(name, handler, help_text, estimates=False):
+    def scenario_command(name, run, help_text, estimates=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", help="output directory (overrides the scenario)")
         if estimates:
             p.add_argument("--seed", type=int, help="estimator seed override")
             p.add_argument("--shots", type=int, help="shot count override (switches to shot mode)")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=lambda args: _write_outputs(name, *run(args)))
         return p
 
     scenario_command("simulate", _run_simulate, "integrate a scenario end to end", True)
@@ -106,16 +106,26 @@ def _load(args) -> Scenario:
     )
 
 
-def _out_dir(scenario: Scenario) -> Path:
-    out = scenario.output_dir or os.environ.get("QWAVESIM_OUTPUT_DIR") or _DEFAULT_OUT
-    return Path(out)
+def _write_outputs(command: str, scenario: Scenario, files: list) -> int:
+    """Create the output directory, write each (name, io.write_*, data...) file, print the count.
+
+    A command computes all of its results before it returns its files, so a
+    run that fails computing writes nothing.
+    """
+    out = Path(scenario.output_dir or os.environ.get("QWAVESIM_OUTPUT_DIR") or _DEFAULT_OUT)
+    out.mkdir(parents=True, exist_ok=True)
+    written = 0
+    for name, write, *data in files:
+        written += write(out / name, *data)
+    print(f"{command}: wrote {written} files to {out}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
 
-def _run_simulate(args) -> int:
+def _run_simulate(args) -> tuple[Scenario, list]:
     scenario = _load(args)
     if scenario.t_final is None:
         raise ScenarioError(f"{scenario.path}: simulate needs an 'evolution' section")
@@ -133,18 +143,15 @@ def _run_simulate(args) -> int:
     )
     state = encode(traj.final, system)
     ham = build_hamiltonian(system)
-    write_measurements = _measure(scenario, state)
+    measurements = _measurement_files(scenario, state)
     manifest = _manifest(scenario, ham, dt, traj)
-
-    out = _out_dir(scenario)
-    out.mkdir(parents=True, exist_ok=True)
-    io.write_field_csv(out / "snapshots.csv", traj.times, traj.fields)
-    io.write_energy_csv(out / "energy.csv", traj.times, traj.energy)
-    io.write_state(out / "state.csv", state)
-    written = write_measurements(out)
-    io.write_json(out / "manifest.json", manifest)
-    print(f"simulate: wrote {5 + written} files to {out}")
-    return 0
+    return scenario, [
+        ("snapshots.csv", io.write_field_csv, traj.times, traj.fields),
+        ("energy.csv", io.write_energy_csv, traj.times, traj.energy),
+        ("state.csv", io.write_state, state),
+        *measurements,
+        ("manifest.json", io.write_json, manifest),
+    ]
 
 
 def _manifest(scenario: Scenario, ham, dt: float, traj) -> dict:
@@ -213,31 +220,20 @@ def _manifest(scenario: Scenario, ham, dt: float, traj) -> dict:
 # measure
 
 
-def _measure(scenario: Scenario, state):
-    """Estimate every measurement request now; return the writer of their JSON files.
-
-    The writer takes the output directory and returns how many files it
-    wrote. Estimating before anything is written keeps a failing run from
-    leaving partial output.
-    """
-    results = [
-        (req, estimate(state, req.projector, config=scenario.estimator))
+def _measurement_files(scenario: Scenario, state) -> list:
+    """Estimate every measurement request now; return their JSON files."""
+    return [
+        (
+            f"measurement_{req.name}.json",
+            io.write_measurement_json,
+            estimate(state, req.projector, config=scenario.estimator),
+            {"name": req.name, "subspace": req.description},
+        )
         for req in scenario.measurements
     ]
 
-    def write(out: Path) -> int:
-        for req, result in results:
-            io.write_measurement_json(
-                out / f"measurement_{req.name}.json",
-                result,
-                extra={"name": req.name, "subspace": req.description},
-            )
-        return len(results)
 
-    return write
-
-
-def _run_measure(args) -> int:
+def _run_measure(args) -> tuple[Scenario, list]:
     scenario = _load(args)
     state = io.read_state(args.state)
     if state.layout.num_physical != scenario.n_unknowns:
@@ -247,26 +243,21 @@ def _run_measure(args) -> int:
         )
     if not scenario.measurements:
         raise ScenarioError(f"{scenario.path}: no measurements requested")
-    write_measurements = _measure(scenario, state)
-    out = _out_dir(scenario)
-    out.mkdir(parents=True, exist_ok=True)
-    written = write_measurements(out)
-    print(f"measure: wrote {written} files to {out}")
-    return 0
+    return scenario, _measurement_files(scenario, state)
 
 
 # ---------------------------------------------------------------------------
 # presim
 
 
-def _run_presim(args) -> int:
+def _run_presim(args) -> tuple[Scenario, list]:
     scenario = _load(args)
     if not scenario.sources:
         raise ScenarioError(f"{scenario.path}: no sources to pre-simulate")
     system = scenario.system
 
     entries = []
-    fields = []
+    files = []
     for k, spec in enumerate(scenario.sources):
         if spec.decompose is not None:
             dec = spec.decompose
@@ -276,7 +267,7 @@ def _run_presim(args) -> int:
         parts = []
         for j, result in enumerate(slices):
             name = f"presim{k}_slice{j}.csv"
-            fields.append((name, result))
+            files.append((name, io.write_field_csv, [result.t_end], [result.field]))
             parts.append(
                 {
                     "file": name,
@@ -293,20 +284,14 @@ def _run_presim(args) -> int:
             }
         )
 
-    out = _out_dir(scenario)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, result in fields:
-        io.write_field_csv(out / name, [result.t_end], [result.field])
-    io.write_json(out / "presim.json", {"sources": entries})
-    print(f"presim: wrote {len(fields) + 1} files to {out}")
-    return 0
+    return scenario, [*files, ("presim.json", io.write_json, {"sources": entries})]
 
 
 # ---------------------------------------------------------------------------
 # initcircuit
 
 
-def _run_initcircuit(args) -> int:
+def _run_initcircuit(args) -> tuple[Scenario, list]:
     scenario = _load(args)
     if scenario.initcircuit is None:
         raise ScenarioError(f"{scenario.path}: no 'initcircuit' section")
@@ -329,12 +314,10 @@ def _run_initcircuit(args) -> int:
         "covariance_defect": covariance_defect(field, polar),
     }
 
-    out = _out_dir(scenario)
-    out.mkdir(parents=True, exist_ok=True)
-    io.write_circuit_json(out / "circuit.json", circuit)
-    io.write_json(out / "initcircuit_report.json", report)
-    print(f"initcircuit: wrote 2 files to {out}")
-    return 0
+    return scenario, [
+        ("circuit.json", io.write_circuit_json, circuit),
+        ("initcircuit_report.json", io.write_json, report),
+    ]
 
 
 # ---------------------------------------------------------------------------

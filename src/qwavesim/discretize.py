@@ -191,7 +191,8 @@ def build_grid(bounds: Sequence[Sequence[float]], shape: Sequence[int]) -> Stagg
     """Build a staggered grid over a 1D interval or 2D box.
 
     Args:
-        bounds: per-axis finite (low, high) with high > low.
+        bounds: per-axis finite (low, high) with high > low, and a spacing
+            whose reciprocal is finite.
         shape: per-axis node counts, each >= 2.
 
     Returns:
@@ -210,6 +211,10 @@ def build_grid(bounds: Sequence[Sequence[float]], shape: Sequence[int]) -> Stagg
         if not hi > lo:
             raise GridError("axis upper bound must exceed lower bound")
     spacing = tuple((hi - lo) / (n - 1) for (lo, hi), n in zip(bounds, shape))
+    for ax, ((lo, hi), n, dx) in enumerate(zip(bounds, shape, spacing)):
+        if not (dx > 0.0 and np.isfinite(1.0 / dx)):  # the difference weights are 1 / dx
+            raise GridError(f"grid.bounds[{ax}] = [{lo!r}, {hi!r}] over {n} nodes gives "
+                            f"the spacing {dx!r}, whose reciprocal is not a finite number")
 
     axes = [lo + dx * np.arange(n) for (lo, _), dx, n in zip(bounds, spacing, shape)]
     mids = [ax[:-1] + dx / 2 for ax, dx in zip(axes, spacing)]

@@ -2,10 +2,11 @@
 
 Every writer formats floats as ``repr(float(x))``, the shortest string that
 reads back to the same float64, and emits JSON keys in sorted order, so a
-rerun with the same inputs produces byte-identical files. CSV rows end in
-CRLF (``\r\n``), the terminator of Python's csv module; no cell is ever
-quoted. The CSV writers format a block of rows into one string and write it
-in one call.
+rerun with the same inputs produces byte-identical files. Each writer
+returns the number of files it wrote: two for a state and its sidecar.
+CSV rows end in CRLF (``\r\n``), the terminator of Python's csv module; no
+cell is ever quoted. The CSV writers format a block of rows into one string
+and write it in one call.
 
 Formats (one line each, documented fully in the README):
   state              index,real,imag  (+ .json sidecar: scale and layout)
@@ -55,8 +56,9 @@ def _floats(values) -> list[float]:
     return np.asarray(values, dtype=np.float64).tolist()
 
 
-def write_json(path, obj) -> None:
+def write_json(path, obj) -> int:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    return 1
 
 
 def read_json(path):
@@ -191,7 +193,7 @@ class JsonObject:
 # states
 
 
-def write_state(path, state: QuantumRegisterState) -> None:
+def write_state(path, state: QuantumRegisterState) -> int:
     path = Path(path)
     amps = state.amplitudes
     with open(path, "w", newline="") as fh:
@@ -209,7 +211,7 @@ def write_state(path, state: QuantumRegisterState) -> None:
             "augmented": state.layout.augmented,
         },
     }
-    write_json(str(path) + ".json", sidecar)
+    return 1 + write_json(str(path) + ".json", sidecar)
 
 
 def read_state(path) -> QuantumRegisterState:
@@ -441,7 +443,7 @@ def read_initial_csv(path, size: int) -> np.ndarray:
 # time series
 
 
-def write_field_csv(path, times, fields) -> None:
+def write_field_csv(path, times, fields) -> int:
     """Long-form ``time,dof,value`` rows, one snapshot after another."""
     with open(path, "w", newline="") as fh:
         fh.write("time,dof,value\r\n")
@@ -451,12 +453,14 @@ def write_field_csv(path, times, fields) -> None:
             for start in range(0, row.size, _ROWS_PER_WRITE):
                 rows = enumerate(_floats(row[start : start + _ROWS_PER_WRITE]), start)
                 fh.write("".join([f"{t},{k},{v!r}\r\n" for k, v in rows]))
+    return 1
 
 
-def write_energy_csv(path, times, energy) -> None:
+def write_energy_csv(path, times, energy) -> int:
     with open(path, "w", newline="") as fh:
         fh.write("time,energy\r\n")
         fh.write("".join([f"{t!r},{e!r}\r\n" for t, e in zip(_floats(times), _floats(energy))]))
+    return 1
 
 
 def read_source_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -473,7 +477,7 @@ def read_source_csv(path) -> tuple[np.ndarray, np.ndarray]:
 # measurement and circuits
 
 
-def write_measurement_json(path, result: EstimateResult, extra: dict | None = None) -> None:
+def write_measurement_json(path, result: EstimateResult, extra: dict | None = None) -> int:
     payload = {
         "value": result.value,
         "stderr": result.stderr,
@@ -490,10 +494,10 @@ def write_measurement_json(path, result: EstimateResult, extra: dict | None = No
     }
     if extra:
         payload.update(extra)
-    write_json(path, payload)
+    return write_json(path, payload)
 
 
-def write_circuit_json(path, circuit: GateCircuit) -> None:
+def write_circuit_json(path, circuit: GateCircuit) -> int:
     payload = {
         "register": {
             "component_qubits": circuit.n_component_qubits,
@@ -511,4 +515,4 @@ def write_circuit_json(path, circuit: GateCircuit) -> None:
             for g in circuit.gates
         ],
     }
-    write_json(path, payload)
+    return write_json(path, payload)

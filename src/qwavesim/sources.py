@@ -10,15 +10,18 @@ carry it forward unitarily. Several pulses become sub-states of one stacked
 register: synchronize each block from its own end time to a common time, then
 evolve all blocks together.
 
-Long sources are sliced into short pulses with double-sigmoid windows
+Long sources are sliced into short pulses by one window family, the
+WindowSchedule that the homogeneous ball fixes (window_schedule). Between
+adjacent breakpoints tau_j < tau_{j+1} the window is the double sigmoid
 
-    W_j(t) = sigmoid(z t) - sigmoid(z (t - width_j)),
+    W_j(t) = sigmoid(z (t - tau_j)) - sigmoid(z (t - tau_{j+1})),
 
-whose shifted sum telescopes to sigmoid(z(t - tau_first)) minus
-sigmoid(z(t - tau_last)): the partition of unity is exact up to boundary
-tails of order e^{-z margin}, so slicing commutes with the dynamics to that
-accuracy. In the z -> infinity limit the windows become half-open boxes and
-the slices partition the source samples exactly.
+and the windows' sum telescopes to sigmoid(z(t - tau_first)) minus
+sigmoid(z(t - tau_last)). The breakpoints reach a margin past each end of
+the source support, and z * margin = TAIL_CUT, so on the support the
+partition of unity is exact up to two tails of e^{-TAIL_CUT} each, and the
+slices W_j f sum to f within a few tens of e^{-TAIL_CUT} of its peak:
+slicing commutes with the dynamics to that accuracy.
 
 Each slice is short enough that its wave stays inside a homogeneous ball of
 radius r_s around the source, and is solved exactly on the grid by the
@@ -373,81 +376,32 @@ def assemble_multisource_state(
 
 
 # ---------------------------------------------------------------------------
-# windows
-
-
-def default_steepness(breakpoints) -> float:
-    """Steepness keeping the partition-of-unity deviation under 1e-3 inside."""
-    widths = np.diff(np.asarray(breakpoints, dtype=np.float64))
-    return 16.0 / float(widths.min())
-
-
-def _window(t, z: float, lo: float, hi: float):
-    """The double-sigmoid window expit(z (t - lo)) - expit(z (t - hi))."""
-    from scipy.special import expit
-
-    return expit(z * (t - lo)) - expit(z * (t - hi))
-
-
-def make_windows(
-    t_grid: np.ndarray, steepness: float, breakpoints
-) -> tuple[list[np.ndarray], float]:
-    """Evaluate the shifted windows on a grid and report the unity deviation.
-
-    Returns one array per window, W_j evaluated at the grid times, plus
-    max|sum_j W_j - 1| over grid points at least half a minimum width inside
-    the breakpoint span. Infinite steepness gives half-open box indicators
-    [tau_j, tau_{j+1}), which tile samples exactly.
-    """
-    bp = np.asarray(breakpoints, dtype=np.float64)
-    widths = np.diff(bp)
-    z = float(steepness)
-    if bp.size < 2 or np.any(widths <= 0):
-        raise SourceError("need at least two strictly increasing breakpoints")
-    if not z > 0:
-        raise SourceError("steepness must be positive (inf for the box limit)")
-    t = np.asarray(t_grid, dtype=np.float64)
-    windows = []
-    for j in range(bp.size - 1):
-        if np.isinf(z):
-            w = ((t >= bp[j]) & (t < bp[j + 1])).astype(np.float64)
-        else:
-            w = _window(t, z, bp[j], bp[j + 1])
-        windows.append(w)
-    total = np.sum(windows, axis=0)
-    delta = 0.5 * float(widths.min())
-    interior = (t >= bp[0] + delta) & (t <= bp[-1] - delta)
-    deviation = float(np.abs(total[interior] - 1.0).max()) if np.any(interior) else 0.0
-    return windows, deviation
-
-
-# ---------------------------------------------------------------------------
 # windowed Green's-function decomposition
 
 
 def _windowed_slice(
-    f: SourceTimeFunction, tau_lo: float, tau_hi: float, z: float, margin: float
+    f: SourceTimeFunction, schedule: WindowSchedule, tau_lo: float, tau_hi: float
 ) -> SourceTimeFunction:
-    """One window applied to f, truncated where the sigmoid tails die.
+    """f under the schedule's window from tau_lo to tau_hi, truncated where its tails die.
 
-    Anything beyond z*margin sigmoid widths is at the exp(-TAIL_CUT) level
-    of the parent pulse and is deliberately discarded, so values down at
-    that floor are flushed to exact zeros; otherwise a slice cut deep in
-    the parent's tail would fail the compact-support check against its own
-    tiny peak.
+    Anything beyond schedule.margin past either breakpoint is at the
+    exp(-TAIL_CUT) level of the parent pulse and is deliberately discarded,
+    so values down at that floor are flushed to exact zeros; otherwise a
+    slice cut deep in the parent's tail would fail the compact-support check
+    against its own tiny peak.
     """
-    lo = max(tau_lo - margin, f.t_start)
-    hi = min(tau_hi + margin, f.t_end)
+    lo = max(tau_lo - schedule.margin, f.t_start)
+    hi = min(tau_hi + schedule.margin, f.t_end)
     floor = 10.0 * np.exp(-TAIL_CUT) * float(np.abs(f.values).max())
 
     def fn(t):
-        raw = _window(t, z, tau_lo, tau_hi) * np.asarray(f(t), dtype=np.float64)
+        raw = schedule.window(t, tau_lo, tau_hi) * np.asarray(f(t), dtype=np.float64)
         return np.where(np.abs(raw) <= floor, 0.0, raw)
 
     times = np.linspace(lo, hi, 257)
     return SourceTimeFunction(
         times=times, values=fn(times), t_start=lo, t_end=hi,
-        dt_hint=min(f.dt_hint, 3.0 / z), kind="windowed_slice", fn=fn,
+        dt_hint=min(f.dt_hint, 3.0 / schedule.z), kind="windowed_slice", fn=fn,
     )
 
 
@@ -460,7 +414,8 @@ class WindowSchedule:
     grid_margin the discretization margin in time, and width what is left
     of t_hom for one window. The windows tile [first, last], the source
     support widened by margin on each side; count is their number, as a
-    float, and meaningful only when width > 0.
+    float, and meaningful only when width > 0. window evaluates one window;
+    slices cuts a source with all of them, for greens_decompose and checks.
     """
 
     first: float
@@ -477,6 +432,17 @@ class WindowSchedule:
     def breakpoints(self) -> list[float]:
         n_windows = counted(self.count, "windows over the source support")
         return [self.first + j * self.width for j in range(n_windows)] + [self.last]
+
+    def window(self, t, tau_lo: float, tau_hi: float):
+        """The window expit(z (t - tau_lo)) - expit(z (t - tau_hi)) between two breakpoints."""
+        from scipy.special import expit
+
+        return expit(self.z * (t - tau_lo)) - expit(self.z * (t - tau_hi))
+
+    def slices(self, f: SourceTimeFunction) -> list[SourceTimeFunction]:
+        """f cut into windowed slices, one per pair of adjacent breakpoints, in time order."""
+        bp = self.breakpoints()
+        return [_windowed_slice(f, self, lo, hi) for lo, hi in zip(bp[:-1], bp[1:])]
 
 
 def window_schedule(
@@ -530,8 +496,8 @@ def greens_decompose(
 
     The medium must be homogeneous (rho_hom, c_hom) inside the ball of radius
     r_s around the source; each slice is short enough that its wave stays in
-    that ball, margins included. The windows follow window_schedule, whose
-    steepness is fixed by the ball. Every slice is the exact grid response by
+    that ball, margins included. The slices are those of window_schedule,
+    whose steepness is fixed by the ball. Every slice is the exact grid response by
     eigenbasis quadrature, solved with the H that build_hamiltonian memoizes
     on the system object, so one decomposition serves every slice and any
     later sync or mult generator built from the same system.
@@ -564,14 +530,11 @@ def greens_decompose(
             "enlarge the ball"
         )
     _require_ball_in_domain(grid, center, r_s, "homogeneous ball")
-    breakpoints = schedule.breakpoints()
 
     chi = system.restrict(chi_pattern(source, grid))
 
     slices = []
-    for j in range(len(breakpoints) - 1):
-        tau_lo, tau_hi = breakpoints[j], breakpoints[j + 1]
-        g = _windowed_slice(f, tau_lo, tau_hi, schedule.z, schedule.margin)
+    for g in schedule.slices(f):
         slice_cone = c_hom * g.duration
         radius = min(r_s, slice_cone + _support_margin_cells(slice_cone / dx_max) * dx_max)
         w = spectral_forced_solution(system, chi, g, g.t_start, g.t_end)

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import qwavesim as q
 from qwavesim import checks, cli
@@ -787,6 +793,9 @@ _MALFORMED = [
     _case("shape-2^63", {"grid": {"bounds": [[0.0, 1.0]], "shape": [2**63]}}, "grid.shape"),
     _case("bounds-infinite", {"grid": {"bounds": [[0.0, float("inf")]], "shape": [32]}},
           "grid.bounds must be a finite number"),
+    # a spacing that underflows to zero ended in a ZeroDivisionError in the assembly
+    _case("bounds-spacing-underflowing", {"grid": {"bounds": [[0.0, 5e-324]], "shape": [32]}},
+          "grid.bounds[0] = [0.0, 5e-324] over 32 nodes gives the spacing 0.0,"),
     _case("indices-fraction", _measure({"kind": "indices", "indices": [1.5]}),
           "measurements[0].subspace.indices"),
     _case("indices-past-int64", _measure({"kind": "indices", "indices": [2**70]}),
@@ -906,6 +915,68 @@ def test_malformed_field_exits_one_naming_the_key(
     assert message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# each mutated leaf takes one of these; a grid.shape entry never takes 2**31
+# or 2**63, whose node tables (16 GiB at 2**31) fit in some hosts' memory
+_MUTANTS = (0, -1, 0.5, 1e308, 5e-324, 1e-300, -0.0, 2**63, 2**31, "x", True, None, [], {},
+            [1.0, 2.0, 3.0])
+_SHIPPED_RUNS = (("acoustic_demo", "simulate"), ("acoustic_demo", "presim"),
+                 ("driven_boundary_demo", "simulate"), ("initcircuit_demo", "initcircuit"))
+
+
+def _leaves(node, path=()):
+    """The path of every leaf of a JSON value: scalars, nulls and empty containers."""
+    if node and isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+@st.composite
+def _mutated_runs(draw):
+    """A shipped scenario, the command it runs, and one or two of its leaves replaced."""
+    name, command = draw(st.sampled_from(_SHIPPED_RUNS))
+    leaves = list(_leaves(json.loads((SCENARIOS / f"{name}.json").read_text())))
+    paths = draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=2, unique=True))
+    mutations = []
+    for path in paths:
+        values = _MUTANTS
+        if path[:2] == ("grid", "shape"):
+            values = [v for v in _MUTANTS if v not in (2**31, 2**63)]
+        mutations.append((path, draw(st.sampled_from(values))))
+    return name, command, tuple(mutations)
+
+
+@example(run=("acoustic_demo", "simulate", ((("grid", "bounds", 0, 1), 5e-324),)))
+@given(run=_mutated_runs())
+def test_a_mutated_shipped_scenario_ends_on_the_contract(run):
+    # exit 0, 1 or 2 with no traceback, and no output directory unless it exits 0
+    name, command, mutations = run
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    for path, value in mutations:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("QWAVESIM_OUTPUT_DIR", None)
+        scenario = _write(Path(tmp), doc)
+        work = Path(tmp) / "work"
+        work.mkdir()
+        err = io.StringIO()
+        home = os.getcwd()
+        os.chdir(work)  # a relative output_dir lands in work
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([command, "--scenario", str(scenario)])
+        finally:
+            os.chdir(home)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert not any(work.iterdir())
 
 
 # one scenario holding every kind of object the loader reads
@@ -1276,6 +1347,30 @@ def test_usage_problems_exit_with_code_one():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nonsense"])
     assert exc.value.code == 1
+
+
+def test_the_initcircuit_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 256 radial divisions the direct state holds 131,072 values, past the
+    # 10,000 at which OpenBLAS splits a dot over its threads
+    doc = json.loads((SCENARIOS / "initcircuit_demo.json").read_text())
+    doc["initcircuit"]["radial_divisions"] = 256
+    scenario = _write(tmp_path, doc)
+    src = str(Path(q.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        done = subprocess.run(
+            [sys.executable, "-m", "qwavesim", "initcircuit", "--scenario", str(scenario),
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        reports.append((out / "initcircuit_report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -268,89 +269,73 @@ def test_assemble_validation(rng):
 # windows
 
 
-def test_partition_of_unity_at_default_steepness():
-    breakpoints = [0.0, 0.3, 0.7, 1.0]
-    z = q.default_steepness(breakpoints)
-    t = np.linspace(-0.2, 1.2, 4001)
-    windows, deviation = q.make_windows(t, z, breakpoints)
-    assert len(windows) == 3
-    assert deviation < 1e-3
-
-
-def test_partition_deviation_shrinks_with_steepness():
-    breakpoints = [0.0, 0.4, 1.0]
-    t = np.linspace(0.0, 1.0, 2001)
-    devs = [q.make_windows(t, z, breakpoints)[1] for z in (40.0, 80.0, 160.0)]
-    assert devs[0] > devs[1] > devs[2]
-
-
-def test_windowed_reconstruction_improves_with_steepness():
-    breakpoints = [0.0, 0.5, 1.0]
-    t = np.linspace(0.05, 0.95, 1001)
-    f = np.sin(np.pi * t) ** 2
-    errs = []
-    for z in (40.0, 80.0, 160.0):
-        windows, _ = q.make_windows(t, z, breakpoints)
-        recon = np.sum([w * f for w in windows], axis=0)
-        errs.append(np.abs(recon - f).max())
-    assert errs[0] > errs[1] > errs[2]
-
-
-def test_box_limit_tiles_samples_exactly():
-    t = np.linspace(0.0, 1.0, 201)
-    v = np.cos(3.0 * t)
-    breakpoints = [0.0, 0.31, 0.62, 1.0 + 1e-9]
-    windows, deviation = q.make_windows(t, np.inf, breakpoints)
-    member = np.sum([w for w in windows], axis=0)
-    np.testing.assert_array_equal(member, 1.0)
-    for w in windows:
-        assert set(np.unique(w)) <= {0.0, 1.0}
-    recon = np.sum([w * v for w in windows], axis=0)
-    np.testing.assert_array_equal(recon, v)
-    assert deviation == 0.0
-
-
 @st.composite
-def _breakpoints(draw):
-    start = draw(st.floats(-10.0, 10.0))
-    widths = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=6))
-    return (start + np.concatenate([[0.0], np.cumsum(widths)])).tolist()
+def _scheduled_pulses(draw):
+    """A pulse and the window schedule of a ball with room for windows.
+
+    The ball spans at least 50 cells, where the grid margin leaves every
+    window a positive width, and each pulse lasts at most 14 crossing
+    times of the ball, so it is cut into at most about 160 windows.
+    """
+    c, rho = draw(st.floats(0.2, 5.0)), draw(st.floats(0.2, 5.0))
+    dx = draw(st.floats(1e-4, 1.0))
+    radius = draw(st.floats(50.0, 2000.0)) * dx
+    t_hom = radius / c
+    offset = draw(st.floats(-5.0, 5.0)) * t_hom
+    amplitude = draw(st.floats(0.1, 3.0)) * draw(st.sampled_from([1.0, -1.0]))
+    kind = draw(st.sampled_from(["gaussian", "ricker", "windowed_sine"]))
+    if kind == "gaussian":
+        f = q.gaussian_pulse(offset, draw(st.floats(0.005, 1.0)) * t_hom, amplitude)
+    elif kind == "ricker":
+        peak = 1.0 / (draw(st.floats(0.01, 3.0)) * t_hom)
+        f = q.ricker_wavelet(peak, offset + 2.0 / peak, amplitude)
+    else:
+        duration = draw(st.floats(0.01, 10.0)) * t_hom
+        f = q.windowed_sine(draw(st.floats(0.5, 20.0)) / duration, offset, duration, amplitude)
+    return f, sources.window_schedule(f, c, rho, radius, dx)
 
 
-@given(breakpoints=_breakpoints(), factor=st.floats(1.0, 100.0))
-def test_partition_of_unity_on_random_windows(breakpoints, factor):
-    bp = np.asarray(breakpoints)
-    delta = 0.5 * np.diff(bp).min()
-    # a grid over the span and past it, the interior edges, and every window's middle
-    t = np.concatenate([
-        np.linspace(bp[0] - 1.0, bp[-1] + 1.0, 2001),
-        [bp[0] + delta, bp[-1] - delta],
-        0.5 * (bp[:-1] + bp[1:]),
-    ])
-    windows, deviation = q.make_windows(t, q.default_steepness(breakpoints) * factor, breakpoints)
-    assert len(windows) == bp.size - 1
-    assert deviation < 1e-3
-
-
-@given(breakpoints=_breakpoints(), samples=st.lists(st.floats(-20.0, 90.0), max_size=50))
-def test_box_windows_put_each_sample_in_one_window(breakpoints, samples):
-    t = np.array(samples + breakpoints)
-    windows, deviation = q.make_windows(t, np.inf, breakpoints)
-    assert set(np.unique(windows)) <= {0.0, 1.0}
-    inside = (t >= breakpoints[0]) & (t < breakpoints[-1])
-    np.testing.assert_array_equal(np.sum(windows, axis=0), inside.astype(np.float64))
-    assert deviation == 0.0
+@given(pulse=_scheduled_pulses())
+def test_partition_of_unity_on_random_windows(pulse):
+    # the windows the schedule cuts with, and the slices they cut, on random pulses and balls
+    f, schedule = pulse
+    assert schedule.width > 0
+    for name, value, tol in checks._window_rows(f, schedule):
+        assert value <= tol, name
+    assert len(schedule.slices(f)) == len(schedule.breakpoints()) - 1 == schedule.count
 
 
 def test_window_spec_validation():
-    t = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(SourceError, match="at least two strictly increasing breakpoints"):
-        q.make_windows(t, 1.0, (0.0,))
-    with pytest.raises(SourceError, match="at least two strictly increasing breakpoints"):
-        q.make_windows(t, 1.0, (0.0, 0.0, 1.0))
-    with pytest.raises(SourceError, match=r"steepness must be positive \(inf for the box limit\)"):
-        q.make_windows(t, 0.0, (0.0, 1.0))
-    assert q.default_steepness([0.0, 0.25, 1.0]) == pytest.approx(64.0)
+    # greens_decompose refuses, through window_schedule, a ball whose derived
+    # window values float64 cannot hold, before any of them is used
+    pair = build_acoustic_1d(n=64)
+    src = _scalar_source(64, center=0.1, sigma=0.01, node=32)
+    for c, radius, what in [
+        (1e308, 0.45, "a scalar weight 1 / (rho c**2) of 0.0"),
+        (1.0, 5e-324, "a sigmoid margin of 0.0"),
+        (1.0, 1e308, "a cone length in cells of inf"),
+    ]:
+        with pytest.raises(SourceError, match=re.escape(what)):
+            q.greens_decompose(src, c, 1.0, radius, pair)
+
+
+def test_the_windows_check_and_greens_decompose_cut_with_one_schedule(monkeypatch):
+    _, pair, source, radius = checks._sliced_source()
+    before_rows = checks.windows()
+    before = q.greens_decompose(source, 1.0, 1.0, radius, pair)
+    window = sources.WindowSchedule.window
+    monkeypatch.setattr(
+        sources.WindowSchedule, "window", lambda self, t, lo, hi: 1.001 * window(self, t, lo, hi)
+    )
+    after_rows = checks.windows()
+    after = q.greens_decompose(source, 1.0, 1.0, radius, pair)
+    for (name, old, _), (_, new, _) in zip(before_rows, after_rows):
+        assert new > 100 * old, name
+    assert len(after) == len(before)
+    old, new = (np.concatenate([s.field for s in slices]) for slices in (before, after))
+    peak = np.abs(old).max()
+    assert peak > 0
+    np.testing.assert_allclose(new, 1.001 * old, rtol=0, atol=1e-9 * peak)
 
 
 # ---------------------------------------------------------------------------
