@@ -5,8 +5,13 @@ reads back to the same float64, and emits JSON keys in sorted order, so a
 rerun with the same inputs produces byte-identical files. Each writer
 returns the number of files it wrote: two for a state and its sidecar.
 CSV rows end in CRLF (``\r\n``), the terminator of Python's csv module; no
-cell is ever quoted. The CSV writers format a block of rows into one string
-and write it in one call.
+cell is ever quoted. Each CSV writer is a header and a row formatter, and
+_write_table writes the table: it formats _ROWS_PER_WRITE rows into one
+string per write, and cuts the rows into up to one contiguous part per
+usable CPU, each of at least _ROWS_PER_PART rows. The caller formats the
+first part into the file; a forked child formats each later part into an
+anonymous temporary file, which the caller appends in order. The bytes do
+not depend on the number of parts.
 
 Formats (one line each, documented fully in the README):
   state              index,real,imag  (+ .json sidecar: scale and layout)
@@ -32,9 +37,14 @@ or whose amplitudes cannot be allocated before it parses the table.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 import re
+import shutil
+import signal
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -50,10 +60,77 @@ from .measurement import EstimateResult
 # writers' peak memory does not grow with the snapshot or state size
 _ROWS_PER_WRITE = 2048
 
+# fewest rows worth a forked formatter: below this, fork and copy cost more
+# than the formatting they take off the caller
+_ROWS_PER_PART = 16384
+
 
 def _floats(values) -> list[float]:
     """Python floats, so that ``!r`` gives the float repr, not ``np.float64(...)``."""
     return np.asarray(values, dtype=np.float64).tolist()
+
+
+def _parts(n_rows: int) -> int:
+    """How many processes format a table of n_rows: one per usable CPU, each
+    with at least _ROWS_PER_PART rows, and one where the OS cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_rows // _ROWS_PER_PART))
+
+
+def _write_table(path, header: str, n_rows: int, rows) -> int:
+    """Write a CSV table: the header, then rows(start, stop) for rows [start, stop).
+
+    The rows are cut into _parts(n_rows) contiguous ranges. The caller formats
+    the first into path; each later one is formatted by a forked child into an
+    anonymous temporary file, which the caller appends in order once that child
+    exits. The bytes are those of one process formatting every row. A child
+    that fails raises OSError naming path, and no child outlives the call.
+    """
+    path = Path(path)
+    parts = _parts(n_rows)
+    bounds = [n_rows * i // parts for i in range(parts + 1)]
+    children = []  # (pid, temporary file) of each child still to reap, in row order
+    try:
+        with contextlib.ExitStack() as temporaries, open(path, "wb") as fh:
+            fh.write(f"{header}\r\n".encode())
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                part = temporaries.enter_context(tempfile.TemporaryFile(dir=path.parent))
+                pid = os.fork()
+                if pid == 0:
+                    _format_part(part, rows, start, stop)  # never returns
+                children.append((pid, part))
+            _format_rows(fh, rows, 0, bounds[1])
+            while children:
+                pid, part = children[0]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                if code != 0:
+                    raise OSError(f"{path}: the child process formatting part of its rows "
+                                  f"exited with {code}")
+                part.seek(0)
+                shutil.copyfileobj(part, fh)
+    finally:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return 1
+
+
+def _format_rows(fh, rows, start: int, stop: int) -> None:
+    for block in range(start, stop, _ROWS_PER_WRITE):
+        fh.write(rows(block, min(block + _ROWS_PER_WRITE, stop)).encode())
+
+
+def _format_part(part, rows, start: int, stop: int) -> None:
+    """In a forked child: format rows [start, stop) into part and exit, 0 on success."""
+    code = 1
+    try:
+        _format_rows(part, rows, start, stop)
+        part.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def write_json(path, obj) -> int:
@@ -194,14 +271,14 @@ class JsonObject:
 
 
 def write_state(path, state: QuantumRegisterState) -> int:
-    path = Path(path)
     amps = state.amplitudes
-    with open(path, "w", newline="") as fh:
-        fh.write("index,real,imag\r\n")
-        for start in range(0, amps.size, _ROWS_PER_WRITE):
-            block = amps[start : start + _ROWS_PER_WRITE]
-            rows = zip(range(start, start + block.size), _floats(block.real), _floats(block.imag))
-            fh.write("".join([f"{i},{re!r},{im!r}\r\n" for i, re, im in rows]))
+
+    def rows(start: int, stop: int) -> str:
+        block = amps[start:stop]
+        cells = zip(range(start, stop), _floats(block.real), _floats(block.imag))
+        return "".join([f"{i},{re!r},{im!r}\r\n" for i, re, im in cells])
+
+    _write_table(path, "index,real,imag", amps.size, rows)
     sidecar = {
         "scale": state.scale,
         "layout": {
@@ -445,22 +522,29 @@ def read_initial_csv(path, size: int) -> np.ndarray:
 
 def write_field_csv(path, times, fields) -> int:
     """Long-form ``time,dof,value`` rows, one snapshot after another."""
-    with open(path, "w", newline="") as fh:
-        fh.write("time,dof,value\r\n")
-        for t, row in zip(times, fields):
-            t = repr(float(t))
-            row = np.asarray(row, dtype=np.float64)
-            for start in range(0, row.size, _ROWS_PER_WRITE):
-                rows = enumerate(_floats(row[start : start + _ROWS_PER_WRITE]), start)
-                fh.write("".join([f"{t},{k},{v!r}\r\n" for k, v in rows]))
-    return 1
+    stamps = [repr(float(t)) for t in times]
+    fields = np.asarray(fields)[: len(stamps)]
+    width = fields.shape[1] if fields.ndim == 2 else 0
+
+    def rows(start: int, stop: int) -> str:
+        lines = []
+        for snap in range(start // width, -(-stop // width)):
+            t, first = stamps[snap], snap * width
+            lo = max(start - first, 0)
+            values = enumerate(_floats(fields[snap, lo : stop - first]), lo)
+            lines += [f"{t},{k},{v!r}\r\n" for k, v in values]
+        return "".join(lines)
+
+    return _write_table(path, "time,dof,value", len(fields) * width, rows)
 
 
 def write_energy_csv(path, times, energy) -> int:
-    with open(path, "w", newline="") as fh:
-        fh.write("time,energy\r\n")
-        fh.write("".join([f"{t!r},{e!r}\r\n" for t, e in zip(_floats(times), _floats(energy))]))
-    return 1
+    times, energy = _floats(times), _floats(energy)
+
+    def rows(start: int, stop: int) -> str:
+        return "".join([f"{t!r},{e!r}\r\n" for t, e in zip(times[start:stop], energy[start:stop])])
+
+    return _write_table(path, "time,energy", min(len(times), len(energy)), rows)
 
 
 def read_source_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -71,11 +71,12 @@ class Trajectory:
 
 
 def cfl_limit(system) -> float:
-    """Largest admissible leapfrog step for this discretization."""
+    """Largest admissible leapfrog step for this discretization, a Python float
+    (messages that print it read ``1e-300``, not ``np.float64(1e-300)``)."""
     grid = system.grid
     c_max = system.material.max_speed
     dx_min = min(grid.spacing)
-    return CFL_SAFETY * dx_min / (c_max * np.sqrt(grid.dimension))
+    return float(CFL_SAFETY * dx_min / (c_max * np.sqrt(grid.dimension)))
 
 
 def _split_blocks(system):

@@ -3,6 +3,7 @@ bulk CSV reader, against the csv.reader row loop it falls back to."""
 import csv
 import gzip
 import json
+import os
 import warnings
 
 import numpy as np
@@ -81,6 +82,111 @@ def test_state_bytes_match_the_csv_writer_reference(tmp_path, monkeypatch, block
     assert (tmp_path / "state.csv.json").read_text() == json.dumps(sidecar, indent=2) + "\n"
     back = io.read_state(tmp_path / "state.csv")
     assert np.array_equal(back.amplitudes.view(np.uint64), state.amplitudes.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# tables cut into parts, each later part formatted by a forked child
+
+forking = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")), reason="needs os.fork"
+)
+
+
+def _fork_into(monkeypatch, cpus: int) -> list[int]:
+    """Make the writers cut each table into parts of at least 3 rows, up to
+    one per CPU of a cpus-CPU affinity mask; return the pids of the children."""
+    monkeypatch.setattr(io, "_ROWS_PER_PART", 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _no_child_and_only(directory, names):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(p.name for p in directory.iterdir()) == names
+
+
+@forking
+@pytest.mark.parametrize("cpus", [3, 4], ids=["split-on-snapshots", "split-in-snapshots"])
+def test_forked_writers_match_the_csv_writer_reference(tmp_path, monkeypatch, cpus):
+    # 3 CPUs cut the 3 snapshots of 10 rows at rows 10 and 20, 4 CPUs at 7, 15 and 22
+    pids = _fork_into(monkeypatch, cpus)
+    for i, (dtype, block) in enumerate([(np.float64, 2048), (np.float32, 2)]):
+        (tmp_path / f"field{i}").mkdir()
+        test_field_csv_bytes_match_the_csv_writer_reference(
+            tmp_path / f"field{i}", monkeypatch, dtype, block
+        )
+    for name, test in [("single", test_single_snapshot_field_csv_matches_the_reference),
+                       ("energy", test_energy_csv_bytes_match_the_csv_writer_reference)]:
+        (tmp_path / name).mkdir()
+        test(tmp_path / name)
+    (tmp_path / "state").mkdir()
+    test_state_bytes_match_the_csv_writer_reference(tmp_path / "state", monkeypatch, 2048)
+    # field tables in cpus - 1 children each, then a single snapshot and two energy tables in 2
+    # each, and the state in min(cpus, 16 // 3) - 1
+    assert len(pids) == 2 * (cpus - 1) + 3 * 2 + cpus - 1
+    _no_child_and_only(tmp_path, ["energy", "field0", "field1", "single", "state"])
+
+
+def _counting_rows(fail):
+    """A row formatter of single-cell rows that raises where fail() is true."""
+    def rows(start, stop):
+        if fail():
+            raise ArithmeticError(f"rows {start} to {stop}")
+        return "".join(f"{i}\r\n" for i in range(start, stop))
+    return rows
+
+
+@forking
+def test_a_child_that_fails_raises_oserror_naming_the_table(tmp_path, monkeypatch):
+    pids = _fork_into(monkeypatch, 4)
+    caller = os.getpid()
+    path = tmp_path / "table.csv"
+    with pytest.raises(OSError, match=f"{path}: the child process"):
+        io._write_table(path, "i", 12, _counting_rows(lambda: os.getpid() != caller))
+    assert len(pids) == 3
+    _no_child_and_only(tmp_path, ["table.csv"])
+
+
+@forking
+def test_a_first_part_that_fails_passes_its_error_through(tmp_path, monkeypatch):
+    pids = _fork_into(monkeypatch, 4)
+    caller = os.getpid()
+    with pytest.raises(ArithmeticError, match="rows 0 to 3"):
+        io._write_table(tmp_path / "table.csv", "i", 12,
+                        _counting_rows(lambda: os.getpid() == caller))
+    assert len(pids) == 3
+    _no_child_and_only(tmp_path, ["table.csv"])
+
+
+@forking
+def test_a_table_splits_into_parts_with_the_same_bytes(tmp_path, monkeypatch):
+    pids = _fork_into(monkeypatch, 4)
+    io._write_table(tmp_path / "table.csv", "i", 13, _counting_rows(lambda: False))
+    assert len(pids) == 3
+    expected = "".join(f"{i}\r\n" for i in ["i", *range(13)]).encode()
+    assert (tmp_path / "table.csv").read_bytes() == expected
+    _no_child_and_only(tmp_path, ["table.csv"])
+
+
+@forking
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_without_fork_or_cpu_affinity_one_process_formats_the_table(monkeypatch, missing):
+    monkeypatch.setattr(io, "_ROWS_PER_PART", 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert io._parts(12) == 2
+    monkeypatch.delattr(os, missing, raising=False)
+    assert io._parts(12) == 1
 
 
 # ---------------------------------------------------------------------------

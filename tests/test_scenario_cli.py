@@ -796,6 +796,9 @@ _MALFORMED = [
     # a spacing that underflows to zero ended in a ZeroDivisionError in the assembly
     _case("bounds-spacing-underflowing", {"grid": {"bounds": [[0.0, 5e-324]], "shape": [32]}},
           "grid.bounds[0] = [0.0, 5e-324] over 32 nodes gives the spacing 0.0,"),
+    # the default step of a tiny spacing: too many steps, and the step reads as a float
+    _case("bounds-steps-past-cell-updates", {"grid": {"bounds": [[0.0, 1e-300]], "shape": [32]}},
+          "evolution.dt 1.4516129032258066e-302 and evolution.t_final 0.1 need 6.89e+300"),
     _case("indices-fraction", _measure({"kind": "indices", "indices": [1.5]}),
           "measurements[0].subspace.indices"),
     _case("indices-past-int64", _measure({"kind": "indices", "indices": [2**70]}),
@@ -914,6 +917,7 @@ def test_malformed_field_exits_one_naming_the_key(
     assert "qwavesim: validation error:" in err
     assert message in err
     assert "Traceback" not in err
+    assert "np." not in err
     assert not out.exists()
 
 
@@ -1253,18 +1257,24 @@ def test_shot_override_without_a_seed_is_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, demo, args",
+    "command, demo, args, forked",
     [
-        ("simulate", "driven_boundary_demo", []),
-        ("presim", "acoustic_demo", []),
-        ("initcircuit", "initcircuit_demo", []),
-        ("measure", "driven_boundary_demo", ["--shots", "1000", "--seed", "3"]),
-        ("simulate", "acoustic_demo", []),
+        ("simulate", "driven_boundary_demo", [], False),
+        ("presim", "acoustic_demo", [], False),
+        ("initcircuit", "initcircuit_demo", [], False),
+        ("measure", "driven_boundary_demo", ["--shots", "1000", "--seed", "3"], False),
+        ("simulate", "acoustic_demo", [], False),
+        ("simulate", "driven_boundary_demo", [], True),
+        ("presim", "acoustic_demo", [], True),
     ],
-    ids=["simulate", "presim", "initcircuit", "measure", "simulate-point-source"],
+    ids=["simulate", "presim", "initcircuit", "measure", "simulate-point-source",
+         "simulate-forked", "presim-forked"],
 )
-def test_outputs_are_byte_for_byte_deterministic(tmp_path, command, demo, args):
-    # every command promises byte-identical reruns, not only simulate
+def test_outputs_are_byte_for_byte_deterministic(
+    tmp_path, monkeypatch, command, demo, args, forked
+):
+    # every command promises byte-identical reruns, not only simulate; a
+    # forked rerun cuts each table into parts of 3 rows over 4 processes
     demo = str(SCENARIOS / f"{demo}.json")
     if command == "measure":
         stored = tmp_path / "stored"
@@ -1273,7 +1283,15 @@ def test_outputs_are_byte_for_byte_deterministic(tmp_path, command, demo, args):
     first = tmp_path / "first"
     second = tmp_path / "second"
     assert cli.main([command, "--scenario", demo, "--out", str(first), *args]) == 0
+    pids, fork = [], getattr(os, "fork", None)
+    if forked:
+        if not (fork and hasattr(os, "sched_getaffinity")):
+            pytest.skip("needs os.fork")
+        monkeypatch.setattr(q.io, "_ROWS_PER_PART", 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
     assert cli.main([command, "--scenario", demo, "--out", str(second), *args]) == 0
+    assert bool(pids) == forked
     names = sorted(p.name for p in first.iterdir())
     assert names
     assert names == sorted(p.name for p in second.iterdir())
