@@ -131,13 +131,15 @@ def _run_simulate(args) -> tuple[Scenario, list]:
         raise ScenarioError(f"{scenario.path}: simulate needs an 'evolution' section")
     system = scenario.system
     dt = scenario.dt
+    # the walls' data, then the point sources: the order the leapfrog sums them in
+    forcings = (getattr(system, "induced", None), scenario.external_forcing())
 
     traj = leapfrog_evolve(
         system,
         scenario.initial,
         dt,
         scenario.t_final,
-        source=scenario.external_forcing(),
+        forcings=[f for f in forcings if f is not None],
         record_every=scenario.record_every,
         t_start=scenario.t_start,
     )

@@ -33,6 +33,11 @@ scalar/flux split, and a K with a stored entry inside either diagonal block
 is refused. The dense decomposition is the real thin SVD (s, U, V) of C,
 applied in this real form; no complex eigenvectors are built.
 
+A Hamiltonian is verified once, where ``from_matrix`` makes it, so no user
+checks H = iK again: K must be finite, real, chiral and antisymmetric to
+HERMITICITY_TOL of max|K| (the defect is rounding that grows with the
+entries). ``Hamiltonian.propagate`` is the one way to apply e^{-iHt}.
+
 A register state may stack several sub-states (block dimension times arity)
 and may carry one auxiliary qubit in front (the measurement layout); the
 layout bookkeeping lives here so every module talks about the same ordering:
@@ -45,10 +50,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .discretize import antisymmetry_defect, diagonal_block_entry
+from .discretize import antisymmetry_defect, canonical_csr, diagonal_block_entry
 from .errors import EncodingError, NumericalError
 
-HERMITICITY_TOL = 1e-12
+HERMITICITY_TOL = 1e-12  # of max|K|
+MAX_DENSE_DIM = 4096  # largest dimension propagate decomposes without a cached decomposition
 DECODE_IMAG_TOL = 1e-9
 _MEMO_KEY = "_hamiltonian"  # where build_hamiltonian keeps a system's H
 
@@ -156,10 +162,11 @@ def stack_substates(vectors) -> QuantumRegisterState:
     len(vectors) rounded up to a power of two, with zero pad blocks. The
     stack is normalized and its norm kept as the scale (all zeros give the
     null state). The norm is taken over the vectors themselves, not the
-    padded stack, and their real and imaginary parts are divided by it
-    separately, straight into the register, so one real vector gets exactly
-    the scale of np.linalg.norm and the amplitudes of a real division.
-    Callers validate the vectors.
+    padded stack, as numpy's pairwise sum of the squares of their real and
+    imaginary parts, not a BLAS dot, so it does not change with the BLAS
+    thread count. The real and imaginary parts are divided by it
+    separately, straight into the register, so one real vector gets the
+    amplitudes of a real division. Callers validate the vectors.
     """
     vectors = [np.asarray(v) for v in vectors]
     n = len(vectors[0])
@@ -167,7 +174,7 @@ def stack_substates(vectors) -> QuantumRegisterState:
     m = next_power_of_two(len(vectors))
     stacked = np.zeros(m * block, dtype=np.complex128)
     layout = StateLayout(num_physical=n, block_dim=block, arity=m)
-    scale = float(np.sqrt(sum(np.vdot(v, v).real for v in vectors)))
+    scale = float(np.sqrt(sum(map(_squared_norm, vectors))))
     if scale == 0.0:
         return QuantumRegisterState(amplitudes=stacked, scale=0.0, layout=layout)
     for row, v in zip(stacked.reshape(m, block), vectors):
@@ -177,6 +184,12 @@ def stack_substates(vectors) -> QuantumRegisterState:
     return QuantumRegisterState(amplitudes=stacked, scale=scale, layout=layout)
 
 
+def _squared_norm(v: np.ndarray) -> float:
+    """numpy's pairwise sums of the squared real parts, plus the imaginary ones if any."""
+    total = np.sum(np.square(v.real))
+    return total + np.sum(np.square(v.imag)) if np.iscomplexobj(v) else total
+
+
 @dataclass
 class Hamiltonian:
     """The Hermitian generator H = iK, held as the real antisymmetric K.
@@ -184,14 +197,11 @@ class Hamiltonian:
     generator is K as canonical float64 CSR (sorted indices, no duplicates,
     no stored zeros); maxnorm is max|H_jk| = max|K_jk| and sparsity the
     largest row population. split is the number of leading scalar
-    coordinates; H is chiral about it. The dense decomposition the
-    module docstring describes is memoized on first use (``_eig``), and
-    ``apply`` is the one way to use it. evolve takes the
-    dense backend whenever that memo is set or dim <= MAX_DENSE_DIM, and the
-    sparse polynomial action of K otherwise; there is no option to override
-    it. The stacked schedule generators of the evolution module keep a
-    single-block Hamiltonian and act through it, so one decomposition of the
-    block H serves every block of every generator built from it.
+    coordinates; H is chiral about it. ``from_matrix`` makes and verifies
+    one. The dense decomposition is memoized on first use (``_eig``), and
+    ``apply`` is the one way to use it. The stacked schedule generators of the evolution module keep
+    a single-block Hamiltonian and act through it, so one decomposition of
+    the block H serves every block of every generator built from it.
     build_hamiltonian memoizes its result on the (frozen, never mutated in
     place) system object it was given, so every caller that asks for the H
     of one system (the forced solve, the windowed slices, the sync and mult
@@ -206,23 +216,30 @@ class Hamiltonian:
 
     @classmethod
     def from_matrix(cls, generator, split: int) -> "Hamiltonian":
-        """Wrap a real generator K (H = iK) as CSR without duplicates or stored zeros.
+        """Wrap a real generator K (H = iK) in canonical CSR, once verified.
 
-        K must couple the first split coordinates (the scalars) only to the rest.
+        K must be finite, couple the first split coordinates (the scalars)
+        only to the rest, and be antisymmetric to HERMITICITY_TOL of max|K|.
+        A complex or non-chiral K is an EncodingError; a non-finite or
+        non-antisymmetric one a NumericalError.
         """
-        k = sp.csr_matrix(generator)
-        if np.iscomplexobj(k.data):
+        if np.iscomplexobj(generator):
             raise EncodingError("the generator K of H = iK must be real")
-        k = k.astype(np.float64, copy=False)
-        k.sum_duplicates()
-        k.eliminate_zeros()
+        k = canonical_csr(generator, NumericalError)
         entry = diagonal_block_entry(k, split)
         if entry is not None:
             side = "scalar" if entry[0] < split else "flux"
             raise EncodingError(f"K is not chiral: entry {entry} couples two {side} coordinates")
+        maxnorm = float(np.abs(k.data).max()) if k.nnz else 0.0
+        defect = antisymmetry_defect(k)
+        if defect > HERMITICITY_TOL * maxnorm:
+            raise NumericalError(
+                f"encoded generator is not Hermitian: defect {defect:.3e} "
+                f"exceeds {HERMITICITY_TOL:g} of max|K| {maxnorm:.3e}"
+            )
         return cls(
             generator=k,
-            maxnorm=float(np.abs(k.data).max()) if k.nnz else 0.0,
+            maxnorm=maxnorm,
             sparsity=int(np.diff(k.indptr).max()) if k.nnz else 0,
             split=split,
         )
@@ -277,6 +294,21 @@ class Hamiltonian:
         out += phi0 * w
         return out
 
+    def propagate(self, w: np.ndarray, t: float) -> np.ndarray:
+        """e^{-iHt} = e^{tK} applied to the columns of w; there is no option.
+
+        Through ``apply`` when the decomposition is cached or dim <=
+        MAX_DENSE_DIM, else by the sparse polynomial action of tK (Al-Mohy
+        and Higham 2011; cost roughly nnz * |H| * t), which never decomposes.
+        """
+        if self._eig is not None or self.dim <= MAX_DENSE_DIM:
+            return self.apply(np.exp(-1j * self.frequencies() * t)[:, None], 1.0, w)
+        # imported here: scipy.sparse.linalg (and scipy.linalg under it) is only
+        # needed above MAX_DENSE_DIM, so no command pays for it at start-up
+        from scipy.sparse.linalg import expm_multiply
+
+        return expm_multiply(sp.csc_matrix(t * self.generator), w)
+
 
 def _as_b_diagonal(b) -> np.ndarray:
     """Accept an OperatorPair/ReducedSystem or a plain diagonal."""
@@ -291,11 +323,9 @@ def build_hamiltonian(system) -> Hamiltonian:
 
     Accepts anything exposing a sparse generator .A, the diagonal of B
     through .b_diagonal() and the scalar coordinates as .scalar_slice.
-    Hermiticity is verified to 1e-12 in the max-entry norm; the input
-    antisymmetry guarantees it, and this is the line of defense against an
-    operator assembled some other way. The split is scalar_slice.stop, and
-    a K that couples two scalars or two fluxes is refused with an
-    EncodingError naming the entry (see Hamiltonian.from_matrix).
+    The split is scalar_slice.stop; Hamiltonian.from_matrix verifies K,
+    refusing one that couples two scalars or two fluxes, or whose
+    antisymmetry defect exceeds HERMITICITY_TOL of max|K|.
 
     A frozen dataclass system (OperatorPair, ReducedSystem) keeps the result
     in its instance ``__dict__``, outside its fields, so eq and repr are
@@ -308,21 +338,13 @@ def build_hamiltonian(system) -> Hamiltonian:
     params = getattr(type(system), "__dataclass_params__", None)
     memo = vars(system) if params is not None and params.frozen else {}
     if _MEMO_KEY not in memo:
-        memo[_MEMO_KEY] = _build_hamiltonian(system)
+        diag = _as_b_diagonal(system)
+        if system.A.shape[0] != diag.size:
+            raise EncodingError("generator and energy weight dimensions differ")
+        inv_sqrt = sp.diags(1.0 / np.sqrt(diag))
+        k = inv_sqrt @ sp.csr_matrix(system.A) @ inv_sqrt
+        memo[_MEMO_KEY] = Hamiltonian.from_matrix(k, system.scalar_slice.stop)
     return memo[_MEMO_KEY]
-
-
-def _build_hamiltonian(system) -> Hamiltonian:
-    diag = _as_b_diagonal(system)
-    if system.A.shape[0] != diag.size:
-        raise EncodingError("generator and energy weight dimensions differ")
-    inv_sqrt = sp.diags(1.0 / np.sqrt(diag))
-    k = inv_sqrt @ sp.csr_matrix(system.A) @ inv_sqrt
-    ham = Hamiltonian.from_matrix(k, system.scalar_slice.stop)
-    defect = ham.hermiticity_defect()
-    if defect > HERMITICITY_TOL:
-        raise NumericalError(f"encoded generator is not Hermitian: defect {defect:.3e}")
-    return ham
 
 
 def encode(w: np.ndarray, b) -> QuantumRegisterState:

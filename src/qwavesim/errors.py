@@ -40,7 +40,7 @@ class EncodingError(ValidationError):
 
 
 class EvolutionError(ValidationError):
-    """Evolution request rejected (dimension, schedule, hermiticity)."""
+    """Evolution request rejected (dimension, schedule, non-finite time)."""
 
 
 class MeasurementError(ValidationError):

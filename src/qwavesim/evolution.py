@@ -20,18 +20,13 @@ sub-state, is one block with time 1. evolve applies e^{-iH tau_s t} to the
 first H.dim coordinates of each block s with tau_s != 0 and leaves pad
 coordinates and zero-time blocks untouched.
 
-The exponential action on one block has one backend, chosen from what the
-block H shows: its dense decomposition (``Hamiltonian.apply``) when one is
-already cached on H or H.dim <= MAX_DENSE_DIM, and the sparse polynomial
-action of e^{-iHt} = e^{tK} (Al-Mohy and Higham 2011; cost roughly
-nnz * |H| * t per application) above that. The decomposition is memoized
+Every block goes through ``Hamiltonian.propagate`` of the block H, which
+alone chooses how e^{-iHt} acts; the decomposition it may use is memoized
 on H, so every block and every generator built from it shares one. evolve
 hands every block with the same time to one call as the columns of one
 array, so the simultaneous generator, whose times are all 1, is one
-matrix-matrix product. There is no backend option.
-
-scipy.sparse.linalg is imported by the sparse backend at its first use, not
-with this module, so importing the package does not load it.
+matrix-matrix product. A Hamiltonian is verified where it is made, so
+evolve checks no Hermiticity of its own.
 """
 from __future__ import annotations
 
@@ -39,34 +34,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .encoding import Hamiltonian, QuantumRegisterState, next_power_of_two
 from .errors import EvolutionError, NumericalError
 
-MAX_DENSE_DIM = 4096  # largest dimension diagonalized without a cached decomposition
-NORM_DRIFT_TOL = 1e-11  # 10x the 1e-12 accuracy both backends reach
+NORM_DRIFT_TOL = 1e-11  # 10x the 1e-12 accuracy both actions of propagate reach
 SCHEDULE_TOL = 1e-12
-
-
-def _dense_action(ham: Hamiltonian, vecs: np.ndarray, t: float) -> np.ndarray:
-    """e^{-iHt} applied to the complex columns of vecs, from the cached decomposition."""
-    return ham.apply(np.exp(-1j * ham.frequencies() * t)[:, None], 1.0, vecs)
-
-
-def _krylov_action(ham: Hamiltonian, vecs: np.ndarray, t: float) -> np.ndarray:
-    # imported here: scipy.sparse.linalg (and scipy.linalg under it) is only
-    # needed above MAX_DENSE_DIM, so no command pays for it at start-up
-    from scipy.sparse.linalg import expm_multiply
-
-    return expm_multiply(sp.csc_matrix(t * ham.generator), vecs)
-
-
-def _backend(ham: Hamiltonian):
-    """The exponential action for ham: dense if decomposed or small, else Krylov."""
-    if ham._eig is not None or ham.dim <= MAX_DENSE_DIM:
-        return _dense_action
-    return _krylov_action
 
 
 def evolve(
@@ -80,8 +53,7 @@ def evolve(
     its single-block H; pad coordinates are untouched. Augmented
     (measurement layout) states are not evolvable here. The result is
     renormalized to exact unit norm; a norm drift beyond NORM_DRIFT_TOL
-    raises instead of being papered over. A non-finite time or generator is
-    refused.
+    raises instead of being papered over. A non-finite time is refused.
     """
     if not np.isfinite(t):
         raise EvolutionError(f"evolution time {t} is not finite")
@@ -89,9 +61,6 @@ def evolve(
         return state
     if state.layout.augmented:
         raise EvolutionError("cannot evolve an augmented measurement state")
-    defect = ham.hermiticity_defect()
-    if not defect <= 1e-10:
-        raise EvolutionError(f"generator is not Hermitian (defect {defect:.3e})")
     layout = state.layout
     total = layout.total_dim
     if t == 0.0:
@@ -112,7 +81,6 @@ def evolve(
             f"nor a single physical block ({layout.num_physical})"
         )
 
-    action = _backend(block)
     out = state.amplitudes.copy()
     blocks = out.reshape(len(times), stride)[:, : block.dim]  # a view: one row per block
     same_time: dict[float, list[int]] = {}
@@ -120,7 +88,7 @@ def evolve(
         if tau:
             same_time.setdefault(tau, []).append(s)
     for tau, rows in same_time.items():
-        blocks[rows] = action(block, blocks[rows].T, tau * t).T
+        blocks[rows] = block.propagate(blocks[rows].T, tau * t).T
 
     norm = float(np.linalg.norm(out))
     if not abs(norm - 1.0) <= NORM_DRIFT_TOL:
@@ -160,10 +128,6 @@ class StackedHamiltonian:
     @property
     def sparsity(self) -> int:
         return self.block.sparsity if any(self.times) else 0
-
-    def hermiticity_defect(self) -> float:
-        """The stacked defect: the block's, scaled by the largest block time (to rounding)."""
-        return max(map(abs, self.times), default=0.0) * self.block.hermiticity_defect()
 
 
 def build_sync_hamiltonian(

@@ -18,7 +18,10 @@ O(dt^2)), is the energy series a Trajectory reports. Input and output are
 collocated: integration starts with a half kick v^{1/2} = v^0 + (dt/2)(...)
 and every emitted snapshot undoes half a kick, which makes the scheme an
 exact-to-rounding time-symmetric map of (u, v) pairs and second-order
-accurate at the snapshots.
+accurate at the snapshots. The forcing s is exactly the RowForcings the
+caller passes, summed in the order given; the integrator reads no forcing
+off the system, so a reduced system's wall data drive a run only when its
+``induced`` forcing is passed.
 
 Stability requires dt <= safety * dx_min / (c_max sqrt(D)); violations are
 refused with the admissible bound in the message.
@@ -34,7 +37,7 @@ order-of-accuracy and pipeline-equality checks compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -104,7 +107,7 @@ def leapfrog_evolve(
     w0: np.ndarray,
     dt: float,
     t_final: float,
-    source: RowForcing | None = None,
+    forcings: Sequence[RowForcing] = (),
     record_every: int = 1,
     t_start: float = 0.0,
 ) -> Trajectory:
@@ -112,16 +115,18 @@ def leapfrog_evolve(
 
     Args:
         system: OperatorPair or ReducedSystem (anything with A, B, slices,
-            grid and material). A reduced system's induced constraint forcing
-            is applied automatically on top of ``source``.
+            grid and material).
         w0: collocated initial unknowns at t_start.
         dt: time step; must satisfy the CFL bound.
         t_final: end time; the step count is rounded to cover it.
-        source: optional RowForcing over the unknowns of w0. Each forcing
-            is split once into its scalar and its flux rows; a step samples
-            the scalar rows at t + dt/2 and the flux rows at t + dt, and
-            adds the induced forcing plus ``source`` to those rows only.
-        record_every: snapshot stride in steps (first and last always kept).
+        forcings: RowForcings over the unknowns of w0, the whole forcing of
+            the run (a reduced system's ``induced`` wall forcing included,
+            when wanted). Each is split once into its scalar and its flux
+            rows; a step samples the scalar rows at t + dt/2 and the flux
+            rows at t + dt, and adds their sum, in the order given, to
+            those rows only.
+        record_every: snapshot stride in steps, at least 1 (first and last
+            always kept).
 
     Returns:
         Trajectory of collocated snapshots and the staggered energy series.
@@ -135,6 +140,8 @@ def leapfrog_evolve(
         )
     if t_final < t_start:
         raise ValidationError("t_final precedes t_start")
+    if record_every < 1:
+        raise ValidationError(f"record_every must be at least 1, got {record_every!r}")
 
     su, sv, a_uv, a_vu = _split_blocks(system)
     b_diag = system.b_diagonal()
@@ -142,11 +149,11 @@ def leapfrog_evolve(
     mu, mv = 1.0 / bu, 1.0 / bv
     dt_mu = dt * mu
 
-    forcings = [f for f in (getattr(system, "induced", None), source) if f is not None]
+    halves = []
     for f in forcings:
         if not isinstance(f, RowForcing) or f.size != system.n_total:
             raise ValidationError("forcing must be a RowForcing over the system's unknowns")
-    halves = [f.split(su.stop) for f in forcings]
+        halves.append(f.split(su.stop))
     add_scalar_forcing = _forcing_adder([h[0] for h in halves])
     add_flux_forcing = _forcing_adder([h[1] for h in halves])
 

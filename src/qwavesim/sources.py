@@ -319,11 +319,13 @@ def presimulate_pulse(
 ) -> PreSimResult:
     """Classically integrate one pulse over its active window only.
 
-    Runs leapfrog from t_start to t_end with zero initial data, verifies the
-    result is compact inside the causal ball (pulse duration times the wave
-    speed plus the discretization margin), and returns it stamped with t_end.
-    Refuses when that ball does not fit inside the domain, quoting the
-    radius it would need.
+    Runs leapfrog from t_start to t_end with zero initial data, driven by
+    the pulse alone: the walls are held at their homogeneous values (a
+    reduced system's wall data are not integrated), as in greens_decompose.
+    Verifies the result is compact inside the causal ball (pulse duration
+    times the wave speed plus the discretization margin), and returns it
+    stamped with t_end. Refuses when that ball does not fit inside the
+    domain, quoting the radius it would need.
     """
     grid = system.grid
     f = source.time_function
@@ -345,7 +347,7 @@ def presimulate_pulse(
         np.zeros(system.n_total),
         dt,
         f.t_end,
-        source=RowForcing.of_columns([chi], [f]),
+        forcings=[RowForcing.of_columns([chi], [f])],
         record_every=10**9,
         t_start=f.t_start,
     )

@@ -1,6 +1,10 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +165,48 @@ def test_generator_is_the_scaled_a_in_canonical_real_form(pair):
 def test_a_complex_generator_is_refused():
     with pytest.raises(EncodingError, match="must be real"):
         q.Hamiltonian.from_matrix(np.array([[0.0, 1j], [-1j, 0.0]]), 1)
+
+
+def test_the_hermiticity_bound_is_relative_to_max_k():
+    # K's defect is rounding, which grows with its entries: 1e-13 of max|K|
+    # is accepted however large max|K| is, and 2e-12 of it is refused
+    k = np.array([[0.0, 1e6], [-1e6 - 1e-7, 0.0]])
+    assert q.Hamiltonian.from_matrix(k, 1).hermiticity_defect() > 1e-12
+    k[1, 0] = -1e6 - 2e-6
+    with pytest.raises(
+        NumericalError, match=r"not Hermitian: defect 2\.000e-06 exceeds 1e-12 of max\|K\| 1\.000e\+06"
+    ):
+        q.Hamiltonian.from_matrix(k, 1)
+    with pytest.raises(NumericalError, match="not Hermitian"):
+        q.Hamiltonian.from_matrix(k * 2.0**-40, 1)  # the same K at another scale
+
+
+def test_the_register_scale_does_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot of more than 10,000 values over its threads, which
+    # moves the last bit of a norm taken by np.vdot; numpy's own sums do not
+    code = (
+        "import hashlib, numpy as np; from qwavesim.encoding import stack_substates\n"
+        "for seed in range(4):\n"
+        "    rng = np.random.default_rng(seed)\n"
+        "    v = rng.normal(size=131072)\n"
+        "    for s in (stack_substates([v]), stack_substates([v, v + 1j * rng.normal(size=v.size)])):\n"
+        "        print(s.scale.hex(), hashlib.sha256(s.amplitudes.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(q.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    printed = []
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        printed.append(done.stdout)
+    assert printed[0].count("\n") == 8
+    assert printed[0] == printed[1]
 
 
 def test_non_antisymmetric_generator_is_refused():

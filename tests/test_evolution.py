@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qwavesim as q
-from qwavesim import evolution
-from qwavesim.errors import EvolutionError
+from qwavesim import encoding, evolution
+from qwavesim.errors import EvolutionError, NumericalError
 
 from conftest import build_acoustic_1d, chiral_systems
 
@@ -45,12 +45,15 @@ def _materialized(gen):
     return sp.block_diag([t * padded for t in gen.times], format="csr")
 
 
-_ACTIONS = {"dense": evolution._dense_action, "krylov": evolution._krylov_action}
+# the MAX_DENSE_DIM that makes Hamiltonian.propagate take each action on an
+# undecomposed H: dense at every size, or the sparse (Krylov) action at every size
+_DENSE_LIMITS = {"dense": np.iinfo(np.intp).max, "krylov": 0}
 
 
 def _evolve_with(method, state, ham, t):
-    """evolve with the backend rule replaced by one fixed exponential action."""
-    with mock.patch.object(evolution, "_backend", lambda block: _ACTIONS[method]):
+    """evolve with propagate held to one action; krylov needs an undecomposed H."""
+    assert method == "dense" or getattr(ham, "block", ham)._eig is None
+    with mock.patch.object(encoding, "MAX_DENSE_DIM", _DENSE_LIMITS[method]):
         return q.evolve(state, ham, t)
 
 
@@ -111,25 +114,34 @@ def test_dense_and_krylov_backends_agree(rng):
     pair = build_acoustic_1d(n=16)
     ham = q.build_hamiltonian(pair)
     state = q.encode(rng.normal(size=pair.n_total), pair)
+    krylov = _evolve_with("krylov", state, ham, 1.1)  # first: dense decomposes H
     dense = _evolve_with("dense", state, ham, 1.1)
-    krylov = _evolve_with("krylov", state, ham, 1.1)
     np.testing.assert_allclose(dense.amplitudes, krylov.amplitudes, atol=1e-10)
 
 
 def test_backend_is_dense_when_small_or_decomposed_and_krylov_above(monkeypatch):
+    import scipy.sparse.linalg
+
     pair = build_acoustic_1d(n=16)  # dim 31
     ham = q.build_hamiltonian(pair)
-    state = q.encode(np.ones(pair.n_total), pair)
-    monkeypatch.setattr(evolution, "MAX_DENSE_DIM", 30)
-    assert evolution._backend(ham) is evolution._krylov_action
-    q.evolve(state, ham, 0.5)
-    assert ham._eig is None  # the Krylov action never decomposes
-    monkeypatch.setattr(evolution, "MAX_DENSE_DIM", 31)
-    assert evolution._backend(ham) is evolution._dense_action
-    q.evolve(state, ham, 0.5)
-    assert ham._eig is not None
-    monkeypatch.setattr(evolution, "MAX_DENSE_DIM", 30)
-    assert evolution._backend(ham) is evolution._dense_action  # cached decomposition
+    w = np.ones((pair.n_total, 1), dtype=complex)
+    expm_multiply, krylov_calls = scipy.sparse.linalg.expm_multiply, []
+
+    def recording(*args, **kwargs):
+        krylov_calls.append(ham._eig is None)
+        return expm_multiply(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", recording)
+    monkeypatch.setattr(encoding, "MAX_DENSE_DIM", 30)
+    ham.propagate(w, 0.5)
+    assert krylov_calls == [True] and ham._eig is None  # the Krylov action never decomposes
+    monkeypatch.setattr(encoding, "MAX_DENSE_DIM", 31)
+    ham.propagate(w, 0.5)
+    assert krylov_calls == [True] and ham._eig is not None
+    monkeypatch.setattr(encoding, "MAX_DENSE_DIM", 30)
+    ham.propagate(w, 0.5)
+    assert krylov_calls == [True]  # cached decomposition
+    assert encoding.MAX_DENSE_DIM == 30 and not hasattr(evolution, "MAX_DENSE_DIM")
 
 
 def test_single_block_generator_leaves_padding_alone(rng):
@@ -218,12 +230,13 @@ def test_blocks_with_one_time_share_one_action_call(rng):
     ham = q.build_hamiltonian(pair)
     state = _stack([rng.normal(size=pair.n_total) + 0j for _ in range(4)], 16)
     calls = []
+    propagate = q.Hamiltonian.propagate
 
     def recording(block, vecs, t):
         calls.append((vecs.shape, t))
-        return evolution._dense_action(block, vecs, t)
+        return propagate(block, vecs, t)
 
-    with mock.patch.object(evolution, "_backend", lambda block: recording):
+    with mock.patch.object(q.Hamiltonian, "propagate", recording):
         q.evolve(state, q.build_mult_hamiltonian(ham, 4), 0.3)
         q.evolve(state, q.build_sync_hamiltonian(ham, [0.25, 0.5, 0.25, 0.75], 0.75), 2.0)
     assert calls == [((15, 4), 0.3), ((15, 2), 1.0), ((15, 1), 0.5)]
@@ -297,17 +310,17 @@ def test_mult_matches_the_exponential_of_its_matrix(method, n, arity, t, seed):
 def test_derived_metadata_matches_the_materialized_matrix(n, t_ends, lag, arity, perturb_seed):
     ham = q.build_hamiltonian(build_acoustic_1d(n=n, rho=1.3, c=0.8))
     if perturb_seed is not None:
-        # the acoustic H has a defect of 0 or of rounding size, which a wrong
-        # derived defect can match; one entry of the scalar x flux block
-        # (or its mirror) moved by about 1e-6 dwarfs rounding
+        # the acoustic H has a defect of 0 or of rounding size; one entry of
+        # the scalar x flux block (or its mirror) moved by about 1e-6 dwarfs
+        # rounding, and no generator can be built from it
         rng = np.random.default_rng(perturb_seed)
         dense = ham.generator.toarray()
         i, j = rng.integers(ham.split), rng.integers(ham.split, ham.dim)
         if rng.integers(2):
             i, j = j, i
         dense[i, j] += rng.uniform(0.5e-6, 2e-6) * rng.choice([1.0, -1.0])
-        ham = q.Hamiltonian.from_matrix(dense, ham.split)
-        assert ham.hermiticity_defect() >= 0.5e-6
+        with pytest.raises(NumericalError, match="not Hermitian"):
+            q.Hamiltonian.from_matrix(dense, ham.split)
     sync = q.build_sync_hamiltonian(ham, t_ends, t_sync=max(t_ends) + lag)
     mult = q.build_mult_hamiltonian(ham, arity)
     for gen in (sync, mult):
@@ -317,9 +330,6 @@ def test_derived_metadata_matches_the_materialized_matrix(n, t_ends, lag, arity,
         maxnorm = np.abs(stacked.data).max() if stacked.nnz else 0.0
         sparsity = np.diff(stacked.indptr).max() if stacked.nnz else 0
         assert (gen.maxnorm, gen.sparsity) == (maxnorm, sparsity)
-        t_max = max(map(abs, gen.times))
-        defect_gap = abs(gen.hermiticity_defect() - q.antisymmetry_defect(stacked))
-        assert defect_gap <= 1e-15 * t_max * ham.maxnorm
 
 
 def test_stacked_generator_with_another_block_dim_is_refused():
@@ -374,11 +384,26 @@ def test_evolve_refuses_a_non_finite_time(bad, rng):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_evolve_refuses_a_non_finite_generator(bad):
-    _, b = _two_level()
-    ham = q.Hamiltonian.from_matrix(np.array([[0.0, bad], [-1.0, 0.0]]), 1)
-    with pytest.raises(EvolutionError, match="not Hermitian"):
-        q.evolve(q.encode(np.array([1.0, 0.0]), b), ham, 0.1)
+def test_from_matrix_refuses_a_non_finite_generator(bad):
+    # a generator is verified where it is made, so evolve never meets one
+    with pytest.raises(NumericalError, match="must be finite"):
+        q.Hamiltonian.from_matrix(np.array([[0.0, bad], [-1.0, 0.0]]), 1)
+
+
+def test_a_generator_with_large_entries_evolves(rng):
+    # K's antisymmetry defect is rounding, which grows with max|K|: scaled
+    # by 2^20 (exactly), this medium's K has an absolute defect of about
+    # 1.5e-8 but 1.7e-16 of max|K|, and e^{(t / 2^20)(2^20 K)} = e^{tK}
+    pair = build_acoustic_1d(
+        n=64, rho=lambda x: 1.0 + 0.5 * np.sin(7.0 * x[0]), c=lambda x: 1.0 + 0.3 * x[0]
+    )
+    ham = q.build_hamiltonian(pair)
+    big = q.Hamiltonian.from_matrix(ham.generator * 2**20, ham.split)
+    assert big.hermiticity_defect() > 1e-10
+    state = q.encode(rng.normal(size=pair.n_total), pair)
+    out = q.evolve(state, big, 0.3 / 2**20)
+    want = q.evolve(state, ham, 0.3)
+    np.testing.assert_allclose(out.amplitudes, want.amplitudes, rtol=0, atol=1e-10)
 
 
 def test_mult_refuses_non_power_of_two_arity():

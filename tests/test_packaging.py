@@ -91,3 +91,37 @@ def test_no_module_imports_a_private_name_from_a_sibling():
             ):
                 private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert not private, f"private names imported from a sibling module: {private}"
+
+
+SETTERS = ("setattr", "object.__setattr__")
+
+
+def test_no_module_reads_a_private_attribute_of_another():
+    # a private attribute is read only where it is defined: in the module that
+    # assigns it (self._x = ..., setattr(self, "_x", ...), a _x field or
+    # method). Reads through a module bound by a plain import, such as
+    # os._exit, are that module's own business.
+    foreign = []
+    for path in sorted((SRC / "qwavesim").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules, defined = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) in SETTERS:
+                defined |= {a.value for a in node.args[1:2] if isinstance(a, ast.Constant)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+                continue
+            name = node.attr
+            on_module = isinstance(node.value, ast.Name) and node.value.id in modules
+            if name.startswith("_") and not name.startswith("__") and name not in defined:
+                if not on_module:
+                    foreign.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not foreign, f"private attributes read outside the module defining them: {foreign}"

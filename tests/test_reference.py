@@ -121,6 +121,15 @@ def test_recording_stride_keeps_endpoints():
     assert len(tr.times) < len(dense.times)
 
 
+@pytest.mark.parametrize("record_every", [0, -2])
+def test_a_recording_stride_below_one_is_refused(acoustic_1d, record_every):
+    # 0 would divide by zero at the first step; -2 would record every second step
+    dt = q.cfl_limit(acoustic_1d) / 2
+    w0 = np.zeros(acoustic_1d.n_total)
+    with pytest.raises(ValidationError, match=f"record_every must be at least 1, got {record_every}"):
+        q.leapfrog_evolve(acoustic_1d, w0, dt, 0.1, record_every=record_every)
+
+
 def test_leapfrog_refuses_scalar_scalar_coupling():
     # an antisymmetric coupling between two scalar nodes breaks the staggered two-block form
     pair = build_acoustic_1d(n=16)
@@ -233,13 +242,14 @@ def test_row_forcing_steps_bit_equal_to_dense_forcing(
     system = data.draw(chiral_systems(kind, dimension))
     rng = np.random.default_rng(seed)
     n = system.n_total
-    samplers = []
+    samplers, forcings = [], []
     if isinstance(system, ReducedSystem):
         if driven:
             system, wall = _with_wall_data(system, rng, t_start, t_start + span)
             samplers.append(wall)
         else:
             samplers.append(lambda t: np.zeros(n))  # the homogeneous walls' source
+        forcings.append(system.induced)
     # source 0 sits on a row next to a driven wall, source 1 on source 0's node
     wall_rows = system.induced.rows if isinstance(system, ReducedSystem) else np.empty(0)
     anchor = int(rng.choice(wall_rows)) if wall_rows.size else int(rng.integers(n))
@@ -251,8 +261,8 @@ def test_row_forcing_steps_bit_equal_to_dense_forcing(
         chi[rng.integers(n)] += rng.normal()
         chis.append(chi)
         fs.append(_time_function(rng, t_start, t_start + span))
-    source = q.RowForcing.of_columns(chis, fs) if chis else None
     if chis:
+        forcings.append(q.RowForcing.of_columns(chis, fs))
         def external(t):
             total = chis[0] * fs[0](t)
             for chi, f in zip(chis[1:], fs[1:]):
@@ -264,7 +274,7 @@ def test_row_forcing_steps_bit_equal_to_dense_forcing(
     dt = courant * q.cfl_limit(system)
     t_final = t_start + span
     got = q.leapfrog_evolve(
-        system, w0, dt, t_final, source=source, record_every=record_every, t_start=t_start
+        system, w0, dt, t_final, forcings=forcings, record_every=record_every, t_start=t_start
     )
     times, fields, energy = _dense_leapfrog(system, w0, dt, t_final, samplers, record_every, t_start)
     assert got.times.tobytes() == times.tobytes()
@@ -292,10 +302,9 @@ def test_presimulated_pulse_is_bit_equal_to_dense_forcing(walls, n, c, sigma, po
     dt = courant * q.cfl_limit(system)
     got = q.presimulate_pulse(src, system, dt=dt)
     chi = system.restrict(q.chi_pattern(src, pair.grid))
-    samplers = [lambda t: np.zeros(system.n_total)] if walls else []
-    samplers.append(lambda t: chi * f(t))
+    samplers = [lambda t: chi * f(t)]  # the pulse alone: homogeneous walls are not integrated
 
-    def dense(system_, w0, dt_, t_final, source, record_every, t_start):
+    def dense(system_, w0, dt_, t_final, forcings, record_every, t_start):
         times, fields, energy = _dense_leapfrog(system_, w0, dt_, t_final, samplers, record_every, t_start)
         return q.Trajectory(times=times, fields=fields, energy=energy, dt=dt_)
 
@@ -323,7 +332,7 @@ def test_each_half_of_a_forcing_is_sampled_once_per_step(rows, halves):
     forcing = q.RowForcing(system.n_total, np.array(rows), pattern, coefficients)
     dt, t0 = 0.5 * q.cfl_limit(system), 0.125
     tr = q.leapfrog_evolve(system, np.zeros(system.n_total), dt, t0 + 10 * dt,
-                           source=forcing, record_every=4, t_start=t0)
+                           forcings=[forcing], record_every=4, t_start=t0)
     assert tr.times[-1] == t0 + 10 * dt
     expected = [t0] if halves != "scalar" else []  # the first half kick
     for n in range(10):
@@ -342,13 +351,13 @@ def test_the_leapfrog_never_reads_the_dense_source_view():
     values = np.outer([0.0, 1.0, 0.0], np.ones(pinned.size))
     red = q.reduce_system(pair, q.dirichlet_constraints(pair.grid, pinned, times, values))
     dt = 0.5 * q.cfl_limit(red)
-    before = q.leapfrog_evolve(red, np.zeros(red.n_total), dt, 0.2)
+    before = q.leapfrog_evolve(red, np.zeros(red.n_total), dt, 0.2, forcings=[red.induced])
 
     def refuse(_t):
         raise AssertionError("the leapfrog sampled the dense view of the wall source")
 
     object.__setattr__(red, "source", refuse)  # the dataclass is frozen
-    after = q.leapfrog_evolve(red, np.zeros(red.n_total), dt, 0.2)
+    after = q.leapfrog_evolve(red, np.zeros(red.n_total), dt, 0.2, forcings=[red.induced])
     assert after.fields.tobytes() == before.fields.tobytes()
     assert np.abs(after.final).max() > 0.0
 
@@ -358,9 +367,9 @@ def test_the_leapfrog_refuses_a_forcing_of_another_size(acoustic_1d):
     w0 = np.zeros(acoustic_1d.n_total)
     wrong = q.RowForcing.of_columns([np.ones(acoustic_1d.n_total + 1)], [np.cos])
     with pytest.raises(ValidationError, match="RowForcing over the system's unknowns"):
-        q.leapfrog_evolve(acoustic_1d, w0, dt, 0.1, source=wrong)
+        q.leapfrog_evolve(acoustic_1d, w0, dt, 0.1, forcings=[wrong])
     with pytest.raises(ValidationError, match="RowForcing over the system's unknowns"):
-        q.leapfrog_evolve(acoustic_1d, w0, dt, 0.1, source=lambda t: np.ones(w0.size))
+        q.leapfrog_evolve(acoustic_1d, w0, dt, 0.1, forcings=[lambda t: np.ones(w0.size)])
 
 
 def test_trajectory_requires_consistent_lengths():

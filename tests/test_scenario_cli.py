@@ -1188,6 +1188,43 @@ def test_presim_of_a_source_without_decompose_is_one_whole_pulse(tmp_path, capsy
     assert (out / "presim0_slice0.csv").exists()
 
 
+def test_presim_holds_a_driven_wall_at_its_homogeneous_value(tmp_path, capsys):
+    # the pulse alone drives its pre-simulation, as in a decompose slice: the
+    # wall's data belong to simulate, and the left wall driven or grounded
+    # gives the same compact field to the byte
+    doc = json.loads((SCENARIOS / "driven_boundary_demo.json").read_text())
+    pulse = {"kind": "gaussian", "center": 0.1, "sigma": 0.01}
+    doc["sources"] = [{"location": [64], "polarization": [1.0, 0.0], "time_function": pulse}]
+    slices = []
+    for name, left in (("driven", doc["boundaries"]["left"]), ("grounded", "dirichlet")):
+        doc["boundaries"]["left"] = left
+        out = tmp_path / name
+        scenario = _write(tmp_path, doc, f"{name}.json")
+        assert cli.main(["presim", "--scenario", str(scenario), "--out", str(out)]) == 0
+        slices.append((out / "presim0_slice0.csv").read_bytes())
+    assert slices[0] == slices[1]
+
+
+def test_simulate_takes_a_large_generator_whose_defect_is_rounding(tmp_path, capsys):
+    # K = B^{-1/2} A B^{-1/2} of this medium has max|K| about 4.1e4 and an
+    # antisymmetry defect of about 1.5e-11, which is rounding: 3.6e-16 of max|K|
+    x = np.linspace(0.0, 1.0, 4096).tolist()
+    rho = (1.0 + 0.3 * np.sin(37.0 * np.array(x))).tolist()
+    (tmp_path / "rho.csv").write_text("time,value\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x, rho)))
+    doc = _fast_doc(
+        grid={"bounds": [[0.0, 1.0]], "shape": [4096]},
+        material={"family": "acoustic", "rho": {"kind": "file", "path": "rho.csv"}, "c": 10.0},
+        evolution={"t_final": 0.001, "record_every": 1000},
+    )
+    scenario = _write(tmp_path, doc)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert f"simulate: wrote 5 files to {out}" in capsys.readouterr().out
+    ham = q.build_hamiltonian(q.load_scenario(scenario).system)
+    assert ham.hermiticity_defect() > 1e-11  # what a bound of 1e-12 on the entries refused
+    assert ham.hermiticity_defect() < 1e-15 * ham.maxnorm
+
+
 def test_presim_without_sources_is_a_validation_error(tmp_path, capsys):
     out = tmp_path / "pre"
     rc = cli.main(
