@@ -8,9 +8,11 @@ function here takes that vector, never a matrix B:
     dy/dt = -i H y,    H = i K,    K = B^{-1/2} A B^{-1/2}.
 
 K is real and antisymmetric, so H is Hermitian, the evolution e^{-iHt} =
-e^{Kt} is unitary and the squared encoded norm is conserved. A Hamiltonian
-holds K, in the canonical float64 CSR form of A; the complex H is never
-stored. That norm carries the physics: |y|^2 = <w|B|w> is twice the total
+e^{Kt} is a real orthogonal map and the squared encoded norm is conserved.
+A Hamiltonian holds K, in the canonical float64 CSR form of A; the complex H
+is never stored. Every state the package makes is therefore real, and the
+register holds float64 amplitudes: a complex array is refused by its dtype,
+never cast. That norm carries the physics: |y|^2 = <w|B|w> is twice the total
 energy of the field, potential plus kinetic, and it is stored separately as
 a scale factor so the register amplitudes can stay unit norm. Amplitudes are
 padded with exact zeros up to the next power of two; the pad coordinates
@@ -55,7 +57,6 @@ from .errors import EncodingError, NumericalError
 
 HERMITICITY_TOL = 1e-12  # of max|K|
 MAX_DENSE_DIM = 4096  # largest dimension propagate decomposes without a cached decomposition
-DECODE_IMAG_TOL = 1e-9
 _MEMO_KEY = "_hamiltonian"  # where build_hamiltonian keeps a system's H
 
 
@@ -102,13 +103,22 @@ class StateLayout:
         return int(round(np.log2(self.arity)))
 
 
+def _real(values, what: str) -> np.ndarray:
+    """values as float64; a complex array is refused by its dtype, never cast."""
+    if np.iscomplexobj(values):
+        raise EncodingError(f"{what} must be real: e^{{-iHt}} = e^{{tK}} keeps every state real")
+    return np.asarray(values, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class QuantumRegisterState:
-    """Unit-norm complex amplitudes plus the physical scale they stand for.
+    """Unit-norm real (float64) amplitudes plus the physical scale they stand for.
 
     scale is the encoded norm |B^{1/2} w| (or of the stacked vector); the
     special null state has scale 0 and all-zero amplitudes and cannot be
-    decoded. Amplitudes are immutable.
+    decoded. A complex array is refused, whatever its imaginary part.
+    Amplitudes are immutable: a float64 array is held as given, not
+    copied, and set read-only.
     """
 
     amplitudes: np.ndarray
@@ -116,7 +126,7 @@ class QuantumRegisterState:
     layout: StateLayout
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = _real(self.amplitudes, "register amplitudes")
         if amps.shape != (self.layout.total_dim,):
             raise EncodingError(
                 f"amplitude vector has dim {amps.shape}, layout wants {self.layout.total_dim}"
@@ -127,8 +137,7 @@ class QuantumRegisterState:
             if np.any(amps != 0):
                 raise EncodingError("null state must have zero amplitudes")
         else:
-            # the real and imaginary parts as one contiguous real vector: one dot, not two strided
-            norm = float(np.linalg.norm(np.ascontiguousarray(amps).view(np.float64)))
+            norm = float(np.linalg.norm(amps))
             if not np.isfinite(norm):  # a NaN norm would pass the unit-norm test
                 raise EncodingError("amplitudes must be finite")
             if abs(norm - 1.0) > 1e-12:
@@ -162,32 +171,23 @@ def stack_substates(vectors) -> QuantumRegisterState:
     len(vectors) rounded up to a power of two, with zero pad blocks. The
     stack is normalized and its norm kept as the scale (all zeros give the
     null state). The norm is taken over the vectors themselves, not the
-    padded stack, as numpy's pairwise sum of the squares of their real and
-    imaginary parts, not a BLAS dot, so it does not change with the BLAS
-    thread count. The real and imaginary parts are divided by it
-    separately, straight into the register, so one real vector gets the
-    amplitudes of a real division. Callers validate the vectors.
+    padded stack, as numpy's pairwise sums of their squares, not a BLAS
+    dot, so it does not change with the BLAS thread count. Each vector is
+    divided by it straight into the register. A complex vector is refused;
+    callers validate the shapes.
     """
-    vectors = [np.asarray(v) for v in vectors]
+    vectors = [_real(v, "sub-state vectors") for v in vectors]
     n = len(vectors[0])
     block = next_power_of_two(n)
     m = next_power_of_two(len(vectors))
-    stacked = np.zeros(m * block, dtype=np.complex128)
+    stacked = np.zeros(m * block)
     layout = StateLayout(num_physical=n, block_dim=block, arity=m)
-    scale = float(np.sqrt(sum(map(_squared_norm, vectors))))
+    scale = float(np.sqrt(sum(np.sum(np.square(v)) for v in vectors)))
     if scale == 0.0:
         return QuantumRegisterState(amplitudes=stacked, scale=0.0, layout=layout)
     for row, v in zip(stacked.reshape(m, block), vectors):
-        np.divide(v.real, scale, out=row.real[:n])
-        if np.iscomplexobj(v):
-            np.divide(v.imag, scale, out=row.imag[:n])
+        np.divide(v, scale, out=row[:n])
     return QuantumRegisterState(amplitudes=stacked, scale=scale, layout=layout)
-
-
-def _squared_norm(v: np.ndarray) -> float:
-    """numpy's pairwise sums of the squared real parts, plus the imaginary ones if any."""
-    total = np.sum(np.square(v.real))
-    return total + np.sum(np.square(v.imag)) if np.iscomplexobj(v) else total
 
 
 @dataclass
@@ -275,17 +275,12 @@ class Hamiltonian:
     def apply(self, phi: np.ndarray, phi0, w: np.ndarray) -> np.ndarray:
         """phi(H) applied to the columns of w, from the memoized decomposition.
 
-        phi holds the function's values at ``frequencies()``, shaped (k, 1),
-        or (k, columns) for a real w; phi0 is its value at the zero modes, a
-        scalar or one per column. phi(H) is real (see the module
-        docstring): a real w gives a real result, and the real and
-        imaginary parts of a complex w are turned as real columns, never a
-        complex product against U or V.
+        phi holds the function's values at ``frequencies()``, shaped (k, 1)
+        or (k, columns); phi0 is its value at the zero modes, a scalar or one
+        per column. phi(H) is real (see the module docstring), so the real
+        columns of w give real columns, and no complex product against U or
+        V is formed.
         """
-        if np.iscomplexobj(w):
-            cols = w.shape[1]
-            out = self.apply(phi, phi0, np.concatenate([w.real, w.imag], axis=1))
-            return out[:, :cols] + 1j * out[:, cols:]
         _, u, v = self.eigendecomposition()
         a, b = phi.real - phi0, -phi.imag
         x, y = w[: self.split], w[self.split :]
@@ -362,12 +357,10 @@ def encode(w: np.ndarray, b) -> QuantumRegisterState:
 
 
 def decode(state: QuantumRegisterState, b) -> np.ndarray:
-    """Invert the encoding: w = B^{-1/2} (scale * amplitudes), real part.
+    """Invert the encoding: w = B^{-1/2} (scale * amplitudes).
 
     Requires a single-substate, unaugmented, non-null state whose pad
-    coordinates are numerically zero. Real systems stay real under the
-    encoded evolution; a residual imaginary part above 1e-9 of the scale
-    means the state was produced some other way and decoding refuses.
+    coordinates are numerically zero.
     """
     if state.is_null:
         raise EncodingError("cannot decode the null state")
@@ -380,13 +373,7 @@ def decode(state: QuantumRegisterState, b) -> np.ndarray:
     pads = state.amplitudes[n:]
     if pads.size and np.abs(pads).max() > 1e-12:
         raise EncodingError("pad coordinates are not zero; layout mismatch")
-    y = state.scale * state.amplitudes[:n]
-    imag_max = float(np.abs(y.imag).max()) if n else 0.0
-    if imag_max > DECODE_IMAG_TOL * max(state.scale, 1.0):
-        raise EncodingError(
-            f"state is not a real-field encoding (imaginary residual {imag_max:.3e})"
-        )
-    return y.real / np.sqrt(diag)
+    return state.scale * state.amplitudes[:n] / np.sqrt(diag)
 
 
 def energy(state: QuantumRegisterState) -> float:

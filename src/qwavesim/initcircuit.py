@@ -27,8 +27,7 @@ measures a covariance defect instead of guessing, and the fidelity between
 the circuit output and the direct construction is the acceptance metric.
 
 Every gate is real, so the circuit is emulated on a float64 statevector
-updated in place, and the amplitudes become complex128 once, in the returned
-register state; the bits are those of the complex emulation.
+updated in place, which the returned register state holds as it is.
 
 A field is any callable from one point, shape (2,), to its two components.
 The ray, the direct construction and the covariance defect sample the field
@@ -335,7 +334,7 @@ def simulate_circuit(circuit: GateCircuit, ray: ReferenceRay) -> QuantumRegister
     """Run the preparation on a statevector and return the register state.
 
     Every gate is real, so the statevector is float64, each gate updates it
-    in place, and it becomes complex only in the returned state. The scale
+    in place, and the returned state holds it as it is. The scale
     is the full-grid norm N' sqrt(Theta), so scale times the amplitudes
     reproduces the field samples for covariant inputs.
     """
@@ -387,10 +386,8 @@ def direct_polar_state(
     """
     values = np.ascontiguousarray(np.moveaxis(spec._samples(field), -1, 0)).ravel()
     norm = _norm(values, "field on the polar grid", lambda v: np.sqrt(np.sum(np.square(v))))
-    amplitudes = np.zeros(values.size, dtype=np.complex128)
-    np.divide(values, norm, out=amplitudes.real)
     layout = StateLayout(num_physical=values.size, block_dim=values.size)
-    return QuantumRegisterState(amplitudes=amplitudes, scale=norm, layout=layout), spec.n_points
+    return QuantumRegisterState(amplitudes=values / norm, scale=norm, layout=layout), spec.n_points
 
 
 # fidelity sums its overlap in runs of this many amplitudes: products of whole
@@ -399,7 +396,7 @@ _OVERLAP_RUN = 8192
 
 
 def fidelity(a: QuantumRegisterState, b: QuantumRegisterState) -> float:
-    """|<a|b>|^2 of two register states of equal dimension.
+    """<a|b>^2 of two real register states of equal dimension.
 
     The overlap is numpy's pairwise sum, not a BLAS dot, so no BLAS thread
     count changes its bits.
@@ -408,10 +405,10 @@ def fidelity(a: QuantumRegisterState, b: QuantumRegisterState) -> float:
         raise InitCircuitError("states live on different registers")
     x, y = a.amplitudes, b.amplitudes
     overlap = sum(
-        np.sum(np.conj(x[k : k + _OVERLAP_RUN]) * y[k : k + _OVERLAP_RUN])
+        np.sum(x[k : k + _OVERLAP_RUN] * y[k : k + _OVERLAP_RUN])
         for k in range(0, x.size, _OVERLAP_RUN)
     )
-    return float(np.abs(overlap) ** 2)
+    return float(overlap**2)
 
 
 def covariance_defect(

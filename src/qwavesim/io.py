@@ -14,7 +14,7 @@ anonymous temporary file, which the caller appends in order. The bytes do
 not depend on the number of parts.
 
 Formats (one line each, documented fully in the README):
-  state              index,real,imag  (+ .json sidecar: scale and layout)
+  state              index,real,imag  (imag always 0.0; + .json sidecar: scale and layout)
   trajectory         time,dof,value   (long form)
   energy             time,energy
   source samples     time,value       (read only)
@@ -274,9 +274,8 @@ def write_state(path, state: QuantumRegisterState) -> int:
     amps = state.amplitudes
 
     def rows(start: int, stop: int) -> str:
-        block = amps[start:stop]
-        cells = zip(range(start, stop), _floats(block.real), _floats(block.imag))
-        return "".join([f"{i},{re!r},{im!r}\r\n" for i, re, im in cells])
+        cells = zip(range(start, stop), _floats(amps[start:stop]))
+        return "".join([f"{i},{a!r},0.0\r\n" for i, a in cells])
 
     _write_table(path, "index,real,imag", amps.size, rows)
     sidecar = {
@@ -295,12 +294,14 @@ def read_state(path) -> QuantumRegisterState:
     """Read a state written by write_state; malformed rows or sidecar raise ScenarioError.
 
     Every row must carry an integer index in [0, total_dim) that no other
-    row repeats; indices without a row hold zero amplitude. The sidecar is
-    read and checked before the table is parsed: its block_dim must be the
-    next power of two of its num_physical, as write_state writes it, its
-    arity a power of two, its scale nonnegative with a finite square, and
-    the total_dim amplitudes of its layout must be allocatable. Every
-    refusal names the file, and a sidecar refusal the key.
+    row repeats, and an imag cell of 0.0 or -0.0, since amplitudes are real;
+    the first row with another imag is named by its line. Indices without a
+    row hold zero amplitude. The sidecar is read and checked before the
+    table is parsed: its block_dim must be the next power of two of its
+    num_physical, as write_state writes it, its arity a power of two, its
+    scale nonnegative with a finite square, and the total_dim amplitudes of
+    its layout must be allocatable. Every refusal names the file, and a
+    sidecar refusal the key.
     """
     path = Path(path)
     if not path.exists():
@@ -309,8 +310,12 @@ def read_state(path) -> QuantumRegisterState:
     amps = _allocate(path, layout)
     index, real, imag = _read_table(path, ["index", "real", "imag"])
     index = _index_column(path, index, layout.total_dim, "index")
-    amps.real[index] = real
-    amps.imag[index] = imag
+    complex_rows = np.flatnonzero(imag)
+    if complex_rows.size:
+        raise ScenarioError(
+            f"{path}: line {complex_rows[0] + 2}: imag must be 0.0; register amplitudes are real"
+        )
+    amps[index] = real
     try:
         return QuantumRegisterState(amplitudes=amps, scale=scale, layout=layout)
     except EncodingError as exc:  # amplitudes that are not unit norm, or a null state that is not zero
@@ -358,9 +363,9 @@ def _read_sidecar(path: Path) -> tuple[StateLayout, float]:
 def _allocate(path: Path, layout: StateLayout) -> np.ndarray:
     """The zero amplitudes of layout; a total_dim that cannot be allocated raises ScenarioError."""
     total = layout.total_dim
-    if total <= np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize:
+    if total <= np.iinfo(np.intp).max // np.dtype(np.float64).itemsize:
         try:
-            return np.zeros(total, dtype=np.complex128)
+            return np.zeros(total)
         except MemoryError:
             pass
     augmented = " x 2 (layout.augmented)" if layout.augmented else ""

@@ -19,7 +19,7 @@ mirrors what a quantum device would do:
      augmented register: with G_h the M x M Gram matrix of the sub-state
      blocks restricted to the subspace (h = 0) or its complement (h = 1), a
      string with substate masks (zs, xs) has expectation
-     Re sum_h s_h sum_i (-1)^popcount(i & zs) G_h[i, i ^ xs], where s_1 = -1
+     sum_h s_h sum_i (-1)^popcount(i & zs) G_h[i, i ^ xs], where s_1 = -1
      under aux Z and every other s_h = +1; an X on aux gives exactly 0
      because the two halves have disjoint supports. augment_state and
      pauli_expectation keep the explicit register route as a reference. In
@@ -260,7 +260,7 @@ def augment_state(
             stacklevel=2,
         )
     half = state.layout.arity * state.layout.block_dim
-    padded = np.concatenate([state.amplitudes, np.zeros(half, dtype=np.complex128)])
+    padded = np.concatenate([state.amplitudes, np.zeros(half)])
     perm = masked_permutation(projector, layout)
     return QuantumRegisterState(
         amplitudes=padded[perm], scale=state.scale, layout=layout
@@ -306,12 +306,15 @@ class EstimateResult:
 
 
 def _stack_states(states):
-    """Validate the input and return it as one stacked, unaugmented register state."""
+    """Validate the input and return it as one stacked, unaugmented register state.
+
+    Vectors are stacked by stack_substates, which refuses a complex one.
+    """
     if isinstance(states, QuantumRegisterState):
         if states.layout.augmented:
             raise MeasurementError("pass the unaugmented stack; augmentation happens here")
         return states
-    vectors = [np.asarray(v, dtype=np.complex128) for v in states]
+    vectors = [np.asarray(v) for v in states]
     if not vectors:
         raise MeasurementError("no states to estimate")
     n = vectors[0].size
@@ -337,7 +340,7 @@ def _string_expectations(
     n_data, n_sub = layout.n_data_qubits, layout.n_substate_qubits
     blocks = stack.amplitudes.reshape(layout.arity, layout.block_dim)
     inside = projector.padded_mask(layout.block_dim)
-    gram = np.stack([b.conj() @ b.T for b in (blocks[:, inside], blocks[:, ~inside])])
+    gram = np.stack([b @ b.T for b in (blocks[:, inside], blocks[:, ~inside])])
     sub = np.arange(layout.arity)
     out = []
     for string in strings:
@@ -350,7 +353,7 @@ def _string_expectations(
         signs = 1.0 - 2.0 * (np.bitwise_count(sub & zs) & 1)
         halves = gram[:, sub, sub ^ xs] @ signs
         aux_sign = -1.0 if (z_mask >> (n_data + n_sub)) & 1 else 1.0
-        out.append(float(np.real(halves[0] + aux_sign * halves[1])))
+        out.append(float(halves[0] + aux_sign * halves[1]))
     return out
 
 

@@ -267,12 +267,9 @@ def spectral_forced_solution(
             f"the forcing needs a finite positive dt_hint, its smoothness scale; got {hint!r}"
         )
     if w0 is not None:
-        w0 = np.asarray(w0)
-        if np.iscomplexobj(w0) and np.any(w0.imag != 0):
-            raise EvolutionError(
-                "initial vector has an imaginary part; inputs are not a real system"
-            )
-        w0 = np.asarray(w0.real, dtype=np.float64)
+        if np.iscomplexobj(w0):
+            raise EvolutionError("initial vector must be real; inputs are a real system")
+        w0 = np.asarray(w0, dtype=np.float64)
         if w0.shape != diag.shape:
             raise ValidationError("initial vector does not match the system size")
         if not np.all(np.isfinite(w0)):
@@ -288,7 +285,7 @@ def spectral_forced_solution(
         phi.append(np.exp(-1j * lam * (t1 - t0)))
         phi0.append(1.0)
     y1 = ham.apply(np.stack(phi, axis=1), np.array(phi0), np.stack(cols, axis=1))
-    return np.real(y1.sum(axis=1)) / sqrt_b
+    return y1.sum(axis=1) / sqrt_b
 
 
 def _duhamel_integrals(

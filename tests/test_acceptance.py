@@ -8,8 +8,8 @@ reflection polarity, and constraint compatibility. This gate runs every
 check of every suite, the same rows that `qwavesim verify SUITE` prints,
 and each check prints a single [PASS]/[FAIL] line with the measured numbers
 (run with -s to see them on success). Every check runs with np.linalg.eigh
-refused: every H is chiral and decomposed by the SVD of its block C, so no
-verified path needs a complex eigendecomposition.
+refused: every H is chiral and decomposed by the real SVD of its block C,
+so no verified path calls eigh.
 """
 import time
 

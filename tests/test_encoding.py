@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import qwavesim as q
+from qwavesim import io
 from qwavesim.encoding import next_power_of_two, stack_substates
 from qwavesim.errors import EncodingError, NumericalError, ValidationError
 
@@ -107,18 +109,10 @@ def test_decode_round_trip(rng):
 
 def test_decode_refuses_nonzero_padding():
     layout = q.StateLayout(num_physical=3, block_dim=4)
-    amps = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
+    amps = np.array([0.5, 0.5, 0.5, 0.5])
     state = q.QuantumRegisterState(amplitudes=amps, scale=1.0, layout=layout)
     with pytest.raises(EncodingError):
         q.decode(state, np.ones(3))
-
-
-def test_decode_refuses_genuinely_complex_states():
-    layout = q.StateLayout(num_physical=2, block_dim=2)
-    amps = np.array([1.0, 1.0j]) / np.sqrt(2.0)
-    state = q.QuantumRegisterState(amplitudes=amps, scale=1.0, layout=layout)
-    with pytest.raises(EncodingError):
-        q.decode(state, np.ones(2))
 
 
 def test_spectrum_is_symmetric_about_zero():
@@ -189,7 +183,7 @@ def test_the_register_scale_does_not_depend_on_the_blas_thread_count():
         "for seed in range(4):\n"
         "    rng = np.random.default_rng(seed)\n"
         "    v = rng.normal(size=131072)\n"
-        "    for s in (stack_substates([v]), stack_substates([v, v + 1j * rng.normal(size=v.size)])):\n"
+        "    for s in (stack_substates([v]), stack_substates([v, rng.normal(size=v.size)])):\n"
         "        print(s.scale.hex(), hashlib.sha256(s.amplitudes.tobytes()).hexdigest())\n"
     )
     src = str(Path(q.__file__).resolve().parent.parent)
@@ -234,7 +228,7 @@ def test_augmented_layout_doubles_the_register():
 
 def test_block_extracts_sub_states():
     layout = q.StateLayout(num_physical=4, block_dim=4, arity=2)
-    amps = np.zeros(8, dtype=complex)
+    amps = np.zeros(8)
     amps[1] = 1.0 / np.sqrt(2.0)
     amps[6] = 1.0 / np.sqrt(2.0)
     state = q.QuantumRegisterState(amplitudes=amps, scale=2.0, layout=layout)
@@ -258,8 +252,8 @@ def test_state_norm_is_validated():
 
 def test_a_strided_unit_vector_is_a_state():
     layout = q.StateLayout(num_physical=3, block_dim=4)
-    amps = np.zeros(8, dtype=complex)
-    amps[::2] = [0.5, 0.5j, -0.5, 0.5 - 0.0j]
+    amps = np.zeros(8)
+    amps[::2] = [0.5, 0.5, -0.5, -0.5]
     state = q.QuantumRegisterState(amplitudes=amps[::2], scale=1.0, layout=layout)
     np.testing.assert_array_equal(state.amplitudes, amps[::2])
     # a norm 2e-12 from 1 is still refused, whatever order the squares are summed in
@@ -305,7 +299,7 @@ def _spectrum(ham):
 
 def _evolved(ham, psi, t):
     layout = q.StateLayout(num_physical=ham.dim, block_dim=next_power_of_two(ham.dim))
-    amps = np.zeros(layout.block_dim, dtype=np.complex128)
+    amps = np.zeros(layout.block_dim)
     amps[: ham.dim] = psi
     out = q.evolve(q.QuantumRegisterState(amplitudes=amps, scale=1.0, layout=layout), ham, t)
     return out.amplitudes[: ham.dim]
@@ -313,7 +307,7 @@ def _evolved(ham, psi, t):
 
 def _random_state(dim, seed):
     rng = np.random.default_rng(seed)
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi = rng.normal(size=dim)
     return psi / np.linalg.norm(psi)
 
 
@@ -414,3 +408,75 @@ def test_chiral_memo_holds_only_the_real_thin_factors(monkeypatch):
         tracemalloc.stop()
     assert complex_tables == []
     assert peak < 8 * n_s * k
+
+
+# ---------------------------------------------------------------------------
+# one real register: a complex array is refused, never cast, and every
+# producer of a register state makes float64 amplitudes
+
+
+def _polar():
+    return q.PolarGridSpec.uniform(4, extent=1.0), q.RadialField((0.0, 0.0), lambda r: np.exp(-r))
+
+
+def _circuit_state(pair, w, tmp_path):
+    spec, field = _polar()
+    return q.simulate_circuit(q.build_circuit(spec), q.sample_reference_ray(field, spec))
+
+
+def _direct_polar_state(pair, w, tmp_path):
+    spec, field = _polar()
+    return q.direct_polar_state(field, spec)[0]
+
+
+def _written_and_read(pair, w, tmp_path):
+    io.write_state(tmp_path / "state.csv", q.encode(w, pair))
+    return io.read_state(tmp_path / "state.csv")
+
+
+_REAL_REGISTER = {
+    "refuses-QuantumRegisterState": lambda pair, w, tmp_path: q.QuantumRegisterState(
+        amplitudes=np.array([0.6, 0.8]) + 0j, scale=1.0, layout=q.StateLayout(2, 2)
+    ),
+    "refuses-stack_substates": lambda pair, w, tmp_path: stack_substates([w, w + 0j]),
+    "refuses-estimate": lambda pair, w, tmp_path: q.estimate(
+        [w + 0j, w], q.SubspaceProjector.full(w.size)
+    ),
+    "refuses-spectral_forced_solution": lambda pair, w, tmp_path: q.spectral_forced_solution(
+        pair, np.ones(w.size), q.gaussian_pulse(0.05, 0.01), 0.0, 0.1, w0=w + 0j
+    ),
+    "makes-encode": lambda pair, w, tmp_path: q.encode(w, pair),
+    "makes-stack_substates": lambda pair, w, tmp_path: stack_substates([w, -w, 2.0 * w]),
+    "makes-evolve-sync": lambda pair, w, tmp_path: q.evolve(
+        stack_substates([w, -w]),
+        q.build_sync_hamiltonian(q.build_hamiltonian(pair), [0.1, 0.2], 0.3, block_dim=8),
+        1.0,
+    ),
+    "makes-evolve-mult": lambda pair, w, tmp_path: q.evolve(
+        stack_substates([w, -w]), q.build_mult_hamiltonian(q.build_hamiltonian(pair), 2), 0.3
+    ),
+    "makes-augment_state": lambda pair, w, tmp_path: q.augment_state(
+        stack_substates([w, -w]), q.SubspaceProjector.from_indices(w.size, [0, 1])
+    ),
+    "makes-assemble_multisource_state": lambda pair, w, tmp_path: q.assemble_multisource_state(
+        [q.PreSimResult.from_field(w, 0.1, pair.grid.scalar_coords[2], 0.3)], pair
+    )[0],
+    "makes-simulate_circuit": _circuit_state,
+    "makes-direct_polar_state": _direct_polar_state,
+    "makes-read_state": _written_and_read,
+}
+
+
+@pytest.mark.parametrize("case", list(_REAL_REGISTER))
+def test_the_register_is_real(case, tmp_path):
+    pair = build_acoustic_1d(n=4)  # 7 unknowns in a block of 8
+    w = np.linspace(1.0, 2.0, pair.n_total)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ComplexWarning would mean a cast
+        if case.startswith("refuses-"):
+            with pytest.raises(ValidationError, match="must be real"):
+                _REAL_REGISTER[case](pair, w, tmp_path)
+        else:
+            state = _REAL_REGISTER[case](pair, w, tmp_path)
+            assert state.amplitudes.dtype == np.float64
+            assert not state.is_null

@@ -24,9 +24,9 @@ def _two_level():
 
 
 def _stack(blocks, block_dim, scale=1.0):
-    """Unit-norm stacked register from per-block complex amplitude vectors."""
+    """Unit-norm stacked register from per-block real amplitude vectors."""
     arity = q.next_power_of_two(len(blocks))
-    amps = np.zeros(arity * block_dim, dtype=complex)
+    amps = np.zeros(arity * block_dim)
     for s, blk in enumerate(blocks):
         amps[s * block_dim : s * block_dim + blk.size] = blk
     nrm = np.linalg.norm(amps)
@@ -124,7 +124,7 @@ def test_backend_is_dense_when_small_or_decomposed_and_krylov_above(monkeypatch)
 
     pair = build_acoustic_1d(n=16)  # dim 31
     ham = q.build_hamiltonian(pair)
-    w = np.ones((pair.n_total, 1), dtype=complex)
+    w = np.ones((pair.n_total, 1))
     expm_multiply, krylov_calls = scipy.sparse.linalg.expm_multiply, []
 
     def recording(*args, **kwargs):
@@ -174,7 +174,7 @@ def test_equal_end_times_synchronize_to_identity(rng):
     ham = q.build_hamiltonian(pair)
     d = q.next_power_of_two(pair.n_total)
     blocks = [rng.normal(size=pair.n_total) for _ in range(2)]
-    state = _stack([np.asarray(b, dtype=complex) for b in blocks], d)
+    state = _stack(blocks, d)
     sync = q.build_sync_hamiltonian(ham, [0.4, 0.4], t_sync=0.4)
     assert _materialized(sync).count_nonzero() == 0
     out = q.evolve(state, sync, 1.0)
@@ -185,13 +185,13 @@ def test_unit_time_under_sync_advances_each_block_by_its_gap(rng):
     pair = build_acoustic_1d(n=4)
     ham = q.build_hamiltonian(pair)
     d = q.next_power_of_two(pair.n_total)
-    y = [rng.normal(size=pair.n_total) + 0j for _ in range(2)]
+    y = [rng.normal(size=pair.n_total) for _ in range(2)]
     state = _stack(y, d)
     t_ends = [0.1, 0.45]
     sync = q.build_sync_hamiltonian(ham, t_ends, t_sync=0.5)
     out = q.evolve(state, sync, 1.0)
     for s, t_end in enumerate(t_ends):
-        single = q.encode(np.real(y[s]), pair)
+        single = q.encode(y[s], pair)
         advanced = q.evolve(single, ham, 0.5 - t_end)
         got = out.block(s)[: pair.n_total] * out.scale
         want = advanced.amplitudes[: pair.n_total] * single.scale
@@ -210,13 +210,13 @@ def test_mult_generator_advances_all_blocks_identically(rng):
     pair = build_acoustic_1d(n=4)
     ham = q.build_hamiltonian(pair)
     d = q.next_power_of_two(pair.n_total)
-    y = [rng.normal(size=pair.n_total) + 0j for _ in range(4)]
+    y = [rng.normal(size=pair.n_total) for _ in range(4)]
     state = _stack(y, d)
     mult = q.build_mult_hamiltonian(ham, arity=4)
     t = 0.63
     out = q.evolve(state, mult, t)
     for s in range(4):
-        single = q.encode(np.real(y[s]), pair)
+        single = q.encode(y[s], pair)
         advanced = q.evolve(single, ham, t)
         got = out.block(s)[: pair.n_total] * out.scale
         want = advanced.amplitudes[: pair.n_total] * single.scale
@@ -228,7 +228,7 @@ def test_blocks_with_one_time_share_one_action_call(rng):
     # generator one call per distinct nonzero time, none for a zero-time block
     pair = build_acoustic_1d(n=8)
     ham = q.build_hamiltonian(pair)
-    state = _stack([rng.normal(size=pair.n_total) + 0j for _ in range(4)], 16)
+    state = _stack([rng.normal(size=pair.n_total) for _ in range(4)], 16)
     calls = []
     propagate = q.Hamiltonian.propagate
 
@@ -256,7 +256,7 @@ def _random_register(seed, num_physical, arity):
         block_dim=q.next_power_of_two(num_physical),
         arity=arity,
     )
-    amps = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+    amps = rng.normal(size=layout.total_dim)
     return q.QuantumRegisterState(
         amplitudes=amps / np.linalg.norm(amps), scale=2.0, layout=layout
     )
@@ -422,7 +422,7 @@ def test_mismatched_generator_dimension_is_refused(rng):
 
 def test_augmented_states_cannot_be_evolved():
     layout = q.StateLayout(num_physical=2, block_dim=2, augmented=True)
-    amps = np.zeros(4, dtype=complex)
+    amps = np.zeros(4)
     amps[0] = 1.0
     state = q.QuantumRegisterState(amplitudes=amps, scale=1.0, layout=layout)
     ham, _ = _two_level()

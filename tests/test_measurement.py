@@ -266,7 +266,7 @@ def _all_words(arity: int, n_data: int) -> q.ObservableDecomposition:
 )
 def test_block_gram_expectations_match_the_augmented_register(arity, n, mask_kind, seed):
     rng = np.random.default_rng(seed)
-    vectors = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(arity)]
+    vectors = [rng.normal(size=n) for _ in range(arity)]
     mask = {"empty": np.zeros(n, dtype=bool), "full": np.ones(n, dtype=bool)}.get(
         mask_kind, rng.random(n) < 0.5
     )

@@ -125,3 +125,42 @@ def test_no_module_reads_a_private_attribute_of_another():
                 if not on_module:
                     foreign.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not foreign, f"private attributes read outside the module defining them: {foreign}"
+
+
+# the only functions that may hold complex values: the phases e^{-i s t} of
+# the propagator and of the Duhamel integral; every register amplitude is real
+COMPLEX_SCOPES = {"Hamiltonian.propagate", "spectral_forced_solution", "_duhamel_integrals"}
+COMPLEX_NAMES = {"complex", "complex128"}
+
+
+def _complex_uses(node, scope="") -> list[tuple[str, int]]:
+    """(enclosing function, line) of every imaginary literal and complex dtype name under node.
+
+    A name counts as a bare name, an attribute such as np.complex128 or a
+    string such as dtype="complex"; docstrings and comments never equal one.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}" if scope else node.name
+    value = node.value if isinstance(node, ast.Constant) else None
+    if (
+        isinstance(value, complex)
+        or isinstance(value, str) and value in COMPLEX_NAMES
+        or isinstance(node, ast.Name) and node.id in COMPLEX_NAMES
+        or isinstance(node, ast.Attribute) and node.attr in COMPLEX_NAMES
+    ):
+        uses = [(scope, node.lineno)]
+    else:
+        uses = []
+    for child in ast.iter_child_nodes(node):
+        uses += _complex_uses(child, scope)
+    return uses
+
+
+def test_complex_values_live_only_in_the_propagator_phases():
+    scopes = {}
+    for path in sorted((SRC / "qwavesim").glob("*.py")):
+        for scope, line in _complex_uses(ast.parse(path.read_text(), filename=str(path))):
+            scopes.setdefault(scope or "<module>", []).append(f"{path.name}:{line}")
+    outside = {scope: where for scope, where in scopes.items() if scope not in COMPLEX_SCOPES}
+    assert not outside, f"complex literals or dtypes outside {sorted(COMPLEX_SCOPES)}: {outside}"
+    assert set(scopes) == COMPLEX_SCOPES  # the scan finds the phases it allows

@@ -510,9 +510,36 @@ def _measure_with_state(tmp_path, rows, edit_sidecar=lambda sidecar: None):
 
 
 def test_measure_reads_a_hand_written_state(tmp_path, capsys):
-    assert _measure_with_state(tmp_path, ["0,0.6,0.0", "40,0.0,-0.8"]) == 0
+    assert _measure_with_state(tmp_path, ["0,0.6,0.0", "40,-0.8,0.0"]) == 0
     meas = json.loads((tmp_path / "out" / "measurement_m.json").read_text())
     assert meas["value"] == pytest.approx(0.36, abs=1e-12)
+
+
+def test_measure_refuses_a_state_with_an_imaginary_part(tmp_path, capsys):
+    # -0.0 is a zero imaginary part; the first other one is named
+    rows = ["0,0.6,-0.0", "40,0.0,-0.8"]
+    assert _measure_with_state(tmp_path, rows) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'state.csv'}: line 3: imag must be 0.0" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_measure_refuses_a_simulated_state_turned_by_a_phase(tmp_path, capsys):
+    # e^{0.7i} times the state leaves every |amplitude|^2, and so every loss, as it
+    # was: a reader that kept the imag column would report the unturned values
+    demo = str(SCENARIOS / "acoustic_demo.json")
+    assert cli.main(["simulate", "--scenario", demo, "--out", str(tmp_path / "sim")]) == 0
+    state = tmp_path / "sim" / "state.csv"
+    index, amps = np.loadtxt(state, delimiter=",", skiprows=1, usecols=(0, 1), unpack=True)
+    turned = amps * np.exp(0.7j)
+    rows = [f"{int(i)},{a.real!r},{a.imag!r}" for i, a in zip(index, turned.tolist())]
+    state.write_text("index,real,imag\n" + "\n".join(rows) + "\n")
+    rc = cli.main(["measure", "--scenario", demo, "--state", str(state),
+                   "--out", str(tmp_path / "meas")])
+    assert rc == 1
+    first = int(np.flatnonzero(turned.imag)[0]) + 2
+    assert f"{state}: line {first}: imag must be 0.0" in capsys.readouterr().err
+    assert not (tmp_path / "meas").exists()
 
 
 @pytest.mark.parametrize(
