@@ -5,11 +5,13 @@ when value <= tol (a NaN value fails). A strict bound "value < b" is stored
 as tol = the largest double below b, so one comparison serves every row.
 Every tol is finite and >= 0; a yes/no condition is a 0/1 row with tol 0.
 The checks are grouped into the suites that ``qwavesim verify SUITE`` runs.
-All eleven acceptance checks live here, and the acceptance gate
+All twelve acceptance checks live here, and the acceptance gate
 (tests/test_acceptance.py) runs every check of every suite, so each input
 and tolerance lives in exactly one place.
 """
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,7 +23,7 @@ from .constraints import (
     reduce_system,
 )
 from .discretize import MaterialModel, antisymmetry_defect, assemble_operator_pair, build_grid
-from .encoding import build_hamiltonian, decode, encode, stack_substates
+from .encoding import Hamiltonian, build_hamiltonian, decode, encode, stack_substates
 from .errors import IncompatibleConstraintError
 from .evolution import build_mult_hamiltonian, build_sync_hamiltonian, evolve
 from .initcircuit import (
@@ -133,6 +135,45 @@ def leapfrog_agreement():
         ("leapfrog order CFL/2 -> CFL/4, offset from 2", abs(orders[0] - 2.0), 0.2),
         ("leapfrog order CFL/4 -> CFL/8, offset from 2", abs(orders[1] - 2.0), 0.2),
         ("leapfrog error vs unitary at CFL/8", errs[-1], float(np.nextafter(1e-3, 0.0))),
+    ]
+
+
+def box_basis():
+    """The box basis against the thin SVD on seeded homogeneous boxes.
+
+    Random 1D and 2D shapes and lengths, the acoustic and maxwell1d families
+    and random constant weights. On each, propagate of random real columns,
+    and apply with a complex phi through spectral_forced_solution (the
+    Duhamel integrals on the forcing, e^{-ist} on w0), are compared with the
+    same K in the SVD basis, relative to the SVD route's largest entry.
+    ``Hamiltonian.from_matrix`` gives that K without the box basis, and so
+    does build_hamiltonian on a plain namespace holding the pair's A and B.
+    """
+    rng = np.random.default_rng(15)
+    f = gaussian_pulse(center=0.2, sigma=0.03)
+    worst, not_box = 0.0, 0
+    for family, dimension in [("acoustic", 1), ("acoustic", 2), ("maxwell1d", 1)] * 2:
+        shape = [int(rng.integers(2, 300 if dimension == 1 else 18)) for _ in range(dimension)]
+        grid = build_grid([(0.0, float(rng.uniform(0.5, 2.0)))] * dimension, shape)
+        model = MaterialModel.acoustic if family == "acoustic" else MaterialModel.maxwell1d
+        pair = assemble_operator_pair(grid, model(grid, *rng.uniform(0.5, 3.0, size=2)))
+        plain = SimpleNamespace(A=pair.A, b_diagonal=pair.b_diagonal, scalar_slice=pair.scalar_slice)
+        box = build_hamiltonian(pair)
+        svd = Hamiltonian.from_matrix(box.generator, box.split)
+        not_box += box.basis != "box"
+        w, chi, w0 = rng.normal(size=(box.dim, 3)), rng.normal(size=box.dim), rng.normal(size=box.dim)
+        t = float(rng.uniform(0.05, 0.4))
+        for got, want in (
+            (box.propagate(w, t), svd.propagate(w, t)),
+            (
+                spectral_forced_solution(pair, chi, f, 0.0, t, w0),
+                spectral_forced_solution(plain, chi, f, 0.0, t, w0),
+            ),
+        ):
+            worst = max(worst, float(np.abs(got - want).max() / np.abs(want).max()))
+    return [
+        ("homogeneous boxes left in the SVD basis", float(not_box), 0.0),
+        ("box basis vs thin SVD, worst relative difference", worst, 1e-12),
     ]
 
 
@@ -367,7 +408,7 @@ def constraint_compatibility():
 SUITES = {
     "symmetry": (symmetry,),
     "conservation": (conservation,),
-    "reference": (leapfrog_agreement,),
+    "reference": (leapfrog_agreement, box_basis),
     "estimator": (exact_estimates, shot_scaling),
     "initcircuit": (preparation_circuit,),
     "sources": (windows, sliced_pipeline, presim_support),

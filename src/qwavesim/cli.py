@@ -264,8 +264,10 @@ def _run_presim(args) -> tuple[Scenario, list]:
         if spec.decompose is not None:
             dec = spec.decompose
             slices = greens_decompose(spec.source, dec["c"], dec["rho"], dec["radius"], system)
+            basis = build_hamiltonian(system).basis  # the memoized H the slices were solved with
         else:
             slices = [presimulate_pulse(spec.source, system, dt=scenario.dt)]
+            basis = None  # leapfrog, in no basis
         parts = []
         for j, result in enumerate(slices):
             name = f"presim{k}_slice{j}.csv"
@@ -282,6 +284,7 @@ def _run_presim(args) -> tuple[Scenario, list]:
             {
                 "source": k,
                 "mode": "decompose" if spec.decompose is not None else "presimulate",
+                "basis": basis,
                 "slices": parts,
             }
         )

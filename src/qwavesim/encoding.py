@@ -32,8 +32,25 @@ for x = w[:split] the scalar and y the flux coordinates (e^{-iHt} has
 a = cos(st) - 1, b = sin(st)). The zero modes need no vectors, because they
 are the phi(0) term. Every Hamiltonian is chiral: it records the
 scalar/flux split, and a K with a stored entry inside either diagonal block
-is refused. The dense decomposition is the real thin SVD (s, U, V) of C,
-applied in this real form; no complex eigenvectors are built.
+is refused. A Hamiltonian holds (U, s, V) in one of two bases, applied in
+this real form; no complex eigenvectors are built:
+
+- the box basis, where build_hamiltonian finds it exact: the system is an
+  OperatorPair (no constraints, so natural walls), its scalar weights are
+  bit-for-bit one constant and so is each flux family, and the entries of C
+  on axis a's fluxes have one magnitude e_a (each flux column two entries
+  of opposite sign, on the two nodes the flux sits between). Then
+  C C^T = sum_a e_a^2 L_a with L_a the Neumann second difference along
+  axis a, which the orthonormal DCT-II diagonalizes (Strang, SIAM Review
+  41(1), 1999): U is the tensor-product DCT-II in x-fastest mode order and
+  s_k = sqrt(sum_a 4 e_a^2 sin^2(pi k_a / (2 n_a))) for n_a nodes on axis
+  a. The one zero mode k = 0 is dropped, so ``frequencies()`` is the
+  n_scalar - 1 values s > 0 in that mode order, and V = C^T U diag(1/s) is
+  never formed. ``apply`` is two forward and two inverse ``scipy.fft`` DCTs
+  and one product each with C and C^T: O(n log n), no n x n array, and
+  ``propagate`` takes it at every dimension. scipy.fft is imported at the
+  first box ``apply``, so no command pays for it at start-up;
+- otherwise the dense thin SVD C = U diag(s) V^T, memoized on first use.
 
 A Hamiltonian is verified once, where ``from_matrix`` makes it, so no user
 checks H = iK again: K must be finite, real, chiral and antisymmetric to
@@ -52,11 +69,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .discretize import antisymmetry_defect, canonical_csr, diagonal_block_entry
+from .discretize import OperatorPair, antisymmetry_defect, canonical_csr, diagonal_block_entry
 from .errors import EncodingError, NumericalError
 
 HERMITICITY_TOL = 1e-12  # of max|K|
-MAX_DENSE_DIM = 4096  # largest dimension propagate decomposes without a cached decomposition
+MAX_DENSE_DIM = 4096  # largest SVD-basis dimension propagate decomposes without a cached SVD
 _MEMO_KEY = "_hamiltonian"  # where build_hamiltonian keeps a system's H
 
 
@@ -137,7 +154,7 @@ class QuantumRegisterState:
             if np.any(amps != 0):
                 raise EncodingError("null state must have zero amplitudes")
         else:
-            norm = float(np.linalg.norm(amps))
+            norm = float(np.sqrt(np.sum(np.square(amps))))  # pairwise, not a threaded BLAS dot
             if not np.isfinite(norm):  # a NaN norm would pass the unit-norm test
                 raise EncodingError("amplitudes must be finite")
             if abs(norm - 1.0) > 1e-12:
@@ -190,6 +207,39 @@ def stack_substates(vectors) -> QuantumRegisterState:
     return QuantumRegisterState(amplitudes=stacked, scale=scale, layout=layout)
 
 
+@dataclass(frozen=True)
+class _BoxBasis:
+    """The closed-form basis of C on a homogeneous box (see the module docstring).
+
+    shape holds the node count per axis, x first; s the frequencies in
+    x-fastest mode order, zero mode dropped; c is C and ct its transpose,
+    both canonical CSR.
+    """
+
+    shape: tuple[int, ...]
+    s: np.ndarray
+    c: sp.csr_matrix
+    ct: sp.csr_matrix
+
+    def coefficients(self, x: np.ndarray) -> np.ndarray:
+        """U^T x for the scalar columns of x: the DCT-II without the zero mode."""
+        from scipy.fft import dctn
+
+        cols = x.shape[1]
+        axes = tuple(range(len(self.shape)))
+        return dctn(x.reshape(*self.shape[::-1], cols), 2, axes=axes, norm="ortho").reshape(-1, cols)[1:]
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """U coeffs: the inverse DCT-II of the columns of coeffs, zero mode 0."""
+        from scipy.fft import idctn
+
+        cols = coeffs.shape[1]
+        full = np.zeros((coeffs.shape[0] + 1, cols))
+        full[1:] = coeffs
+        axes = tuple(range(len(self.shape)))
+        return idctn(full.reshape(*self.shape[::-1], cols), 2, axes=axes, norm="ortho").reshape(-1, cols)
+
+
 @dataclass
 class Hamiltonian:
     """The Hermitian generator H = iK, held as the real antisymmetric K.
@@ -198,14 +248,17 @@ class Hamiltonian:
     no stored zeros); maxnorm is max|H_jk| = max|K_jk| and sparsity the
     largest row population. split is the number of leading scalar
     coordinates; H is chiral about it. ``from_matrix`` makes and verifies
-    one. The dense decomposition is memoized on first use (``_eig``), and
-    ``apply`` is the one way to use it. The stacked schedule generators of the evolution module keep
-    a single-block Hamiltonian and act through it, so one decomposition of
-    the block H serves every block of every generator built from it.
+    one. ``apply`` is the one way to use its basis, which ``basis`` names:
+    "box", the closed form build_hamiltonian attaches to a homogeneous
+    OperatorPair, or "svd", the dense thin SVD, memoized on first use
+    (``_eig``). ``eigendecomposition()`` returns that SVD on any H, box
+    ones included. The stacked schedule generators of the evolution module keep
+    a single-block Hamiltonian and act through it, so one basis of the
+    block H serves every block of every generator built from it.
     build_hamiltonian memoizes its result on the (frozen, never mutated in
     place) system object it was given, so every caller that asks for the H
     of one system (the forced solve, the windowed slices, the sync and mult
-    generators) shares this instance and its one decomposition.
+    generators) shares this instance and its one basis.
     """
 
     generator: sp.csr_matrix
@@ -213,6 +266,7 @@ class Hamiltonian:
     sparsity: int
     split: int
     _eig: tuple | None = field(default=None, repr=False, compare=False)
+    _box: _BoxBasis | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_matrix(cls, generator, split: int) -> "Hamiltonian":
@@ -221,7 +275,7 @@ class Hamiltonian:
         K must be finite, couple the first split coordinates (the scalars)
         only to the rest, and be antisymmetric to HERMITICITY_TOL of max|K|.
         A complex or non-chiral K is an EncodingError; a non-finite or
-        non-antisymmetric one a NumericalError.
+        non-antisymmetric one a NumericalError. The H takes the SVD basis.
         """
         if np.iscomplexobj(generator):
             raise EncodingError("the generator K of H = iK must be real")
@@ -252,6 +306,11 @@ class Hamiltonian:
     def n_qubits(self) -> int:
         return int(round(np.log2(next_power_of_two(self.dim))))
 
+    @property
+    def basis(self) -> str:
+        """The basis ``apply`` works in: "box" (closed form) or "svd" (dense thin SVD)."""
+        return "svd" if self._box is None else "box"
+
     def hermiticity_defect(self) -> float:
         """max|H - H^H| = max|K + K^T|."""
         return antisymmetry_defect(self.generator)
@@ -260,7 +319,8 @@ class Hamiltonian:
         """The memoized dense decomposition of H.
 
         It is the real thin SVD (s, U, V) of the scalar x flux block
-        C = U diag(s) V^T of K.
+        C = U diag(s) V^T of K. ``apply`` uses it only when ``basis`` is
+        "svd"; on a box H it is computed only for a caller that asks.
         """
         if self._eig is None:
             c = self.generator[: self.split, self.split :].toarray()
@@ -269,11 +329,16 @@ class Hamiltonian:
         return self._eig
 
     def frequencies(self) -> np.ndarray:
-        """Where ``apply`` takes phi: the singular values of C."""
-        return self.eigendecomposition()[0]
+        """Where ``apply`` takes phi: the singular values s of C in the basis's order.
+
+        In the SVD basis, all min(n_scalar, n_flux) of them, descending and
+        zeros included; in the box basis, the n_scalar - 1 values s > 0 in
+        x-fastest mode order.
+        """
+        return self.eigendecomposition()[0] if self._box is None else self._box.s
 
     def apply(self, phi: np.ndarray, phi0, w: np.ndarray) -> np.ndarray:
-        """phi(H) applied to the columns of w, from the memoized decomposition.
+        """phi(H) applied to the columns of w, in the H's basis.
 
         phi holds the function's values at ``frequencies()``, shaped (k, 1)
         or (k, columns); phi0 is its value at the zero modes, a scalar or one
@@ -281,22 +346,31 @@ class Hamiltonian:
         columns of w give real columns, and no complex product against U or
         V is formed.
         """
-        _, u, v = self.eigendecomposition()
         a, b = phi.real - phi0, -phi.imag
         x, y = w[: self.split], w[self.split :]
-        ux, vy = u.T @ x, v.T @ y
-        out = np.concatenate([u @ (a * ux + b * vy), v @ (a * vy - b * ux)])
+        box = self._box
+        if box is None:
+            _, u, v = self.eigendecomposition()
+            ux, vy = u.T @ x, v.T @ y
+            out = np.concatenate([u @ (a * ux + b * vy), v @ (a * vy - b * ux)])
+        else:
+            s = box.s[:, None]
+            ux, vy = box.coefficients(x), box.coefficients(box.c @ y) / s
+            out = np.concatenate(
+                [box.synthesize(a * ux + b * vy), box.ct @ box.synthesize((a * vy - b * ux) / s)]
+            )
         out += phi0 * w
         return out
 
     def propagate(self, w: np.ndarray, t: float) -> np.ndarray:
         """e^{-iHt} = e^{tK} applied to the columns of w; there is no option.
 
-        Through ``apply`` when the decomposition is cached or dim <=
-        MAX_DENSE_DIM, else by the sparse polynomial action of tK (Al-Mohy
-        and Higham 2011; cost roughly nnz * |H| * t), which never decomposes.
+        Through ``apply`` in the box basis at every dimension, and in the SVD
+        basis when it is cached or dim <= MAX_DENSE_DIM; else by the sparse
+        polynomial action of tK (Al-Mohy and Higham 2011; cost roughly
+        nnz * |H| * t), which never decomposes.
         """
-        if self._eig is not None or self.dim <= MAX_DENSE_DIM:
+        if self._box is not None or self._eig is not None or self.dim <= MAX_DENSE_DIM:
             return self.apply(np.exp(-1j * self.frequencies() * t)[:, None], 1.0, w)
         # imported here: scipy.sparse.linalg (and scipy.linalg under it) is only
         # needed above MAX_DENSE_DIM, so no command pays for it at start-up
@@ -320,12 +394,13 @@ def build_hamiltonian(system) -> Hamiltonian:
     through .b_diagonal() and the scalar coordinates as .scalar_slice.
     The split is scalar_slice.stop; Hamiltonian.from_matrix verifies K,
     refusing one that couples two scalars or two fluxes, or whose
-    antisymmetry defect exceeds HERMITICITY_TOL of max|K|.
+    antisymmetry defect exceeds HERMITICITY_TOL of max|K|. The H takes the
+    box basis where it is exact (see the module docstring), else the SVD.
 
     A frozen dataclass system (OperatorPair, ReducedSystem) keeps the result
     in its instance ``__dict__``, outside its fields, so eq and repr are
     unchanged: a later call with the same object returns the same
-    Hamiltonian, and with it the same memoized decomposition. Two equal
+    Hamiltonian, and with it the same basis. Two equal
     systems are two objects and build two Hamiltonians. The memo assumes the
     frozen system is never mutated in place (no write into A or b_diag);
     any other object, such as a mutable namespace, is built afresh per call.
@@ -338,8 +413,51 @@ def build_hamiltonian(system) -> Hamiltonian:
             raise EncodingError("generator and energy weight dimensions differ")
         inv_sqrt = sp.diags(1.0 / np.sqrt(diag))
         k = inv_sqrt @ sp.csr_matrix(system.A) @ inv_sqrt
-        memo[_MEMO_KEY] = Hamiltonian.from_matrix(k, system.scalar_slice.stop)
+        ham = Hamiltonian.from_matrix(k, system.scalar_slice.stop)
+        ham._box = _box_basis(system, ham.generator)
+        memo[_MEMO_KEY] = ham
     return memo[_MEMO_KEY]
+
+
+def _box_basis(system, k: sp.csr_matrix) -> _BoxBasis | None:
+    """The box basis of K where it is exact (see the module docstring), else None.
+
+    Besides the weights, C itself is checked: every flux column holds two
+    entries of opposite sign, of magnitude e_a on axis a, on the two nodes
+    the flux sits between. So C C^T = sum_a e_a^2 L_a holds exactly.
+    """
+    if not isinstance(system, OperatorPair):
+        return None
+    grid = system.grid
+    families = np.split(system.b_diag, np.cumsum([grid.n_scalar, *grid.n_flux[:-1]]))
+    if any(np.any(w != w[0]) for w in families):
+        return None
+    c = k[: grid.n_scalar, grid.n_scalar :].tocsc()  # one column per flux, rows sorted
+    if np.any(np.diff(c.indptr) != 2):
+        return None
+    rows, data = c.indices.reshape(-1, 2), c.data.reshape(-1, 2)
+    e, start = [], 0
+    for axis in range(grid.dimension):
+        edges = grid.flux_shape(axis)[::-1]  # slowest axis first: the flux order
+        low = np.ravel_multi_index(np.indices(edges).reshape(len(edges), -1), grid.shape[::-1])
+        ends = np.stack([low, low + int(np.prod(grid.shape[:axis]))], axis=1)
+        fluxes = slice(start, start + low.size)
+        start = fluxes.stop
+        block = data[fluxes]
+        e.append(abs(block[0, 0]))
+        if not (
+            np.array_equal(rows[fluxes], ends)
+            and np.array_equal(block[:, 0], -block[:, 1])
+            and np.all(np.abs(block) == e[-1])
+        ):
+            return None
+    # s = e_max sqrt(sum_a (e_a / e_max)^2 4 sin^2(pi k_a / (2 n_a))): no square overflows
+    e_max = max(e)
+    squares = np.zeros(grid.shape[::-1])
+    for axis, (n, e_a) in enumerate(zip(grid.shape, e)):
+        along = np.square(2.0 * (e_a / e_max) * np.sin(np.pi * np.arange(n) / (2 * n)))
+        squares = squares + along.reshape([n if ax == axis else 1 for ax in range(grid.dimension)][::-1])
+    return _BoxBasis(shape=grid.shape, s=e_max * np.sqrt(squares.ravel()[1:]), c=c.tocsr(), ct=c.T)
 
 
 def encode(w: np.ndarray, b) -> QuantumRegisterState:

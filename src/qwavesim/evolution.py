@@ -21,8 +21,8 @@ first H.dim coordinates of each block s with tau_s != 0 and leaves pad
 coordinates and zero-time blocks untouched.
 
 Every block goes through ``Hamiltonian.propagate`` of the block H, which
-alone chooses how e^{-iHt} acts; the decomposition it may use is memoized
-on H, so every block and every generator built from it shares one. evolve
+alone chooses how e^{-iHt} acts; the basis it may use is held on H, so
+every block and every generator built from it shares one. evolve
 hands every block with the same time to one call as the columns of one
 array, so the simultaneous generator, whose times are all 1, is one
 matrix-matrix product. A Hamiltonian is verified where it is made, so
@@ -52,8 +52,10 @@ def evolve(
     physical block of a single sub-state. Each acts block by block through
     its single-block H; pad coordinates are untouched. Augmented
     (measurement layout) states are not evolvable here. The result is
-    renormalized to exact unit norm; a norm drift beyond NORM_DRIFT_TOL
-    raises instead of being papered over. A non-finite time is refused.
+    renormalized to exact unit norm, by numpy's pairwise sum of squares,
+    whose bits do not follow the BLAS thread count; a norm drift beyond
+    NORM_DRIFT_TOL raises instead of being papered over. A non-finite time
+    is refused.
     """
     if not np.isfinite(t):
         raise EvolutionError(f"evolution time {t} is not finite")
@@ -90,7 +92,7 @@ def evolve(
     for tau, rows in same_time.items():
         blocks[rows] = block.propagate(blocks[rows].T, tau * t).T
 
-    norm = float(np.linalg.norm(out))
+    norm = float(np.sqrt(np.sum(np.square(out))))  # pairwise, not a threaded BLAS dot
     if not abs(norm - 1.0) <= NORM_DRIFT_TOL:
         raise NumericalError(f"evolution lost unitarity: norm {norm!r}")
     return state.with_amplitudes(out / norm)

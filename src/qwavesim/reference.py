@@ -27,8 +27,8 @@ Stability requires dt <= safety * dx_min / (c_max sqrt(D)); violations are
 refused with the admissible bound in the message.
 
 For forced problems needing far more accuracy than O(dt^2), the module also
-provides the spectral quadrature solution: decompose the encoded generator
-and evaluate the resulting oscillatory Duhamel integrals by composite
+provides the spectral quadrature solution: take the encoded generator's
+basis (closed form on a homogeneous box, else its thin SVD) and evaluate the resulting oscillatory Duhamel integrals by composite
 Gauss-Legendre panels sized against both the largest frequency and the
 smoothness scale of the forcing, at the frequencies of ``Hamiltonian.apply``.
 Its error is at rounding level and it serves as the oracle that
@@ -251,7 +251,7 @@ def spectral_forced_solution(
     the zero modes.
     The generator is build_hamiltonian(system), which is memoized on the
     system object, so repeated solves on one system (and the sync and mult
-    generators built from its H) share one decomposition.
+    generators built from its H) share one basis.
     """
     if t1 < t0:
         raise ValidationError("t1 precedes t0")

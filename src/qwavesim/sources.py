@@ -501,8 +501,8 @@ def greens_decompose(
     that ball, margins included. The slices are those of window_schedule,
     whose steepness is fixed by the ball. Every slice is the exact grid response by
     eigenbasis quadrature, solved with the H that build_hamiltonian memoizes
-    on the system object, so one decomposition serves every slice and any
-    later sync or mult generator built from the same system.
+    on the system object, so one basis serves every slice and any later
+    sync or mult generator built from the same system.
 
     mode accepts only None or "discrete", the one solver. The benchmark
     harness still passes mode="discrete"; the keyword goes with the next

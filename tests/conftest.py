@@ -59,19 +59,22 @@ def coefficients(draw, dimension):
 
 
 @st.composite
-def chiral_systems(draw, kind, dimension):
-    """A random pair of one family and dimension, with or without Dirichlet walls."""
+def chiral_systems(draw, kind, dimension, homogeneous=False):
+    """A random pair of one family and dimension, with or without Dirichlet walls.
+
+    homogeneous draws constant coefficients and no walls: an OperatorPair
+    whose H takes the box basis.
+    """
     shape = [draw(st.integers(2, 20 if dimension == 1 else 7)) for _ in range(dimension)]
     grid = q.build_grid([(0.0, 1.0)] * dimension, shape)
+    coefficient = st.floats(0.5, 3.0) if homogeneous else coefficients(dimension)
     if kind == "acoustic":
-        material = q.MaterialModel.acoustic(
-            grid, rho=draw(coefficients(dimension)), c=draw(coefficients(dimension))
-        )
+        material = q.MaterialModel.acoustic(grid, rho=draw(coefficient), c=draw(coefficient))
     else:
-        material = q.MaterialModel.maxwell1d(
-            grid, eps=draw(coefficients(1)), mu=draw(coefficients(1))
-        )
+        material = q.MaterialModel.maxwell1d(grid, eps=draw(coefficient), mu=draw(coefficient))
     pair = q.assemble_operator_pair(grid, material)
+    if homogeneous:
+        return pair
     walls = [side for names in WALLS[:dimension] for side in names]
     sides = draw(st.lists(st.sampled_from(walls), unique=True, max_size=len(walls)))
     if not sides:

@@ -1,15 +1,16 @@
 """End-to-end acceptance gate.
 
-All eleven acceptance checks live in the check registry (qwavesim.checks):
-operator symmetry, unitary conservation, the leapfrog cross-check, exact
-and sampled estimation, the sliced source pipeline, pre-simulation support
-under refinement, window partitions, preparation-circuit fidelity, wall
-reflection polarity, and constraint compatibility. This gate runs every
+All twelve acceptance checks live in the check registry (qwavesim.checks):
+operator symmetry, unitary conservation, the leapfrog cross-check, the box
+basis against the thin SVD, exact and sampled estimation, the sliced
+source pipeline, pre-simulation support under refinement, window
+partitions, preparation-circuit fidelity, wall reflection polarity, and
+constraint compatibility. This gate runs every
 check of every suite, the same rows that `qwavesim verify SUITE` prints,
 and each check prints a single [PASS]/[FAIL] line with the measured numbers
 (run with -s to see them on success). Every check runs with np.linalg.eigh
-refused: every H is chiral and decomposed by the real SVD of its block C,
-so no verified path calls eigh.
+refused: every H is chiral, held in the closed-form box basis or
+decomposed by the real SVD of its block C, so no verified path calls eigh.
 """
 import time
 

@@ -175,17 +175,8 @@ def test_the_hermiticity_bound_is_relative_to_max_k():
         q.Hamiltonian.from_matrix(k * 2.0**-40, 1)  # the same K at another scale
 
 
-def test_the_register_scale_does_not_depend_on_the_blas_thread_count():
-    # OpenBLAS splits a dot of more than 10,000 values over its threads, which
-    # moves the last bit of a norm taken by np.vdot; numpy's own sums do not
-    code = (
-        "import hashlib, numpy as np; from qwavesim.encoding import stack_substates\n"
-        "for seed in range(4):\n"
-        "    rng = np.random.default_rng(seed)\n"
-        "    v = rng.normal(size=131072)\n"
-        "    for s in (stack_substates([v]), stack_substates([v, rng.normal(size=v.size)])):\n"
-        "        print(s.scale.hex(), hashlib.sha256(s.amplitudes.tobytes()).hexdigest())\n"
-    )
+def _printed_under_blas_threads(code: str) -> list[str]:
+    """The standard output of code run in two fresh interpreters, with 1 and 2 BLAS threads."""
     src = str(Path(q.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     printed = []
@@ -199,7 +190,40 @@ def test_the_register_scale_does_not_depend_on_the_blas_thread_count():
         )
         assert done.returncode == 0, done.stderr
         printed.append(done.stdout)
+    return printed
+
+
+def test_the_register_scale_does_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot of more than 10,000 values over its threads, which
+    # moves the last bit of a norm taken by np.vdot; numpy's own sums do not
+    code = (
+        "import hashlib, numpy as np; from qwavesim.encoding import stack_substates\n"
+        "for seed in range(4):\n"
+        "    rng = np.random.default_rng(seed)\n"
+        "    v = rng.normal(size=131072)\n"
+        "    for s in (stack_substates([v]), stack_substates([v, rng.normal(size=v.size)])):\n"
+        "        print(s.scale.hex(), hashlib.sha256(s.amplitudes.tobytes()).hexdigest())\n"
+    )
+    printed = _printed_under_blas_threads(code)
     assert printed[0].count("\n") == 8
+    assert printed[0] == printed[1]
+
+
+def test_a_box_basis_mult_evolve_does_not_depend_on_the_blas_thread_count():
+    # the box basis acts by scipy.fft (one worker) and sparse products, and
+    # evolve renormalizes by numpy's pairwise sum: 131,072 amplitudes, no BLAS
+    code = (
+        "import hashlib, numpy as np, qwavesim as q\n"
+        "grid = q.build_grid([(0.0, 1.0)], [512])\n"
+        "pair = q.assemble_operator_pair(grid, q.MaterialModel.acoustic(grid, rho=1.3, c=0.8))\n"
+        "ham = q.build_hamiltonian(pair)\n"
+        "rng = np.random.default_rng(7)\n"
+        "state = q.encoding.stack_substates([rng.normal(size=pair.n_total) for _ in range(128)])\n"
+        "out = q.evolve(state, q.build_mult_hamiltonian(ham, 128), 0.37)\n"
+        "print(ham.basis, out.amplitudes.size, hashlib.sha256(out.amplitudes.tobytes()).hexdigest())\n"
+    )
+    printed = _printed_under_blas_threads(code)
+    assert printed[0].startswith("box 131072 ")
     assert printed[0] == printed[1]
 
 
@@ -321,6 +345,81 @@ def test_chiral_decomposition_is_an_orthonormal_eigenbasis(kind, dimension, data
     psi = _random_state(ham.dim, seed)
     exact = scipy.linalg.expm(t * ham.generator.toarray()) @ psi
     assert np.abs(_evolved(ham, psi, t) - exact).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind, dimension", [("acoustic", 1), ("acoustic", 2), ("maxwell", 1)])
+@given(data=st.data(), t=st.floats(-1.5, 1.5), seed=st.integers(0, 2**16))
+def test_the_box_basis_matches_the_thin_svd(kind, dimension, data, t, seed):
+    system = data.draw(chiral_systems(kind, dimension, homogeneous=True))
+    box = q.build_hamiltonian(system)
+    svd = q.Hamiltonian.from_matrix(box.generator, box.split)  # the same K, no box basis
+    assert (box.basis, svd.basis) == ("box", "svd")
+    s = box.frequencies()
+    assert s.size == box.split - 1 and np.all(s > 0)  # the one zero mode dropped
+    top = np.sort(svd.frequencies())[-s.size :]
+    assert np.abs(np.sort(s) - top).max() <= 1e-12 * box.maxnorm
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(box.dim, 2))
+    p, r = rng.normal(size=2)
+
+    def phi(freqs):  # complex, with phi(0) = p the zero modes' value
+        return ((p + 1j * r * freqs) * np.exp(-1j * freqs * t) / (1.0 + freqs))[:, None]
+
+    for got, want in (
+        (box.propagate(w, t), svd.propagate(w, t)),
+        (box.apply(phi(s), p, w), svd.apply(phi(svd.frequencies()), p, w)),
+    ):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _with_generator(pair, edit):
+    """pair with A = edit(A as a dense array), mirrored so A stays antisymmetric."""
+    a = pair.A.toarray()
+    edit(a)
+    a[pair.grid.n_scalar :, : pair.grid.n_scalar] = -a[: pair.grid.n_scalar, pair.grid.n_scalar :].T
+    return dataclasses.replace(pair, A=sp.csr_matrix(a))
+
+
+def _scaled_flux(a):
+    a[:, -1] *= 2.0  # one flux of the last axis twice as stiff
+
+
+def _moved_flux(a):
+    rows = np.flatnonzero(a[:, -1])
+    a[rows[-1] - 2, -1], a[rows[-1], -1] = a[rows[-1], -1], 0.0  # one node too far
+
+
+def _pinned_left():
+    pair = build_acoustic_1d(n=12)
+    return q.reduce_system(pair, q.dirichlet_constraints(pair.grid, np.array([0])))
+
+
+def _namespace():
+    pair = build_acoustic_1d(n=12)
+    return types.SimpleNamespace(A=pair.A, b_diagonal=pair.b_diagonal, scalar_slice=pair.scalar_slice)
+
+
+_BASES = {
+    "homogeneous-1d": (lambda: build_acoustic_1d(n=12, rho=1.3, c=0.7), "box"),
+    "homogeneous-2d": (lambda: build_acoustic_2d(nx=5, ny=4, rho=0.6, c=2.0), "box"),
+    "homogeneous-maxwell": (lambda: build_maxwell(n=9, eps=2.0, mu=0.5), "box"),
+    "graded-rho": (lambda: build_acoustic_1d(n=12, rho=lambda x: 1.0 + x[0]), "svd"),
+    "dirichlet-wall": (_pinned_left, "svd"),
+    "not-an-operator-pair": (_namespace, "svd"),
+    "one-flux-scaled": (lambda: _with_generator(build_acoustic_2d(nx=5, ny=4), _scaled_flux), "svd"),
+    "one-flux-moved": (lambda: _with_generator(build_acoustic_1d(n=12), _moved_flux), "svd"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BASES))
+def test_the_box_basis_is_taken_only_where_it_is_exact(case):
+    make, basis = _BASES[case]
+    system = make()
+    ham = q.build_hamiltonian(system)
+    assert ham.basis == basis
+    w = np.random.default_rng(4).normal(size=(ham.dim, 2))
+    want = scipy.linalg.expm(0.7 * ham.generator.toarray()) @ w
+    assert np.abs(ham.propagate(w, 0.7) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_chiral_decomposition_calls_no_eigh(monkeypatch):

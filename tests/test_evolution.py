@@ -46,15 +46,23 @@ def _materialized(gen):
 
 
 # the MAX_DENSE_DIM that makes Hamiltonian.propagate take each action on an
-# undecomposed H: dense at every size, or the sparse (Krylov) action at every size
-_DENSE_LIMITS = {"dense": np.iinfo(np.intp).max, "krylov": 0}
+# undecomposed H: dense at every size, or the sparse (Krylov) action at every
+# size; the box basis is taken at every size, so 0 shows it bypasses Krylov
+_DENSE_LIMITS = {"dense": np.iinfo(np.intp).max, "krylov": 0, "box": 0}
 
 
 def _evolve_with(method, state, ham, t):
-    """evolve with propagate held to one action; krylov needs an undecomposed H."""
-    assert method == "dense" or getattr(ham, "block", ham)._eig is None
+    """evolve with propagate held to one action; krylov needs an undecomposed SVD-basis H."""
+    block = getattr(ham, "block", ham)
+    assert block.basis == ("box" if method == "box" else "svd")
+    assert method != "krylov" or block._eig is None
     with mock.patch.object(encoding, "MAX_DENSE_DIM", _DENSE_LIMITS[method]):
         return q.evolve(state, ham, t)
+
+
+def _pair_for(method, n, rho, c):
+    """A 1D pair whose H takes method's basis: homogeneous for box, rho graded otherwise."""
+    return build_acoustic_1d(n=n, rho=rho if method == "box" else lambda x: rho + 0.2 * x[0], c=c)
 
 
 def test_zero_time_is_identity():
@@ -111,7 +119,7 @@ def test_group_property_on_random_systems(kind, dimension, data, a, b, seed):
 
 
 def test_dense_and_krylov_backends_agree(rng):
-    pair = build_acoustic_1d(n=16)
+    pair = _pair_for("dense", 16, 1.0, 1.0)
     ham = q.build_hamiltonian(pair)
     state = q.encode(rng.normal(size=pair.n_total), pair)
     krylov = _evolve_with("krylov", state, ham, 1.1)  # first: dense decomposes H
@@ -122,8 +130,9 @@ def test_dense_and_krylov_backends_agree(rng):
 def test_backend_is_dense_when_small_or_decomposed_and_krylov_above(monkeypatch):
     import scipy.sparse.linalg
 
-    pair = build_acoustic_1d(n=16)  # dim 31
+    pair = _pair_for("dense", 16, 1.0, 1.0)  # dim 31, rho graded: the SVD basis
     ham = q.build_hamiltonian(pair)
+    assert ham.basis == "svd"
     w = np.ones((pair.n_total, 1))
     expm_multiply, krylov_calls = scipy.sparse.linalg.expm_multiply, []
 
@@ -142,6 +151,24 @@ def test_backend_is_dense_when_small_or_decomposed_and_krylov_above(monkeypatch)
     ham.propagate(w, 0.5)
     assert krylov_calls == [True]  # cached decomposition
     assert encoding.MAX_DENSE_DIM == 30 and not hasattr(evolution, "MAX_DENSE_DIM")
+
+
+def test_the_box_basis_propagates_above_max_dense_dim_without_svd_or_krylov(monkeypatch):
+    import scipy.sparse.linalg
+
+    pair = build_acoustic_1d(n=4096, rho=1.3, c=0.7)  # dim 8,191
+    ham = q.build_hamiltonian(pair)
+    assert ham.basis == "box" and ham.dim > encoding.MAX_DENSE_DIM
+    w = np.random.default_rng(5).normal(size=(ham.dim, 1))
+    # |H| t is about 57; the Krylov action's own error grows with it (5e-13
+    # here against the thin SVD, where the box basis is 3e-14 from it)
+    want = scipy.sparse.linalg.expm_multiply(sp.csc_matrix(0.01 * ham.generator), w)
+    calls = []
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", lambda *a, **k: calls.append("krylov"))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd"))
+    got = ham.propagate(w, 0.01)
+    assert calls == [] and ham._eig is None
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_single_block_generator_leaves_padding_alone(rng):
@@ -269,7 +296,7 @@ def _assert_matches_materialized(state, gen, t, method):
     assert out.scale == state.scale
 
 
-@pytest.mark.parametrize("method", ["dense", "krylov"])
+@pytest.mark.parametrize("method", ["dense", "krylov", "box"])
 @given(
     n=st.integers(2, 9),
     t_ends=st.lists(_TIMES, min_size=1, max_size=8),
@@ -278,14 +305,14 @@ def _assert_matches_materialized(state, gen, t, method):
     seed=st.integers(0, 2**16),
 )
 def test_sync_matches_the_exponential_of_its_matrix(method, n, t_ends, lag, t, seed):
-    pair = build_acoustic_1d(n=n, rho=1.3, c=0.8)  # 2n - 1 unknowns, padded block
+    pair = _pair_for(method, n, 1.3, 0.8)  # 2n - 1 unknowns, padded block
     ham = q.build_hamiltonian(pair)
     sync = q.build_sync_hamiltonian(ham, t_ends, t_sync=max(t_ends) + lag)
     state = _random_register(seed, ham.dim, q.next_power_of_two(len(t_ends)))
     _assert_matches_materialized(state, sync, t, method)
 
 
-@pytest.mark.parametrize("method", ["dense", "krylov"])
+@pytest.mark.parametrize("method", ["dense", "krylov", "box"])
 @given(
     n=st.integers(2, 9),
     arity=st.sampled_from([1, 2, 4, 8]),
@@ -293,7 +320,7 @@ def test_sync_matches_the_exponential_of_its_matrix(method, n, t_ends, lag, t, s
     seed=st.integers(0, 2**16),
 )
 def test_mult_matches_the_exponential_of_its_matrix(method, n, arity, t, seed):
-    pair = build_acoustic_1d(n=n, rho=0.7, c=1.4)
+    pair = _pair_for(method, n, 0.7, 1.4)
     ham = q.build_hamiltonian(pair)
     mult = q.build_mult_hamiltonian(ham, arity)
     state = _random_register(seed, ham.dim, arity)

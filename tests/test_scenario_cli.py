@@ -1182,6 +1182,7 @@ def test_presim_writes_slices_and_an_index(tmp_path, capsys):
     index = json.loads((out / "presim.json").read_text())
     entry = index["sources"][0]
     assert entry["mode"] == "decompose"
+    assert entry["basis"] == "box"  # the demo's medium is homogeneous, its walls natural
     slices = entry["slices"]
     assert len(slices) >= 2
     for part in slices:
@@ -1206,7 +1207,7 @@ def test_presim_of_a_source_without_decompose_is_one_whole_pulse(tmp_path, capsy
     index = json.loads((out / "presim.json").read_text())
     sc = q.load_scenario(scenario)
     whole = q.presimulate_pulse(sc.sources[0].source, sc.system, dt=sc.dt)
-    assert index == {"sources": [{"source": 0, "mode": "presimulate", "slices": [{
+    assert index == {"sources": [{"source": 0, "mode": "presimulate", "basis": None, "slices": [{
         "file": "presim0_slice0.csv", "t_end": whole.t_end,
         "support_radius": whole.support_radius, "nonzero_count": whole.nonzero_count,
     }]}]}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import qwavesim as q
 from qwavesim import checks, cli, sources
+from qwavesim.discretize import PiecewiseCoefficient
 from qwavesim.errors import CausalityError, SourceError, SupportError
 
 from conftest import build_acoustic_1d, build_maxwell
@@ -385,12 +386,41 @@ def _count_decompositions(monkeypatch):
     return dims
 
 
-def _sliced_pulse():
-    pair = build_acoustic_1d(n=128)
+# rho = 1 on [0.015, 0.985], which holds the balls of radius 0.45 around
+# nodes 60 and 64 of 128, and 1.25 on the two nodes next to each wall: the
+# medium varies outside the ball, so the pair's H takes the SVD basis
+_GRADED_RHO = {
+    "kind": "piecewise", "background": 1.25, "regions": [{"bounds": [[0.015, 0.985]], "value": 1.0}]
+}
+
+
+def _sliced_pulse(graded=True):
+    if graded:
+        box = np.array(_GRADED_RHO["regions"][0]["bounds"])
+        rho = PiecewiseCoefficient(background=_GRADED_RHO["background"], regions=((box, 1.0),))
+    else:
+        rho = 1.0
+    pair = build_acoustic_1d(n=128, rho=rho)
     src = q.PointSource(
         location=(64,), polarization=(1.0, 0.0), time_function=q.gaussian_pulse(0.08, 0.01)
     )
+    assert q.build_hamiltonian(pair).basis == ("svd" if graded else "box")
     return pair, src
+
+
+def _sliced_register(pair, src):
+    """The slice -> sync -> mult pipeline on pair, every step through the pair's H."""
+    slices = q.greens_decompose(src, 1.0, 1.0, 0.45, pair, mode="discrete")
+    state, t_ends = q.assemble_multisource_state(slices, pair)
+    ham = q.build_hamiltonian(pair)
+    layout = state.layout
+    sync = q.build_sync_hamiltonian(
+        ham, t_ends, max(t_ends), block_dim=layout.block_dim, arity=layout.arity
+    )
+    synced = q.evolve(state, sync, 1.0)
+    mult = q.build_mult_hamiltonian(ham, layout.arity, block_dim=layout.block_dim)
+    assert layout.arity >= 2
+    return q.evolve(synced, mult, 0.2)
 
 
 def test_discrete_decomposition_decomposes_once(monkeypatch):
@@ -406,18 +436,19 @@ def test_sync_then_mult_decompose_only_the_block_hamiltonian(monkeypatch):
     # the slices and both generators share the H memoized on the pair
     pair, src = _sliced_pulse()
     dims = _count_decompositions(monkeypatch)
-    slices = q.greens_decompose(src, 1.0, 1.0, 0.45, pair, mode="discrete")
-    state, t_ends = q.assemble_multisource_state(slices, pair)
-    ham = q.build_hamiltonian(pair)
-    layout = state.layout
-    sync = q.build_sync_hamiltonian(
-        ham, t_ends, max(t_ends), block_dim=layout.block_dim, arity=layout.arity
-    )
-    synced = q.evolve(state, sync, 1.0)
-    mult = q.build_mult_hamiltonian(ham, layout.arity, block_dim=layout.block_dim)
-    q.evolve(synced, mult, 0.2)
-    assert layout.arity >= 2
+    _sliced_register(pair, src)
     assert dims == [pair.n_total]
+
+
+def test_a_homogeneous_pair_is_never_decomposed(monkeypatch):
+    # the box basis is closed form: slices, sync, mult and the sliced
+    # pipeline check run without one SVD or eigh
+    pair, src = _sliced_pulse(graded=False)
+    dims = _count_decompositions(monkeypatch)
+    _sliced_register(pair, src)
+    rows = checks.sliced_pipeline()
+    assert all(value <= tol for _, value, tol in rows)
+    assert dims == []
 
 
 def test_build_hamiltonian_is_memoized_on_the_system_object():
@@ -456,10 +487,13 @@ def test_reduced_system_keeps_its_own_hamiltonian():
 
 
 def test_sliced_pipeline_check_decomposes_once(monkeypatch):
+    # the check on a pair whose medium varies outside the ball (SVD basis)
+    pair, src = _sliced_pulse()
+    monkeypatch.setattr(checks, "_sliced_source", lambda: (pair.grid, pair, src, 0.45))
     dims = _count_decompositions(monkeypatch)
     rows = checks.sliced_pipeline()
     assert all(value <= tol for _, value, tol in rows)
-    assert dims == [build_acoustic_1d(n=128).n_total]
+    assert dims == [pair.n_total]
 
 
 def test_discrete_decomposition_shares_a_given_hamiltonian(monkeypatch):
@@ -477,7 +511,9 @@ def test_discrete_decomposition_shares_a_given_hamiltonian(monkeypatch):
 
 
 def test_presim_decomposes_once_for_all_discrete_sources(tmp_path, monkeypatch, capsys):
+    # two decompose sources on a medium that varies outside the balls share one H
     doc = json.loads((SCENARIOS / "acoustic_demo.json").read_text())
+    doc["material"]["rho"] = _GRADED_RHO
     second = dict(doc["sources"][0], location=[60])
     doc["sources"].append(second)
     scenario = tmp_path / "two_sources.json"
@@ -487,7 +523,16 @@ def test_presim_decomposes_once_for_all_discrete_sources(tmp_path, monkeypatch, 
     assert cli.main(["presim", "--scenario", str(scenario), "--out", str(out)]) == 0
     assert dims == [build_acoustic_1d(n=128).n_total]
     index = json.loads((out / "presim.json").read_text())
-    assert len(index["sources"]) == 2
+    assert [entry["basis"] for entry in index["sources"]] == ["svd", "svd"]
+
+
+def test_presim_of_the_demo_decomposes_nothing(tmp_path, monkeypatch, capsys):
+    dims = _count_decompositions(monkeypatch)
+    out = tmp_path / "out"
+    demo = str(SCENARIOS / "acoustic_demo.json")
+    assert cli.main(["presim", "--scenario", demo, "--out", str(out)]) == 0
+    assert dims == []
+    assert json.loads((out / "presim.json").read_text())["sources"][0]["basis"] == "box"
 
 
 def test_single_window_slice_matches_the_unsliced_solution():
