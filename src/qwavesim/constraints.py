@@ -23,7 +23,8 @@ operators, and a violation of the antisymmetry bound raises
 IncompatibleConstraintError. The common case R_f = 0 (pinned unknowns, e.g.
 Dirichlet walls) reduces to deleting rows and columns, which preserves both
 properties trivially. R_f, R_c and the reduced A' are canonical CSR, like the
-generator they come from.
+generator they come from. scipy.sparse is imported by dirichlet_constraints
+and by the coupled branch of reduce_system, not at module level.
 
 b(t) arrives as time samples and is linearly interpolated when the induced
 source is evaluated between samples. Only the free unknowns next to a
@@ -33,13 +34,15 @@ the rows of A_fc R_c^{-1} that are not empty, times the interpolated b(t).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .discretize import OperatorPair, RowForcing, StaggeredGrid, antisymmetry_defect, canonical_csr
 from .errors import ConstraintError, IncompatibleConstraintError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 REDUCED_SYMMETRY_TOL = 1e-12
 
@@ -126,6 +129,8 @@ def dirichlet_constraints(
     An empty index list is the no-op constraint set: reduce_system returns
     the pair unchanged.
     """
+    import scipy.sparse as sp
+
     idx = np.unique(np.asarray(indices, dtype=np.int64))
     if idx.size and (idx.min() < 0 or idx.max() >= grid.n_scalar):
         raise ConstraintError("Dirichlet indices must address scalar-block unknowns")
@@ -248,6 +253,8 @@ def reduce_system(pair: OperatorPair, constraints: ConstraintSet) -> ReducedSyst
     if constraints.r_f is None or constraints.r_f.nnz == 0:
         a_red = canonical_csr(a_ff)
     else:
+        import scipy.sparse as sp
+
         x = _solve_rc(constraints.r_c, constraints.r_f.toarray())
         a_red = canonical_csr(a_ff - sp.csr_matrix(a_fc @ x))
 

@@ -26,17 +26,21 @@ per-axis counts n_a, which is C order on the reversed shape.
 There is one stored form per operator. A and the stencils are canonical
 float64 scipy CSR (sorted indices, no duplicates, no stored zeros), produced
 only by canonical_csr; B is diagonal by construction and stored as its
-positive diagonal vector.
+positive diagonal vector. scipy.sparse is imported inside the functions that
+build operators (canonical_csr, the stencils and the assembly), so importing
+this module loads no scipy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import GridError, MaterialError, NumericalError, ValidationError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # ---------------------------------------------------------------------------
 # sparse operators
@@ -49,6 +53,8 @@ def canonical_csr(mat, error: type[Exception] = GridError) -> sp.csr_matrix:
     entries and no stored zeros, so equal operators have identical
     (indptr, indices, data) arrays. Non-finite entries raise ``error``.
     """
+    import scipy.sparse as sp
+
     out = sp.csr_matrix(mat, dtype=np.float64, copy=True)
     if not np.all(np.isfinite(out.data)):
         raise error("sparse operator entries must be finite")
@@ -115,7 +121,7 @@ class RowForcing:
     @classmethod
     def zero(cls, size: int) -> "RowForcing":
         """The forcing that touches no row."""
-        return cls(size, np.empty(0, dtype=np.int64), sp.csr_matrix((0, 0)), lambda _t: np.zeros(0))
+        return cls(size, np.empty(0, dtype=np.int64), np.zeros((0, 0)), lambda _t: np.zeros(0))
 
     def on_rows(self, t: float) -> np.ndarray:
         """The value at t on ``rows``."""
@@ -252,6 +258,8 @@ def _along_axis(shape: tuple[int, ...], axis: int, op) -> sp.spmatrix:
     The slowest axis is the outermost Kronecker factor, so in 2D an x
     operator becomes kron(I_ny, op) and a y operator kron(op, I_nx).
     """
+    import scipy.sparse as sp
+
     out = op if axis == 0 else sp.identity(shape[0])
     for ax in range(1, len(shape)):
         out = sp.kron(op if ax == axis else sp.identity(shape[ax]), out)
@@ -274,6 +282,8 @@ def build_gradient_divergence(grid: StaggeredGrid) -> tuple[sp.csr_matrix, sp.cs
         (grad, div) as canonical CSR with shapes (sum n_flux, n_scalar) and
         (n_scalar, sum n_flux).
     """
+    import scipy.sparse as sp
+
     grads, divs = [], []
     for ax, (n, dx) in enumerate(zip(grid.shape, grid.spacing)):
         d_grad = sp.diags([-1.0 / dx, 1.0 / dx], [0, 1], shape=(n - 1, n))
@@ -354,6 +364,21 @@ def _sample(
     return out
 
 
+def _refuse_out_of_range(names: str, scalar_weight: np.ndarray, max_speed: float) -> None:
+    """MaterialError unless the scalar weights and the largest speed are finite and positive.
+
+    Finite positive coefficients can still give values that leave the float
+    range (rho c^2 overflowing, eps mu underflowing to 0). The flux weights
+    are sampled coefficients, which _sample has checked.
+    """
+    weights_ok = np.all(np.isfinite(scalar_weight) & (scalar_weight > 0.0))
+    if not (weights_ok and 0.0 < max_speed < np.inf):
+        raise MaterialError(
+            f"{names} give energy weights or a largest wave speed outside the float range; "
+            "each must be finite and positive"
+        )
+
+
 @dataclass(frozen=True)
 class MaterialModel:
     """Positive material coefficients sampled at the staggered unknowns.
@@ -384,12 +409,15 @@ class MaterialModel:
         c_s = _sample(c, grid.scalar_coords, "c")
         flux_coords = np.concatenate(grid.flux_coords, axis=0)
         rho_f = _sample(rho, flux_coords, "rho")
-        rho_cc = rho_s * c_s**2
-        # conservative bound, exact for homogeneous media
-        vmax = float(np.sqrt(rho_cc.max() / rho_f.min()))
+        with np.errstate(all="ignore"):  # a value out of range is refused below, not warned about
+            rho_cc = rho_s * c_s**2
+            scalar_weight = 1.0 / rho_cc
+            # conservative bound, exact for homogeneous media
+            vmax = float(np.sqrt(rho_cc.max() / rho_f.min()))
+        _refuse_out_of_range("rho and c", scalar_weight, vmax)
         return cls(
             family="acoustic",
-            scalar_weight=1.0 / rho_cc,
+            scalar_weight=scalar_weight,
             flux_weight=rho_f,
             max_speed=vmax,
         )
@@ -401,7 +429,9 @@ class MaterialModel:
             raise MaterialError("the electromagnetic pair is 1D only")
         eps_s = _sample(eps, grid.scalar_coords, "eps")
         mu_f = _sample(mu, grid.flux_coords[0], "mu")
-        vmax = float(1.0 / np.sqrt(eps_s.min() * mu_f.min()))
+        with np.errstate(all="ignore"):  # a value out of range is refused below, not warned about
+            vmax = float(1.0 / np.sqrt(eps_s.min() * mu_f.min()))
+        _refuse_out_of_range("eps and mu", eps_s, vmax)
         return cls(family="maxwell1d", scalar_weight=eps_s, flux_weight=mu_f, max_speed=vmax)
 
 
@@ -454,6 +484,8 @@ def assemble_operator_pair(grid: StaggeredGrid, material: MaterialModel) -> Oper
     only the sign pattern differs, and either pattern is antisymmetric because
     Grad = -Div^T. Assembly verifies max|A + A^T| = 0 exactly and B > 0.
     """
+    import scipy.sparse as sp
+
     grad, div = build_gradient_divergence(grid)
     nsc, nfl = grid.n_scalar, sum(grid.n_flux)
     if material.scalar_weight.shape != (nsc,) or material.flux_weight.shape != (nfl,):

@@ -56,6 +56,8 @@ A Hamiltonian is verified once, where ``from_matrix`` makes it, so no user
 checks H = iK again: K must be finite, real, chiral and antisymmetric to
 HERMITICITY_TOL of max|K| (the defect is rounding that grows with the
 entries). ``Hamiltonian.propagate`` is the one way to apply e^{-iHt}.
+scipy.sparse is imported where build_hamiltonian forms K, so importing this
+module loads no scipy.
 
 A register state may stack several sub-states (block dimension times arity)
 and may carry one auxiliary qubit in front (the measurement layout); the
@@ -65,12 +67,15 @@ index = aux * (arity * block_dim) + substate * block_dim + coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .discretize import OperatorPair, antisymmetry_defect, canonical_csr, diagonal_block_entry
 from .errors import EncodingError, NumericalError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 HERMITICITY_TOL = 1e-12  # of max|K|
 MAX_DENSE_DIM = 4096  # largest SVD-basis dimension propagate decomposes without a cached SVD
@@ -376,7 +381,7 @@ class Hamiltonian:
         # needed above MAX_DENSE_DIM, so no command pays for it at start-up
         from scipy.sparse.linalg import expm_multiply
 
-        return expm_multiply(sp.csc_matrix(t * self.generator), w)
+        return expm_multiply((t * self.generator).tocsc(), w)
 
 
 def _as_b_diagonal(b) -> np.ndarray:
@@ -411,6 +416,8 @@ def build_hamiltonian(system) -> Hamiltonian:
         diag = _as_b_diagonal(system)
         if system.A.shape[0] != diag.size:
             raise EncodingError("generator and energy weight dimensions differ")
+        import scipy.sparse as sp
+
         inv_sqrt = sp.diags(1.0 / np.sqrt(diag))
         k = inv_sqrt @ sp.csr_matrix(system.A) @ inv_sqrt
         ham = Hamiltonian.from_matrix(k, system.scalar_slice.stop)

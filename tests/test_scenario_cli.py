@@ -753,6 +753,10 @@ def _initial(**bad):
     return {"initial": dict(_fast_doc()["initial"], **bad)}
 
 
+def _material(family, **coefficients):
+    return {"material": {"family": family, **coefficients}}
+
+
 def _case(case_id, overrides, message, command="simulate", files=(), args=()):
     return pytest.param(command, overrides, dict(files), list(args), message, id=case_id)
 
@@ -928,6 +932,14 @@ _MALFORMED = [
           "initcircuit"),
     _case("ring-width-underflowing", _ring(width=1e-200), "initcircuit.profile.width",
           "initcircuit"),
+    # finite coefficients whose derived weights or speed leave the float range: each
+    # ended in a ZeroDivisionError, or in numpy warnings and a message naming no key
+    _case("eps-mu-underflowing", _material("maxwell1d", eps=1e-200, mu=1e-200), "eps and mu"),
+    _case("eps-mu-underflowing-initcircuit", _material("maxwell1d", eps=1e-200, mu=1e-200),
+          "eps and mu", "initcircuit"),
+    _case("eps-mu-overflowing", _material("maxwell1d", eps=1e200, mu=1e200), "eps and mu"),
+    _case("c-squared-overflowing", _material("acoustic", rho=1.0, c=1e200), "rho and c"),
+    _case("c-squared-underflowing", _material("acoustic", rho=1.0, c=1e-160), "rho and c"),
 ]
 
 
@@ -939,12 +951,16 @@ def test_malformed_field_exits_one_naming_the_key(
         (tmp_path / name).write_text(body)
     scenario = _write(tmp_path, _fast_doc(**overrides))
     out = tmp_path / "out"
-    assert cli.main([command, "--scenario", str(scenario), "--out", str(out), *args]) == 1
+    # pytest captures warnings instead of printing them, so stderr cannot show one
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([command, "--scenario", str(scenario), "--out", str(out), *args]) == 1
     err = capsys.readouterr().err
     assert "qwavesim: validation error:" in err
     assert message in err
     assert "Traceback" not in err
     assert "np." not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 
