@@ -23,8 +23,8 @@ operators, and a violation of the antisymmetry bound raises
 IncompatibleConstraintError. The common case R_f = 0 (pinned unknowns, e.g.
 Dirichlet walls) reduces to deleting rows and columns, which preserves both
 properties trivially. R_f, R_c and the reduced A' are canonical CSR, like the
-generator they come from. scipy.sparse is imported by dirichlet_constraints
-and by the coupled branch of reduce_system, not at module level.
+generator they come from. scipy.sparse is imported by dirichlet_constraints,
+not at module level.
 
 b(t) arrives as time samples and is linearly interpolated when the induced
 source is evaluated between samples. Only the free unknowns next to a
@@ -253,10 +253,8 @@ def reduce_system(pair: OperatorPair, constraints: ConstraintSet) -> ReducedSyst
     if constraints.r_f is None or constraints.r_f.nnz == 0:
         a_red = canonical_csr(a_ff)
     else:
-        import scipy.sparse as sp
-
         x = _solve_rc(constraints.r_c, constraints.r_f.toarray())
-        a_red = canonical_csr(a_ff - sp.csr_matrix(a_fc @ x))
+        a_red = canonical_csr(a_ff - a_fc @ x)
 
     defect = antisymmetry_defect(a_red)
     if defect > REDUCED_SYMMETRY_TOL:

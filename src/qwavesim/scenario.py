@@ -5,7 +5,10 @@ boundary treatment, initial data, point sources, the evolution clock,
 measurement requests, and the estimator configuration. load_scenario
 parses and cross-validates the whole file up front, resolving regions to
 index masks and reading every referenced file, so a bad scenario fails
-before a single output is written.
+before a single output is written. It assembles no operator: the pair and
+the constraint-reduced system are built at the first use of Scenario.pair
+or Scenario.system, so measure and initcircuit, which use neither, never
+import scipy.sparse.
 
 All errors raised here are ScenarioError (a ValidationError) carrying the
 scenario path for context.
@@ -14,8 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -86,22 +90,49 @@ class InitCircuitSpec:
 
 
 @dataclass(frozen=True)
+class Walls:
+    """The scalar unknowns the boundaries pin, and the samples b(t) that drive them.
+
+    pinned is sorted and unique, and empty when every wall is natural.
+    b_times and b_values, of shape (n_t,) and (n_t, pinned.size), are None
+    when every pinned wall is grounded. n_total counts the unknowns of the
+    full pair, so the simulated unknowns and their index map are known
+    without assembling an operator.
+    """
+
+    n_total: int
+    pinned: np.ndarray
+    b_times: np.ndarray | None = None
+    b_values: np.ndarray | None = None
+
+    @property
+    def n_free(self) -> int:
+        return self.n_total - int(self.pinned.size)
+
+    def restrict(self, w_full: np.ndarray) -> np.ndarray:
+        """w_full on the simulated unknowns, as the system's restrict gives it."""
+        return np.asarray(w_full) if not self.pinned.size else np.delete(w_full, self.pinned)
+
+
+@dataclass(frozen=True)
 class Scenario:
     """A fully validated run description.
 
     system is the operator pair to simulate: the assembled full pair, or
-    the constraint-reduced system when any wall is pinned. Either one's
-    restrict maps a full vector onto its unknowns, over which initial,
-    every source chi, and every measurement mask are indexed. dt is the
-    leapfrog step, half the CFL limit when evolution.dt is null, and None
-    without an evolution section.
+    the constraint-reduced system when any wall is pinned. Both are built
+    at their first use; nothing a scenario file can hold makes that fail,
+    because the grid gives finite difference weights, the material finite
+    positive energy weights, and pinning deletes rows and columns. Initial,
+    every source chi and every measurement mask are indexed over the
+    simulated unknowns, which walls.restrict picks from a full vector. dt
+    is the leapfrog step, half the CFL limit when evolution.dt is null, and
+    None without an evolution section.
     """
 
     path: str
     grid: StaggeredGrid
     material: MaterialModel
-    pair: OperatorPair
-    system: object
+    walls: Walls
     initial: np.ndarray
     sources: tuple[SourceSpec, ...]
     t_start: float
@@ -115,7 +146,21 @@ class Scenario:
 
     @property
     def n_unknowns(self) -> int:
-        return self.system.A.shape[0]
+        return self.walls.n_free
+
+    @cached_property
+    def pair(self) -> OperatorPair:
+        return assemble_operator_pair(self.grid, self.material)
+
+    @cached_property
+    def system(self):
+        walls = self.walls
+        if not walls.pinned.size:
+            return self.pair
+        constraints = dirichlet_constraints(
+            self.grid, walls.pinned, b_times=walls.b_times, b_values=walls.b_values
+        )
+        return reduce_system(self.pair, constraints)
 
     def external_forcing(self) -> RowForcing | None:
         """Sum of the point-source injections, or None when there are none."""
@@ -146,12 +191,11 @@ def load_scenario(
     try:
         grid = _parse_grid(raw)
         material = _parse_material(raw, grid, base)
-        pair = assemble_operator_pair(grid, material)
-        system = _parse_boundaries(raw, grid, pair, base)
-        initial = _parse_initial(raw, grid, pair, system, base)
-        sources = _parse_sources(raw, grid, system, base)
+        walls = _parse_boundaries(raw, grid, base)
+        initial = _parse_initial(raw, grid, walls, base)
+        sources = _parse_sources(raw, grid, walls, base)
         t_start, t_final, dt, record_every = _parse_evolution(raw)
-        measurements = _parse_measurements(raw, grid, system)
+        measurements = _parse_measurements(raw, grid, walls)
         estimator = _parse_estimator(raw, seed_override, shots_override)
         initcircuit = _parse_initcircuit(raw, base)
         output_dir = raw.get("output_dir", default=None)
@@ -165,17 +209,18 @@ def load_scenario(
         output_dir = out_override
 
     if t_final is not None:
-        dt = dt if dt is not None else 0.5 * cfl_limit(system)
+        # cfl_limit reads only the grid and the material, so it needs no assembled operator
+        dt = dt if dt is not None else 0.5 * cfl_limit(SimpleNamespace(grid=grid, material=material))
         steps = np.ceil((t_final - t_start) / dt)
-        if not steps * system.n_total <= MAX_CELL_UPDATES:
+        if not steps * walls.n_free <= MAX_CELL_UPDATES:
             raise ScenarioError(
                 f"{path}: evolution.dt {dt!r} and evolution.t_final {t_final!r} need "
-                f"{steps:.3g} leapfrog steps of {system.n_total} unknowns, "
-                f"{steps * system.n_total:.3g} cell updates, above {MAX_CELL_UPDATES:.0e}"
+                f"{steps:.3g} leapfrog steps of {walls.n_free} unknowns, "
+                f"{steps * walls.n_free:.3g} cell updates, above {MAX_CELL_UPDATES:.0e}"
             )
 
     return Scenario(
-        path=str(path), grid=grid, material=material, pair=pair, system=system,
+        path=str(path), grid=grid, material=material, walls=walls,
         initial=initial, sources=sources, t_start=t_start, t_final=t_final,
         dt=dt, record_every=record_every, measurements=measurements,
         estimator=estimator, initcircuit=initcircuit, output_dir=output_dir,
@@ -294,7 +339,7 @@ def _parse_material(raw: JsonObject, grid: StaggeredGrid, base: Path) -> Materia
     return getattr(MaterialModel, family)(grid, **coefficients)
 
 
-def _parse_boundaries(raw: JsonObject, grid: StaggeredGrid, pair: OperatorPair, base: Path):
+def _parse_boundaries(raw: JsonObject, grid: StaggeredGrid, base: Path) -> Walls:
     """Natural walls cost nothing; Dirichlet walls pin scalar unknowns.
 
     All pinned sides are merged into one constraint set. A corner node
@@ -331,22 +376,17 @@ def _parse_boundaries(raw: JsonObject, grid: StaggeredGrid, pair: OperatorPair, 
             driven.append((nodes, *series))
     spec.close()
 
-    if not pinned:
-        return pair
-
     indices = np.asarray(sorted(pinned), dtype=np.int64)
     if not driven:
-        constraints = dirichlet_constraints(grid, indices)
-    else:
-        t_grid = np.unique(np.concatenate([t for _, t, _ in driven]))
-        if t_grid.size < 2:
-            raise ScenarioError("boundaries: boundary data needs at least 2 samples")
-        b_values = np.zeros((t_grid.size, indices.size))
-        # a driven side shares no node with another side, so its columns are its own
-        for nodes, times, values in driven:
-            b_values[:, np.searchsorted(indices, nodes)] = np.interp(t_grid, times, values)[:, None]
-        constraints = dirichlet_constraints(grid, indices, b_times=t_grid, b_values=b_values)
-    return reduce_system(pair, constraints)
+        return Walls(grid.n_total, indices)
+    t_grid = np.unique(np.concatenate([t for _, t, _ in driven]))
+    if t_grid.size < 2:
+        raise ScenarioError("boundaries: boundary data needs at least 2 samples")
+    b_values = np.zeros((t_grid.size, indices.size))
+    # a driven side shares no node with another side, so its columns are its own
+    for nodes, times, values in driven:
+        b_values[:, np.searchsorted(indices, nodes)] = np.interp(t_grid, times, values)[:, None]
+    return Walls(grid.n_total, indices, t_grid, b_values)
 
 
 def _wall_series(data: JsonObject | None, base: Path):
@@ -367,12 +407,12 @@ def _wall_series(data: JsonObject | None, base: Path):
     return times, values
 
 
-def _parse_initial(raw: JsonObject, grid, pair, system, base: Path) -> np.ndarray:
+def _parse_initial(raw: JsonObject, grid, walls: Walls, base: Path) -> np.ndarray:
     spec = raw.get("initial", JsonObject, {"kind": "zero"})
     kind = spec.get("kind")
     if kind == "zero":
         spec.close()
-        return np.zeros(system.A.shape[0])
+        return np.zeros(walls.n_free)
     if kind == "scalar_gaussian":
         center = spec.get("center", finite_array)
         if center.shape != (grid.dimension,):
@@ -380,14 +420,14 @@ def _parse_initial(raw: JsonObject, grid, pair, system, base: Path) -> np.ndarra
         spread = _gaussian_spread(spec.get("sigma", positive), "initial.sigma")
         amplitude = spec.get("amplitude", finite, 1.0)
         spec.close()
-        w = np.zeros(pair.n_total)
+        w = np.zeros(grid.n_total)
         r2 = np.sum((grid.scalar_coords - center[None, :]) ** 2, axis=1)
         w[: grid.n_scalar] = amplitude * np.exp(-r2 / spread)
-        return system.restrict(w)
+        return walls.restrict(w)
     if kind == "file":
         p = base / spec.get("path")
         spec.close()
-        return system.restrict(read_initial_csv(p, pair.n_total))
+        return walls.restrict(read_initial_csv(p, grid.n_total))
     raise ScenarioError(f"initial: unknown kind {kind!r}")
 
 
@@ -429,7 +469,7 @@ def _parse_time_function(spec: JsonObject, base: Path) -> SourceTimeFunction:
     return pulse
 
 
-def _parse_sources(raw: JsonObject, grid, system, base: Path) -> tuple[SourceSpec, ...]:
+def _parse_sources(raw: JsonObject, grid, walls: Walls, base: Path) -> tuple[SourceSpec, ...]:
     out = []
     for spec in raw.get("sources", list_of(JsonObject), []):
         location = tuple(spec.get("location", list_of(integer)))
@@ -437,15 +477,15 @@ def _parse_sources(raw: JsonObject, grid, system, base: Path) -> tuple[SourceSpe
         f = _parse_time_function(spec.get("time_function", JsonObject), base)
         decompose = spec.get("decompose", JsonObject, None)
         if decompose is not None:
-            decompose = _parse_decompose(decompose, spec.path("time_function"), f, grid, system)
+            decompose = _parse_decompose(decompose, spec.path("time_function"), f, grid, walls)
         spec.close()
         source = PointSource(location=location, polarization=polarization, time_function=f)
-        chi = system.restrict(chi_pattern(source, grid))
+        chi = walls.restrict(chi_pattern(source, grid))
         out.append(SourceSpec(source=source, chi=chi, decompose=decompose))
     return tuple(out)
 
 
-def _parse_decompose(spec: JsonObject, drive: str, f, grid, system) -> dict:
+def _parse_decompose(spec: JsonObject, drive: str, f, grid, walls: Walls) -> dict:
     """The greens_decompose parameters, refused here rather than midway through presim.
 
     Their window schedule must have finite positive derived values, and
@@ -462,11 +502,11 @@ def _parse_decompose(spec: JsonObject, drive: str, f, grid, system) -> dict:
     except SourceError as exc:
         keys = ", ".join(spec.path(k) for k in ("radius", "c", "rho"))
         raise ScenarioError(f"{keys}: {exc}") from None
-    if schedule.width > 0 and not schedule.count * system.n_total <= MAX_CELL_UPDATES:
+    if schedule.width > 0 and not schedule.count * walls.n_free <= MAX_CELL_UPDATES:
         raise ScenarioError(
             f"{drive} and {spec.path('radius')}: {schedule.count:.3g} windows of "
-            f"{schedule.width:.3g} over the source support, each a solve of {system.n_total} "
-            f"unknowns, make {schedule.count * system.n_total:.3g} cell updates, "
+            f"{schedule.width:.3g} over the source support, each a solve of {walls.n_free} "
+            f"unknowns, make {schedule.count * walls.n_free:.3g} cell updates, "
             f"above {MAX_CELL_UPDATES:.0e}"
         )
     return parsed
@@ -488,8 +528,8 @@ def _parse_evolution(raw: JsonObject):
     return t_start, t_final, dt, record_every
 
 
-def _parse_measurements(raw: JsonObject, grid, system) -> tuple[MeasurementRequest, ...]:
-    n_sys = system.A.shape[0]
+def _parse_measurements(raw: JsonObject, grid, walls: Walls) -> tuple[MeasurementRequest, ...]:
+    n_sys = walls.n_free
     out = []
     seen = set()
     for spec in raw.get("measurements", list_of(JsonObject), []):
@@ -519,9 +559,9 @@ def _parse_measurements(raw: JsonObject, grid, system) -> tuple[MeasurementReque
                 (grid.scalar_coords >= box[:, 0]) & (grid.scalar_coords <= box[:, 1]),
                 axis=1,
             )
-            full = np.zeros(grid.n_scalar + sum(grid.n_flux), dtype=bool)
+            full = np.zeros(grid.n_total, dtype=bool)
             full[: grid.n_scalar] = inside
-            mask = system.restrict(full)
+            mask = walls.restrict(full)
             desc = f"scalar nodes in {box.tolist()}"
         elif kind == "indices":
             listed = sub.get("indices", list_of(integer))

@@ -83,24 +83,40 @@ def test_package_import_loads_no_scipy_module():
 DEFERRED = {"scipy.special", "scipy.interpolate", "scipy.sparse.linalg", "scipy.fft"}
 
 
+def _run_command(command: str, scenario: str, out, *extra) -> set[str]:
+    """The scipy modules a fresh interpreter holds after one successful command."""
+    args = [command, "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"),
+            "--out", str(out), *map(str, extra)]
+    return _scipy_modules_after(f"from qwavesim import cli; assert cli.main({args!r}) == 0")
+
+
 @pytest.mark.parametrize(
     "command, scenario, needs",
     [
-        ("simulate", "acoustic_demo", set()),
-        ("simulate", "driven_boundary_demo", set()),
-        ("initcircuit", "initcircuit_demo", set()),
+        ("simulate", "acoustic_demo", {"scipy.sparse"}),
+        ("simulate", "driven_boundary_demo", {"scipy.sparse"}),
         # its windowed slices (expit) are solved in the box basis (DCTs)
-        ("presim", "acoustic_demo", {"scipy.fft", "scipy.special"}),
+        ("presim", "acoustic_demo", {"scipy.sparse", "scipy.fft", "scipy.special"}),
+        ("initcircuit", "initcircuit_demo", set()),
     ],
 )
 def test_a_command_loads_the_scipy_modules_the_readme_names(tmp_path, command, scenario, needs):
-    # README "Start-up": loading a scenario assembles an operator, which
+    # README "Start-up": simulating or slicing assembles an operator, which
     # imports scipy.sparse; the other four load only where they are used
-    args = [command, "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"),
-            "--out", str(tmp_path / "out")]
-    loaded = _scipy_modules_after(f"from qwavesim import cli; assert cli.main({args!r}) == 0")
-    assert "scipy.sparse" in loaded
-    assert loaded & DEFERRED == needs
+    loaded = _run_command(command, scenario, tmp_path / "out")
+    assert loaded & (DEFERRED | {"scipy.sparse"}) == needs
+    assert needs or not loaded, f"{command} loads {sorted(loaded)}"
+
+
+@pytest.mark.parametrize("scenario", ["acoustic_demo", "driven_boundary_demo"])
+def test_measure_loads_no_scipy(tmp_path, scenario):
+    # measure assembles no operator: a scenario's pair and system are built
+    # at their first use, and measure reads only the unknown count and masks
+    _run_command("simulate", scenario, tmp_path / "sim")
+    state = tmp_path / "sim" / "state.csv"
+    for extra in ((), ("--shots", 1000, "--seed", 3)):
+        loaded = _run_command("measure", scenario, tmp_path / "measure", "--state", state, *extra)
+        assert not loaded, f"measure on {scenario} {extra} loads {sorted(loaded)}"
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
