@@ -248,8 +248,9 @@ def reduce_system(pair: OperatorPair, constraints: ConstraintSet) -> ReducedSyst
     if constraints.r_f is not None and constraints.r_f.shape[1] != f_idx.size:
         raise ConstraintError("r_f column count must match free unknowns")
 
-    a_ff = pair.A[f_idx][:, f_idx]
-    a_fc = pair.A[f_idx][:, c_idx]
+    a_f = pair.A[f_idx]
+    a_ff, a_fc = a_f[:, f_idx], a_f[:, c_idx]
+    del a_f  # so the row selection is not held through the canonical copy below
     if constraints.r_f is None or constraints.r_f.nnz == 0:
         a_red = canonical_csr(a_ff)
     else:

@@ -24,11 +24,14 @@ a block, axis 0 (x) runs fastest: k = i_0 + n_0*(i_1 + n_1*(i_2 + ...)) for
 per-axis counts n_a, which is C order on the reversed shape.
 
 There is one stored form per operator. A and the stencils are canonical
-float64 scipy CSR (sorted indices, no duplicates, no stored zeros), produced
-only by canonical_csr; B is diagonal by construction and stored as its
-positive diagonal vector. scipy.sparse is imported inside the functions that
-build operators (canonical_csr, the stencils and the assembly), so importing
-this module loads no scipy.
+float64 scipy CSR (sorted indices, no duplicates, no stored zeros); B is
+diagonal by construction and stored as its positive diagonal vector. Every
+stencil entry is +-1/dx on a (node, flux) pair that
+``StaggeredGrid.flux_incidence`` names, so the stencils and A are written
+straight into their CSR arrays from that incidence, already canonical; any
+other operator is brought to the form by canonical_csr. scipy.sparse is
+imported inside the functions that build operators, so importing this module
+loads no scipy.
 """
 from __future__ import annotations
 
@@ -60,6 +63,23 @@ def canonical_csr(mat, error: type[Exception] = GridError) -> sp.csr_matrix:
         raise error("sparse operator entries must be finite")
     out.sum_duplicates()
     out.eliminate_zeros()
+    return out
+
+
+def _stencil_csr(data: np.ndarray, indices: np.ndarray, counts: np.ndarray, shape) -> sp.csr_matrix:
+    """CSR of entries already listed row by row in canonical order.
+
+    counts holds the entries of each row; within a row the columns must
+    ascend, with no duplicate and no zero value. The stencil builders
+    guarantee that by construction, so the canonical flag is set, not
+    recomputed, and scipy picks the index dtype, as canonical_csr would.
+    """
+    import scipy.sparse as sp
+
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    out = sp.csr_matrix((data, indices, indptr), shape=shape)
+    out.has_canonical_format = True
     return out
 
 
@@ -192,6 +212,23 @@ class StaggeredGrid:
             n - 1 if ax == axis else n for ax, n in enumerate(self.shape)
         )
 
+    def flux_incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two nodes each flux unknown sits between: (low, high), in flux block order.
+
+        Flux f of axis a lies between scalar unknowns low[f] and
+        high[f] = low[f] + n_0 * ... * n_{a-1}, its neighbour one node up
+        axis a. The fluxes of axis a are the nodes below axis a's last, in
+        node order, so low ascends within each axis family. Both are int64
+        over all sum(n_flux) fluxes.
+        """
+        nodes = np.arange(self.n_scalar, dtype=np.int64).reshape(self.shape[::-1])
+        low, high = [], []
+        for axis, n in enumerate(self.shape):
+            # x is the fastest index, so axis a is array axis D - 1 - a
+            low.append(nodes.take(np.arange(n - 1), axis=self.dimension - 1 - axis).ravel())
+            high.append(low[-1] + int(np.prod(self.shape[:axis])))
+        return np.concatenate(low), np.concatenate(high)
+
 
 def build_grid(bounds: Sequence[Sequence[float]], shape: Sequence[int]) -> StaggeredGrid:
     """Build a staggered grid over a 1D interval or 2D box.
@@ -252,45 +289,42 @@ def build_grid(bounds: Sequence[Sequence[float]], shape: Sequence[int]) -> Stagg
 # difference operators
 
 
-def _along_axis(shape: tuple[int, ...], axis: int, op) -> sp.spmatrix:
-    """Lift a 1-D operator acting along ``axis`` to the x-fastest ordering.
-
-    The slowest axis is the outermost Kronecker factor, so in 2D an x
-    operator becomes kron(I_ny, op) and a y operator kron(op, I_nx).
-    """
-    import scipy.sparse as sp
-
-    out = op if axis == 0 else sp.identity(shape[0])
-    for ax in range(1, len(shape)):
-        out = sp.kron(op if ax == axis else sp.identity(shape[ax]), out)
-    return out
-
-
 def build_gradient_divergence(grid: StaggeredGrid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Staggered gradient (nodes -> midpoints) and divergence (midpoints -> nodes).
 
-    Each gradient row couples the two nodes flanking one midpoint with
-    weights -+1/dx, so every row has exactly two nonzeros. Divergence rows
-    difference the flanking midpoints of one node per axis; midpoints outside
-    the domain do not exist and are simply absent (vanishing perpendicular
-    flux at walls). Both are Kronecker products of 1-D difference matrices
-    with identities, and both are built independently (the divergence is not
-    the negated transpose of the gradient); they satisfy Grad = -Div^T
-    identically, which downstream assembly re-checks.
+    Both are written straight into canonical CSR arrays from the grid's
+    flux_incidence, one entry +-1/dx_a per (node, flux) pair. Gradient row
+    f holds -1/dx_a on low[f] and +1/dx_a on high[f], so every row has
+    exactly two nonzeros. Divergence row v holds, per axis, -1/dx_a on the
+    flux ending at node v and +1/dx_a on the flux starting there; midpoints
+    outside the domain do not exist and are simply absent (vanishing
+    perpendicular flux at walls). So Grad = -Div^T entry for entry, which
+    downstream assembly re-checks.
 
     Returns:
         (grad, div) as canonical CSR with shapes (sum n_flux, n_scalar) and
         (n_scalar, sum n_flux).
     """
-    import scipy.sparse as sp
-
-    grads, divs = [], []
-    for ax, (n, dx) in enumerate(zip(grid.shape, grid.spacing)):
-        d_grad = sp.diags([-1.0 / dx, 1.0 / dx], [0, 1], shape=(n - 1, n))
-        d_div = sp.diags([1.0 / dx, -1.0 / dx], [0, -1], shape=(n, n - 1))
-        grads.append(_along_axis(grid.shape, ax, d_grad))
-        divs.append(_along_axis(grid.shape, ax, d_div))
-    return canonical_csr(sp.vstack(grads)), canonical_csr(sp.hstack(divs))
+    low, high = grid.flux_incidence()
+    n_flux, dim = low.size, grid.dimension
+    inv_dx = 1.0 / np.array(grid.spacing)
+    per_flux = np.repeat(inv_dx, grid.n_flux)
+    grad = _stencil_csr(
+        np.column_stack([-per_flux, per_flux]).ravel(), np.column_stack([low, high]).ravel(),
+        np.full(n_flux, 2), (n_flux, grid.n_scalar),
+    )
+    # node v's slots, per axis a: the flux ending at v, then the flux starting
+    # at v. Fluxes of one axis ascend with their low node, and axis a's all
+    # precede axis a + 1's, so a row's filled slots ascend: canonical order.
+    axis = np.repeat(np.arange(dim), grid.n_flux)
+    slots = np.full((grid.n_scalar, 2 * dim), -1, dtype=np.int64)
+    slots[high, 2 * axis] = slots[low, 2 * axis + 1] = np.arange(n_flux)
+    held = slots >= 0
+    div = _stencil_csr(
+        np.broadcast_to(np.column_stack([-inv_dx, inv_dx]).ravel(), slots.shape)[held], slots[held],
+        held.sum(axis=1), (grid.n_scalar, n_flux),
+    )
+    return grad, div
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +518,19 @@ def assemble_operator_pair(grid: StaggeredGrid, material: MaterialModel) -> Oper
     only the sign pattern differs, and either pattern is antisymmetric because
     Grad = -Div^T. Assembly verifies max|A + A^T| = 0 exactly and B > 0.
     """
-    import scipy.sparse as sp
-
     grad, div = build_gradient_divergence(grid)
     nsc, nfl = grid.n_scalar, sum(grid.n_flux)
     if material.scalar_weight.shape != (nsc,) or material.flux_weight.shape != (nfl,):
         raise MaterialError("material arrays do not match the grid")
 
+    # row by row: the divergence rows, shifted past the scalar columns, then the gradient rows
     sign = -1.0 if material.family == "acoustic" else 1.0
-    A = canonical_csr(sp.bmat([[None, sign * div], [sign * grad, None]]))
+    A = _stencil_csr(
+        sign * np.concatenate([div.data, grad.data]),
+        np.concatenate([div.indices.astype(np.int64) + nsc, grad.indices]),
+        np.concatenate([np.diff(div.indptr), np.diff(grad.indptr)]),
+        (nsc + nfl, nsc + nfl),
+    )
     defect = antisymmetry_defect(A)
     if defect != 0.0:
         raise NumericalError(f"assembled generator is not antisymmetric: {defect}")

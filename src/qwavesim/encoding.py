@@ -418,8 +418,13 @@ def build_hamiltonian(system) -> Hamiltonian:
             raise EncodingError("generator and energy weight dimensions differ")
         import scipy.sparse as sp
 
-        inv_sqrt = sp.diags(1.0 / np.sqrt(diag))
-        k = inv_sqrt @ sp.csr_matrix(system.A) @ inv_sqrt
+        # K_ij = (A_ij d_i) d_j with d = B^{-1/2}: per entry the two products
+        # diag(d) @ A @ diag(d) takes, so the same bits, on A's own structure
+        a = sp.csr_matrix(system.A)
+        d = 1.0 / np.sqrt(diag)
+        data = a.data * np.repeat(d, np.diff(a.indptr))
+        data *= d[a.indices]
+        k = sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
         ham = Hamiltonian.from_matrix(k, system.scalar_slice.stop)
         ham._box = _box_basis(system, ham.generator)
         memo[_MEMO_KEY] = ham
@@ -431,7 +436,8 @@ def _box_basis(system, k: sp.csr_matrix) -> _BoxBasis | None:
 
     Besides the weights, C itself is checked: every flux column holds two
     entries of opposite sign, of magnitude e_a on axis a, on the two nodes
-    the flux sits between. So C C^T = sum_a e_a^2 L_a holds exactly.
+    the flux sits between, which are the grid's ``flux_incidence``. So
+    C C^T = sum_a e_a^2 L_a holds exactly.
     """
     if not isinstance(system, OperatorPair):
         return None
@@ -443,20 +449,12 @@ def _box_basis(system, k: sp.csr_matrix) -> _BoxBasis | None:
     if np.any(np.diff(c.indptr) != 2):
         return None
     rows, data = c.indices.reshape(-1, 2), c.data.reshape(-1, 2)
-    e, start = [], 0
-    for axis in range(grid.dimension):
-        edges = grid.flux_shape(axis)[::-1]  # slowest axis first: the flux order
-        low = np.ravel_multi_index(np.indices(edges).reshape(len(edges), -1), grid.shape[::-1])
-        ends = np.stack([low, low + int(np.prod(grid.shape[:axis]))], axis=1)
-        fluxes = slice(start, start + low.size)
-        start = fluxes.stop
-        block = data[fluxes]
+    if not np.array_equal(rows, np.column_stack(grid.flux_incidence())):
+        return None
+    e = []
+    for block in np.split(data, np.cumsum(grid.n_flux[:-1])):  # one family per axis
         e.append(abs(block[0, 0]))
-        if not (
-            np.array_equal(rows[fluxes], ends)
-            and np.array_equal(block[:, 0], -block[:, 1])
-            and np.all(np.abs(block) == e[-1])
-        ):
+        if not (np.array_equal(block[:, 0], -block[:, 1]) and np.all(np.abs(block) == e[-1])):
             return None
     # s = e_max sqrt(sum_a (e_a / e_max)^2 4 sin^2(pi k_a / (2 n_a))): no square overflows
     e_max = max(e)

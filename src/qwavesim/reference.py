@@ -37,6 +37,7 @@ order-of-accuracy and pipeline-equality checks compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -288,6 +289,19 @@ def spectral_forced_solution(
     return y1.sum(axis=1) / sqrt_b
 
 
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The GL_NODES-point Gauss-Legendre (nodes, weights) on [-1, 1], read-only.
+
+    Computed at the first forced solve and kept: leggauss solves an
+    eigenproblem per call, and numpy.polynomial is loaded only then.
+    """
+    rule = np.polynomial.legendre.leggauss(GL_NODES)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
 def _duhamel_integrals(
     freqs: np.ndarray, f, dt_hint: float, t0: float, t1: float
 ) -> tuple[np.ndarray, float]:
@@ -307,7 +321,7 @@ def _duhamel_integrals(
         h = min(h, 2.5 / freq_max)
     n_panels = int(np.ceil((t1 - t0) / h))
     acc = np.zeros(freqs.size, dtype=np.complex128)
-    nodes, weights = np.polynomial.legendre.leggauss(GL_NODES)
+    nodes, weights = _gauss_legendre()
     edges = np.linspace(t0, t1, n_panels + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (t1 - t0) / n_panels

@@ -209,8 +209,14 @@ def load_scenario(
         output_dir = out_override
 
     if t_final is not None:
-        # cfl_limit reads only the grid and the material, so it needs no assembled operator
-        dt = dt if dt is not None else 0.5 * cfl_limit(SimpleNamespace(grid=grid, material=material))
+        if dt is None:
+            # cfl_limit reads only the grid and the material, so it needs no assembled operator
+            dt = 0.5 * cfl_limit(SimpleNamespace(grid=grid, material=material))
+            if not dt > 0.0:
+                raise ScenarioError(
+                    f"{path}: the grid spacing {min(grid.spacing)!r} over the largest wave "
+                    f"speed {material.max_speed!r} underflows the stable leapfrog step to 0"
+                )
         steps = np.ceil((t_final - t_start) / dt)
         if not steps * walls.n_free <= MAX_CELL_UPDATES:
             raise ScenarioError(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import qwavesim as q
 from qwavesim.constraints import WALLS
+from qwavesim.discretize import canonical_csr
 from qwavesim.errors import GridError, MaterialError, ValidationError
 
 from conftest import build_acoustic_1d, build_acoustic_2d, build_maxwell
@@ -158,16 +159,32 @@ def _loop_stencils(grid):
     return grad, -grad.T
 
 
-def test_kronecker_stencils_match_the_loop_reference():
-    for grid in (
-        q.build_grid([(0.0, 1.0)], [9]),
-        q.build_grid([(0.0, 1.0), (0.0, 2.0)], [4, 5]),
-        q.build_grid([(-1.0, 2.0), (0.0, 0.3)], [7, 3]),
-    ):
-        grad, div = q.build_gradient_divergence(grid)
-        ref_grad, ref_div = _loop_stencils(grid)
-        np.testing.assert_array_equal(grad.toarray(), ref_grad)
-        np.testing.assert_array_equal(div.toarray(), ref_div)
+def _assert_same_csr(got, want):
+    """The same canonical CSR arrays, dtypes included, byte for byte."""
+    assert got.shape == want.shape and got.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@given(grid=_grids())
+def test_incidence_stencils_match_the_loop_reference(grid):
+    # the stencils and A are written straight into CSR arrays from the flux
+    # incidence; the loop's dense matrices, made canonical, hold the same bytes
+    ref_grad, ref_div = _loop_stencils(grid)
+    grad, div = q.build_gradient_divergence(grid)
+    _assert_same_csr(grad, canonical_csr(ref_grad))
+    _assert_same_csr(div, canonical_csr(ref_div))
+    low, high = grid.flux_incidence()
+    flux = np.arange(low.size)  # the loop puts -1/dx on the low node and +1/dx on the high one
+    assert np.all(ref_grad[flux, low] < 0.0) and np.all(ref_grad[flux, high] > 0.0)
+    for family, sign in (("acoustic", -1.0), ("maxwell1d", 1.0)):
+        if family == "maxwell1d" and grid.dimension != 1:
+            continue
+        material = getattr(q.MaterialModel, family)(grid, 1.0, 1.0)
+        zeros = np.zeros((grid.n_scalar, grid.n_scalar)), np.zeros((low.size, low.size))
+        ref_a = np.block([[zeros[0], sign * ref_div], [sign * ref_grad, zeros[1]]])
+        _assert_same_csr(q.assemble_operator_pair(grid, material).A, canonical_csr(ref_a))
 
 
 def test_gradient_rows_have_two_entries_of_plus_minus_inverse_spacing():

@@ -134,16 +134,27 @@ def test_homogeneous_metadata_values():
     assert ham.dim == pair.n_total
 
 
+def _driven_wall():
+    pair = build_acoustic_2d(nx=6, ny=5, c=lambda x: 1.0 + x[1])
+    walls = q.dirichlet_constraints(
+        pair.grid, q.boundary_scalar_indices(pair.grid, ["left"]), np.array([0.0, 1.0]), np.array([0.0, 2.0])
+    )
+    return q.reduce_system(pair, walls)
+
+
 @pytest.mark.parametrize(
     "pair",
     [
         build_acoustic_2d(nx=7, ny=5, rho=lambda x: 1.0 + x[0]),
         build_maxwell(n=12, eps=lambda x: 1.0 + x[0]),
+        _driven_wall(),
+        build_acoustic_1d(n=11, rho=1.3, c=0.7),
     ],
-    ids=["acoustic-2d", "maxwell-1d"],
+    ids=["acoustic-2d", "maxwell-1d", "driven-wall", "homogeneous-1d-box"],
 )
 def test_generator_is_the_scaled_a_in_canonical_real_form(pair):
-    # H = iK is held as K = B^{-1/2} A B^{-1/2}: real, in the stored form of A
+    # H = iK is held as K = B^{-1/2} A B^{-1/2}: real, in the stored form of A,
+    # and each entry is the two products diag(d) @ A @ diag(d) takes
     ham = q.build_hamiltonian(pair)
     k = ham.generator
     assert isinstance(k, sp.csr_matrix) and k.dtype == np.float64 and k.has_canonical_format
@@ -152,7 +163,7 @@ def test_generator_is_the_scaled_a_in_canonical_real_form(pair):
     want.sum_duplicates()
     want.eliminate_zeros()
     for got, ref in zip((k.indptr, k.indices, k.data), (want.indptr, want.indices, want.data)):
-        assert got.tobytes() == ref.tobytes()
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     assert ham.hermiticity_defect() == q.antisymmetry_defect(k)
 
 

@@ -61,11 +61,11 @@ def test_test_imports_are_declared_in_the_test_extra():
     assert not undeclared, f"imported by the tests but declared nowhere: {undeclared}"
 
 
-def _scipy_modules_after(statement: str) -> set[str]:
-    """The scipy modules in sys.modules after running statement in a fresh interpreter."""
+def _modules_after(statement: str, package: str = "scipy") -> set[str]:
+    """The modules of package in sys.modules after running statement in a fresh interpreter."""
     path = [str(SRC), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = f"import sys; {statement}; print(*(m for m in sys.modules if m.startswith('scipy')))"
+    code = f"import sys; {statement}; print(*(m for m in sys.modules if m.startswith({package!r})))"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
@@ -76,8 +76,37 @@ def test_package_import_loads_no_scipy_module():
     # every scipy module is imported where it is first used, so a command
     # pays only for what it runs
     for statement in ("import qwavesim", "import qwavesim.cli"):
-        loaded = _scipy_modules_after(statement)
+        loaded = _modules_after(statement)
         assert not loaded, f"{statement} loads {sorted(loaded)}"
+
+
+def test_package_import_loads_no_numpy_polynomial():
+    # the forced solve's Gauss-Legendre rule is computed at its first use
+    loaded = _modules_after("import qwavesim.cli", "numpy.polynomial")
+    assert not loaded, f"import qwavesim.cli loads {sorted(loaded)}"
+
+
+# scipy.sparse's generic constructors: the stencils, A and K are written
+# straight into their CSR arrays, and these would be a second way to build them
+SPARSE_BUILDERS = {"kron", "bmat", "diags"}
+
+
+def test_no_operator_is_built_through_scipy_sparse_algebra():
+    calls = []
+    for path in sorted((SRC / "qwavesim").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sparse = {"scipy.sparse"}  # the names scipy.sparse is reached by in this module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                sparse |= {a.asname for a in node.names if a.name == "scipy.sparse" and a.asname}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.sparse"):
+                calls += [f"{path.name}:{node.lineno}: {a.name}" for a in node.names
+                          if a.name in SPARSE_BUILDERS]
+            elif (isinstance(node, ast.Attribute) and node.attr in SPARSE_BUILDERS
+                  and ast.unparse(node.value) in sparse):
+                calls.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not calls, f"operators built through scipy.sparse constructors: {calls}"
 
 
 DEFERRED = {"scipy.special", "scipy.interpolate", "scipy.sparse.linalg", "scipy.fft"}
@@ -87,7 +116,7 @@ def _run_command(command: str, scenario: str, out, *extra) -> set[str]:
     """The scipy modules a fresh interpreter holds after one successful command."""
     args = [command, "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"),
             "--out", str(out), *map(str, extra)]
-    return _scipy_modules_after(f"from qwavesim import cli; assert cli.main({args!r}) == 0")
+    return _modules_after(f"from qwavesim import cli; assert cli.main({args!r}) == 0")
 
 
 @pytest.mark.parametrize(

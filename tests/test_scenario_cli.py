@@ -940,6 +940,13 @@ _MALFORMED = [
     _case("eps-mu-overflowing", _material("maxwell1d", eps=1e200, mu=1e200), "eps and mu"),
     _case("c-squared-overflowing", _material("acoustic", rho=1.0, c=1e200), "rho and c"),
     _case("c-squared-underflowing", _material("acoustic", rho=1.0, c=1e-160), "rho and c"),
+    # a grid and a material that each pass their checks, but whose default step
+    # dx / c underflows to 0: the run divided by it
+    _case("cfl-step-underflowing",
+          {"grid": {"bounds": [[0.0, 1e-280]], "shape": [16]},
+           **_material("acoustic", rho=1.0, c=1e50)},
+          "the grid spacing 6.666666666666666e-282 over the largest wave speed 1e+50 "
+          "underflows the stable leapfrog step to 0"),
 ]
 
 
