@@ -40,7 +40,7 @@ from .initcircuit import PolarGridSpec, RadialField
 from .io import JsonObject, finite, finite_array, integer, list_of, positive, read_json
 from .io import read_initial_csv, read_source_csv
 from .measurement import EstimatorConfig, SubspaceProjector
-from .reference import cfl_limit
+from .reference import MAX_CELL_UPDATES, cfl_limit
 from .sources import (
     PointSource,
     SourceTimeFunction,
@@ -51,9 +51,6 @@ from .sources import (
     window_schedule,
     windowed_sine,
 )
-
-# leapfrog steps, or decompose windows, x unknowns; 2D 256^2 to t_final 1 needs about 1.6e8 steps
-MAX_CELL_UPDATES = 10**10
 
 
 @dataclass(frozen=True)
@@ -496,8 +493,13 @@ def _parse_decompose(spec: JsonObject, drive: str, f, grid, walls: Walls) -> dic
 
     Their window schedule must have finite positive derived values, and
     its windows, one grid solve of every unknown each, at most
-    MAX_CELL_UPDATES cell updates. A ball too small for any window is
-    left to presim, the one command that slices.
+    MAX_CELL_UPDATES cell updates. So must the slices' quadrature panels,
+    one pass over every unknown each: the slices cover the source support
+    and each resolves its dt_hint (for a sample table, the smallest sample
+    spacing), so together they hold at least duration / dt_hint panels, and
+    at least one each. That is a lower bound, since the panels also resolve
+    the largest frequency of an H that loading does not build. A ball too
+    small for any window is left to presim, the one command that slices.
     """
     parsed = {k: spec.get(k, positive) for k in ("radius", "c", "rho")}
     spec.close()
@@ -515,6 +517,17 @@ def _parse_decompose(spec: JsonObject, drive: str, f, grid, walls: Walls) -> dic
             f"unknowns, make {schedule.count * walls.n_free:.3g} cell updates, "
             f"above {MAX_CELL_UPDATES:.0e}"
         )
+    if schedule.width > 0:
+        hint = schedule.slice_hint(f)
+        panels = max(schedule.count, f.duration / hint)
+        if not panels * walls.n_free <= MAX_CELL_UPDATES:
+            raise ScenarioError(
+                f"{drive}: its slices resolve steps of {hint!r} (its dt_hint {f.dt_hint!r}, "
+                "for a sample table the smallest sample spacing), so their quadrature needs at "
+                f"least {panels:.3g} panels over the support of {f.duration:.3g}, each a pass "
+                f"over {walls.n_free} unknowns: {panels * walls.n_free:.3g} cell updates, "
+                f"above {MAX_CELL_UPDATES:.0e}"
+            )
     return parsed
 
 

@@ -25,8 +25,9 @@ slicing commutes with the dynamics to that accuracy.
 
 Each slice is short enough that its wave stays inside a homogeneous ball of
 radius r_s around the source, and is solved exactly on the grid by the
-eigenbasis quadrature of the reference module: the slice obeys the same
-discrete equations as the H that carries it forward. Support radii
+eigenbasis quadrature of the reference module, all slices of a source in one
+forced solve: the slice obeys the same discrete equations as the H that
+carries it forward. Support radii
 include a discretization margin that grows like the cube root of the cone
 length in cells; fields are verified against the claimed ball and hard-zeroed
 outside it, and the surviving nonzero count is what the resolution-scaling
@@ -403,7 +404,7 @@ def _windowed_slice(
     times = np.linspace(lo, hi, 257)
     return SourceTimeFunction(
         times=times, values=fn(times), t_start=lo, t_end=hi,
-        dt_hint=min(f.dt_hint, 3.0 / schedule.z), kind="windowed_slice", fn=fn,
+        dt_hint=schedule.slice_hint(f), kind="windowed_slice", fn=fn,
     )
 
 
@@ -417,7 +418,8 @@ class WindowSchedule:
     of t_hom for one window. The windows tile [first, last], the source
     support widened by margin on each side; count is their number, as a
     float, and meaningful only when width > 0. window evaluates one window;
-    slices cuts a source with all of them, for greens_decompose and checks.
+    slices cuts a source with all of them, for greens_decompose and checks;
+    slice_hint is the smoothness scale (dt_hint) every slice carries.
     """
 
     first: float
@@ -434,6 +436,10 @@ class WindowSchedule:
     def breakpoints(self) -> list[float]:
         n_windows = counted(self.count, "windows over the source support")
         return [self.first + j * self.width for j in range(n_windows)] + [self.last]
+
+    def slice_hint(self, f: SourceTimeFunction) -> float:
+        """The dt_hint of every slice of f: f's own, or the window's 3 / z where that is shorter."""
+        return min(f.dt_hint, 3.0 / self.z)
 
     def window(self, t, tau_lo: float, tau_hi: float):
         """The window expit(z (t - tau_lo)) - expit(z (t - tau_hi)) between two breakpoints."""
@@ -499,10 +505,13 @@ def greens_decompose(
     The medium must be homogeneous (rho_hom, c_hom) inside the ball of radius
     r_s around the source; each slice is short enough that its wave stays in
     that ball, margins included. The slices are those of window_schedule,
-    whose steepness is fixed by the ball. Every slice is the exact grid response by
-    eigenbasis quadrature, solved with the H that build_hamiltonian memoizes
-    on the system object, so one basis serves every slice and any later
-    sync or mult generator built from the same system.
+    whose steepness is fixed by the ball. Every slice is the exact grid
+    response by eigenbasis quadrature: one spectral_forced_solution call
+    solves all of them, each from its own start to its own end, with one
+    application of the basis of the H that build_hamiltonian memoizes on
+    the system object, so one basis serves every slice and any later sync
+    or mult generator built from the same system. Each slice's field is
+    then checked against, and cut to, its own support ball.
 
     mode accepts only None or "discrete", the one solver. The benchmark
     harness still passes mode="discrete"; the keyword goes with the next
@@ -535,11 +544,14 @@ def greens_decompose(
 
     chi = system.restrict(chi_pattern(source, grid))
 
+    pulses = schedule.slices(f)
+    fields = spectral_forced_solution(
+        system, chi, pulses, [g.t_start for g in pulses], [g.t_end for g in pulses]
+    )
     slices = []
-    for g in schedule.slices(f):
+    for g, w in zip(pulses, fields.T):
         slice_cone = c_hom * g.duration
         radius = min(r_s, slice_cone + _support_margin_cells(slice_cone / dx_max) * dx_max)
-        w = spectral_forced_solution(system, chi, g, g.t_start, g.t_end)
         w = _enforce_support(w, coords, center, radius)
         slices.append(PreSimResult.from_field(w, g.t_end, center, radius))
     return slices

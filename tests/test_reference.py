@@ -535,3 +535,171 @@ def test_forced_solution_refuses_a_complex_initial_vector():
     w0[4] = 1.0
     with pytest.raises(EvolutionError, match="initial vector must be real"):
         q.spectral_forced_solution(system, np.ones(31), ones, 0.0, 0.1, w0=w0)
+
+
+def _one_exponential_per_panel(freqs, f, dt_hint, t0, t1):
+    """The forced solve's quadrature as it was before the phase recurrence, the reference.
+
+    One complex node table, and one complex exponential per (frequency,
+    panel) pair, taken PANEL_CHUNK panels at a time.
+    """
+    if t1 == t0:
+        return np.zeros(freqs.size, dtype=np.complex128), 0.0
+    freq_max = float(np.abs(freqs).max()) if freqs.size else 0.0
+    h = min(t1 - t0, dt_hint)
+    if freq_max > 0.0:
+        h = min(h, 2.5 / freq_max)
+    n_panels = int(np.ceil((t1 - t0) / h))
+    acc = np.zeros(freqs.size, dtype=np.complex128)
+    nodes, weights = np.polynomial.legendre.leggauss(q.reference.GL_NODES)
+    edges = np.linspace(t0, t1, n_panels + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (t1 - t0) / n_panels
+    s_q = centers[None, :] + half * nodes[:, None]
+    f_q = np.asarray(f(s_q.ravel()), dtype=np.float64).reshape(s_q.shape)
+    f_q = f_q * (half * weights)[:, None]
+    node_phase = np.exp(1j * np.outer(freqs, half * nodes))
+    for p in range(0, n_panels, q.reference.PANEL_CHUNK):
+        chunk = slice(p, p + q.reference.PANEL_CHUNK)
+        panel_phase = np.exp(-1j * np.outer(freqs, t1 - centers[chunk]))
+        acc += np.einsum("kp,kp->k", panel_phase, node_phase @ f_q[:, chunk])
+    return acc, float(f_q.sum())
+
+
+_CHUNK = q.reference.PANEL_CHUNK
+
+
+@given(
+    panels=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]),
+    span=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+    offset=st.floats(-2.0, 2.0),
+    n_freqs=st.integers(0, 40),
+    lowest=st.sampled_from(["zero", "low"]),
+    seed=st.integers(0, 2**16),
+)
+def test_the_phase_recurrence_matches_one_exponential_per_panel(
+    panels, span, offset, n_freqs, lowest, seed
+):
+    # a hint of span / (panels - 1/2) makes exactly `panels` panels, and the
+    # frequencies stay below 2.5 / hint, so the hint alone sets the width;
+    # the lowest frequency turns by at most 1 over the span, so max|acc| is
+    # of the order of sum |f| and measures the rounding of the sum
+    rng = np.random.default_rng(seed)
+    t0 = offset * max(span, 1e-3)
+    hint = span / (panels - 0.5) if span else 0.1
+    freqs = rng.uniform(0.0, 2.5 / hint, size=n_freqs)
+    if n_freqs:
+        freqs[0] = 0.0 if lowest == "zero" else rng.uniform(0.0, 1.0 / max(span, 1e-3))
+    a, b, c = rng.uniform(0.5, 1.5, size=3)
+    evaluated = []
+
+    def f(t):
+        evaluated.append(t.size)
+        return 1.0 + 0.5 * np.sin(a * (t - t0) / max(span, 1e-3) + b) * np.exp(-c * (t - t0) ** 2)
+
+    acc, total = q.reference._duhamel_integrals(freqs, f, hint, t0, t0 + span)
+    want, want_total = _one_exponential_per_panel(freqs, f, hint, t0, t0 + span)
+    assert acc.shape == want.shape == (n_freqs,)
+    assert total == want_total  # int f is the same sum of the same products, bit for bit
+    if span:
+        assert evaluated == [q.reference.GL_NODES * panels] * 2  # once per quadrature
+    else:
+        assert evaluated == [] and total == 0.0
+        np.testing.assert_array_equal(acc, 0.0)
+    if n_freqs:
+        np.testing.assert_allclose(acc, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+def test_the_quadrature_holds_no_phase_table_of_every_panel():
+    # 16,383 frequencies of a 128^2 box over twelve chunks of panels: the
+    # temporaries are n x PANEL_CHUNK tables, so the peak stays below four
+    # complex ones, where one n x panels table alone would be three times that
+    import tracemalloc
+
+    ham = q.build_hamiltonian(build_acoustic_2d(128, 128))
+    freqs = ham.frequencies()
+    assert freqs.size == 16383
+    h = 2.5 / freqs.max()  # the width the largest frequency sets
+    span = 12 * _CHUNK * h * (1.0 - 1e-9)
+    evaluated = []
+
+    def f(t):
+        evaluated.append(t.size)
+        return np.exp(-(((t - 0.5 * span) / span) ** 2))
+
+    tracemalloc.start()
+    try:
+        q.reference._duhamel_integrals(freqs, f, 1.0, 0.0, span)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert evaluated == [q.reference.GL_NODES * 12 * _CHUNK]
+    assert peak < 4 * freqs.size * _CHUNK * 16
+
+
+_HETEROGENEOUS = dict(rho=lambda x: 1.0 + 0.4 * np.sin(5.0 * x[0]))
+
+
+@pytest.mark.parametrize("with_data", [False, True], ids=["no-w0", "w0"])
+@pytest.mark.parametrize(
+    "system, basis",
+    [(build_acoustic_1d(n=64), "box"), (build_acoustic_2d(9, 7, rho=1.3, c=0.7), "box"),
+     (build_acoustic_1d(n=48, **_HETEROGENEOUS), "svd")],
+    ids=["box-1d", "box-2d", "svd-1d"],
+)
+def test_several_forcings_in_one_call_equal_one_call_each(system, basis, with_data):
+    assert q.build_hamiltonian(system).basis == basis
+    rng = np.random.default_rng(11)
+    chi, w0 = rng.normal(size=(2, system.n_total))
+    data = w0 if with_data else None
+    fs = [q.gaussian_pulse(0.1, 0.02), q.ricker_wavelet(9.0, 0.3), q.windowed_sine(4.0, 0.05, 0.4)]
+    t0 = [g.t_start for g in fs]
+    t1 = [g.t_end + 0.05 * j for j, g in enumerate(fs)]
+    several = q.spectral_forced_solution(system, chi, fs, t0, t1, w0=data)
+    one_each = np.stack(
+        [q.spectral_forced_solution(system, chi, g, a, b, w0=data) for g, a, b in zip(fs, t0, t1)],
+        axis=1,
+    )
+    assert several.shape == (system.n_total, 3)
+    if basis == "box":
+        # the DCTs and the CSR products act column by column
+        np.testing.assert_array_equal(several, one_each)
+    else:
+        # numpy multiplies one column by the dense U and V with a matrix-vector
+        # product, several with a matrix product, which sums in another order
+        np.testing.assert_allclose(
+            several, one_each, rtol=0,
+            atol=system.n_total * np.finfo(float).eps * np.abs(one_each).max(),
+        )
+
+
+@pytest.mark.parametrize(
+    "f, t0, t1",
+    [([], [], []), ([np.cos], [0.0, 0.1], [1.0, 1.0]), ([np.cos], 0.0, 1.0),
+     ([np.cos], [0.0], 1.0)],
+    ids=["none", "more-t0", "one-t0", "one-t1"],
+)
+def test_several_forcings_need_as_many_times(f, t0, t1):
+    system = build_acoustic_1d(n=16)
+    with pytest.raises(ValidationError, match="forcing"):
+        q.spectral_forced_solution(system, np.ones(system.n_total), f, t0, t1)
+
+
+def test_a_forced_solve_past_the_cell_update_budget_is_refused_before_allocating():
+    # a sample table whose smallest spacing is 1e-12: its panels of 1e-12 over
+    # 0.16 ended in a 520 GiB allocation
+    import tracemalloc
+
+    system = build_acoustic_1d(n=128)
+    times = np.r_[0.0, 1e-12, 0.001 * np.arange(1, 161)]
+    values = np.r_[0.0, 0.0, np.exp(-0.5 * ((times[2:-1] - 0.08) / 0.01) ** 2), 0.0]
+    f = q.time_function_from_samples(times, values)
+    assert f.dt_hint == 1e-12
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="too many for the budget of 1e"):
+            q.spectral_forced_solution(system, np.ones(system.n_total), f, 0.0, 0.16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

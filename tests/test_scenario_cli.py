@@ -718,6 +718,12 @@ _RING = {
     "profile": {"kind": "gaussian_ring", "radius": 0.5, "width": 0.2},
 }
 _BACKWARDS = "time,value\n0.0,1.0\n0.5,2.0\n0.4,1.5\n"  # line 4 goes back in time
+# acoustic_demo's pulse sampled every 0.001 after a first step of 1e-12, the
+# smallest sample spacing and so the table's dt_hint
+_SPIKED = "time,value\n0.0,0.0\n1e-12,0.0\n" + "".join(
+    f"{0.001 * k!r},{float(np.exp(-0.5 * ((0.001 * k - 0.08) / 0.01) ** 2)) if k < 160 else 0.0!r}\n"
+    for k in range(1, 161)
+)
 
 
 def _ring(**bad):
@@ -729,10 +735,11 @@ def _decompose(**bad):
     return {"sources": [dict(_SOURCE, decompose=decompose)]}
 
 
-def _sliced(sigma=0.01, **bad):
+def _sliced(sigma=0.01, pulse=None, **bad):
     """The source of acoustic_demo, whose 0.45 ball has room for windows on 128 nodes."""
     decompose = dict({"radius": 0.45, "c": 1.0, "rho": 1.0}, **bad)
-    pulse = {"kind": "gaussian", "center": 0.08, "sigma": sigma}
+    if pulse is None:
+        pulse = {"kind": "gaussian", "center": 0.08, "sigma": sigma}
     source = dict(_SOURCE, location=[64], time_function=pulse, decompose=decompose)
     return {"grid": {"bounds": [[0.0, 1.0]], "shape": [128]}, "sources": [source]}
 
@@ -782,6 +789,11 @@ _MALFORMED = [
     _case("c-underflowing", _sliced(c=1e-300), "sources[0].decompose.c", "presim"),
     _case("windows-past-cell-updates", _sliced(sigma=2**31),
           "sources[0].time_function and sources[0].decompose.radius", "presim"),
+    # its slices' quadrature panels of 1e-12 ended in a 520 GiB allocation in presim
+    _case("sample-spacing-panels-past-cell-updates",
+          _sliced(pulse={"kind": "file", "path": "drive.csv"}),
+          "sources[0].time_function: its slices resolve steps of 1e-12 (its dt_hint 1e-12",
+          "presim", files={"drive.csv": _SPIKED}),
     _case("c-text", _decompose(c="fast"), "sources[0].decompose.c", "presim"),
     _case("radius-null", _decompose(radius=None), "sources[0].decompose.radius", "presim"),
     _case("radius-infinite", _decompose(radius=float("inf")), "sources[0].decompose.radius",

@@ -451,6 +451,41 @@ def test_a_homogeneous_pair_is_never_decomposed(monkeypatch):
     assert dims == []
 
 
+@pytest.mark.parametrize("graded", [False, True], ids=["box", "svd"])
+def test_greens_decompose_solves_a_sources_slices_in_one_call(monkeypatch, graded):
+    # one forced solve for all the slices, each column equal to that slice
+    # solved alone: bit for bit in the box basis, and within the rounding of
+    # numpy's matrix product against its matrix-vector one in the SVD basis
+    pair, src = _sliced_pulse(graded)
+    calls = []
+    solve = sources.spectral_forced_solution
+
+    def counted_solve(*args, **kwargs):
+        calls.append(args[2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sources, "spectral_forced_solution", counted_solve)
+    slices = q.greens_decompose(src, 1.0, 1.0, 0.45, pair)
+    monkeypatch.undo()
+    f = src.time_function
+    pulses = sources.window_schedule(f, 1.0, 1.0, 0.45, max(pair.grid.spacing)).slices(f)
+    assert len(calls) == 1 and len(calls[0]) == len(pulses) == len(slices) >= 2
+    chi = pair.restrict(q.chi_pattern(src, pair.grid))
+    for piece, g in zip(slices, pulses):
+        alone = q.spectral_forced_solution(pair, chi, g, g.t_start, g.t_end)
+        kept = piece.field != 0.0
+        assert piece.t_end == g.t_end
+        if graded:
+            np.testing.assert_allclose(
+                piece.field[kept], alone[kept], rtol=0,
+                atol=pair.n_total * np.finfo(float).eps * np.abs(alone).max(),
+            )
+        else:
+            np.testing.assert_array_equal(piece.field[kept], alone[kept])
+        # outside its ball each slice was cut to zero where the solve was negligible
+        assert np.all(np.abs(alone[~kept]) <= sources.SUPPORT_RTOL * np.abs(alone).max())
+
+
 def test_build_hamiltonian_is_memoized_on_the_system_object():
     pair, _ = _sliced_pulse()
     before = repr(pair)
