@@ -83,16 +83,16 @@ def symmetry():
     """
 
     def rho_1d(x):
-        return 1.0 + 0.3 * float(np.sin(3.0 * x[0]))
+        return 1.0 + 0.3 * np.sin(3.0 * x[:, 0])
 
     def c_1d(x):
-        return 0.8 + 0.2 * float(np.cos(2.0 * x[0]))
+        return 0.8 + 0.2 * np.cos(2.0 * x[:, 0])
 
     def rho_2d(x):
-        return 1.5 + 0.4 * float(np.sin(2.0 * x[0]) * np.cos(x[1]))
+        return 1.5 + 0.4 * (np.sin(2.0 * x[:, 0]) * np.cos(x[:, 1]))
 
     def eps(x):
-        return 2.0 + x[0]
+        return 2.0 + x[:, 0]
 
     cases = [
         (f"acoustic 1D N={n}", _acoustic([(0.0, 1.0)], [n], rho_1d, c_1d)[1])

@@ -68,10 +68,6 @@ class ConstraintSet:
     b_times: np.ndarray | None = None
     b_values: np.ndarray | None = None
 
-    @property
-    def n_constrained(self) -> int:
-        return int(self.constrained.size)
-
     def __post_init__(self):
         c = np.asarray(self.constrained, dtype=np.int64)
         if c.ndim != 1:

@@ -23,6 +23,11 @@ Unknowns are ordered scalar block first, then the flux block per axis; within
 a block, axis 0 (x) runs fastest: k = i_0 + n_0*(i_1 + n_1*(i_2 + ...)) for
 per-axis counts n_a, which is C order on the reversed shape.
 
+Materials are sampled pointwise at the unknowns. A coefficient is a scalar
+or a callable of the (n, d) coordinate table that returns one value per
+row; it is called once per table, never once per point, and a result of
+any other shape is refused.
+
 There is one stored form per operator. A and the stencils are canonical
 float64 scipy CSR (sorted indices, no duplicates, no stored zeros); B is
 diagonal by construction and stored as its positive diagonal vector. Every
@@ -201,12 +206,6 @@ class StaggeredGrid:
             raise GridError("node index out of range")
         return int(np.ravel_multi_index(ij[::-1], self.shape[::-1]))
 
-    def scalar_multi_index(self, k: int) -> tuple[int, ...]:
-        """Scalar unknown index -> node multi-index, the inverse of scalar_index."""
-        if not 0 <= k < self.n_scalar:
-            raise GridError("scalar index out of range")
-        return tuple(int(i) for i in np.unravel_index(k, self.shape[::-1])[::-1])
-
     def flux_shape(self, axis: int) -> tuple[int, ...]:
         return tuple(
             n - 1 if ax == axis else n for ax, n in enumerate(self.shape)
@@ -331,27 +330,20 @@ def build_gradient_divergence(grid: StaggeredGrid) -> tuple[sp.csr_matrix, sp.cs
 # materials
 
 
-class _TableCoefficient:
-    """A coefficient that _sample evaluates on the whole coordinate table at once."""
-
-    def __call__(self, x: np.ndarray) -> float:
-        """The value at one coordinate vector."""
-        return float(self._table(np.asarray(x, dtype=np.float64)[None, :])[0])
-
-
 @dataclass(frozen=True)
-class PiecewiseCoefficient(_TableCoefficient):
+class PiecewiseCoefficient:
     """A background value overridden inside axis-aligned boxes.
 
     Each region is (box, value) with box of shape (dimension, 2) holding
     inclusive [lo, hi] bounds per axis; where boxes overlap, the first
-    listed region wins.
+    listed region wins. Called on an (n, d) coordinate table, it returns
+    the n values.
     """
 
     background: float
     regions: tuple[tuple[np.ndarray, float], ...]
 
-    def _table(self, coords: np.ndarray) -> np.ndarray:
+    def __call__(self, coords: np.ndarray) -> np.ndarray:
         out = np.full(coords.shape[0], self.background)
         for box, value in reversed(self.regions):  # earlier regions overwrite later ones
             out[np.all((coords >= box[:, 0]) & (coords <= box[:, 1]), axis=1)] = value
@@ -359,34 +351,35 @@ class PiecewiseCoefficient(_TableCoefficient):
 
 
 @dataclass(frozen=True)
-class TabulatedCoefficient(_TableCoefficient):
+class TabulatedCoefficient:
     """Linear interpolation of (x, value) samples along the first axis.
 
     Clamped to the end values outside the samples, as np.interp does.
+    Called on an (n, d) coordinate table, it returns the n values.
     """
 
     x: np.ndarray
     values: np.ndarray
 
-    def _table(self, coords: np.ndarray) -> np.ndarray:
+    def __call__(self, coords: np.ndarray) -> np.ndarray:
         return np.interp(coords[:, 0], self.x, self.values)
 
 
-def _sample(
-    spec, coords: np.ndarray, name: str
-) -> np.ndarray:
+def _sample(spec, coords: np.ndarray, name: str) -> np.ndarray:
     """Pointwise material sampling at unknown coordinates (no cell averaging).
 
-    A scalar is broadcast. A PiecewiseCoefficient or TabulatedCoefficient is
-    evaluated on the whole coordinate table at once. Any other callable is
-    called once per point with that point's coordinate vector. Anything else,
+    A scalar is broadcast. A callable is called once on the whole (n, d)
+    coordinate table and must return n values, one per row. Anything else,
     per-point arrays included, is refused: one array cannot say which
     staggered unknowns its values belong to.
     """
-    if isinstance(spec, _TableCoefficient):
-        out = spec._table(coords)
-    elif callable(spec):
-        out = np.asarray([spec(x) for x in coords], dtype=np.float64)
+    if callable(spec):
+        out = np.asarray(spec(coords), dtype=np.float64)
+        if out.shape != coords.shape[:1]:
+            raise MaterialError(
+                f"{name}: a callable coefficient must return one value per row of the "
+                f"{coords.shape} coordinate table, not an array of shape {out.shape}"
+            )
     elif np.isscalar(spec):
         out = np.full(coords.shape[0], float(spec))
     else:
@@ -433,11 +426,11 @@ class MaterialModel:
     def acoustic(cls, grid: StaggeredGrid, rho, c) -> "MaterialModel":
         """Acoustic medium from density rho and sound speed c.
 
-        rho and c are scalars or callables of the coordinate vector; rho is
-        sampled at both node and midpoint unknowns. Scalars,
-        PiecewiseCoefficient and TabulatedCoefficient (the scenario file's
-        constant, piecewise and file kinds) are sampled on the whole
-        coordinate table at once; any other callable is called per point.
+        rho and c are scalars or callables of the (n, d) coordinate table
+        that return one value per row, such as PiecewiseCoefficient and
+        TabulatedCoefficient (the scenario file's piecewise and file kinds).
+        Each callable is called once per table: c on the nodes, rho on the
+        nodes and on the midpoints.
         """
         rho_s = _sample(rho, grid.scalar_coords, "rho")
         c_s = _sample(c, grid.scalar_coords, "c")

@@ -29,24 +29,23 @@ the circuit output and the direct construction is the acceptance metric.
 Every gate is real, so the circuit is emulated on a float64 statevector
 updated in place, which the returned register state holds as it is.
 
-A field is any callable from one point, shape (2,), to its two components.
-The ray, the direct construction and the covariance defect sample the field
-on the point table PolarGridSpec.points(), shape (A, Theta, 2), which a spec
-builds once and keeps read-only. A spec also keeps the read-only values of
-the last field it sampled on the whole table, matched by identity of the
-field object, so the direct construction and the covariance defect share
-one grid evaluation; the ray samples its A points itself. A field with a
-table method, such as RadialField, is evaluated on a whole table in one
-call, with the same bits as point by point; any other callable is called
-once per point and must return two components. The reported evaluation
-counts (A for the ray, A Theta for the direct state) count grid points
-either way. Samples whose norm is zero, not finite, or whose sum of squares
+A field is any callable from a (..., 2) array of points to the (..., 2)
+array of their components, called once per table; a result of another
+shape is refused. The ray, the direct construction and the covariance
+defect sample the field on the point table PolarGridSpec.points(), shape
+(A, Theta, 2), which a spec builds once and keeps read-only: the ray on its
+(A, 2) column at theta = 0, the other two on the whole table. A spec also
+keeps the read-only values of the last field it sampled on the whole
+table, matched by identity of the field object, so the direct construction
+and the covariance defect share one grid evaluation. The reported
+evaluation counts (A for the ray, A Theta for the direct state) count grid
+points. Samples whose norm is zero, not finite, or whose sum of squares
 overflows or underflows float64 cannot be normalized and are refused.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -94,25 +93,12 @@ class PolarGridSpec:
     def n_points(self) -> int:
         return self.radial_divisions * self.angular_divisions
 
-    def angle(self, k: int) -> float:
-        return np.pi * k / self.angular_divisions
-
-    def point(self, a: int, k: int) -> np.ndarray:
-        th = self.angle(k)
-        r = self.radii[a]
-        return np.array(
-            [self.center[0] + r * np.cos(th), self.center[1] + r * np.sin(th)]
-        )
-
     def angles(self) -> np.ndarray:
-        """Every angle(k), as one array."""
+        """The Theta angles pi k / Theta, k = 0 .. Theta - 1."""
         return np.pi * np.arange(self.angular_divisions) / self.angular_divisions
 
     def points(self) -> np.ndarray:
-        """The read-only (A, Theta, 2) table of grid points, built once per spec.
-
-        points()[a, k] equals point(a, k) bit for bit.
-        """
+        """The read-only (A, Theta, 2) table of grid points, built once per spec."""
         memo = vars(self)
         if "_points" not in memo:
             th = self.angles()
@@ -124,7 +110,7 @@ class PolarGridSpec:
             memo["_points"] = table
         return memo["_points"]
 
-    def _samples(self, field: Callable[[np.ndarray], Sequence[float]]) -> np.ndarray:
+    def _samples(self, field: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """The read-only (A, Theta, 2) field values on points().
 
         The spec keeps the table of the last field it sampled, matched by
@@ -145,15 +131,14 @@ class PolarGridSpec:
 class RadialField:
     """Planar field pointing away from center with magnitude profile(r), zero at the center.
 
-    profile maps an array of radii to magnitudes element by element. table
-    evaluates a whole (..., 2) point table at once; calling the field on one
-    point is a table of one.
+    profile maps an array of radii to magnitudes element by element. The
+    field is evaluated on a (..., 2) array of points at once.
     """
 
     center: tuple[float, float]
     profile: Callable[[np.ndarray], np.ndarray]
 
-    def table(self, points: np.ndarray) -> np.ndarray:
+    def __call__(self, points: np.ndarray) -> np.ndarray:
         w = np.asarray(points, dtype=np.float64) - np.asarray(self.center, dtype=np.float64)
         # vecdot, like np.linalg.norm on one point, keeps per-point bits; hypot does not
         r = np.vecdot(w, w)[..., None]
@@ -163,9 +148,6 @@ class RadialField:
             w /= r
         w[r[..., 0] == 0.0] = 0.0
         return w
-
-    def __call__(self, x) -> np.ndarray:
-        return self.table(np.asarray(x, dtype=np.float64)[None])[0]
 
 
 # below this norm the sum of squares is subnormal or zero and the norm has lost bits
@@ -196,19 +178,15 @@ def _norm(values: np.ndarray, what: str, reduce=np.linalg.norm) -> float:
     return norm
 
 
-def _sample(field: Callable[[np.ndarray], Sequence[float]], points: np.ndarray) -> np.ndarray:
-    """Field values on a (..., 2) point table, through field.table when the field has one."""
-    table = getattr(field, "table", None)
-    if table is not None:
-        return table(points)
-    flat = points.reshape(-1, 2)
-    values = np.empty_like(flat)
-    for i, x in enumerate(flat):
-        w = np.asarray(field(x), dtype=np.float64)
-        if w.shape != (2,):
-            raise InitCircuitError(f"field must return 2 components, got shape {w.shape}")
-        values[i] = w
-    return values.reshape(points.shape)
+def _sample(field: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
+    """Field values on a (..., 2) point table, in one call of the field."""
+    values = np.asarray(field(points), dtype=np.float64)
+    if values.shape != points.shape:
+        raise InitCircuitError(
+            f"field must return 2 components per point, an array of shape {points.shape}, "
+            f"not one of shape {values.shape}"
+        )
+    return values
 
 
 @dataclass(frozen=True)
@@ -224,7 +202,7 @@ class ReferenceRay:
 
 
 def sample_reference_ray(
-    field: Callable[[np.ndarray], Sequence[float]], spec: PolarGridSpec
+    field: Callable[[np.ndarray], np.ndarray], spec: PolarGridSpec
 ) -> ReferenceRay:
     """Evaluate the field once per radius along theta = 0.
 
@@ -376,9 +354,9 @@ def simulate_circuit(circuit: GateCircuit, ray: ReferenceRay) -> QuantumRegister
 
 
 def direct_polar_state(
-    field: Callable[[np.ndarray], Sequence[float]], spec: PolarGridSpec
+    field: Callable[[np.ndarray], np.ndarray], spec: PolarGridSpec
 ) -> tuple[QuantumRegisterState, int]:
-    """Construct the target state by brute force, one evaluation per grid point.
+    """Construct the target state by brute force, from the field at every grid point.
 
     The oracle the circuit is judged against; returns the state and the
     evaluation count (radial times angular divisions). Its norm is numpy's
@@ -412,7 +390,7 @@ def fidelity(a: QuantumRegisterState, b: QuantumRegisterState) -> float:
 
 
 def covariance_defect(
-    field: Callable[[np.ndarray], Sequence[float]], spec: PolarGridSpec
+    field: Callable[[np.ndarray], np.ndarray], spec: PolarGridSpec
 ) -> float:
     """Largest relative mismatch between the field and its rotated reference ray.
 

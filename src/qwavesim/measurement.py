@@ -64,15 +64,6 @@ class SubspaceProjector:
         mask.setflags(write=False)
 
     @classmethod
-    def from_indices(cls, n: int, indices) -> "SubspaceProjector":
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise MeasurementError("projector index out of range")
-        mask = np.zeros(n, dtype=bool)
-        mask[idx] = True
-        return cls(mask=mask)
-
-    @classmethod
     def full(cls, n: int) -> "SubspaceProjector":
         return cls(mask=np.ones(n, dtype=bool))
 

@@ -290,6 +290,14 @@ def _parse_grid(raw: JsonObject) -> StaggeredGrid:
         raise ScenarioError(f"grid.shape {counts}: not enough memory for the grid") from None
 
 
+def _samples(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of a time,value file that is interpolated: it needs 2 rows at least."""
+    first, values = read_source_csv(path)
+    if first.size < 2:
+        raise ScenarioError(f"{path}: a sample table needs at least 2 rows, got {first.size}")
+    return first, values
+
+
 def _coefficient(material: JsonObject, grid: StaggeredGrid, base: Path, name: str):
     """The material coefficient at name: a constant, a piecewise table, or a file.
 
@@ -322,10 +330,7 @@ def _coefficient(material: JsonObject, grid: StaggeredGrid, base: Path, name: st
             raise ScenarioError(f"{spec.where}: tabulated coefficients are 1D only")
         p = base / spec.get("path")
         spec.close()
-        times, values = read_source_csv(p)  # same two-column layout, x instead of t
-        if times.size < 2:
-            raise ScenarioError(f"{p}: a tabulated coefficient needs at least 2 samples")
-        return TabulatedCoefficient(x=times, values=values)
+        return TabulatedCoefficient(*_samples(p))  # the time,value layout, x instead of t
     raise ScenarioError(f"{spec.where}: unknown kind {kind!r}")
 
 
@@ -440,7 +445,7 @@ def _parse_time_function(spec: JsonObject, base: Path) -> SourceTimeFunction:
     if kind == "file":
         p = base / spec.get("path")
         spec.close()
-        return time_function_from_samples(*read_source_csv(p))
+        return time_function_from_samples(*_samples(p))
     if kind not in ("gaussian", "ricker", "windowed_sine"):
         raise ScenarioError(f"{spec.where}: unknown kind {kind!r}")
     amplitude = spec.get("amplitude", finite, 1.0)
@@ -654,7 +659,7 @@ def _parse_initcircuit(raw: JsonObject, base: Path) -> InitCircuitSpec | None:
         desc = f"gaussian_ring(radius={r0}, width={width})"
     elif kind == "file":
         p = base / profile.get("path")
-        radii, values = read_source_csv(p)
+        radii, values = _samples(p)
 
         def magnitude(r: np.ndarray) -> np.ndarray:
             return np.interp(r, radii, values)

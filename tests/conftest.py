@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -47,12 +49,28 @@ def acoustic_2d():
     return build_acoustic_2d()
 
 
+@dataclass(frozen=True)
+class GradedCoefficient:
+    """base + amplitude sin(frequency (x + y)), smooth, evaluated on a coordinate table."""
+
+    base: float
+    amplitude: float
+    frequency: float
+
+    def __call__(self, coords):
+        return self.base + self.amplitude * np.sin(self.frequency * coords.sum(axis=1))
+
+
 @st.composite
 def coefficients(draw, dimension):
-    """A constant or a one-box piecewise coefficient in [0.5, 3]."""
+    """A constant, a one-box piecewise or a smooth graded coefficient in [0.5, 3]."""
     level = st.floats(0.5, 3.0)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["constant", "piecewise", "graded"]))
+    if kind == "constant":
         return draw(level)
+    if kind == "graded":
+        return GradedCoefficient(draw(st.floats(1.0, 2.5)), draw(st.floats(0.0, 0.5)),
+                                 draw(st.floats(0.5, 10.0)))
     box = np.sort(np.array([draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
                             for _ in range(dimension)]), axis=1)
     return PiecewiseCoefficient(background=draw(level), regions=((box, draw(level)),))

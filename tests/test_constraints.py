@@ -184,7 +184,7 @@ def test_induced_source_is_bit_equal_to_the_full_product(rng):
     # A driven 2D box: the left wall follows random data, the right wall is
     # pinned to zero. Only free unknowns next to a wall see the data, and the
     # source skips the other rows of A_fc without changing a bit.
-    pair = build_acoustic_2d(nx=24, ny=20, rho=lambda x: 1.0 + 0.5 * (x[0] > 0.4))
+    pair = build_acoustic_2d(nx=24, ny=20, rho=lambda x: 1.0 + 0.5 * (x[:, 0] > 0.4))
     left = q.boundary_scalar_indices(pair.grid, ["left"])
     pinned = q.boundary_scalar_indices(pair.grid, ["left", "right"])
     times = np.sort(rng.uniform(0.0, 1.0, 9))

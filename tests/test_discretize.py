@@ -32,7 +32,6 @@ def test_2d_linearization_is_x_fastest():
         for i in range(2):
             k = grid.scalar_index(i, j)
             assert k == i + j * 2
-            assert grid.scalar_multi_index(k) == (i, j)
             seen.add(k)
     assert seen == set(range(6))
 
@@ -75,10 +74,9 @@ _PULSE = q.gaussian_pulse(center=0.1, sigma=0.01)
 def test_index_maps_walls_and_source_midpoints_on_random_grids(grid, data):
     lo = np.array([b[0] for b in grid.bounds])
     dx = np.array(grid.spacing)
-    # scalar_index and scalar_multi_index are inverse bijections, and node ij sits at lo + ij*dx
+    # scalar_index is a bijection onto 0 .. n_scalar - 1 (x fastest), and node ij sits at lo + ij*dx
     for k in range(grid.n_scalar):
-        ij = grid.scalar_multi_index(k)
-        assert all(0 <= i < n for i, n in zip(ij, grid.shape))
+        ij = np.unravel_index(k, grid.shape[::-1])[::-1]
         assert grid.scalar_index(*ij) == k
         np.testing.assert_array_equal(grid.scalar_coords[k], lo + np.array(ij) * dx)
 
@@ -268,10 +266,52 @@ def test_both_families_refuse_a_per_point_array(family, kwargs):
 
 def test_heterogeneous_material_sampled_pointwise():
     grid = q.build_grid([(0.0, 1.0)], [5])
-    material = q.MaterialModel.acoustic(grid, rho=lambda x: 1.0 + x[0], c=1.0)
+    material = q.MaterialModel.acoustic(grid, rho=lambda x: 1.0 + x[:, 0], c=1.0)
     pair = q.assemble_operator_pair(grid, material)
     flux_x = grid.flux_coords[0][:, 0]
     np.testing.assert_allclose(pair.b_diagonal()[pair.flux_slice], 1.0 + flux_x)
+
+
+class _CountingCoefficient:
+    """A vectorized coefficient that records the shape of every table it is called on."""
+
+    def __init__(self):
+        self.tables = []
+
+    def __call__(self, coords):
+        self.tables.append(coords.shape)
+        return 1.0 + 0.5 * np.sin(coords[:, 0])
+
+
+@pytest.mark.parametrize("shape", [[9], [5, 4]])
+def test_acoustic_calls_each_coefficient_once_per_coordinate_table(shape):
+    grid = q.build_grid([(0.0, 1.0)] * len(shape), shape)
+    rho, c = _CountingCoefficient(), _CountingCoefficient()
+    q.MaterialModel.acoustic(grid, rho=rho, c=c)
+    nodes, midpoints = (grid.n_scalar, grid.dimension), (sum(grid.n_flux), grid.dimension)
+    assert rho.tables == [nodes, midpoints]
+    assert c.tables == [nodes]
+
+
+def test_maxwell_calls_each_coefficient_once_per_coordinate_table():
+    grid = q.build_grid([(0.0, 1.0)], [9])
+    eps, mu = _CountingCoefficient(), _CountingCoefficient()
+    q.MaterialModel.maxwell1d(grid, eps=eps, mu=mu)
+    assert eps.tables == [(9, 1)]
+    assert mu.tables == [(8, 1)]
+
+
+@pytest.mark.parametrize("family, kwargs, name", [
+    ("acoustic", {"rho": lambda x: 1.0 + x[0], "c": 1.0}, "rho"),
+    ("acoustic", {"rho": 1.0, "c": lambda x: 2.0}, "c"),
+    ("maxwell1d", {"eps": lambda x: 1.0 + x[0], "mu": 1.0}, "eps"),
+    ("maxwell1d", {"eps": 1.0, "mu": lambda x: np.ones((x.shape[0], 1))}, "mu"),
+], ids=["acoustic-rho", "acoustic-c", "maxwell1d-eps", "maxwell1d-mu"])
+def test_a_per_point_callable_is_refused_naming_its_coefficient(family, kwargs, name):
+    grid = q.build_grid([(0.0, 1.0)], [8])
+    with pytest.raises(MaterialError, match=rf"{name}: a callable coefficient must return one "
+                                            r"value per row of the \(\d+, 1\) coordinate table"):
+        getattr(q.MaterialModel, family)(grid, **kwargs)
 
 
 def test_maxwell_rejects_2d_grid():

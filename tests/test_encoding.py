@@ -135,7 +135,7 @@ def test_homogeneous_metadata_values():
 
 
 def _driven_wall():
-    pair = build_acoustic_2d(nx=6, ny=5, c=lambda x: 1.0 + x[1])
+    pair = build_acoustic_2d(nx=6, ny=5, c=lambda x: 1.0 + x[:, 1])
     walls = q.dirichlet_constraints(
         pair.grid, q.boundary_scalar_indices(pair.grid, ["left"]), np.array([0.0, 1.0]), np.array([0.0, 2.0])
     )
@@ -145,8 +145,8 @@ def _driven_wall():
 @pytest.mark.parametrize(
     "pair",
     [
-        build_acoustic_2d(nx=7, ny=5, rho=lambda x: 1.0 + x[0]),
-        build_maxwell(n=12, eps=lambda x: 1.0 + x[0]),
+        build_acoustic_2d(nx=7, ny=5, rho=lambda x: 1.0 + x[:, 0]),
+        build_maxwell(n=12, eps=lambda x: 1.0 + x[:, 0]),
         _driven_wall(),
         build_acoustic_1d(n=11, rho=1.3, c=0.7),
     ],
@@ -414,7 +414,7 @@ _BASES = {
     "homogeneous-1d": (lambda: build_acoustic_1d(n=12, rho=1.3, c=0.7), "box"),
     "homogeneous-2d": (lambda: build_acoustic_2d(nx=5, ny=4, rho=0.6, c=2.0), "box"),
     "homogeneous-maxwell": (lambda: build_maxwell(n=9, eps=2.0, mu=0.5), "box"),
-    "graded-rho": (lambda: build_acoustic_1d(n=12, rho=lambda x: 1.0 + x[0]), "svd"),
+    "graded-rho": (lambda: build_acoustic_1d(n=12, rho=lambda x: 1.0 + x[:, 0]), "svd"),
     "dirichlet-wall": (_pinned_left, "svd"),
     "not-an-operator-pair": (_namespace, "svd"),
     "one-flux-scaled": (lambda: _with_generator(build_acoustic_2d(nx=5, ny=4), _scaled_flux), "svd"),
@@ -434,7 +434,7 @@ def test_the_box_basis_is_taken_only_where_it_is_exact(case):
 
 
 def test_chiral_decomposition_calls_no_eigh(monkeypatch):
-    pair = build_acoustic_1d(n=9, rho=lambda x: 1.0 + x[0])
+    pair = build_acoustic_1d(n=9, rho=lambda x: 1.0 + x[:, 0])
 
     def refused(*args, **kwargs):
         raise AssertionError("eigh called on a chiral generator")
@@ -444,7 +444,7 @@ def test_chiral_decomposition_calls_no_eigh(monkeypatch):
 
 
 def test_a_stored_scalar_scalar_entry_is_refused():
-    pair = build_acoustic_1d(n=10, c=lambda x: 1.0 + x[0])
+    pair = build_acoustic_1d(n=10, c=lambda x: 1.0 + x[:, 0])
     a = pair.A.tolil()
     a[2, 5], a[5, 2] = 0.75, -0.75  # antisymmetric, but inside the scalar block
     system = types.SimpleNamespace(
@@ -489,7 +489,7 @@ def _owner(a):
 def test_chiral_memo_holds_only_the_real_thin_factors(monkeypatch):
     # a memory guard: the decomposition of a 2D 16x16 pair (dim 736) holds
     # s, U and V in float64 and never allocates a complex array as large as C
-    pair = build_acoustic_2d(nx=16, ny=16, rho=lambda x: 1.0 + x[0])
+    pair = build_acoustic_2d(nx=16, ny=16, rho=lambda x: 1.0 + x[:, 0])
     ham = q.build_hamiltonian(pair)
     n_s, n_f = ham.split, ham.dim - ham.split
     k = min(n_s, n_f)
@@ -566,7 +566,7 @@ _REAL_REGISTER = {
         stack_substates([w, -w]), q.build_mult_hamiltonian(q.build_hamiltonian(pair), 2), 0.3
     ),
     "makes-augment_state": lambda pair, w, tmp_path: q.augment_state(
-        stack_substates([w, -w]), q.SubspaceProjector.from_indices(w.size, [0, 1])
+        stack_substates([w, -w]), q.SubspaceProjector(np.isin(np.arange(w.size), [0, 1]))
     ),
     "makes-assemble_multisource_state": lambda pair, w, tmp_path: q.assemble_multisource_state(
         [q.PreSimResult.from_field(w, 0.1, pair.grid.scalar_coords[2], 0.3)], pair

@@ -62,7 +62,10 @@ def _evolve_with(method, state, ham, t):
 
 def _pair_for(method, n, rho, c):
     """A 1D pair whose H takes method's basis: homogeneous for box, rho graded otherwise."""
-    return build_acoustic_1d(n=n, rho=rho if method == "box" else lambda x: rho + 0.2 * x[0], c=c)
+    def graded(x):
+        return rho + 0.2 * x[:, 0]
+
+    return build_acoustic_1d(n=n, rho=rho if method == "box" else graded, c=c)
 
 
 def test_zero_time_is_identity():
@@ -422,7 +425,7 @@ def test_a_generator_with_large_entries_evolves(rng):
     # by 2^20 (exactly), this medium's K has an absolute defect of about
     # 1.5e-8 but 1.7e-16 of max|K|, and e^{(t / 2^20)(2^20 K)} = e^{tK}
     pair = build_acoustic_1d(
-        n=64, rho=lambda x: 1.0 + 0.5 * np.sin(7.0 * x[0]), c=lambda x: 1.0 + 0.3 * x[0]
+        n=64, rho=lambda x: 1.0 + 0.5 * np.sin(7.0 * x[:, 0]), c=lambda x: 1.0 + 0.3 * x[:, 0]
     )
     ham = q.build_hamiltonian(pair)
     big = q.Hamiltonian.from_matrix(ham.generator * 2**20, ham.split)

@@ -414,7 +414,7 @@ def test_spectral_solution_matches_expm_with_flux_data_and_drive():
     # Data and drive on scalar and flux unknowns alike, so both the real and
     # the imaginary halves of the chiral eigenvectors enter the projections;
     # without data (w0=None) the forced part is the only column.
-    system = build_acoustic_1d(n=24, rho=lambda x: 1.0 + 0.4 * np.sin(5.0 * x[0]))
+    system = build_acoustic_1d(n=24, rho=lambda x: 1.0 + 0.4 * np.sin(5.0 * x[:, 0]))
     rng = np.random.default_rng(3)
     w0, chi = rng.normal(size=(2, system.n_total))
     b = system.b_diagonal()
@@ -637,7 +637,7 @@ def test_the_quadrature_holds_no_phase_table_of_every_panel():
     assert peak < 4 * freqs.size * _CHUNK * 16
 
 
-_HETEROGENEOUS = dict(rho=lambda x: 1.0 + 0.4 * np.sin(5.0 * x[0]))
+_HETEROGENEOUS = dict(rho=lambda x: 1.0 + 0.4 * np.sin(5.0 * x[:, 0]))
 
 
 @pytest.mark.parametrize("with_data", [False, True], ids=["no-w0", "w0"])

@@ -382,17 +382,22 @@ def test_table_sampled_coefficients_are_bit_equal_to_per_point_sampling(tmp_path
     sc = q.load_scenario(_write(tmp_path, _base(grid=grid, material=material)))
     specs = {name: spec for name, spec in material.items() if name != "family"}
     per_point = {name: _per_point(spec, tmp_path) for name, spec in specs.items()}
+    # the per-point references, called one row at a time behind a table adapter
+    adapted = {
+        name: (lambda coords, fn=fn: np.array([fn(x) for x in coords])) if callable(fn) else fn
+        for name, fn in per_point.items()
+    }
     build = q.MaterialModel.acoustic if material["family"] == "acoustic" else q.MaterialModel.maxwell1d
-    expected = build(sc.grid, **per_point)
+    expected = build(sc.grid, **adapted)
     assert sc.material.scalar_weight.tobytes() == expected.scalar_weight.tobytes()
     assert sc.material.flux_weight.tobytes() == expected.flux_weight.tobytes()
     assert sc.material.max_speed == expected.max_speed
-    # the coefficient objects stay callable on one point
+    # the coefficient objects take any coordinate table, the grid's concatenated included
     points = np.concatenate([sc.grid.scalar_coords, *sc.grid.flux_coords])
     for name, spec in specs.items():
         coefficient = q.scenario._coefficient(q.io.JsonObject(specs), sc.grid, tmp_path, name)
         if callable(coefficient):
-            assert [coefficient(x) for x in points] == [per_point[name](x) for x in points]
+            assert coefficient(points).tolist() == [per_point[name](x) for x in points]
 
 
 def test_initcircuit_section(tmp_path):
@@ -829,6 +834,29 @@ _MALFORMED = [
     _case("profile-file-decreasing",
           {"initcircuit": dict(_RING, profile={"kind": "file", "path": "profile.csv"})},
           "profile.csv: line 4", "initcircuit", files={"profile.csv": _BACKWARDS}),
+    # a table too short to interpolate is refused at load, naming its file
+    _case("drive-file-header-only",
+          {"sources": [dict(_SOURCE, time_function={"kind": "file", "path": "drive.csv"})]},
+          "drive.csv: a sample table needs at least 2 rows, got 0",
+          files={"drive.csv": "time,value\n"}),
+    _case("drive-file-one-row",
+          {"sources": [dict(_SOURCE, time_function={"kind": "file", "path": "drive.csv"})]},
+          "drive.csv: a sample table needs at least 2 rows, got 1",
+          files={"drive.csv": "time,value\n0.0,1.0\n"}),
+    _case("profile-file-header-only",
+          {"initcircuit": dict(_RING, profile={"kind": "file", "path": "profile.csv"})},
+          "profile.csv: a sample table needs at least 2 rows, got 0", "initcircuit",
+          files={"profile.csv": "time,value\n"}),
+    # a one-row profile, once taken for a constant, is refused too
+    _case("profile-file-one-row",
+          {"initcircuit": dict(_RING, profile={"kind": "file", "path": "profile.csv"})},
+          "profile.csv: a sample table needs at least 2 rows, got 1", "initcircuit",
+          files={"profile.csv": "time,value\n0.5,1.0\n"}),
+    _case("material-file-one-row",
+          {"material": {"family": "acoustic", "rho": {"kind": "file", "path": "rho.csv"},
+                        "c": 1.0}},
+          "rho.csv: a sample table needs at least 2 rows, got 1",
+          files={"rho.csv": "time,value\n0.5,1.0\n"}),
     _case("location-fraction", {"sources": [dict(_SOURCE, location=[16.7])]},
           "sources[0].location"),
     _case("shape-fraction", {"grid": {"bounds": [[0.0, 1.0]], "shape": [3.7]}}, "grid.shape"),

@@ -593,7 +593,7 @@ def test_greens_refuses_heterogeneous_ball():
     pair = build_acoustic_1d(n=64, rho=1.0, c=1.0)
     grid = pair.grid
     material = q.MaterialModel.acoustic(
-        grid, rho=1.0, c=lambda x: 1.0 + 0.5 * (x[0] > 0.5)
+        grid, rho=1.0, c=lambda x: 1.0 + 0.5 * (x[:, 0] > 0.5)
     )
     het = q.assemble_operator_pair(grid, material)
     src = _scalar_source(64, center=0.1, sigma=0.01, node=32)
